@@ -1182,220 +1182,6 @@ let record_overhead () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Scaling: worker domains (lib/par)                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The Fig. 10 LMC-GEN series and the 5.5 hunt, re-run with exploration
-   fanned across a Par.Pool.  Verdicts are bit-identical across domain
-   counts (the pool's contract); only wall-clock may move.  Speedup is
-   bounded by the host's core count, recorded next to the numbers — on
-   a single-core container the parallel runs measure pure overhead. *)
-let scaling () =
-  header "Scaling: exploration wall-clock vs worker domains";
-  let cores = Domain.recommended_domain_count () in
-  row "host cores (Domain.recommended_domain_count): %d\n" cores;
-  let max_depth = if !quick then 12 else 20 in
-  let best f =
-    let rec go n acc = if n = 0 then acc else go (n - 1) (min acc (f ())) in
-    go 2 (f ())
-  in
-  let sweep domains =
-    let total = ref 0. in
-    for depth = 0 to max_depth do
-      let cfg = { L1.default_config with max_depth = Some depth; domains } in
-      let r =
-        L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
-          (paxos1_init ())
-      in
-      total := !total +. r.elapsed
-    done;
-    !total
-  in
-  let sweeps =
-    List.map (fun d -> (d, best (fun () -> sweep d))) [ 1; 2; 4 ]
-  in
-  let base = match sweeps with (_, t) :: _ -> t | [] -> 0. in
-  row "\n-- Fig. 10 LMC-GEN sweep (depths 0..%d), checker-reported time --\n"
-    max_depth;
-  List.iter
-    (fun (d, t) ->
-      row "domains=%d : %10.4f s  (speedup vs 1: %.2fx)\n" d t
-        (base /. max 1e-9 t))
-    sweeps;
-  (* The 5.5 hunt, domains 1 vs 4; the budgeted restarts share one
-     pool (Online_mc owns it for the whole run). *)
-  let module Live = Protocols.Paxos.Make (struct
-    let num_nodes = 3
-    let proposers = [ 0; 1; 2 ]
-    let max_attempts = 2
-    let max_index = 16
-    let fresh_proposals = true
-    let bug = Protocols.Paxos_core.Last_response_wins
-  end) in
-  let module Check = Protocols.Paxos.Make (struct
-    let num_nodes = 3
-    let proposers = [ 0; 1; 2 ]
-    let max_attempts = 2
-    let max_index = 16
-    let fresh_proposals = false
-    let bug = Protocols.Paxos_core.Last_response_wins
-  end) in
-  let module Online_p = Online.Online_mc.Make (Live) (Check) in
-  let module Sim_p = Sim.Live_sim.Make (Live) in
-  let hunt domains =
-    let link =
-      Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05 ~latency_max:0.3
-        ()
-    in
-    let config =
-      {
-        Online_p.sim =
-          {
-            Sim_p.seed = 7;
-            link;
-            timer_min = 2.0;
-            timer_max = 20.0;
-            action_prob = None;
-            faults = Fault.Plan.empty;
-          };
-        check_interval = 30.0;
-        max_live_time = 3600.0;
-        checker =
-          {
-            Online_p.Checker.default_config with
-            time_limit = Some 5.0;
-            max_transitions = Some 100_000;
-            domains;
-          };
-        action_bounds = [ 1; 2 ];
-        steer = false;
-        steer_scope = `Exact_action;
-        supervisor = Online_p.default_supervisor;
-        store = None;
-      }
-    in
-    let strategy =
-      Online_p.Checker.Invariant_specific
-        { abstract = Check.abstraction; conflict = Check.conflicts }
-    in
-    let outcome = Online_p.run config ~strategy ~invariant:Check.safety in
-    (outcome.Online_p.report <> None, outcome.Online_p.total_check_time)
-  in
-  row "\n-- 5.5 hunt (WiDS Paxos bug), total checking time --\n";
-  let hunts =
-    List.map
-      (fun d ->
-        let found, t = hunt d in
-        row "domains=%d : found=%-5b %10.4f s\n" d found t;
-        (d, found, t))
-      [ 1; 4 ]
-  in
-  let hunt_base = match hunts with (_, _, t) :: _ -> t | [] -> 0. in
-  (match List.rev hunts with
-  | (d, _, t) :: _ when d <> 1 ->
-      row "hunt speedup at %d domains: %.2fx (host has %d core(s))\n" d
-        (hunt_base /. max 1e-9 t)
-        cores
-  | _ -> ());
-  Bench_out.record "scaling"
-    (Dsm.Json.Obj
-       [
-         ("cores", Dsm.Json.Int cores);
-         ( "lmc_gen_sweep",
-           Dsm.Json.List
-             (List.map
-                (fun (d, t) ->
-                  Dsm.Json.Obj
-                    [
-                      ("domains", Dsm.Json.Int d);
-                      ("elapsed_s", Dsm.Json.Float t);
-                      ("speedup", Dsm.Json.Float (base /. max 1e-9 t));
-                    ])
-                sweeps) );
-         ( "hunt_5_5",
-           Dsm.Json.List
-             (List.map
-                (fun (d, found, t) ->
-                  Dsm.Json.Obj
-                    [
-                      ("domains", Dsm.Json.Int d);
-                      ("found", Dsm.Json.Bool found);
-                      ("check_time_s", Dsm.Json.Float t);
-                      ("speedup", Dsm.Json.Float (hunt_base /. max 1e-9 t));
-                    ])
-                hunts) );
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Par functorization guard (lib/lint)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Deque and Shard_tbl are functors over their synchronisation
-   primitives so the interleaving checker can interpose on every
-   shared access; the production fast path must not pay for that.
-   The default [Par.Deque] is [Make (Primitives.Native)] applied at
-   library build time — re-applying the same functor here and racing
-   the two instantiations through the pool's hot sequence (push/pop
-   with an occasional steal; add_if_absent/find for the table) makes
-   any functor-boundary cost show up as a throughput gap.  Expected
-   and asserted by EXPERIMENTS.md: within run-to-run noise. *)
-let par_functor () =
-  header "lib/par functorization: default vs re-applied Make (Native)";
-  let ops = if !quick then 2_000_000 else 10_000_000 in
-  let best f =
-    let rec go n acc =
-      if n = 0 then acc else go (n - 1) (min acc (f ()))
-    in
-    go 2 (f ())
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let bench_deque (module D : Par.Deque.S) () =
-    time (fun () ->
-        let q = D.create () in
-        for i = 1 to ops do
-          D.push q i;
-          if i land 7 = 0 then ignore (D.steal q) else ignore (D.pop q)
-        done)
-  in
-  let bench_tbl (module T : Par.Shard_tbl.S) () =
-    time (fun () ->
-        let t = T.create 1024 in
-        for i = 1 to ops do
-          ignore (T.add_if_absent t (i land 1023) i);
-          ignore (T.find_opt t (i land 1023))
-        done)
-  in
-  let module D2 = Par.Deque.Make (Par.Primitives.Native) in
-  let module T2 = Par.Shard_tbl.Make (Par.Primitives.Native) in
-  let dq_def = best (bench_deque (module Par.Deque)) in
-  let dq_fun = best (bench_deque (module D2)) in
-  let tb_def = best (bench_tbl (module Par.Shard_tbl)) in
-  let tb_fun = best (bench_tbl (module T2)) in
-  let pct a b = 100. *. (b /. max 1e-9 a -. 1.) in
-  row "%d ops each, best of 3:\n" ops;
-  row "%-34s %10.4f s\n" "Deque (library instantiation)" dq_def;
-  row "%-34s %10.4f s  (%+.1f%%)\n" "Deque (re-applied Make(Native))" dq_fun
-    (pct dq_def dq_fun);
-  row "%-34s %10.4f s\n" "Shard_tbl (library instantiation)" tb_def;
-  row "%-34s %10.4f s  (%+.1f%%)\n" "Shard_tbl (re-applied Make(Native))"
-    tb_fun (pct tb_def tb_fun);
-  Bench_out.record "par-functor"
-    (Dsm.Json.Obj
-       [
-         ("ops", Dsm.Json.Int ops);
-         ("deque_default_s", Dsm.Json.Float dq_def);
-         ("deque_functor_s", Dsm.Json.Float dq_fun);
-         ("deque_delta_pct", Dsm.Json.Float (pct dq_def dq_fun));
-         ("shard_tbl_default_s", Dsm.Json.Float tb_def);
-         ("shard_tbl_functor_s", Dsm.Json.Float tb_fun);
-         ("shard_tbl_delta_pct", Dsm.Json.Float (pct tb_def tb_fun));
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* Fault-injector overhead                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1659,11 +1445,12 @@ let churn_bench () =
 (* The Fig. 10 axis the paper frames as "state explosion vs RAM": with
    the visited set in an mmap'd store file, fingerprints live in the
    page cache instead of the OCaml heap, so RAM stops bounding the
-   explorable space.  The bar is that the mmap store holds states/sec
-   within ~25% of the heap table; a warm rerun against a completed
-   store file then revisits nothing (the incremental-restart story). *)
+   explorable space.  The default B-DFS (recursive DFS over a heap
+   table) is compared with the store-backed layered frontier; both
+   must reach the same states.  A warm rerun against a completed store
+   file then revisits nothing (the incremental-restart story). *)
 let store_bench () =
-  header "lib/store: B-DFS visited set, RAM vs mmap (Fig. 10 axis)";
+  header "lib/store: B-DFS heap-table DFS vs mmap frontier (Fig. 10 axis)";
   let depths = if !quick then [ 6; 8; 10 ] else [ 8; 10; 12; 14 ] in
   let dir = Filename.temp_file "lmc-bench-store" "" in
   Sys.remove dir;
@@ -1680,7 +1467,6 @@ let store_bench () =
             G1.default_config with
             max_depth = Some depth;
             time_limit = Some (if !quick then 5.0 else 60.0);
-            domains = 2;
           }
         in
         let ram = G1.run cfg ~invariant:Paxos1.safety (paxos1_init ()) in
@@ -1702,7 +1488,7 @@ let store_bench () =
       float_of_int o.stats.global_states /. o.stats.elapsed
     else 0.
   in
-  row "\n-- states/sec and retained memory: heap table vs mmap store --\n";
+  row "\n-- states/sec and retained memory: heap-table DFS vs mmap frontier --\n";
   row "%5s %10s %10s %6s %12s %12s %10s %10s\n" "depth" "RAM-st/s"
     "mmap-st/s" "ratio" "RAM-bytes" "mmap-bytes" "warm-s" "warm-hits";
   List.iter
@@ -1714,7 +1500,7 @@ let store_bench () =
         warm.stats.store_hits)
     points;
   row
-    "\nbar: mmap within ~25%% of the heap table's states/sec with the \
+    "\nbar: both reach the same states, the mmap frontier with the \
      visited fingerprints off the heap; the warm rerun of a completed \
      depth discovers 0 new states (cold-vs-incremental restart).\n";
   Bench_out.record "store"
@@ -2029,8 +1815,6 @@ let sections =
     ("obs-overhead", obs_overhead);
     ("telemetry-overhead", telemetry_overhead);
     ("record-overhead", record_overhead);
-    ("scaling", scaling);
-    ("par-functor", par_functor);
     ("fault-overhead", fault_overhead);
     ("churn", churn_bench);
     ("store", store_bench);

@@ -41,7 +41,7 @@ let required_fields = function
           ("orbit_hits", is_int);
           ("completed", is_bool);
         ]
-  | "bdfs_run" -> Some [ ("protocol", is_string); ("domains", is_int) ]
+  | "bdfs_run" -> Some [ ("protocol", is_string); ("nodes", is_int) ]
   | "bdfs_end" ->
       Some
         [
@@ -193,7 +193,6 @@ let scenario_required_fields = function
           ("plan", is_string);
           ("kind", is_string);
           ("expected", is_string);
-          ("domains", is_int);
         ]
   | "scenario_end" ->
       Some

@@ -47,7 +47,6 @@ type check_params = {
   minimize : bool;
   dot : string option;  (* write the witness sequence chart here *)
   json : bool;  (* machine-readable result on stdout *)
-  domains : int;  (* exploration pool width (--domains) *)
   verify_domains : int;  (* deferred-verification fan-out *)
   symmetry : sym_mode;  (* audited symmetry reduction (--symmetry) *)
   obs : Obs.scope;  (* --metrics-out / --trace-out / --progress *)
@@ -131,7 +130,7 @@ type runner = {
      faults:Fault.Plan.t -> crash_budget:int ->
      restart_budget_ms:int option -> max_retries:int option ->
      store_dir:string option -> resume:bool -> symmetry:sym_mode ->
-     domains:int -> verify_domains:int -> int)
+     verify_domains:int -> int)
     option;
   lint :
     max_depth:int option -> max_transitions:int -> sym:sym_mode -> lint_result;
@@ -139,7 +138,6 @@ type runner = {
     mode:string ->
     header:(string * Dsm.Json.t) list ->
     records:(string * Dsm.Json.t) list list ->
-    domains:int option ->
     int;
 }
 
@@ -496,7 +494,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
             max_depth = params.max_depth;
             time_limit = params.time_limit;
             crash_budget = params.crash_budget;
-            domains = params.domains;
             symmetry = sym_spec;
             obs = params.obs;
             trace = params.trace;
@@ -527,7 +524,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                 ("global_states", Dsm.Json.Int o.stats.global_states);
                 ("system_states", Dsm.Json.Int o.stats.system_states);
                 ("max_depth", Dsm.Json.Int o.stats.max_depth_reached);
-                ("domains", Dsm.Json.Int params.domains);
                 ( "symmetry",
                   Dsm.Json.String
                     (Dsm.Symmetry.name sym_spec.Dsm.Symmetry.group) );
@@ -567,7 +563,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
             max_depth = params.max_depth;
             time_limit = params.time_limit;
             crash_budget = params.crash_budget;
-            domains = params.domains;
             verify_domains = params.verify_domains;
             symmetry = orbit_group;
             obs = params.obs;
@@ -610,9 +605,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                 ("preliminary_violations",
                  Dsm.Json.Int r.preliminary_violations);
                 ("soundness_rejections", Dsm.Json.Int r.soundness_rejections);
-                (* both pools, distinguishable: exploration vs deferred
-                   verification *)
-                ("domains", Dsm.Json.Int params.domains);
                 ("verify_domains", Dsm.Json.Int params.verify_domains);
                 ( "symmetry",
                   Dsm.Json.String (Dsm.Symmetry.name orbit_group) );
@@ -637,20 +629,20 @@ module Check_driver (P : Dsm.Protocol.S) = struct
 
   (* ----- deterministic replay -----
 
-     Two obligations, per the determinism contract (records are emitted
-     only from the sequential apply half of every checker):
+     Two obligations, per the determinism contract (exploration is
+     sequential, so the same config records the same stream):
 
      1. every [witness] record re-executes to bit-identical per-step
         fingerprints (handled by {!WR});
-     2. re-running the recorded exploration — possibly at a different
-        --domains count — reproduces the recorded [step] stream byte
-        for byte (modulo the wall-clock [ts] field).
+     2. re-running the recorded exploration reproduces the recorded
+        [step] stream byte for byte (modulo the wall-clock [ts]
+        field).
 
      The exploration re-run captures its records in a memory sink and
      diffs them against the file; it is skipped when the original run
      was budget-truncated (a wall-clock limit cuts the stream at a
      non-deterministic point) or when a bounded ring dropped its head. *)
-  let replay ?strategy ~invariant ~header ~records ~domains () =
+  let replay ?strategy ~invariant ~header ~records () =
     let wcount, wfail = WR.replay_witnesses records in
     let kind =
       match jstr (jfield "checker" header) with
@@ -692,11 +684,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                 else None)
               records
           in
-          let domains =
-            match domains with
-            | Some d -> d
-            | None -> Option.value ~default:1 (jint (jfield "domains" header))
-          in
           let verify_domains =
             Option.value ~default:1 (jint (jfield "verify_domains" header))
           in
@@ -722,7 +709,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                    match max_depth with
                    | Some d -> Dsm.Json.Int d
                    | None -> Dsm.Json.Null );
-                 ("domains", Dsm.Json.Int domains);
                  ("verify_domains", Dsm.Json.Int verify_domains);
                  ("symmetry", Dsm.Json.String (sym_mode_name sym_mode));
                ]);
@@ -734,7 +720,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                    {
                      G.default_config with
                      max_depth;
-                     domains;
                      trace;
                      symmetry = sym_spec;
                    }
@@ -751,7 +736,6 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                    {
                      L.default_config with
                      max_depth;
-                     domains;
                      verify_domains;
                      trace;
                      symmetry = orbit_group;
@@ -779,9 +763,9 @@ module Check_driver (P : Dsm.Protocol.S) = struct
           (match diff 0 recorded replayed with
           | None ->
               Format.printf
-                "exploration: re-ran %d transitions at %d domain(s); \
-                 record stream bit-identical@."
-                np domains;
+                "exploration: re-ran %d transitions; record stream \
+                 bit-identical@."
+                np;
               0
           | Some (i, a, b) ->
               Format.printf
@@ -836,7 +820,7 @@ struct
   let run ?strategy ?action_prob ?(faults = Fault.Plan.empty)
       ?(crash_budget = 0) ?restart_budget_ms ?max_retries ?store_dir
       ?(resume = false) ?(symmetry = Sym_off) ~obs ~trace ~invariant ~seed
-      ~drop ~interval ~max_live ~budget ~steer ~domains ~verify_domains () =
+      ~drop ~interval ~max_live ~budget ~steer ~verify_domains () =
     (* audited once, up front; every budgeted restart reuses the
        verdict (the protocol does not change between restarts) *)
     let _, orbit_group = SR.resolve ~invariant symmetry in
@@ -864,7 +848,6 @@ struct
             time_limit = Some budget;
             max_transitions = Some 100_000;
             crash_budget;
-            domains;
             verify_domains;
             symmetry = orbit_group;
             trace;
@@ -927,8 +910,8 @@ let tree_runner =
         lint_protocol (module T) ~name:"tree" ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
-        D.replay ~invariant:T.received_implies_sent ~header ~records ~domains
+      (fun ~mode:_ ~header ~records ->
+        D.replay ~invariant:T.received_implies_sent ~header ~records
           ());
   }
 
@@ -949,8 +932,8 @@ let chain_runner =
         lint_protocol (module C) ~name:"chain" ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
-        D.replay ~invariant:C.prefix_closed ~header ~records ~domains ());
+      (fun ~mode:_ ~header ~records ->
+        D.replay ~invariant:C.prefix_closed ~header ~records ());
   }
 
 let ping_runner =
@@ -970,8 +953,8 @@ let ping_runner =
         lint_protocol (module P) ~name:"ping" ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
-        D.replay ~invariant:P.no_excess_pongs ~header ~records ~domains ());
+      (fun ~mode:_ ~header ~records ->
+        D.replay ~invariant:P.no_excess_pongs ~header ~records ());
   }
 
 let randtree_runner ~buggy =
@@ -1002,8 +985,8 @@ let randtree_runner ~buggy =
         lint_protocol (module R) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
-        D.replay ~invariant:R.disjointness ~header ~records ~domains ());
+      (fun ~mode:_ ~header ~records ->
+        D.replay ~invariant:R.disjointness ~header ~records ());
   }
 
 let paxos_runner ~buggy =
@@ -1051,20 +1034,20 @@ let paxos_runner ~buggy =
       Some
         (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
              ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~domains ~verify_domains ->
+             ~resume ~symmetry ~verify_domains ->
           H.run
             ~strategy:
               (H.O.Checker.Invariant_specific
                  { abstract = Check.abstraction; conflict = Check.conflicts })
             ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs ~trace
             ~invariant:Check.safety ~seed ~drop ~interval ~max_live ~budget
-            ~steer ~domains ~verify_domains ());
+            ~steer ~verify_domains ());
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
         lint_protocol (module Bench) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode ~header ~records ~domains ->
+      (fun ~mode ~header ~records ->
         (* hunt witnesses were recorded by the hunt's own Check
            instantiation (fresh_proposals off); dispatch there, not to
            the 5.1 benchmark configuration the check path uses *)
@@ -1074,7 +1057,7 @@ let paxos_runner ~buggy =
             ~strategy:
               (D.L.Invariant_specific
                  { abstract = Bench.abstraction; conflict = Bench.conflicts })
-            ~invariant:Bench.safety ~header ~records ~domains ());
+            ~invariant:Bench.safety ~header ~records ());
   }
 
 let onepaxos_runner ~buggy =
@@ -1110,7 +1093,7 @@ let onepaxos_runner ~buggy =
       Some
         (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
              ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~domains ~verify_domains ->
+             ~resume ~symmetry ~verify_domains ->
           H.run
             ~strategy:
               (H.O.Checker.Invariant_specific
@@ -1121,20 +1104,20 @@ let onepaxos_runner ~buggy =
               | _ -> 1.0)
             ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs ~trace
             ~invariant:OP.safety ~seed ~drop ~interval ~max_live ~budget
-            ~steer ~domains ~verify_domains ());
+            ~steer ~verify_domains ());
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
         lint_protocol (module OP) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode ~header ~records ~domains ->
+      (fun ~mode ~header ~records ->
         if mode = "hunt" then H.replay_witnesses records
         else
           D.replay
             ~strategy:
               (D.L.Invariant_specific
                  { abstract = OP.abstraction; conflict = OP.conflicts })
-            ~invariant:OP.safety ~header ~records ~domains ());
+            ~invariant:OP.safety ~header ~records ());
   }
 
 let twophase_runner ~buggy =
@@ -1168,12 +1151,12 @@ let twophase_runner ~buggy =
         lint_protocol (module T) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
+      (fun ~mode:_ ~header ~records ->
         D.replay
           ~strategy:
             (D.L.Invariant_specific
                { abstract = T.abstraction; conflict = T.conflicts })
-          ~invariant:T.atomicity ~header ~records ~domains ());
+          ~invariant:T.atomicity ~header ~records ());
   }
 
 let ring_runner ~buggy =
@@ -1207,12 +1190,12 @@ let ring_runner ~buggy =
         lint_protocol (module R) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
+      (fun ~mode:_ ~header ~records ->
         D.replay
           ~strategy:
             (D.L.Invariant_specific
                { abstract = R.abstraction; conflict = R.conflicts })
-          ~invariant:R.agreement ~header ~records ~domains ());
+          ~invariant:R.agreement ~header ~records ());
   }
 
 let mutex_runner ~buggy =
@@ -1247,12 +1230,12 @@ let mutex_runner ~buggy =
         lint_protocol (module M) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
+      (fun ~mode:_ ~header ~records ->
         D.replay
           ~strategy:
             (D.L.Invariant_specific
                { abstract = M.abstraction; conflict = M.conflicts })
-          ~invariant:M.mutual_exclusion ~header ~records ~domains ());
+          ~invariant:M.mutual_exclusion ~header ~records ());
   }
 
 let abp_runner ~buggy =
@@ -1285,10 +1268,10 @@ let abp_runner ~buggy =
         lint_protocol (module FA) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
+      (fun ~mode:_ ~header ~records ->
         D.replay
           ~invariant:(FA.lift_invariant A.prefix_delivery)
-          ~header ~records ~domains ());
+          ~header ~records ());
   }
 
 let pb_runner ~buggy =
@@ -1317,8 +1300,8 @@ let pb_runner ~buggy =
         lint_protocol (module P) ~name:name ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
-        D.replay ~invariant:P.read_your_writes ~header ~records ~domains ());
+      (fun ~mode:_ ~header ~records ->
+        D.replay ~invariant:P.read_your_writes ~header ~records ());
   }
 
 (* The fault-injection fixture: correct under every message schedule,
@@ -1344,18 +1327,18 @@ let pb_crash_runner =
       Some
         (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
              ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~domains ~verify_domains ->
+             ~resume ~symmetry ~verify_domains ->
           H.run ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs
             ~trace ~invariant:P.read_your_writes ~seed ~drop ~interval
-            ~max_live ~budget ~steer ~domains ~verify_domains ());
+            ~max_live ~budget ~steer ~verify_domains ());
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
         lint_protocol (module P) ~name ~max_depth ~max_transitions ~sym ());
     replay =
-      (fun ~mode ~header ~records ~domains ->
+      (fun ~mode ~header ~records ->
         if mode = "hunt" then H.replay_witnesses records
         else
-          D.replay ~invariant:P.read_your_writes ~header ~records ~domains ());
+          D.replay ~invariant:P.read_your_writes ~header ~records ());
   }
 
 (* The SWIM instances share one constructor: the clean protocol plus
@@ -1392,19 +1375,19 @@ let swim_runner bug =
       Some
         (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
              ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~domains ~verify_domains ->
+             ~resume ~symmetry ~verify_domains ->
           H.run ~faults ~crash_budget ?restart_budget_ms ?max_retries
             ?store_dir ~resume ~symmetry ~obs ~trace
             ~invariant:P.membership_safety ~seed ~drop ~interval ~max_live
-            ~budget ~steer ~domains ~verify_domains ());
+            ~budget ~steer ~verify_domains ());
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
         lint_protocol (module P) ~name ~max_depth ~max_transitions ~sym ());
     replay =
-      (fun ~mode ~header ~records ~domains ->
+      (fun ~mode ~header ~records ->
         if mode = "hunt" then H.replay_witnesses records
         else
-          D.replay ~invariant:P.membership_safety ~header ~records ~domains ());
+          D.replay ~invariant:P.membership_safety ~header ~records ());
   }
 
 (* The genuinely symmetric fixture as a checkable instance: a harmless
@@ -1432,8 +1415,8 @@ let sym_flood_runner =
         lint_protocol (module F) ~name:"sym-flood" ~max_depth
           ~max_transitions ~sym ());
     replay =
-      (fun ~mode:_ ~header ~records ~domains ->
-        D.replay ~invariant ~header ~records ~domains ());
+      (fun ~mode:_ ~header ~records ->
+        D.replay ~invariant ~header ~records ());
   }
 
 let runners =
@@ -1582,12 +1565,10 @@ module Report = struct
         match ev_of f with
         | "run" ->
             Format.printf
-              "protocol %s, mode %s, checker %s, %d domain(s), %d \
-               verify domain(s)@."
+              "protocol %s, mode %s, checker %s, %d verify domain(s)@."
               (Option.value ~default:"?" (jstr (jfield "protocol" f)))
               (Option.value ~default:"?" (jstr (jfield "mode" f)))
               (Option.value ~default:"?" (jstr (jfield "checker" f)))
-              (Option.value ~default:1 (jint (jfield "domains" f)))
               (Option.value ~default:1 (jint (jfield "verify_domains" f)))
         | "ring_meta" ->
             Format.printf
@@ -1702,10 +1683,7 @@ module Report = struct
       let soundness = sum "soundness_us" in
       let system_state = sum "system_state_us" in
       (* system_state includes the invariant checks it runs; the
-         remainder of the wall clock is exploration bookkeeping and
-         (for --domains > 1) pool overhead.  Handler/fingerprint time
-         is summed across workers, so it can exceed the wall-clock
-         share when parallel. *)
+         remainder of the wall clock is exploration bookkeeping. *)
       let explore = max 0 (elapsed - system_state - soundness) in
       let overhead = max 0 (explore - handler - fingerprint) in
       let row name us =
@@ -1757,73 +1735,6 @@ module Report = struct
       Format.printf
         "interleaving searches: %d valid, %d invalid, %d budget-capped@."
         !checks_valid !checks_invalid !checks_budget
-
-  (* Pool stats ride in the metrics stream (satellite of PR 2), keyed
-     par.tasks.d<i> / par.steals.d<i> / par.qdepth.d<i>. *)
-  let render_pool metrics_path =
-    match metrics_path with
-    | None -> ()
-    | Some path ->
-        section "exploration pool";
-        let metrics = ref [] in
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            try
-              while true do
-                match Dsm.Json.of_string (input_line ic) with
-                | Ok (Dsm.Json.Obj fields) -> (
-                    match
-                      (jstr (jfield "metric" fields), jfield "value" fields)
-                    with
-                    | Some name, Some (Dsm.Json.Int v) ->
-                        metrics := (name, float_of_int v) :: !metrics
-                    | Some name, Some (Dsm.Json.Float v) ->
-                        metrics := (name, v) :: !metrics
-                    | _ -> ())
-                | Ok _ | Error _ -> ()
-              done
-            with End_of_file -> ());
-        let metrics = !metrics in
-        let per_domain prefix =
-          List.filter_map
-            (fun (name, v) ->
-              let plen = String.length prefix in
-              if
-                String.length name > plen
-                && String.sub name 0 plen = prefix
-              then
-                int_of_string_opt
-                  (String.sub name plen (String.length name - plen))
-                |> Option.map (fun d -> (d, v))
-              else None)
-            metrics
-          |> List.sort compare
-        in
-        let tasks = per_domain "par.tasks.d" in
-        let steals = per_domain "par.steals.d" in
-        if tasks = [] then
-          Format.printf
-            "no par.* metrics in %s (sequential run, or recorded without \
-             --metrics-out)@."
-            path
-        else begin
-          let total = List.fold_left (fun a (_, v) -> a +. v) 0. tasks in
-          Format.printf "%-8s %12s %12s %12s@." "DOMAIN" "TASKS" "STEALS"
-            "SHARE";
-          List.iter
-            (fun (d, v) ->
-              let stolen =
-                Option.value ~default:0. (List.assoc_opt d steals)
-              in
-              Format.printf "d%-7d %12.0f %12.0f %11.1f%%@." d v stolen
-                (if total = 0. then 0. else 100. *. v /. total))
-            tasks;
-          (match List.assoc_opt "par.batches" metrics with
-          | Some b -> Format.printf "%.0f parallel batch(es) submitted@." b
-          | None -> ())
-        end
 
   (* Fig. 4-style message sequence chart of a recorded witness: one
      lifeline per node, deliveries as arrows, internal actions as
@@ -1977,7 +1888,7 @@ module Report = struct
      end);
     0
 
-  let render ~records ~metrics_path =
+  let render ~records =
     let steps = parse_steps records in
     render_header records;
     render_coverage steps;
@@ -1985,7 +1896,6 @@ module Report = struct
     render_iplus steps;
     render_phases records;
     render_soundness records;
-    render_pool metrics_path;
     List.iteri render_witness_chart
       (List.filter (fun f -> ev_of f = "witness") records);
     0
@@ -2187,8 +2097,8 @@ let make_trace ~record ~record_ring =
 
 (* The CLI frames each recording with [run]/[end] records; the header
    carries what `lmc replay' needs to re-run the exploration. *)
-let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~domains
-    ~verify_domains ~symmetry =
+let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~verify_domains
+    ~symmetry =
   if Obs.Trace.enabled trace then
     ignore
       (Obs.Trace.emit trace ~ev:"run"
@@ -2200,7 +2110,6 @@ let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~domains
              match max_depth with
              | Some d -> Dsm.Json.Int d
              | None -> Dsm.Json.Null );
-           ("domains", Dsm.Json.Int domains);
            ("verify_domains", Dsm.Json.Int verify_domains);
            ("symmetry", Dsm.Json.String (sym_mode_name symmetry));
          ])
@@ -2209,7 +2118,7 @@ let emit_run_end trace code =
   if Obs.Trace.enabled trace then
     ignore (Obs.Trace.emit trace ~ev:"end" [ ("exit", Dsm.Json.Int code) ])
 
-(* Positive domain counts; anything below 1 is a usage error, reported
+(* Positive counts; anything below 1 is a usage error, reported
    through cmdliner rather than as a runtime invalid_arg. *)
 let pos_int =
   let parse s =
@@ -2220,19 +2129,11 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let domains_arg =
-  let doc =
-    "Worker domains for state exploration.  1 (the default) keeps the \
-     sequential path; N > 1 fans the pure half of each transition batch \
-     across a work-stealing pool with verdicts identical to a sequential \
-     run."
-  in
-  Arg.(value & opt pos_int 1 & info [ "domains" ] ~doc ~docv:"N")
-
 let verify_domains_arg =
   let doc =
     "Worker domains for deferred soundness verification (LMC checkers \
-     only; independent of --domains)."
+     only).  Exploration is sequential; the verdict, witness and \
+     counters do not depend on this count."
   in
   Arg.(value & opt pos_int 1 & info [ "verify-domains" ] ~doc ~docv:"N")
 
@@ -2280,8 +2181,8 @@ let symmetry_arg =
 let check_cmd =
   let doc = "Model-check a protocol offline from its initial state." in
   let run protocol checker max_depth time_limit crash_budget verbose minimize
-      dot json metrics_out trace_out progress domains verify_domains symmetry
-      record record_ring telemetry =
+      dot json metrics_out trace_out progress verify_domains symmetry record
+      record_ring telemetry =
     match find_runner protocol with
     | Error e ->
         prerr_endline e;
@@ -2297,12 +2198,12 @@ let check_cmd =
             finish ())
           (fun () ->
             emit_run_header trace ~protocol ~mode:"check"
-              ~checker:(checker_name checker) ~max_depth ~domains
-              ~verify_domains ~symmetry;
+              ~checker:(checker_name checker) ~max_depth ~verify_domains
+              ~symmetry;
             let code =
               r.check
                 { kind = checker; max_depth; time_limit; crash_budget;
-                  verbose; minimize; dot; json; obs; domains; verify_domains;
+                  verbose; minimize; dot; json; obs; verify_domains;
                   symmetry; trace }
             in
             emit_run_end trace code;
@@ -2313,8 +2214,8 @@ let check_cmd =
     Term.(
       const run $ protocol_arg $ checker_arg $ depth_arg $ time_arg
       $ crash_budget_arg $ verbose_arg $ minimize_arg $ dot_arg $ json_arg
-      $ metrics_out_arg $ trace_out_arg $ progress_arg $ domains_arg
-      $ verify_domains_arg $ symmetry_arg $ record_arg $ record_ring_arg
+      $ metrics_out_arg $ trace_out_arg $ progress_arg $ verify_domains_arg
+      $ symmetry_arg $ record_arg $ record_ring_arg
       $ telemetry_term)
 
 let seed_arg =
@@ -2406,8 +2307,8 @@ let hunt_cmd =
   in
   let run protocol seed drop interval max_live budget steer faults
       crash_budget restart_budget_ms max_retries store_dir resume symmetry
-      metrics_out trace_out progress domains verify_domains record
-      record_ring telemetry =
+      metrics_out trace_out progress verify_domains record record_ring
+      telemetry =
     if resume && store_dir = None then begin
       prerr_endline "lmc_cli: --resume requires --store DIR";
       exit 2
@@ -2430,11 +2331,11 @@ let hunt_cmd =
             finish ())
           (fun () ->
             emit_run_header trace ~protocol ~mode:"hunt" ~checker:"lmc"
-              ~max_depth:None ~domains ~verify_domains ~symmetry;
+              ~max_depth:None ~verify_domains ~symmetry;
             let code =
               h ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
                 ~faults ~crash_budget ~restart_budget_ms ~max_retries
-                ~store_dir ~resume ~symmetry ~domains ~verify_domains
+                ~store_dir ~resume ~symmetry ~verify_domains
             in
             emit_run_end trace code;
             code)
@@ -2446,7 +2347,7 @@ let hunt_cmd =
       $ max_live_arg $ budget_arg $ steer_arg $ faults_arg
       $ crash_budget_arg $ restart_budget_ms_arg $ max_retries_arg
       $ store_arg $ resume_arg $ symmetry_arg $ metrics_out_arg
-      $ trace_out_arg $ progress_arg $ domains_arg $ verify_domains_arg
+      $ trace_out_arg $ progress_arg $ verify_domains_arg
       $ record_arg $ record_ring_arg $ telemetry_term)
 
 let trace_file_arg =
@@ -2458,15 +2359,7 @@ let replay_cmd =
     "Re-execute a flight-recorder file transition by transition; exits \
      non-zero on any fingerprint divergence."
   in
-  let replay_domains_arg =
-    let doc =
-      "Re-run the exploration at $(docv) worker domains (default: the \
-       recorded count).  The record stream must stay bit-identical \
-       either way."
-    in
-    Arg.(value & opt (some pos_int) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let run file domains =
+  let run file =
     match (try Ok (load_trace file) with Sys_error msg -> Error msg) with
     | Error msg ->
         Printf.eprintf "lmc_cli: %s\n%!" msg;
@@ -2492,10 +2385,10 @@ let replay_cmd =
                 | Error e ->
                     prerr_endline e;
                     2
-                | Ok r -> r.replay ~mode ~header ~records ~domains)))
+                | Ok r -> r.replay ~mode ~header ~records)))
   in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ trace_file_arg $ replay_domains_arg)
+    Term.(const run $ trace_file_arg)
 
 let lint_cmd =
   let doc =
@@ -2636,13 +2529,8 @@ let lint_cmd =
 let report_cmd =
   let doc =
     "Render an offline run report (handler coverage, depth and |I+| \
-     curves, per-phase time attribution, pool utilization, witness \
-     sequence charts) from recorded trace/metrics streams."
-  in
-  let metrics_arg =
-    let doc = "Metrics JSONL (from --metrics-out) for pool statistics." in
-    Arg.(
-      value & opt (some string) None & info [ "metrics" ] ~doc ~docv:"FILE")
+     curves, per-phase time attribution, witness sequence charts) from \
+     a recorded trace stream."
   in
   let report_profile_arg =
     let doc =
@@ -2652,7 +2540,7 @@ let report_cmd =
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
-  let run file metrics_path profile =
+  let run file profile =
     match (try Ok (load_trace file) with Sys_error msg -> Error msg) with
     | Error msg ->
         Printf.eprintf "lmc_cli: %s\n%!" msg;
@@ -2676,7 +2564,7 @@ let report_cmd =
         else
           try
             let code =
-              if records = [] then 0 else Report.render ~records ~metrics_path
+              if records = [] then 0 else Report.render ~records
             in
             if profile then
               max code (Report.render_profile prof_records)
@@ -2686,7 +2574,7 @@ let report_cmd =
             2)
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run $ trace_file_arg $ metrics_arg $ report_profile_arg)
+    Term.(const run $ trace_file_arg $ report_profile_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Named scenarios                                                     *)
@@ -2696,8 +2584,7 @@ let report_cmd =
    protocol-generic; the concrete closures live here because only the
    CLI sees both the protocol registry and the online checker.  Every
    scenario is a pure value — name, seed, plan and expected verdict
-   are fixed, so the same scenario replays bit-identically at any
-   --domains count. *)
+   are fixed, so the same scenario replays bit-identically. *)
 
 let parse_plan ~name plan =
   if plan = "" then Fault.Plan.empty
@@ -2733,7 +2620,7 @@ let swim_soak ~name ~description ~nodes ~seed ~plan ?(drop = 0.1)
     kind = Sim.Scenario.Soak;
     expected = Sim.Scenario.Clean;
     run =
-      (fun ~domains:_ ->
+      (fun () ->
         let module P = Protocols.Swim.Make (struct
           let num_servers = nodes
           let bug = Protocols.Swim.No_bug
@@ -2766,7 +2653,7 @@ let ping_soak ~name ~description ~seed ~plan ~duration () =
     kind = Sim.Scenario.Soak;
     expected = Sim.Scenario.Clean;
     run =
-      (fun ~domains:_ ->
+      (fun () ->
         let module P = Protocols.Ping.Make (struct
           let num_servers = 2
         end) in
@@ -2798,7 +2685,7 @@ let pb_soak ~name ~description ~seed ~plan ~duration () =
     kind = Sim.Scenario.Soak;
     expected = Sim.Scenario.Clean;
     run =
-      (fun ~domains:_ ->
+      (fun () ->
         let module P = Protocols.Pb_store.Make (struct
           let key = 7
           let value = 42
@@ -2838,7 +2725,7 @@ let swim_hunt ~name ~description ~bug ~protocol ~seed ~plan ~drop
     kind = Sim.Scenario.Hunt;
     expected;
     run =
-      (fun ~domains ->
+      (fun () ->
         let module P = Protocols.Swim.Make (struct
           let num_servers = nodes
           let bug = bug
@@ -2868,7 +2755,6 @@ let swim_hunt ~name ~description ~bug ~protocol ~seed ~plan ~drop
                 time_limit = Some budget;
                 max_transitions = Some 100_000;
                 crash_budget;
-                domains;
               };
             action_bounds = [ 1; 2 ];
             steer = false;
@@ -3009,7 +2895,7 @@ let scenario_cmd =
     let doc = "Stream scenario.v1 JSONL records to $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~doc ~docv:"FILE")
   in
-  let run list_ run_name all_ out domains =
+  let run list_ run_name all_ out =
     let suite = scenario_suite () in
     if list_ then begin
       Format.printf "%-18s %-5s %-14s %6s %-10s %s@." "NAME" "KIND"
@@ -3062,7 +2948,7 @@ let scenario_cmd =
               Format.printf "%-18s %-5s %-10s %-10s %-4s %s@." "NAME" "KIND"
                 "EXPECTED" "VERDICT" "OK" "DETAIL";
               let outcomes =
-                Sim.Scenario.run_all ~domains events scenarios
+                Sim.Scenario.run_all events scenarios
               in
               List.iter
                 (fun (o : Sim.Scenario.outcome) ->
@@ -3092,8 +2978,7 @@ let scenario_cmd =
   Cmd.v
     (Cmd.info "scenario" ~doc)
     Term.(
-      const run $ list_flag $ run_name_arg $ all_flag $ scenario_out_arg
-      $ domains_arg)
+      const run $ list_flag $ run_name_arg $ all_flag $ scenario_out_arg)
 
 let () =
   let doc = "local model checking of distributed protocols (NSDI'11)" in

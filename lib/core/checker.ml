@@ -46,15 +46,11 @@ module Make (P : Dsm.Protocol.S) = struct
     soundness_via_sequences : bool;
     defer_soundness : bool;
     verify_domains : int;
-    domains : int;
-    pool : Par.Pool.t option;
     obs : Obs.scope;
     trace : Obs.Trace.t;
     on_new_node_state : (Dsm.Node_id.t -> P.state -> unit) option;
     persist : persist option;
-        (* disk-backed stores shared across restarts; combination
-           skips happen on the sequential apply path only, so verdicts
-           stay bit-identical at any domain count *)
+        (* disk-backed stores shared across restarts *)
     symmetry : Dsm.Symmetry.group;
         (* audited role-permutation group for combination orbit
            deduplication: combinations whose slot-permuted fingerprint
@@ -63,8 +59,7 @@ module Make (P : Dsm.Protocol.S) = struct
            audited by [Lint.Symmetry]; the checker trusts the caller.
            Only clean verdicts are orbit-shared, so the first violating
            combination (verdict, witness, preliminary count) is
-           bit-identical to a run with the identity group.  All orbit
-           bookkeeping lives on the sequential apply path. *)
+           bit-identical to a run with the identity group. *)
   }
 
   let default_config =
@@ -87,8 +82,6 @@ module Make (P : Dsm.Protocol.S) = struct
       soundness_via_sequences = false;
       defer_soundness = false;
       verify_domains = 1;
-      domains = 1;
-      pool = None;
       obs = Obs.null;
       trace = Obs.Trace.null;
       on_new_node_state = None;
@@ -200,10 +193,7 @@ module Make (P : Dsm.Protocol.S) = struct
     soundness_obs : Obs.scope option;
         (* [None] for the null scope, sparing {!Soundness} the
            per-call recording entirely *)
-    prof : Obs.Prof.t option;
-        (* the scope's sampling profiler, resolved once; frames are
-           pushed on the sequential apply path only, like trace
-           records, so profiles never depend on domain scheduling *)
+    prof : Obs.Prof.t option;  (* the scope's sampling profiler, resolved once *)
     fam_act : (P.action, string) Hashtbl.t;
         (* action -> profiler frame name ("action:Propose"), touched
            only when a profiler is attached; delivery frames are
@@ -269,15 +259,10 @@ module Make (P : Dsm.Protocol.S) = struct
     soundness_trace : Obs.Trace.t option;
         (* passed to {!Soundness} only on the sequential path *)
     snapshot : P.state array;  (* starting states, for witness records *)
-    ph_handler_us : int Atomic.t;
-    ph_fingerprint_us : int Atomic.t;
-    ph_invariant_us : int Atomic.t;
-        (* per-phase attribution, accumulated from any domain *)
-    mutable timed_tick : int;
-        (* sampling cursor for {!timed}.  Deliberately non-atomic: an
-           occasionally lost increment only perturbs which calls get
-           sampled, and an atomic op on every handler / invariant call
-           is exactly the cost the sampling exists to avoid. *)
+    ph_handler_us : int ref;
+    ph_fingerprint_us : int ref;
+    ph_invariant_us : int ref;  (* per-phase attribution *)
+    mutable timed_tick : int;  (* sampling cursor for {!timed} *)
     act_lbl : (P.action, string) Hashtbl.t;
         (* rendered action labels, cached like [net_entry.lbl] *)
     strategy : 'k strategy;
@@ -292,16 +277,8 @@ module Make (P : Dsm.Protocol.S) = struct
     reduce : bool;  (* [config.symmetry] is non-trivial *)
     orbit_clean : (Fingerprint.t, unit) Hashtbl.t;
         (* canonical (least slot-permuted) fingerprints of combinations
-           proven invariant-clean this run; read and written on the
-           sequential apply path only *)
+           proven invariant-clean this run *)
     rejected : 'k rejected Vec.t;
-    pool : Par.Pool.t option;
-        (* exploration pool ([config.domains]); independent of the
-           deferred-verification fan-out ([config.verify_domains]) *)
-    combo_buf : ('k entry array * int * Fingerprint.t option) Vec.t;
-        (* combination tuples awaiting a batched invariant check (with
-           their store fingerprint when [config.persist] is set);
-           always drained before [check_system_invariant] returns *)
     started : float;
     mutable transitions : int;
     mutable system_states_created : int;
@@ -328,7 +305,6 @@ module Make (P : Dsm.Protocol.S) = struct
   let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
   (* Attribute [f]'s wall time to [cell] when recording; free otherwise.
-     Worker domains call this concurrently — the cells are atomic.
      Attribution is sampled: every 256th call is timed and counted for
      256, so the hot path pays two clock reads on 0.4% of calls
      instead of all of them.  Invariant checks on tuple states make
@@ -345,19 +321,16 @@ module Make (P : Dsm.Protocol.S) = struct
     if t.tracing && tick land sample_mask = 0 then begin
       let t0 = now_us () in
       let r = f () in
-      ignore
-        (Atomic.fetch_and_add cell ((now_us () - t0) * (sample_mask + 1)));
+      cell := !cell + ((now_us () - t0) * (sample_mask + 1));
       r
     end
     else f ()
 
-  (* ----- flight-recorder emission (sequential apply path only) ----- *)
+  (* ----- flight-recorder emission ----- *)
 
   (* Label caches: exploration revisits the same messages and actions
      constantly, so each distinct value is rendered through Format
-     once and the trace reuses the string.  Only touched from record
-     thunks, which run on the sequential apply path or single-threaded
-     at ring dump time. *)
+     once and the trace reuses the string. *)
   let message_label (m : net_entry) =
     match m.lbl with
     | Some l -> l
@@ -382,7 +355,7 @@ module Make (P : Dsm.Protocol.S) = struct
         m.hex <- Some h;
         h
 
-  (* ----- profiler frames (sequential apply path only) ----- *)
+  (* ----- profiler frames ----- *)
 
   (* Frame names group by label *family* — the constructor before any
      payload — so "Accept(2,7)" and "Accept(3,1)" share one flamegraph
@@ -582,10 +555,7 @@ module Make (P : Dsm.Protocol.S) = struct
   (* Add a generated message to the shared network I+, deduplicating by
      fingerprint (the paper's duplicate limit of zero).  The returned
      fingerprint always enters the producing event's [produces] list:
-     soundness bookkeeping counts productions, not distinct contents.
-     The fingerprint itself is computed separately ([register_message]
-     takes it precomputed) so parallel rounds can hash message payloads
-     on worker domains and register them on the main one. *)
+     soundness bookkeeping counts productions, not distinct contents. *)
   let register_message t env fp =
     match Hashtbl.find_opt t.net_by_fp fp with
     | Some id -> Vec.get t.net id
@@ -709,6 +679,41 @@ module Make (P : Dsm.Protocol.S) = struct
       { Soundness.root = 0; target = entry.idx; edges = !edges }
     end
 
+  (* A soundness search found [order]: map its events back to protocol
+     steps and report the witness. *)
+  let confirm t system (violation : Dsm.Invariant.violation) by_label order =
+    let schedule =
+      List.map
+        (fun (sev : Soundness.event) ->
+          match Hashtbl.find_opt by_label (sev.node, sev.label) with
+          | Some e -> step_of_event t sev.node e
+          | None -> assert false)
+        order
+    in
+    t.sound_violation <-
+      Some
+        {
+          system = Array.copy system;
+          violation;
+          schedule;
+          (* the witness may include productive events that left a node
+             state unchanged, so its length can exceed the sum of the
+             component state depths *)
+          system_depth = List.length schedule;
+        };
+    Obs.event t.o.scope "lmc.sound_violation"
+      ~fields:
+        [
+          ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
+          ("detail", Dsm.Json.String violation.Dsm.Invariant.detail);
+          ("witness_events", Dsm.Json.Int (List.length schedule));
+        ];
+    if t.tracing then record_witness t violation schedule
+
+  let count_rejection t =
+    t.soundness_rejections <- t.soundness_rejections + 1;
+    Obs.Metrics.incr t.o.c_rejections
+
   (* Confirm a preliminary violation (isStateSound): either search the
      product of the per-node predecessor DAGs directly (default), or
      enumerate explicit event-sequence combinations as in the paper. *)
@@ -786,8 +791,7 @@ module Make (P : Dsm.Protocol.S) = struct
           record_reject t violation sdepth
             ~why:(if !exhausted then "budget_exhausted" else "invalid");
         if cache_rejection then begin
-          t.soundness_rejections <- t.soundness_rejections + 1;
-          Obs.Metrics.incr t.o.c_rejections;
+          count_rejection t;
           if
             t.config.reverify_rejected
             && Vec.length t.rejected < t.config.max_rejected_cache
@@ -802,34 +806,7 @@ module Make (P : Dsm.Protocol.S) = struct
                  })
         end
     | Some order ->
-        let schedule =
-          List.map
-            (fun (sev : Soundness.event) ->
-              match Hashtbl.find_opt by_label (sev.node, sev.label) with
-              | Some e -> step_of_event t sev.node e
-              | None -> assert false)
-            order
-        in
-        ignore sdepth;
-        t.sound_violation <-
-          Some
-            {
-              system = Array.copy system;
-              violation;
-              schedule;
-              (* the witness may include productive events that left a
-                 node state unchanged, so its length can exceed the sum
-                 of the component state depths *)
-              system_depth = List.length schedule;
-            };
-        Obs.event t.o.scope "lmc.sound_violation"
-          ~fields:
-            [
-              ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
-              ("detail", Dsm.Json.String violation.Dsm.Invariant.detail);
-              ("witness_events", Dsm.Json.Int (List.length schedule));
-            ];
-        if t.tracing then record_witness t violation schedule;
+        confirm t system violation by_label order;
         if t.config.stop_on_violation then raise Stop
 
   (* Soundness verification under a boundary-sampled profiler frame:
@@ -871,8 +848,7 @@ module Make (P : Dsm.Protocol.S) = struct
      hit is work some earlier restart already did.  Only clean
      verdicts are recorded — a violating combination must be re-judged
      from every snapshot, because soundness depends on the snapshot it
-     is scheduled from.  All store reads and writes below happen on
-     the sequential apply path, in submission order.
+     is scheduled from.
 
      With [config.symmetry], the in-memory orbit set is consulted
      first: a hit means a slot permutation of this tuple was already
@@ -954,182 +930,6 @@ module Make (P : Dsm.Protocol.S) = struct
           end)
     end
 
-  (* ----- batched combination checking (parallel rounds) -----
-
-     With a pool attached, combination tuples are buffered during
-     enumeration; the pure part of [consider_combo] — building the
-     system array and running the invariant — fans out across domains,
-     and verdicts are applied strictly in submission order, so every
-     counter, event and Stop point lands exactly where the inline path
-     would put it. *)
-
-  type combo_verdict =
-    | C_gated  (* system depth beyond the bound: budget check only *)
-    | C_orbit  (* orbit prefilter hit: a slot image was proven clean *)
-    | C_seen  (* store prefilter hit: proven clean by an earlier run *)
-    | C_ok
-    | C_viol of P.state array * Dsm.Invariant.violation
-
-  let combo_buf_max = 1024
-  let combo_chunk = 64
-
-  let apply_combo t (tuple : 'k entry array) sdepth cfp verdict =
-    check_budget t;
-    let store_hit () =
-      t.store_hits <- t.store_hits + 1;
-      Obs.Metrics.incr t.o.c_store_hits
-    in
-    (* The prefilters in [flush_combos] are read-only and ran against
-       the store / orbit set as of flush time; the checks here are the
-       authoritative ones, in apply (= submission) order, so the store,
-       the orbit set and every counter evolve exactly as the inline
-       path's would.  The orbit check comes first, as in
-       [consider_combo]: an earlier apply in this very batch may have
-       proven a slot image of this tuple clean. *)
-    let orbit_seen =
-      match (verdict, cfp) with
-      | C_gated, _ -> false
-      | _, Some f when t.reduce -> Hashtbl.mem t.orbit_clean f
-      | _ -> false
-    in
-    if orbit_seen then orbit_hit t
-    else
-    let store_skip =
-      match (t.config.persist, cfp, verdict) with
-      | _, _, (C_gated | C_orbit | C_seen) -> false
-      | Some p, Some f, C_ok -> not (Store.Fp_set.add p.p_combos f)
-      | Some p, Some f, C_viol _ -> Store.Fp_set.mem p.p_combos f
-      | _ -> false
-    in
-    match verdict with
-    | C_gated -> ()
-    | C_orbit ->
-        (* prefilter said so and the authoritative check above did not:
-           impossible, the orbit set only grows *)
-        orbit_hit t
-    | C_seen ->
-        store_hit ();
-        mark_orbit_clean t cfp
-    | (C_ok | C_viol _) when store_skip ->
-        store_hit ();
-        mark_orbit_clean t cfp
-    | C_ok | C_viol _ -> (
-        (match verdict with
-        | C_ok -> mark_orbit_clean t cfp
-        | _ -> ());
-        t.system_states_created <- t.system_states_created + 1;
-        Obs.Metrics.incr t.o.c_system_states;
-        Obs.Metrics.observe t.o.h_system_depth sdepth;
-        if sdepth > t.max_system_depth then t.max_system_depth <- sdepth;
-        match verdict with
-        | C_gated | C_orbit | C_seen | C_ok -> ()
-        | C_viol (system, violation) ->
-            t.preliminary_violations <- t.preliminary_violations + 1;
-            Obs.Metrics.incr t.o.c_prelim;
-            Obs.event t.o.scope "lmc.preliminary_violation"
-              ~fields:
-                [
-                  ( "invariant",
-                    Dsm.Json.String violation.Dsm.Invariant.invariant );
-                  ("system_depth", Dsm.Json.Int sdepth);
-                ];
-            if t.tracing then record_prelim t violation sdepth tuple;
-            if t.config.verify_soundness then begin
-              if
-                t.config.defer_soundness
-                && Vec.length t.rejected < t.config.max_rejected_cache
-              then
-                ignore
-                  (Vec.push t.rejected
-                     {
-                       r_tuple = tuple;
-                       r_system = system;
-                       r_violation = violation;
-                       r_depth = sdepth;
-                     })
-              else verify_soundness t tuple system violation sdepth
-            end)
-
-  let flush_combos t pool =
-    let n = Vec.length t.combo_buf in
-    if n > 0 then begin
-      let items = Vec.to_array t.combo_buf in
-      Vec.clear t.combo_buf;
-      (* Batched read-only prefilter against the persistent store: one
-         lookup sweep for the whole batch spares the pool the invariant
-         work on combinations an earlier run already proved clean.
-         Monotone like the Shard_tbl prefilter — a miss here is
-         re-decided at apply time. *)
-      let seen =
-        match t.config.persist with
-        | None -> [||]
-        | Some p ->
-            Store.Fp_set.mem_batch p.p_combos
-              (Array.map
-                 (fun (_, _, cfp) ->
-                   match cfp with Some f -> f | None -> assert false)
-                 items)
-      in
-      (* Orbit prefilter, sequential and read-only (flush runs on the
-         apply path): spare the pool the invariant work on combinations
-         whose orbit was already proven clean as of flush time.  A miss
-         is re-decided at apply — an earlier apply in this batch can
-         still orbit-cover a later item. *)
-      let orbit_seen =
-        if not t.reduce then [||]
-        else
-          Array.map
-            (fun (_, _, cfp) ->
-              match cfp with
-              | Some f -> Hashtbl.mem t.orbit_clean f
-              | None -> false)
-            items
-      in
-      let verdicts =
-        Par.Pool.tabulate pool ~chunk:combo_chunk n (fun i ->
-            let tuple, sdepth, _ = items.(i) in
-            if not (depth_allows t sdepth) then C_gated
-            else if orbit_seen <> [||] && orbit_seen.(i) then C_orbit
-            else if seen <> [||] && seen.(i) then C_seen
-            else
-              let system = Array.map (fun (e : 'k entry) -> e.state) tuple in
-              match
-                timed t t.ph_invariant_us (fun () ->
-                    Dsm.Invariant.check t.invariant system)
-              with
-              | None -> C_ok
-              | Some violation -> C_viol (system, violation))
-      in
-      Array.iteri
-        (fun i verdict ->
-          let tuple, sdepth, cfp = items.(i) in
-          apply_combo t tuple sdepth cfp verdict)
-        verdicts
-    end
-
-  (* [tuple] may be a reused enumeration buffer; the pooled path copies
-     it at enqueue time, the inline path relies on [consider_combo]
-     copying before any retention. *)
-  let submit_combo t (tuple : 'k entry array) =
-    match t.pool with
-    | None -> consider_combo t tuple
-    | Some pool ->
-        let sdepth = Array.fold_left (fun acc e -> acc + e.depth) 0 tuple in
-        let cfp =
-          (* computed at submit time — sequential, so canonicalization
-             order never depends on domain scheduling *)
-          if t.reduce || t.config.persist <> None then
-            Some (ctuple_fp t tuple)
-          else None
-        in
-        ignore (Vec.push t.combo_buf (Array.copy tuple, sdepth, cfp));
-        if Vec.length t.combo_buf >= combo_buf_max then flush_combos t pool
-
-  let drain_combos t =
-    match t.pool with
-    | Some pool when Vec.length t.combo_buf > 0 -> flush_combos t pool
-    | _ -> ()
-
   let general_combos t (new_entry : 'k entry) =
     let candidates =
       Array.init P.num_nodes (fun k ->
@@ -1138,7 +938,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     ignore
       (Combination.iter candidates (fun tuple ->
-           submit_combo t tuple;
+           consider_combo t tuple;
            if t.sound_violation <> None && t.config.stop_on_violation then
              `Stop
            else `Continue))
@@ -1170,7 +970,7 @@ module Make (P : Dsm.Protocol.S) = struct
                        let cfp = tuple_fp tuple in
                        if not (Hashtbl.mem t.seen_combos cfp) then begin
                          Hashtbl.replace t.seen_combos cfp ();
-                         submit_combo t tuple
+                         consider_combo t tuple
                        end;
                        if
                          t.sound_violation <> None
@@ -1219,15 +1019,11 @@ module Make (P : Dsm.Protocol.S) = struct
                 t.system_state_time +. phase
                 -. (t.soundness_time -. soundness_before))
             (fun () ->
-              (match t.strategy with
+              match t.strategy with
               | General -> general_combos t new_entry
               | Invariant_specific { conflict; _ } ->
                   opt_combos t conflict new_entry
-              | Automatic -> auto_combos t new_entry);
-              (* Verdicts land before any later node state is created,
-                 so the pooled path interleaves exactly like the
-                 inline one. *)
-              drain_combos t))
+              | Automatic -> auto_combos t new_entry))
     end
 
   (* ----- exploration (findBugs main loop, Fig. 9) ----- *)
@@ -1282,118 +1078,105 @@ module Make (P : Dsm.Protocol.S) = struct
         check_system_invariant t entry;
         true
 
-  (* Each transition splits into a pure *compute* half — the protocol
-     handler plus every fingerprint, which is where the time goes — and
-     a sequential *apply* half that mutates the stores and counters.
-     Parallel rounds tabulate the compute half across the pool, then
-     apply results in index order: because message [m]'s whole range is
-     applied before the next message's range is read (and actions only
-     ever append to their own node's store), the parallel schedule
-     replays the sequential enumeration exactly — same states, same
-     counters, same traces, for any domain count. *)
+  (* One handler execution counts as a transition whatever its outcome;
+     the budget check may stop the run right after it. *)
+  let count_transition t =
+    t.transitions <- t.transitions + 1;
+    Obs.Metrics.incr t.o.c_transitions;
+    check_budget t
 
-  type net_compute =
-    | N_skip  (* history or depth gate *)
-    | N_assert
-    | N_step of
-        P.state
-        * Fingerprint.t
-        * (P.message Envelope.t * Fingerprint.t) list
+  (* Run a handler, mapping [Local_assert] to [None], then fingerprint
+     the successor state and every sent envelope. *)
+  let run_handler t handler =
+    match
+      timed t t.ph_handler_us (fun () ->
+          match handler () with
+          | exception Dsm.Protocol.Local_assert _ -> None
+          | state', out -> Some (state', out))
+    with
+    | None -> None
+    | Some (state', out) ->
+        Some
+          (timed t t.ph_fingerprint_us (fun () ->
+               ( state',
+                 Fingerprint.of_value state',
+                 List.map (fun env -> (env, Fingerprint.of_value env)) out )))
 
-  let compute_net t (m : net_entry) (entry : 'k entry) =
+  let net_step t (m : net_entry) (entry : 'k entry) =
     let skip_by_history =
       t.config.use_history && Fingerprint.Set.mem m.net_fp entry.history
     in
-    if (not skip_by_history) && depth_allows t (entry.depth + 1) then
+    if skip_by_history || not (depth_allows t (entry.depth + 1)) then false
+    else
       match
-        timed t t.ph_handler_us (fun () ->
-            match
-              P.handle_message ~self:m.env.Envelope.dst entry.state m.env
-            with
-            | exception Dsm.Protocol.Local_assert _ -> None
-            | state', out -> Some (state', out))
+        run_handler t (fun () ->
+            P.handle_message ~self:m.env.Envelope.dst entry.state m.env)
       with
-      | None -> N_assert
-      | Some (state', out) ->
-          timed t t.ph_fingerprint_us (fun () ->
-              N_step
-                ( state',
-                  Fingerprint.of_value state',
-                  List.map (fun env -> (env, Fingerprint.of_value env)) out ))
-    else N_skip
+      | None ->
+          count_transition t;
+          t.local_assert_drops <- t.local_assert_drops + 1;
+          Obs.Metrics.incr t.o.c_local_drops;
+          if t.tracing then
+            record_drop t ~node:m.env.Envelope.dst ~kind:"deliver"
+              ~src:m.env.Envelope.src
+              ~label:(fun () -> message_label m)
+              ~fp_before:entry.fp ~depth:(entry.depth + 1);
+          false
+      | Some (state', fp', outs) ->
+          count_transition t;
+          let node = m.env.Envelope.dst in
+          let pentries =
+            List.map (fun (env, fp) -> register_message t env fp) outs
+          in
+          let produces = List.map (fun e -> e.net_fp) pentries in
+          (* The step record precedes any record the new state causes
+             (prelim / soundness / witness), preserving causal order. *)
+          if t.tracing then
+            record_net_step t m entry ~fp_after:fp' ~pentries;
+          let event =
+            {
+              label = m.net_fp;
+              kind = Net_event m.net_id;
+              requires = Some m.net_fp;
+              produces;
+            }
+          in
+          let changed =
+            if Fingerprint.equal fp' entry.fp then begin
+              (* Self-loop predecessor (Fig. 9 line 14 with s' = s): the
+                 event did not change the node state but its message
+                 productions matter to other nodes' soundness DAGs —
+                 e.g. a tree node forwarding a token untouched. *)
+              if
+                produces <> []
+                && List.length entry.preds < t.config.max_preds_per_entry
+              then
+                entry.preds <- { prev = Some entry.idx; event } :: entry.preds;
+              false
+            end
+            else
+              add_next_state t ~node ~state:state' ~fp:fp'
+                ~history:
+                  (if t.config.use_history then
+                     Fingerprint.Set.add m.net_fp entry.history
+                   else entry.history)
+                ~depth:(entry.depth + 1) ~local_count:entry.local_count
+                ~crashes:entry.crashes
+                ~pred:{ prev = Some entry.idx; event }
+          in
+          changed || produces <> []
 
-  let apply_net_seq t (m : net_entry) (entry : 'k entry) = function
-    | N_skip -> false
-    | N_assert ->
-        t.transitions <- t.transitions + 1;
-        Obs.Metrics.incr t.o.c_transitions;
-        check_budget t;
-        t.local_assert_drops <- t.local_assert_drops + 1;
-        Obs.Metrics.incr t.o.c_local_drops;
-        if t.tracing then
-          record_drop t ~node:m.env.Envelope.dst ~kind:"deliver"
-            ~src:m.env.Envelope.src
-            ~label:(fun () -> message_label m)
-            ~fp_before:entry.fp ~depth:(entry.depth + 1);
-        false
-    | N_step (state', fp', outs) ->
-        t.transitions <- t.transitions + 1;
-        Obs.Metrics.incr t.o.c_transitions;
-        check_budget t;
-        let node = m.env.Envelope.dst in
-        let pentries =
-          List.map (fun (env, fp) -> register_message t env fp) outs
-        in
-        let produces = List.map (fun e -> e.net_fp) pentries in
-        (* The step record precedes any record the new state causes
-           (prelim / soundness / witness), preserving causal order. *)
-        if t.tracing then
-          record_net_step t m entry ~fp_after:fp' ~pentries;
-        let event =
-          {
-            label = m.net_fp;
-            kind = Net_event m.net_id;
-            requires = Some m.net_fp;
-            produces;
-          }
-        in
-        let changed =
-          if Fingerprint.equal fp' entry.fp then begin
-            (* Self-loop predecessor (Fig. 9 line 14 with s' = s): the
-               event did not change the node state but its message
-               productions matter to other nodes' soundness DAGs —
-               e.g. a tree node forwarding a token untouched. *)
-            if
-              produces <> []
-              && List.length entry.preds < t.config.max_preds_per_entry
-            then
-              entry.preds <- { prev = Some entry.idx; event } :: entry.preds;
-            false
-          end
-          else
-            add_next_state t ~node ~state:state' ~fp:fp'
-              ~history:
-                (if t.config.use_history then
-                   Fingerprint.Set.add m.net_fp entry.history
-                 else entry.history)
-              ~depth:(entry.depth + 1) ~local_count:entry.local_count
-              ~crashes:entry.crashes
-              ~pred:{ prev = Some entry.idx; event }
-        in
-        changed || produces <> []
-
-  (* The apply half under a per-delivery handler-family frame
-     ("deliver:Accept"): nested combination/soundness frames then
-     attribute to the handler whose new state triggered them.  Hot
-     push/pop — no clock, no closure; the exception match keeps the
-     stack balanced when [check_budget] raises [Stop].  Zero cost
-     without a profiler. *)
-  let apply_net t (m : net_entry) (entry : 'k entry) comp =
+  (* A delivery under a per-handler-family frame ("deliver:Accept"):
+     nested combination/soundness frames then attribute to the handler
+     whose new state triggered them.  Hot push/pop — no clock, no
+     closure; the exception match keeps the stack balanced when
+     [check_budget] raises [Stop].  Zero cost without a profiler. *)
+  let try_net_event t (m : net_entry) (entry : 'k entry) =
     match t.o.prof with
-    | None -> apply_net_seq t m entry comp
+    | None -> net_step t m entry
     | Some p -> (
         Obs.Prof.push p (net_frame m);
-        match apply_net_seq t m entry comp with
+        match net_step t m entry with
         | r ->
             Obs.Prof.pop p;
             r
@@ -1401,63 +1184,21 @@ module Make (P : Dsm.Protocol.S) = struct
             Obs.Prof.pop p;
             raise e)
 
-  let try_net_event t (m : net_entry) (entry : 'k entry) =
-    apply_net t m entry (compute_net t m entry)
-
-  type act_step =
-    | A_assert
-    | A_step of
-        P.state
-        * Fingerprint.t
-        * (P.message Envelope.t * Fingerprint.t) list
-
-  type act_compute =
-    | A_blocked  (* local-action bound or depth gate *)
-    | A_steps of (P.action * act_step) list
-
-  let compute_actions t node (entry : 'k entry) =
-    let bound_ok =
-      match t.config.local_action_bound with
-      | Some b -> entry.local_count < b
-      | None -> true
-    in
-    if bound_ok && depth_allows t (entry.depth + 1) then
-      A_steps
-        (List.map
-           (fun action ->
-             ( action,
-               match
-                 timed t t.ph_handler_us (fun () ->
-                     match P.handle_action ~self:node entry.state action with
-                     | exception Dsm.Protocol.Local_assert _ -> None
-                     | state', out -> Some (state', out))
-               with
-               | None -> A_assert
-               | Some (state', out) ->
-                   timed t t.ph_fingerprint_us (fun () ->
-                       A_step
-                         ( state',
-                           Fingerprint.of_value state',
-                           List.map
-                             (fun env -> (env, Fingerprint.of_value env))
-                             out )) ))
-           (P.enabled_actions ~self:node entry.state))
-    else A_blocked
-
-  let apply_one_action t node (entry : 'k entry) action step progress =
-    t.transitions <- t.transitions + 1;
-    Obs.Metrics.incr t.o.c_transitions;
-    check_budget t;
-    match step with
-    | A_assert ->
+  let action_step t node (entry : 'k entry) action =
+    match
+      run_handler t (fun () -> P.handle_action ~self:node entry.state action)
+    with
+    | None ->
+        count_transition t;
         t.local_assert_drops <- t.local_assert_drops + 1;
         Obs.Metrics.incr t.o.c_local_drops;
         if t.tracing then
           record_drop t ~node ~kind:"action" ~src:(-1)
             ~label:(fun () -> action_label t action)
             ~fp_before:entry.fp ~depth:(entry.depth + 1);
-        progress
-    | A_step (state', fp', outs) ->
+        false
+    | Some (state', fp', outs) ->
+        count_transition t;
         let pentries =
           List.map (fun (env, fp) -> register_message t env fp) outs
         in
@@ -1480,39 +1221,42 @@ module Make (P : Dsm.Protocol.S) = struct
               ~local_count:(entry.local_count + 1) ~crashes:entry.crashes
               ~pred:{ prev = Some entry.idx; event }
         in
-        progress || changed || produces <> []
-
-  let apply_actions t node (entry : 'k entry) = function
-    | A_blocked -> false
-    | A_steps steps ->
-        List.fold_left
-          (fun progress (action, step) ->
-            match t.o.prof with
-            | None -> apply_one_action t node entry action step progress
-            | Some p -> (
-                (* Per-action frame ("action:Propose"), like the
-                   delivery path. *)
-                Obs.Prof.push p (action_frame t action);
-                match apply_one_action t node entry action step progress with
-                | r ->
-                    Obs.Prof.pop p;
-                    r
-                | exception e ->
-                    Obs.Prof.pop p;
-                    raise e))
-          false steps
+        changed || produces <> []
 
   let try_actions t node (entry : 'k entry) =
-    apply_actions t node entry (compute_actions t node entry)
+    let bound_ok =
+      match t.config.local_action_bound with
+      | Some b -> entry.local_count < b
+      | None -> true
+    in
+    bound_ok
+    && depth_allows t (entry.depth + 1)
+    && List.fold_left
+         (fun progress action ->
+           let stepped =
+             match t.o.prof with
+             | None -> action_step t node entry action
+             | Some p -> (
+                 (* Per-action frame ("action:Propose"), like the
+                    delivery path. *)
+                 Obs.Prof.push p (action_frame t action);
+                 match action_step t node entry action with
+                 | r ->
+                     Obs.Prof.pop p;
+                     r
+                 | exception e ->
+                     Obs.Prof.pop p;
+                     raise e)
+           in
+           stepped || progress)
+         false
+         (P.enabled_actions ~self:node entry.state)
 
   (* Crash-recovery expansion: a crash is a local event that rewrites
      the node state through [P.on_recover] — requires no message,
      produces none — so soundness schedules it like any other history
      entry.  Bounded per path by [crash_budget]; a recovery that lands
-     on the same fingerprint is a no-op and adds nothing.  The pass is
-     sequential even under a pool: it is one handler call per newly
-     visited state, far off the hot path, and sequencing keeps the
-     store layout identical at any domain count. *)
+     on the same fingerprint is a no-op and adds nothing. *)
   let crash_step t node (entry : 'k entry) =
     if entry.crashes >= t.config.crash_budget then false
     else if not (depth_allows t (entry.depth + 1)) then false
@@ -1523,9 +1267,7 @@ module Make (P : Dsm.Protocol.S) = struct
       let fp' =
         timed t t.ph_fingerprint_us (fun () -> Fingerprint.of_value state')
       in
-      t.transitions <- t.transitions + 1;
-      Obs.Metrics.incr t.o.c_transitions;
-      check_budget t;
+      count_transition t;
       if Fingerprint.equal fp' entry.fp then false
       else begin
         if t.tracing then record_crash_step t ~node entry ~fp_after:fp';
@@ -1557,9 +1299,6 @@ module Make (P : Dsm.Protocol.S) = struct
             Obs.Prof.pop p;
             raise e)
 
-  let net_chunk = 16
-  let action_chunk = 8
-
   let round t =
     let progress = ref false in
     (* Network events: each message visits the states of its
@@ -1574,22 +1313,9 @@ module Make (P : Dsm.Protocol.S) = struct
       if from < upto then begin
         m.cursor <- upto;
         progress := true;
-        match t.pool with
-        | Some pool ->
-            (* The compute half reads only entries below [upto], all of
-               which exist before the batch is published. *)
-            let comps =
-              Par.Pool.tabulate pool ~chunk:net_chunk (upto - from) (fun i ->
-                  compute_net t m (Vec.get store (from + i)))
-            in
-            for i = 0 to upto - from - 1 do
-              if apply_net t m (Vec.get store (from + i)) comps.(i) then
-                progress := true
-            done
-        | None ->
-            for si = from to upto - 1 do
-              if try_net_event t m (Vec.get store si) then progress := true
-            done
+        for si = from to upto - 1 do
+          if try_net_event t m (Vec.get store si) then progress := true
+        done
       end
     done;
     (* Local events: expand each newly visited node state once. *)
@@ -1600,20 +1326,9 @@ module Make (P : Dsm.Protocol.S) = struct
       if from < upto then begin
         t.action_cursor.(n) <- upto;
         progress := true;
-        match t.pool with
-        | Some pool ->
-            let comps =
-              Par.Pool.tabulate pool ~chunk:action_chunk (upto - from)
-                (fun i -> compute_actions t n (Vec.get store (from + i)))
-            in
-            for i = 0 to upto - from - 1 do
-              if apply_actions t n (Vec.get store (from + i)) comps.(i) then
-                progress := true
-            done
-        | None ->
-            for si = from to upto - 1 do
-              if try_actions t n (Vec.get store si) then progress := true
-            done
+        for si = from to upto - 1 do
+          if try_actions t n (Vec.get store si) then progress := true
+        done
       end
     done;
     (* Crash events: visit each node state once, like the action pass. *)
@@ -1657,7 +1372,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     let n = Array.length jobs in
     let verdicts = Array.make n Soundness.Invalid in
-    let domains = max 1 t.config.verify_domains in
+    let domains = t.config.verify_domains in
     let next = Atomic.make 0 in
     let budget = t.config.soundness_budget in
     (* Worker domains record into the scope concurrently: the
@@ -1686,15 +1401,14 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     worker ();
     List.iter Domain.join spawned;
-    t.soundness_calls <- t.soundness_calls + n;
-    t.sequences_checked <- t.sequences_checked + n;
-    Obs.Metrics.add t.o.c_soundness_calls n;
-    Obs.Metrics.add t.o.c_sequences n;
     t.soundness_time <- t.soundness_time +. (now () -. t0);
-    (* Fold the verdicts deterministically.  Trace records are emitted
-       here, not on the worker domains, so their order is the cache
-       order regardless of scheduling; the search-step count stays on
-       the workers and is reported as -1. *)
+    (* Fold the verdicts in cache order, counting exactly what the
+       serial pass would: it stops at the first confirmed violation
+       under [stop_on_violation], and counts rejections only when they
+       are cached ([defer_soundness]).  Trace records are emitted here,
+       not on the worker domains, so their order is the cache order
+       regardless of scheduling; the search-step count stays on the
+       workers and is reported as -1. *)
     let record_par_verdict verdict_str witness_events =
       ignore
         (Obs.Trace.emit t.config.trace ~ev:"soundness"
@@ -1708,57 +1422,32 @@ module Make (P : Dsm.Protocol.S) = struct
                | None -> Dsm.Json.Null );
            ])
     in
+    let reject (r : 'k rejected) ~why =
+      if t.config.defer_soundness then count_rejection t;
+      if t.tracing then begin
+        record_par_verdict why None;
+        record_reject t r.r_violation r.r_depth ~why
+      end
+    in
     Array.iteri
       (fun i verdict ->
-        let r, _, by_label = jobs.(i) in
-        match verdict with
-        | Soundness.Invalid ->
-            t.soundness_rejections <- t.soundness_rejections + 1;
-            Obs.Metrics.incr t.o.c_rejections;
-            if t.tracing then begin
-              record_par_verdict "invalid" None;
-              record_reject t r.r_violation r.r_depth ~why:"invalid"
-            end
-        | Soundness.Budget_exhausted ->
-            t.soundness_rejections <- t.soundness_rejections + 1;
-            t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
-            Obs.Metrics.incr t.o.c_rejections;
-            Obs.Metrics.incr t.o.c_budget_exhausted;
-            if t.tracing then begin
-              record_par_verdict "budget_exhausted" None;
-              record_reject t r.r_violation r.r_depth ~why:"budget_exhausted"
-            end
-        | Soundness.Valid order ->
-            if t.tracing then
-              record_par_verdict "valid" (Some (List.length order));
-            if t.sound_violation = None then begin
-              let schedule =
-                List.map
-                  (fun (sev : Soundness.event) ->
-                    match Hashtbl.find_opt by_label (sev.node, sev.label) with
-                    | Some e -> step_of_event t sev.node e
-                    | None -> assert false)
-                  order
-              in
-              t.sound_violation <-
-                Some
-                  {
-                    system = Array.copy r.r_system;
-                    violation = r.r_violation;
-                    schedule;
-                    system_depth = List.length schedule;
-                  };
-              Obs.event t.o.scope "lmc.sound_violation"
-                ~fields:
-                  [
-                    ( "invariant",
-                      Dsm.Json.String r.r_violation.Dsm.Invariant.invariant );
-                    ( "detail",
-                      Dsm.Json.String r.r_violation.Dsm.Invariant.detail );
-                    ("witness_events", Dsm.Json.Int (List.length schedule));
-                  ];
-              if t.tracing then record_witness t r.r_violation schedule
-            end)
+        if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
+          let r, _, by_label = jobs.(i) in
+          t.soundness_calls <- t.soundness_calls + 1;
+          t.sequences_checked <- t.sequences_checked + 1;
+          Obs.Metrics.incr t.o.c_soundness_calls;
+          Obs.Metrics.incr t.o.c_sequences;
+          match verdict with
+          | Soundness.Invalid -> reject r ~why:"invalid"
+          | Soundness.Budget_exhausted ->
+              t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
+              Obs.Metrics.incr t.o.c_budget_exhausted;
+              reject r ~why:"budget_exhausted"
+          | Soundness.Valid order ->
+              if t.tracing then
+                record_par_verdict "valid" (Some (List.length order));
+              confirm t r.r_system r.r_violation by_label order
+        end)
       verdicts
 
   (* Final verification pass.  In deferred mode this is where all the
@@ -1808,18 +1497,21 @@ module Make (P : Dsm.Protocol.S) = struct
         let tuple = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
         consider_combo t tuple
     | Invariant_specific { conflict; _ } ->
+        (* The snapshot is one combination, however many of its root
+           pairs conflict: consider it once, as [Automatic] does. *)
+        let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
+        let conflicting (ei : 'k entry) (ej : 'k entry) =
+          match (ei.key, ej.key) with
+          | Some ki, Some kj -> conflict ki kj
+          | _ -> false
+        in
+        let hit = ref false in
         for i = 0 to P.num_nodes - 1 do
           for j = i + 1 to P.num_nodes - 1 do
-            let ei = Vec.get t.stores.(i) 0 and ej = Vec.get t.stores.(j) 0 in
-            match (ei.key, ej.key) with
-            | Some ki, Some kj when conflict ki kj ->
-                let tuple =
-                  Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0)
-                in
-                consider_combo t tuple
-            | _ -> ()
+            if conflicting roots.(i) roots.(j) then hit := true
           done
         done;
+        if !hit then consider_combo t roots;
         ignore snapshot
     | Automatic ->
         let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
@@ -1866,7 +1558,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     stores_bytes + net_bytes
 
-  let exec config ~strategy ~invariant snapshot pool =
+  let exec config ~strategy ~invariant snapshot =
     let tracing = Obs.Trace.enabled config.trace in
     let t =
       {
@@ -1881,9 +1573,9 @@ module Make (P : Dsm.Protocol.S) = struct
         tracing;
         soundness_trace = (if tracing then Some config.trace else None);
         snapshot = Array.copy snapshot;
-        ph_handler_us = Atomic.make 0;
-        ph_fingerprint_us = Atomic.make 0;
-        ph_invariant_us = Atomic.make 0;
+        ph_handler_us = ref 0;
+        ph_fingerprint_us = ref 0;
+        ph_invariant_us = ref 0;
         timed_tick = 0;
         act_lbl = Hashtbl.create 64;
         strategy;
@@ -1898,8 +1590,6 @@ module Make (P : Dsm.Protocol.S) = struct
         reduce = not (Dsm.Symmetry.is_trivial config.symmetry);
         orbit_clean = Hashtbl.create 4096;
         rejected = Vec.create ();
-        pool;
-        combo_buf = Vec.create ();
         started = now ();
         transitions = 0;
         system_states_created = 0;
@@ -1946,15 +1636,11 @@ module Make (P : Dsm.Protocol.S) = struct
         | None -> ());
         Obs.Metrics.incr t.o.c_node_states)
       snapshot;
-    let explore_domains =
-      match pool with Some p -> Par.Pool.domains p | None -> 1
-    in
     Obs.event t.o.scope "lmc.run.start"
       ~fields:
         [
           ("protocol", Dsm.Json.String P.name);
           ("nodes", Dsm.Json.Int P.num_nodes);
-          ("domains", Dsm.Json.Int explore_domains);
           ("verify_domains", Dsm.Json.Int config.verify_domains);
         ];
     if tracing then
@@ -1963,7 +1649,6 @@ module Make (P : Dsm.Protocol.S) = struct
            [
              ("protocol", Dsm.Json.String P.name);
              ("nodes", Dsm.Json.Int P.num_nodes);
-             ("domains", Dsm.Json.Int explore_domains);
              ("verify_domains", Dsm.Json.Int config.verify_domains);
            ]);
     (try
@@ -2000,7 +1685,6 @@ module Make (P : Dsm.Protocol.S) = struct
           ("symmetry", Dsm.Json.String (Dsm.Symmetry.name config.symmetry));
           ("orbit_hits", Dsm.Json.Int t.orbit_hits);
           ("completed", Dsm.Json.Bool (not t.truncated));
-          ("domains", Dsm.Json.Int explore_domains);
           ("verify_domains", Dsm.Json.Int config.verify_domains);
           ("elapsed_s", Dsm.Json.Float elapsed);
         ];
@@ -2016,17 +1700,15 @@ module Make (P : Dsm.Protocol.S) = struct
             (float_of_int t.store_hits /. float_of_int considered)
     | None -> ());
     if tracing then begin
-      (* Per-phase time attribution.  Handler / fingerprint / invariant
-         are measured wherever they ran (worker domains included);
-         system-state and soundness phases reuse the result's
-         accounting; [lmc report] derives exploration/pool residue. *)
+      (* Per-phase time attribution.  System-state and soundness phases
+         reuse the result's accounting; [lmc report] derives the
+         exploration residue. *)
       ignore
         (Obs.Trace.emit config.trace ~ev:"phases"
            [
-             ("handler_us", Dsm.Json.Int (Atomic.get t.ph_handler_us));
-             ( "fingerprint_us",
-               Dsm.Json.Int (Atomic.get t.ph_fingerprint_us) );
-             ("invariant_us", Dsm.Json.Int (Atomic.get t.ph_invariant_us));
+             ("handler_us", Dsm.Json.Int !(t.ph_handler_us));
+             ("fingerprint_us", Dsm.Json.Int !(t.ph_fingerprint_us));
+             ("invariant_us", Dsm.Json.Int !(t.ph_invariant_us));
              ( "soundness_us",
                Dsm.Json.Int (int_of_float (1e6 *. t.soundness_time)) );
              ( "system_state_us",
@@ -2078,19 +1760,11 @@ module Make (P : Dsm.Protocol.S) = struct
   let run config ~strategy ~invariant snapshot =
     if Array.length snapshot <> P.num_nodes then
       invalid_arg "Checker.run: snapshot size does not match num_nodes";
-    if config.domains < 1 then
-      invalid_arg "Checker.run: domains must be >= 1";
+    if config.verify_domains < 1 then
+      invalid_arg "Checker.run: verify_domains must be >= 1";
     (match config.persist with
     | Some p when Array.length p.p_nodes <> P.num_nodes ->
         invalid_arg "Checker.run: persist has wrong node count"
     | _ -> ());
-    match config.pool with
-    | Some _ as pool ->
-        (* Caller-owned pool (e.g. Online_mc sharing one across
-           restarts): borrow it, never shut it down. *)
-        exec config ~strategy ~invariant snapshot pool
-    | None when config.domains > 1 ->
-        Par.Pool.with_pool ~obs:config.obs config.domains (fun pool ->
-            exec config ~strategy ~invariant snapshot (Some pool))
-    | None -> exec config ~strategy ~invariant snapshot None
+    exec config ~strategy ~invariant snapshot
 end

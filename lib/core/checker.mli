@@ -117,25 +117,10 @@ module Make (P : Dsm.Protocol.S) : sig
     verify_domains : int;
         (** worker domains for the deferred/re-verification pass
             ("the model checking process can be embarrassingly
-            parallelized"); 1 = serial.  Only the DAG soundness mode
-            parallelises. *)
-    domains : int;
-        (** worker domains for {e exploration}: per-message and
-            per-node compute batches (handler executions,
-            fingerprints) and combination invariant checks fan out
-            over a {!Par.Pool}; results are applied in submission
-            order, so any domain count produces bit-identical results
-            — verdicts, counters, witness traces — to [domains = 1].
-            Requires handlers, [enabled_actions] and the invariant to
-            be pure.  Independent of [verify_domains] (the
-            verification fan-out).  1 = the unchanged sequential
-            path. *)
-    pool : Par.Pool.t option;
-        (** run exploration on a caller-owned pool instead of
-            spawning one per run — {!Online.Online_mc} shares a pool
-            across its budgeted restarts this way.  The pool is
-            borrowed, never shut down; when set it overrides
-            [domains]. *)
+            parallelized"); 1 = serial, must be [>= 1] ([run] raises
+            [Invalid_argument] otherwise).  Only the DAG soundness mode
+            parallelises; exploration itself is always sequential.
+            Verdicts, witnesses and counters do not depend on it. *)
     obs : Obs.scope;
         (** observability scope.  Counters mirroring every [result]
             tally ([lmc.transitions], [lmc.node_states],
@@ -156,9 +141,9 @@ module Make (P : Dsm.Protocol.S) : sig
             together with the soundness search's own records
             (preliminary violations, per-call verdicts, rejections and
             why), fully replayable violation witnesses, and per-phase
-            time attribution.  Records are emitted only on the
-            sequential apply path, so the stream's fingerprints are
-            bit-identical for any [domains] /​ [verify_domains] value.
+            time attribution.  Records are emitted from the sequential
+            exploration only, so two runs with the same config record
+            bit-identical step streams, for any [verify_domains] value.
             Defaults to {!Obs.Trace.null} (disabled; the hot loops pay
             one branch). *)
     on_new_node_state : (Dsm.Node_id.t -> P.state -> unit) option;
@@ -171,9 +156,7 @@ module Make (P : Dsm.Protocol.S) : sig
         (** disk-backed stores shared across restarts ({!persist}).
             When set, every combination consults the on-disk set of
             proven-clean combinations before a system state is created;
-            clean verdicts are recorded back.  Skips and inserts happen
-            on the sequential apply path only, so verdicts and traces
-            stay bit-identical at any [domains] value.  Violating
+            clean verdicts are recorded back.  Violating
             combinations are never stored: soundness depends on the
             snapshot, so they must be re-judged on every restart.
             Default [None]. *)
@@ -189,9 +172,7 @@ module Make (P : Dsm.Protocol.S) : sig
             verdicts are orbit-shared, so the first violating
             combination in enumeration order — and hence the verdict,
             witness and preliminary-violation count — is bit-identical
-            to an unreduced run.  Orbit bookkeeping happens on the
-            sequential apply path only, so results also stay
-            bit-identical at any [domains] value.  With
+            to an unreduced run.  With
             [config.persist], the persisted key becomes the canonical
             (orbit-representative) fingerprint — itself the raw
             fingerprint of a real combination, so stores interoperate

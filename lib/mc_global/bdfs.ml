@@ -45,12 +45,8 @@ module Make (P : Dsm.Protocol.S) = struct
     crash_budget : int;
     stop_on_violation : bool;
     track_traces : bool;
-    domains : int;
-        (* > 1 switches to layered frontier expansion (deterministic
-           parallel BFS); 1 keeps the recursive DFS *)
-    pool : Par.Pool.t option;  (* borrowed; overrides [domains] *)
     visited_store : Store.Fp_set.t option;
-        (* disk-backed visited set (lib/store).  Forces layered
+        (* disk-backed visited set (lib/store).  Switches to layered
            frontier expansion — layers visit each state at its minimum
            depth, so a presence-only set is exactly equivalent to the
            depth-keyed table, which the DFS's revisit-shallower
@@ -87,8 +83,6 @@ module Make (P : Dsm.Protocol.S) = struct
       crash_budget = 0;
       stop_on_violation = true;
       track_traces = true;
-      domains = 1;
-      pool = None;
       visited_store = None;
       obs = Obs.null;
       trace = Obs.Trace.null;
@@ -222,13 +216,12 @@ module Make (P : Dsm.Protocol.S) = struct
       (fun f -> if not (Hashtbl.mem inj f) then Hashtbl.add inj f seq)
       produces
 
-  let record_run_header ~trace ~domains =
+  let record_run_header ~trace =
     ignore
       (Obs.Trace.emit trace ~ev:"bdfs_run"
          [
            ("protocol", Dsm.Json.String P.name);
            ("nodes", Dsm.Json.Int P.num_nodes);
-           ("domains", Dsm.Json.Int domains);
          ])
 
   let record_run_end ~trace ~symmetry (outcome : outcome) =
@@ -253,8 +246,10 @@ module Make (P : Dsm.Protocol.S) = struct
     root : P.state array;  (* starting states, for witness records *)
     invariant : P.state Dsm.Invariant.t;
     visited : (Fingerprint.t, int) Hashtbl.t;
-        (* canonical fingerprint -> min depth; with the identity group
-           canonical = raw, so keys are unchanged from prior runs *)
+        (* canonical fingerprint -> min depth, for the DFS; empty when
+           [config.visited_store] holds presence on disk instead.  With
+           the identity group canonical = raw, so keys are unchanged
+           from prior runs *)
     parents :
       (Fingerprint.t, Fingerprint.t option * (P.message, P.action) Trace.step)
       Hashtbl.t;
@@ -262,6 +257,9 @@ module Make (P : Dsm.Protocol.S) = struct
            unique first-visited (original-coordinate) state of its
            orbit, so a rebuilt chain is a real executable path *)
     mutable transitions : int;
+    mutable global_states : int;  (* states first visited by this run *)
+    mutable store_hits : int;
+        (* successors already present in [config.visited_store] *)
     mutable orbit_hits : int;
     mutable system_states : Fingerprint.Set.t;
     mutable max_depth_reached : int;
@@ -272,14 +270,20 @@ module Make (P : Dsm.Protocol.S) = struct
 
   exception Stop
 
-  let out_of_budget s =
-    (match s.config.time_limit with
-    | Some limit -> Unix.gettimeofday () -. s.started > limit
-    | None -> false)
-    ||
-    match s.config.max_transitions with
-    | Some limit -> s.transitions >= limit
-    | None -> false
+  let check_budget s =
+    let over =
+      (match s.config.time_limit with
+      | Some limit -> Unix.gettimeofday () -. s.started > limit
+      | None -> false)
+      ||
+      match s.config.max_transitions with
+      | Some limit -> s.transitions >= limit
+      | None -> false
+    in
+    if over then begin
+      s.truncated <- true;
+      raise Stop
+    end
 
   let rebuild_trace s fp =
     let rec walk fp acc =
@@ -381,7 +385,7 @@ module Make (P : Dsm.Protocol.S) = struct
     Obs.heartbeat s.o.scope (fun () ->
         [
           ("transitions", Dsm.Json.Int s.transitions);
-          ("global_states", Dsm.Json.Int (Hashtbl.length s.visited));
+          ("global_states", Dsm.Json.Int s.global_states);
           ( "system_states",
             Dsm.Json.Int (Dsm.Fingerprint.Set.cardinal s.system_states) );
           ("max_depth", Dsm.Json.Int s.max_depth_reached);
@@ -389,15 +393,48 @@ module Make (P : Dsm.Protocol.S) = struct
             Dsm.Json.Float (Unix.gettimeofday () -. s.started) );
         ])
 
-  (* [fp] is the raw fingerprint of [g] (trace records stay in
-     original coordinates, so witness replay re-derives them); [cfp]
-     its canonical form, keying the visited and parent tables. *)
+  let count_transition s =
+    s.transitions <- s.transitions + 1;
+    Obs.Metrics.incr s.o.c_transitions
+
+  let count_global_state s =
+    s.global_states <- s.global_states + 1;
+    Obs.Metrics.incr s.o.c_global_states
+
+  let note_system_state s nodes =
+    let sys_fp = system_fingerprint nodes in
+    if not (Fingerprint.Set.mem sys_fp s.system_states) then begin
+      s.system_states <- Fingerprint.Set.add sys_fp s.system_states;
+      Obs.Metrics.incr s.o.c_system_states
+    end
+
+  let orbit_hit s =
+    s.orbit_hits <- s.orbit_hits + 1;
+    Obs.Metrics.incr s.o.c_orbit_hits
+
+  (* Everything a first visit does besides the visited-set insert:
+     parent link, step record, system-state tally and the invariant. *)
+  let first_visit s ~parent_fp ~parent_cfp step out g' fp' cfp' depth' =
+    Obs.Metrics.observe s.o.h_depth depth';
+    if s.config.track_traces then
+      Hashtbl.replace s.parents cfp' (Some parent_cfp, step);
+    if s.tracing then
+      record_global_step ~trace:s.config.trace ~inj:s.binj step out
+        ~fp_before:parent_fp ~fp_after:fp' ~depth:depth';
+    note_system_state s g'.nodes;
+    match Dsm.Invariant.check s.invariant g'.nodes with
+    | Some violation ->
+        record_violation s g' cfp' depth' violation;
+        if s.config.stop_on_violation then raise Stop
+    | None -> ()
+
+  (* The recursive DFS.  [fp] is the raw fingerprint of [g] (trace
+     records stay in original coordinates, so witness replay
+     re-derives them); [cfp] its canonical form, keying the visited
+     and parent tables. *)
   let rec explore s g fp cfp depth =
     heartbeat s;
-    if out_of_budget s then begin
-      s.truncated <- true;
-      raise Stop
-    end;
+    check_budget s;
     if depth > s.max_depth_reached then s.max_depth_reached <- depth;
     let depth_ok =
       match s.config.max_depth with Some d -> depth < d | None -> true
@@ -405,51 +442,73 @@ module Make (P : Dsm.Protocol.S) = struct
     if depth_ok then
       List.iter
         (fun (step, g', out) ->
-          s.transitions <- s.transitions + 1;
-          Obs.Metrics.incr s.o.c_transitions;
+          count_transition s;
           let fp' = fingerprint g' in
           let cfp' = canonical_fp s.config.symmetry g' fp' in
           let depth' = depth + 1 in
-          let revisit_shallower =
-            match Hashtbl.find_opt s.visited cfp' with
-            | Some d -> depth' < d
-            | None -> true
-          in
-          if not revisit_shallower then begin
-            if s.reduce && not (Fingerprint.equal fp' cfp') then begin
-              s.orbit_hits <- s.orbit_hits + 1;
-              Obs.Metrics.incr s.o.c_orbit_hits
-            end
-          end
-          else begin
-            let first_visit = not (Hashtbl.mem s.visited cfp') in
-            if first_visit then begin
-              Obs.Metrics.incr s.o.c_global_states;
-              Obs.Metrics.observe s.o.h_depth depth'
-            end;
-            Hashtbl.replace s.visited cfp' depth';
-            if s.config.track_traces && first_visit then
-              Hashtbl.replace s.parents cfp' (Some cfp, step);
-            if first_visit then begin
-              if s.tracing then
-                record_global_step ~trace:s.config.trace ~inj:s.binj step
-                  out ~fp_before:fp ~fp_after:fp' ~depth:depth';
-              let sys_fp = system_fingerprint g'.nodes in
-              if not (Fingerprint.Set.mem sys_fp s.system_states) then begin
-                s.system_states <- Fingerprint.Set.add sys_fp s.system_states;
-                Obs.Metrics.incr s.o.c_system_states
+          match Hashtbl.find_opt s.visited cfp' with
+          | Some d when depth' >= d ->
+              if s.reduce && not (Fingerprint.equal fp' cfp') then
+                orbit_hit s
+          | known ->
+              (* new, or rediscovered at a shallower depth: re-expand *)
+              Hashtbl.replace s.visited cfp' depth';
+              if known = None then begin
+                count_global_state s;
+                first_visit s ~parent_fp:fp ~parent_cfp:cfp step out g' fp'
+                  cfp' depth'
               end;
-              match Dsm.Invariant.check s.invariant g'.nodes with
-              | Some violation ->
-                  record_violation s g' cfp' depth' violation;
-                  if s.config.stop_on_violation then raise Stop
-              | None -> ()
-            end;
-            explore s g' fp' cfp' depth'
-          end)
+              explore s g' fp' cfp' depth')
         (successors ~crash_budget:s.config.crash_budget g)
 
-  let run_dfs config ~invariant ?(initial_net = []) init =
+  (* Layered (breadth-first) expansion over the disk-backed visited
+     set.  Layers visit each state at its minimum depth, so the
+     presence-only set is exactly equivalent to the DFS's depth-keyed
+     table; the traversal order differs, but on an exhausted space the
+     explored set and the verdict are the same. *)
+  let explore_layers s store g fp cfp =
+    let frontier = ref [ (g, fp, cfp) ] in
+    let depth = ref 0 in
+    while !frontier <> [] do
+      heartbeat s;
+      let layer = !frontier in
+      frontier := [];
+      let depth' = !depth + 1 in
+      let depth_ok =
+        match s.config.max_depth with Some d -> !depth < d | None -> true
+      in
+      if depth_ok then begin
+        let next = ref [] in
+        List.iter
+          (fun (g, fp, cfp) ->
+            List.iter
+              (fun (step, g', out) ->
+                check_budget s;
+                count_transition s;
+                let fp' = fingerprint g' in
+                let cfp' = canonical_fp s.config.symmetry g' fp' in
+                if Store.Fp_set.add store cfp' then begin
+                  count_global_state s;
+                  if depth' > s.max_depth_reached then
+                    s.max_depth_reached <- depth';
+                  first_visit s ~parent_fp:fp ~parent_cfp:cfp step out g' fp'
+                    cfp' depth';
+                  next := (g', fp', cfp') :: !next
+                end
+                else begin
+                  s.store_hits <- s.store_hits + 1;
+                  if s.reduce && not (Fingerprint.equal fp' cfp') then
+                    orbit_hit s
+                end)
+              (successors ~crash_budget:s.config.crash_budget g))
+          layer;
+        frontier := List.rev !next;
+        depth := depth'
+      end
+    done
+
+  let run config ~invariant ?(initial_net = []) init =
+    Obs.frame config.obs "bdfs" @@ fun () ->
     let g =
       {
         nodes = Array.copy init;
@@ -470,6 +529,8 @@ module Make (P : Dsm.Protocol.S) = struct
         visited = Hashtbl.create 4096;
         parents = Hashtbl.create 4096;
         transitions = 0;
+        global_states = 0;
+        store_hits = 0;
         orbit_hits = 0;
         system_states = Fingerprint.Set.empty;
         max_depth_reached = 0;
@@ -478,22 +539,32 @@ module Make (P : Dsm.Protocol.S) = struct
         started = Unix.gettimeofday ();
       }
     in
-    if s.tracing then record_run_header ~trace:config.trace ~domains:1;
+    if s.tracing then record_run_header ~trace:config.trace;
     let fp = fingerprint g in
     let cfp = canonical_fp config.symmetry g fp in
-    Hashtbl.replace s.visited cfp 0;
-    Obs.Metrics.incr s.o.c_global_states;
+    let fresh =
+      match config.visited_store with
+      | None ->
+          Hashtbl.replace s.visited cfp 0;
+          true
+      | Some store -> Store.Fp_set.add store cfp
+    in
+    if fresh then count_global_state s else s.store_hits <- s.store_hits + 1;
     (* The root has no parent entry; [rebuild_trace] stops there. *)
-    s.system_states <-
-      Fingerprint.Set.add (system_fingerprint g.nodes) s.system_states;
-    Obs.Metrics.incr s.o.c_system_states;
+    note_system_state s g.nodes;
     (match Dsm.Invariant.check invariant g.nodes with
     | Some violation -> record_violation s g cfp 0 violation
     | None -> ());
     (if not (config.stop_on_violation && s.violation <> None) then
-       try explore s g fp cfp 0 with Stop -> ());
+       try
+         match config.visited_store with
+         | None -> explore s g fp cfp 0
+         | Some store -> explore_layers s store g fp cfp
+       with Stop -> ());
     let elapsed = Unix.gettimeofday () -. s.started in
     let retained_bytes =
+      (* with a disk-backed visited set the fingerprints live in the
+         page cache, not the heap: only the parent table is retained *)
       (Hashtbl.length s.visited * visited_entry_bytes)
       + (Hashtbl.length s.parents * parent_entry_bytes)
     in
@@ -502,11 +573,11 @@ module Make (P : Dsm.Protocol.S) = struct
         stats =
           {
             transitions = s.transitions;
-            global_states = Hashtbl.length s.visited;
+            global_states = s.global_states;
             system_states = Fingerprint.Set.cardinal s.system_states;
             max_depth_reached = s.max_depth_reached;
             retained_bytes;
-            store_hits = 0;
+            store_hits = s.store_hits;
             orbit_hits = s.orbit_hits;
             elapsed;
           };
@@ -514,315 +585,8 @@ module Make (P : Dsm.Protocol.S) = struct
         completed = not s.truncated;
       }
     in
-    if s.tracing then record_run_end ~trace:config.trace ~symmetry:config.symmetry.Dsm.Symmetry.group outcome;
+    if s.tracing then
+      record_run_end ~trace:config.trace
+        ~symmetry:config.symmetry.Dsm.Symmetry.group outcome;
     outcome
-
-  (* ----- parallel frontier expansion (domains > 1) -----
-
-     Breadth-first by layers: every state of depth [d] is expanded in
-     one batch — the pure half (successor generation, fingerprints,
-     the invariant, a read-only prefilter against the sharded visited
-     table) fans out across the pool; insertion, parent recording and
-     violation reporting happen on the submitting domain in submission
-     order.  Layered traversal visits each state at its minimum depth,
-     so the DFS's revisit-shallower correction never applies, and the
-     merge order makes the outcome independent of the domain count.
-     The traversal order differs from the DFS (this is BFS), but the
-     explored set, the transition count and the verdict on an
-     exhausted space are identical. *)
-
-  type succ_compute =
-    | S_seen of bool
-        (* already visited at an earlier layer: counts as a transition,
-           nothing else to do.  The flag marks an orbit hit — the
-           successor was not itself in canonical form. *)
-    | S_new of
-        (P.message, P.action) Trace.step
-        * global
-        * Fingerprint.t  (* raw fingerprint, for trace records *)
-        * Fingerprint.t  (* canonical fingerprint, for the visited set *)
-        * Fingerprint.t  (* system fingerprint of the node states *)
-        * Dsm.Invariant.violation option
-        * P.message Envelope.t list  (* sent messages, for the recorder *)
-
-  type fsearch = {
-    fconfig : config;
-    fo : obs_handles;
-    ftracing : bool;
-    fbinj : (Fingerprint.t, int) Hashtbl.t;
-    froot : P.state array;
-    fvisited : (Fingerprint.t, int) Par.Shard_tbl.t;
-        (* unused when [fstore] is set: presence then lives on disk *)
-    fstore : Store.Fp_set.t option;
-    fparents :
-      (Fingerprint.t, Fingerprint.t option * (P.message, P.action) Trace.step)
-      Hashtbl.t;
-    freduce : bool;
-    mutable ftransitions : int;
-    mutable ffresh : int;  (* states first visited by THIS run *)
-    mutable fstore_hits : int;
-        (* successors already present in the persistent visited set *)
-    mutable forbit_hits : int;
-    mutable fsystem_states : Fingerprint.Set.t;
-    mutable fmax_depth : int;
-    mutable fviolation : violation option;
-    mutable ftruncated : bool;
-    fstarted : float;
-  }
-
-  let fout_of_budget s =
-    (match s.fconfig.time_limit with
-    | Some limit -> Unix.gettimeofday () -. s.fstarted > limit
-    | None -> false)
-    ||
-    match s.fconfig.max_transitions with
-    | Some limit -> s.ftransitions >= limit
-    | None -> false
-
-  let frebuild_trace s fp =
-    let rec walk fp acc =
-      match Hashtbl.find_opt s.fparents fp with
-      | None -> acc
-      | Some (parent, step) -> (
-          match parent with
-          | None -> step :: acc
-          | Some pfp -> walk pfp (step :: acc))
-    in
-    walk fp []
-
-  let frecord_violation s g fp depth violation =
-    if s.fviolation = None then begin
-      let tr = if s.fconfig.track_traces then frebuild_trace s fp else [] in
-      s.fviolation <-
-        Some { system = Array.copy g.nodes; violation; trace = tr; depth };
-      Obs.event s.fo.scope "bdfs.violation"
-        ~fields:
-          [
-            ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
-            ("detail", Dsm.Json.String violation.Dsm.Invariant.detail);
-            ("depth", Dsm.Json.Int depth);
-          ];
-      if s.ftracing && s.fconfig.track_traces then
-        ignore
-          (Obs.Trace.emit s.fconfig.trace ~ev:"witness"
-             (RWB.witness_fields ~init:s.froot ~schedule:tr
-                ~invariant:violation.Dsm.Invariant.invariant
-                ~detail:violation.Dsm.Invariant.detail))
-    end
-
-  let run_frontier config ~invariant ~initial_net init pool =
-    let g =
-      {
-        nodes = Array.copy init;
-        net = Net.Multiset.of_list initial_net;
-        crashes = Array.make P.num_nodes 0;
-      }
-    in
-    let s =
-      {
-        fconfig = config;
-        fo = make_obs_handles config;
-        ftracing = Obs.Trace.enabled config.trace;
-        fbinj = Hashtbl.create 256;
-        froot = Array.copy init;
-        fvisited = Par.Shard_tbl.create 4096;
-        fstore = config.visited_store;
-        fparents = Hashtbl.create 4096;
-        freduce =
-          not (Dsm.Symmetry.is_trivial config.symmetry.Dsm.Symmetry.group);
-        ftransitions = 0;
-        ffresh = 0;
-        fstore_hits = 0;
-        forbit_hits = 0;
-        fsystem_states = Fingerprint.Set.empty;
-        fmax_depth = 0;
-        fviolation = None;
-        ftruncated = false;
-        fstarted = Unix.gettimeofday ();
-      }
-    in
-    if s.ftracing then
-      record_run_header ~trace:config.trace
-        ~domains:(Par.Pool.domains pool);
-    (* Presence checks and inserts, dispatched on the backing set.
-       [fseen] is read-only (safe from pool workers); [fadd] runs only
-       on the sequential merge path. *)
-    let fseen fp =
-      match s.fstore with
-      | Some st -> Store.Fp_set.mem st fp
-      | None -> Par.Shard_tbl.mem s.fvisited fp
-    in
-    let fadd fp depth =
-      let fresh =
-        match s.fstore with
-        | Some st -> Store.Fp_set.add st fp
-        | None -> Par.Shard_tbl.add_if_absent s.fvisited fp depth
-      in
-      if fresh then begin
-        s.ffresh <- s.ffresh + 1;
-        Obs.Metrics.incr s.fo.c_global_states
-      end
-      else if s.fstore <> None then s.fstore_hits <- s.fstore_hits + 1;
-      fresh
-    in
-    let root_fp = fingerprint g in
-    let root_cfp = canonical_fp config.symmetry g root_fp in
-    ignore (fadd root_cfp 0);
-    s.fsystem_states <-
-      Fingerprint.Set.add (system_fingerprint g.nodes) s.fsystem_states;
-    Obs.Metrics.incr s.fo.c_system_states;
-    (match Dsm.Invariant.check invariant g.nodes with
-    | Some violation -> frecord_violation s g root_cfp 0 violation
-    | None -> ());
-    let stop () = config.stop_on_violation && s.fviolation <> None in
-    let frontier = ref [| (g, root_fp, root_cfp) |] in
-    let depth = ref 0 in
-    (try
-       while Array.length !frontier > 0 && not (stop ()) do
-         Obs.heartbeat s.fo.scope (fun () ->
-             [
-               ("transitions", Dsm.Json.Int s.ftransitions);
-               ("global_states", Dsm.Json.Int s.ffresh);
-               ("store_hits", Dsm.Json.Int s.fstore_hits);
-               ("orbit_hits", Dsm.Json.Int s.forbit_hits);
-               ("depth", Dsm.Json.Int !depth);
-               ( "elapsed_s",
-                 Dsm.Json.Float (Unix.gettimeofday () -. s.fstarted) );
-             ]);
-         let layer = !frontier in
-         frontier := [||];
-         let depth' = !depth + 1 in
-         let depth_ok =
-           match config.max_depth with Some d -> !depth < d | None -> true
-         in
-         if depth_ok then begin
-           (* Pure half, fanned out: successor generation, hashing,
-              the invariant, and a monotone prefilter (states visited
-              at earlier layers stay visited; in-layer duplicates are
-              caught again at merge time). *)
-           let computed =
-             Par.Pool.tabulate pool ~chunk:4 (Array.length layer) (fun i ->
-                 let g, _fp, _cfp = layer.(i) in
-                 List.map
-                   (fun (step, g', out) ->
-                     let fp' = fingerprint g' in
-                     let cfp' = canonical_fp config.symmetry g' fp' in
-                     if fseen cfp' then
-                       S_seen
-                         (s.freduce && not (Fingerprint.equal fp' cfp'))
-                     else
-                       S_new
-                         ( step,
-                           g',
-                           fp',
-                           cfp',
-                           system_fingerprint g'.nodes,
-                           Dsm.Invariant.check invariant g'.nodes,
-                           out ))
-                   (successors ~crash_budget:config.crash_budget g))
-           in
-           (* Sequential merge in submission order. *)
-           let next = ref [] in
-           let orbit_hit () =
-             s.forbit_hits <- s.forbit_hits + 1;
-             Obs.Metrics.incr s.fo.c_orbit_hits
-           in
-           (try
-              Array.iteri
-                (fun i succs ->
-                  let _, parent_fp, parent_cfp = layer.(i) in
-                  List.iter
-                    (fun succ ->
-                      if fout_of_budget s then begin
-                        s.ftruncated <- true;
-                        raise Stop
-                      end;
-                      s.ftransitions <- s.ftransitions + 1;
-                      Obs.Metrics.incr s.fo.c_transitions;
-                      match succ with
-                      | S_seen orbit ->
-                          if orbit then orbit_hit ();
-                          if s.fstore <> None then
-                            s.fstore_hits <- s.fstore_hits + 1
-                      | S_new (step, g', fp', cfp', sys_fp, viol, out) ->
-                          if fadd cfp' depth' then begin
-                            Obs.Metrics.observe s.fo.h_depth depth';
-                            if depth' > s.fmax_depth then
-                              s.fmax_depth <- depth';
-                            if config.track_traces then
-                              Hashtbl.replace s.fparents cfp'
-                                (Some parent_cfp, step);
-                            if s.ftracing then
-                              record_global_step ~trace:config.trace
-                                ~inj:s.fbinj step out ~fp_before:parent_fp
-                                ~fp_after:fp' ~depth:depth';
-                            if not (Fingerprint.Set.mem sys_fp s.fsystem_states)
-                            then begin
-                              s.fsystem_states <-
-                                Fingerprint.Set.add sys_fp s.fsystem_states;
-                              Obs.Metrics.incr s.fo.c_system_states
-                            end;
-                            (match viol with
-                            | Some violation ->
-                                frecord_violation s g' cfp' depth' violation;
-                                if config.stop_on_violation then raise Stop
-                            | None -> ());
-                            next := (g', fp', cfp') :: !next
-                          end
-                          else if
-                            s.freduce
-                            && not (Fingerprint.equal fp' cfp')
-                          then orbit_hit ())
-                    succs)
-                computed
-            with Stop -> ());
-           if not (stop ()) && not s.ftruncated then begin
-             frontier := Array.of_list (List.rev !next);
-             depth := depth'
-           end
-         end
-       done
-     with Stop -> ());
-    let elapsed = Unix.gettimeofday () -. s.fstarted in
-    let visited_count = s.ffresh in
-    let retained_bytes =
-      (* with a disk-backed visited set the fingerprints live in the
-         page cache, not the heap: only the parent table is retained *)
-      (match s.fstore with
-      | Some _ -> 0
-      | None -> visited_count * visited_entry_bytes)
-      + (Hashtbl.length s.fparents * parent_entry_bytes)
-    in
-    let outcome =
-      {
-        stats =
-          {
-            transitions = s.ftransitions;
-            global_states = visited_count;
-            system_states = Fingerprint.Set.cardinal s.fsystem_states;
-            max_depth_reached = s.fmax_depth;
-            retained_bytes;
-            store_hits = s.fstore_hits;
-            orbit_hits = s.forbit_hits;
-            elapsed;
-          };
-        violation = s.fviolation;
-        completed = not s.ftruncated;
-      }
-    in
-    if s.ftracing then record_run_end ~trace:config.trace ~symmetry:config.symmetry.Dsm.Symmetry.group outcome;
-    outcome
-
-  let run config ~invariant ?(initial_net = []) init =
-    if config.domains < 1 then invalid_arg "Bdfs.run: domains must be >= 1";
-    Obs.frame config.obs "bdfs" @@ fun () ->
-    match config.pool with
-    | Some pool -> run_frontier config ~invariant ~initial_net init pool
-    | None when config.domains > 1 || config.visited_store <> None ->
-        (* a visited store forces frontier mode even at [domains = 1]:
-           only the layered traversal's minimum-depth-first discipline
-           makes a presence-only set equivalent to the depth table *)
-        Par.Pool.with_pool ~obs:config.obs config.domains (fun pool ->
-            run_frontier config ~invariant ~initial_net init pool)
-    | None -> run_dfs config ~invariant ~initial_net init
 end

@@ -72,30 +72,19 @@ module Make (P : Dsm.Protocol.S) : sig
     track_traces : bool;
         (** keep parent pointers for counterexample traces; disable to
             measure the bare visited-set footprint *)
-    domains : int;
-        (** worker domains.  [1] (the default) runs the classic
-            recursive DFS.  [> 1] switches to layered frontier
-            expansion — a breadth-first traversal whose pure half
-            (successor generation, fingerprints, the invariant) fans
-            out across a {!Par.Pool} with a sharded visited table,
-            while insertions merge in submission order, so the explored
-            set, transition count and verdict are independent of the
-            domain count (traversal {e order} differs from the DFS, so
-            a found counterexample may differ; an exhausted space
-            yields identical state counts and verdict). *)
-    pool : Par.Pool.t option;
-        (** run frontier expansion on a caller-owned pool (borrowed,
-            never shut down); overrides [domains] when set. *)
     visited_store : Store.Fp_set.t option;
         (** disk-backed visited set ({!Store.Fp_set}): global-state
             fingerprints go to an mmap'd file instead of the heap, so
             the visited set no longer bounds the explorable space by
             RAM (the paper's Fig. 10 axis) and a later run against the
             same file skips everything a {e completed} earlier run
-            visited.  Forces layered frontier expansion even at
-            [domains = 1], because only minimum-depth-first traversal
-            makes a presence-only set equivalent to the DFS's
-            depth-keyed table.  Reports stay sound after a resume
+            visited.  Switches the search from the recursive DFS to
+            layered (breadth-first) frontier expansion, because only
+            minimum-depth-first traversal makes a presence-only set
+            equivalent to the DFS's depth-keyed table.  The traversal
+            {e order} differs from the DFS, so a found counterexample
+            may differ; an exhausted space yields the same
+            [global_states] and verdict.  Reports stay sound after a resume
             (every violation found is real), but completeness is only
             guaranteed when the prior run [completed]: a truncated
             run may have recorded states whose successors it never
@@ -111,12 +100,10 @@ module Make (P : Dsm.Protocol.S) : sig
             state (global-state fingerprints before/after, message
             provenance), a replayable [witness] record per violation
             (requires [track_traces]), and [bdfs_run] / [bdfs_end]
-            framing.  The DFS ([domains = 1]) and the layered frontier
-            BFS ([domains > 1]) traverse in different orders, so their
-            record streams legitimately differ — the determinism
-            guarantee (identical streams for any domain count) applies
-            among frontier runs, which emit only from the sequential
-            merge.  Defaults to {!Obs.Trace.null}. *)
+            framing.  The DFS and the layered frontier BFS (with
+            [visited_store]) traverse in different orders, so their
+            record streams legitimately differ; two runs with the same
+            config record identical streams.  Defaults to {!Obs.Trace.null}. *)
     symmetry : (P.state, P.message) Dsm.Symmetry.spec;
         (** audited role-permutation symmetry for global-state
             canonicalization.  Every successor's fingerprint is reduced

@@ -12,10 +12,9 @@
    their entry/exit so neighbouring phases never bleed into each
    other.
 
-   Single-domain by design: ticks and frames must come from the
-   sequential apply path only (the same discipline as the flight
-   recorder), which is also what keeps telemetry off the determinism
-   contract. *)
+   Single-domain by design: ticks and frames come from the sequential
+   exploration loop only (the same discipline as the flight recorder),
+   which is also what keeps telemetry off the determinism contract. *)
 
 type cell = { mutable us : int; mutable samples : int }
 

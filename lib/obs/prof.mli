@@ -14,7 +14,7 @@
        checking or soundness verification): force a sample at both
        edges so neighbouring phases never bleed into each other.}}
 
-    Single-domain: call only from the sequential apply path. *)
+    Single-domain: call only from the exploration loop. *)
 
 type t
 

@@ -10,10 +10,9 @@
     it, and [lmc replay] re-executes recorded witnesses against the
     live handlers.
 
-    Recording happens only on the sequential apply half of each
-    checker (PR 2's determinism contract), so the record stream — in
-    particular every fingerprint — is bit-identical at any domain
-    count.
+    Checkers record from their sequential exploration loop, so two
+    runs with the same config produce the same record stream — in
+    particular every fingerprint.
 
     Two bounded-memory modes: {!to_file} streams through a
     {!Sink.jsonl_file} as the run progresses; {!ring} keeps only the
@@ -57,7 +56,7 @@ val ring : ?capacity:int -> string -> t
     and returns its sequence number ([-1] when disabled).  Sequence
     numbers increase monotonically; provenance fields in later records
     reference them.  Thread-safe, but deterministic streams require
-    emitting from the sequential apply path only. *)
+    emitting from one domain. *)
 val emit : t -> ev:string -> (string * Dsm.Json.t) list -> int
 
 (** Like {!emit}, but field assembly is deferred: {!ring} stores the

@@ -146,23 +146,6 @@ struct
       | [] -> [ None ]
       | bs -> List.map (fun b -> Some b) bs
     in
-    (* Budgeted restarts share one exploration pool: spawning domains
-       per checker run would pay the fork/join setup at every check
-       interval, so when the checker config asks for parallelism and
-       brings no pool of its own, one is created here and threaded
-       through every restart (and every widening bound below). *)
-    let owned_pool =
-      if
-        config.checker.Checker.pool = None
-        && config.checker.Checker.domains > 1
-      then Some (Par.Pool.create ~obs:checker_obs config.checker.Checker.domains)
-      else None
-    in
-    let pool =
-      match config.checker.Checker.pool with
-      | Some _ as p -> p
-      | None -> owned_pool
-    in
     (* ---- Supervision ----------------------------------------------
        The live loop must outlive its checker.  Every pathology below
        — a checker exception, a restart that blows its wall-clock or
@@ -371,7 +354,7 @@ struct
       Unix.sleepf (float_of_int ms /. 1000. *. jitter)
     in
     (* An exception out of [Checker.run] (a throwing invariant closure,
-       an abstraction function that raises, a dead pool worker) is
+       or an abstraction function that raises) is
        retried with jittered exponential backoff; after [max_retries]
        the restart is abandoned and the loop degrades instead. *)
     let supervised_run cfg snapshot =
@@ -471,7 +454,6 @@ struct
                   config.checker with
                   local_action_bound = bound;
                   obs = checker_obs;
-                  pool;
                   persist;
                 }
                 snapshot
@@ -567,7 +549,6 @@ struct
     let report =
       Fun.protect
         ~finally:(fun () ->
-          Option.iter Par.Pool.shutdown owned_pool;
           Option.iter Store.Checkpoint.close ckpt)
         loop
     in

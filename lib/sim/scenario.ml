@@ -69,7 +69,7 @@ type t = {
   plan : string;
   kind : kind;
   expected : verdict;
-  run : domains:int -> report;
+  run : unit -> report;
 }
 
 type outcome = {
@@ -79,7 +79,7 @@ type outcome = {
   elapsed : float;
 }
 
-let run_one ?(domains = 1) events sc =
+let run_one events sc =
   Events.emit events ~ev:"scenario_run"
     [
       ("name", Dsm.Json.String sc.name);
@@ -89,10 +89,9 @@ let run_one ?(domains = 1) events sc =
       ("plan", Dsm.Json.String sc.plan);
       ("kind", Dsm.Json.String (kind_to_string sc.kind));
       ("expected", Dsm.Json.String (verdict_to_string sc.expected));
-      ("domains", Dsm.Json.Int domains);
     ];
   let t0 = Unix.gettimeofday () in
-  let report = sc.run ~domains in
+  let report = sc.run () in
   let elapsed = Unix.gettimeofday () -. t0 in
   let pass = report.verdict = sc.expected in
   Events.emit events ~ev:"scenario_end"
@@ -109,8 +108,7 @@ let run_one ?(domains = 1) events sc =
     ];
   { scenario = sc; report; pass; elapsed }
 
-let run_all ?domains events scs =
-  List.map (fun sc -> run_one ?domains events sc) scs
+let run_all events scs = List.map (run_one events) scs
 
 (* ----- the generic soak executor -----
 

@@ -55,7 +55,7 @@ type t = {
   plan : string;  (** fault-plan DSL, for display and replay *)
   kind : kind;
   expected : verdict;
-  run : domains:int -> report;  (** the executor closure *)
+  run : unit -> report;  (** the executor closure *)
 }
 
 type outcome = {
@@ -67,9 +67,9 @@ type outcome = {
 
 (** Run one scenario: emits a [scenario_run] record, executes, emits
     a [scenario_end] record carrying verdict/expected/pass. *)
-val run_one : ?domains:int -> Events.t -> t -> outcome
+val run_one : Events.t -> t -> outcome
 
-val run_all : ?domains:int -> Events.t -> t list -> outcome list
+val run_all : Events.t -> t list -> outcome list
 
 (** Generic soak executor: drive {!Live_sim} to [duration] in
     [check_every]-sized slices (default 5 simulated seconds),

@@ -183,10 +183,6 @@ let mem_key slots mask k =
 
 let mem t fp = mem_key t.slots t.mask (key fp)
 
-let mem_batch t fps =
-  let slots = t.slots and mask = t.mask in
-  Array.map (fun fp -> mem_key slots mask (key fp)) fps
-
 let probe t fp =
   let k = key fp in
   let rec go i steps =
@@ -255,10 +251,6 @@ and grow_locked t =
 let add_key t k = Mutex.protect t.lock (fun () -> add_key_locked t k)
 
 let add t fp = add_key t (key fp)
-
-let add_batch t fps =
-  Mutex.protect t.lock (fun () ->
-      Array.map (fun fp -> add_key_locked t (key fp)) fps)
 
 let length t = t.count
 

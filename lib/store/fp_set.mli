@@ -17,13 +17,10 @@
     seen, and a visited set missing entries is always safe — the work
     is merely re-done.
 
-    Concurrency follows the {!Par.Shard_tbl} discipline of the
-    parallel checkers: {!mem} / {!mem_batch} are lock-free and may run
-    from worker domains concurrently with the sequential apply path;
-    {!add} / {!add_batch} serialise behind an internal mutex and must
-    be called from the sequential apply path only, so the store's
-    contents evolve in submission order and verdicts stay bit-identical
-    at any domain count.
+    Concurrency: {!mem} is lock-free and may run from several domains
+    concurrently with one writer; {!add} serialises behind an internal
+    mutex.  The checkers call both from their sequential exploration
+    loop.
 
     The header and slots are written in host byte order: store files
     are a single-host resume format, not a portable interchange one. *)
@@ -67,12 +64,6 @@ val mem : t -> Dsm.Fingerprint.t -> bool
 
 (** [add t fp] inserts and returns [true] iff [fp] was absent. *)
 val add : t -> Dsm.Fingerprint.t -> bool
-
-(** Batched forms: one lock acquisition ({!add_batch}) / one bounds
-    setup ({!mem_batch}) for the whole array, in array order. *)
-val mem_batch : t -> Dsm.Fingerprint.t array -> bool array
-
-val add_batch : t -> Dsm.Fingerprint.t array -> bool array
 
 val length : t -> int
 

@@ -1,8 +1,8 @@
 (* Tests for the fault-injection subsystem: plan DSL round-trips and
    diagnostics, the pure injection queries, Live_sim fault events, and
    the determinism contract — same seed + same plan is bit-identical,
-   and a hunt under faults records identical streams at any --domains
-   count. *)
+   and two hunts under faults with the same config record identical
+   streams. *)
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -416,7 +416,7 @@ let prop_same_seed_same_plan_identical =
       Dsm.Fingerprint.equal fp1 fp2 && counters1 = counters2
       && records1 = records2)
 
-(* ---------- hunt under faults: domain-count determinism ---------- *)
+(* ---------- hunt under faults: run-to-run determinism ---------- *)
 
 module PB_cr = Protocols.Pb_store.Make (struct
   let key = 7
@@ -427,7 +427,7 @@ end)
 module O = Online.Online_mc.Make (PB_cr) (PB_cr)
 module Sim_pb = Sim.Live_sim.Make (PB_cr)
 
-let hunt_trace ~domains =
+let hunt_trace () =
   let sink, events = Obs.Sink.memory () in
   let trace = Obs.Trace.of_sink sink in
   let config =
@@ -452,7 +452,6 @@ let hunt_trace ~domains =
           O.Checker.default_config with
           max_transitions = Some 100_000;
           crash_budget = 1;
-          domains;
           trace;
         };
       action_bounds = [ 1; 2 ];
@@ -473,15 +472,13 @@ let hunt_trace ~domains =
         | _ -> None)
       (events ()) )
 
-let test_fault_hunt_deterministic_across_domains () =
-  let outcome1, steps1 = hunt_trace ~domains:1 in
-  let outcome2, steps2 = hunt_trace ~domains:2 in
-  check Alcotest.bool "bug found at 1 domain" true (outcome1.O.report <> None);
-  check Alcotest.bool "bug found at 2 domains" true (outcome2.O.report <> None);
+let test_fault_hunt_deterministic () =
+  let outcome1, steps1 = hunt_trace () in
+  let outcome2, steps2 = hunt_trace () in
+  check Alcotest.bool "bug found" true (outcome1.O.report <> None);
+  check Alcotest.bool "bug found again" true (outcome2.O.report <> None);
   check Alcotest.bool "steps recorded" true (List.length steps1 > 0);
-  check
-    Alcotest.(list string)
-    "identical step records at 1 vs 2 domains" steps1 steps2
+  check Alcotest.(list string) "identical step records" steps1 steps2
 
 let () =
   Alcotest.run "fault"
@@ -527,7 +524,7 @@ let () =
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest prop_same_seed_same_plan_identical;
-          Alcotest.test_case "fault hunt identical at 1/2 domains" `Slow
-            test_fault_hunt_deterministic_across_domains;
+          Alcotest.test_case "fault hunt, identical step streams" `Slow
+            test_fault_hunt_deterministic;
         ] );
     ]

@@ -1,190 +1,12 @@
-(* Tests for lib/lint: the interleaving checker (soundness on known-racy
-   clients, exact exploration counts on the Par structures CI gates)
-   and the protocol sanitizers (each planted fixture detected with its
-   expected kind, every bundled correct protocol and a qcheck sweep of
-   synthetic seeds lint clean, lint.v1 emission round-trips). *)
+(* Tests for lib/lint: the protocol sanitizers (each planted fixture
+   detected with its expected kind, every bundled correct protocol and a
+   qcheck sweep of synthetic seeds lint clean, lint.v1 emission
+   round-trips) and the symmetry audits. *)
 
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-module I = Lint.Interleave
-module A = I.Shim.Atomic
 module R = Lint.Report
-
-(* ------------------------------------------------------------------ *)
-(* Interleave: soundness on toy clients                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The classic lost update: two unsynchronised read-modify-write
-   threads.  The checker must find the interleaving where both read 0. *)
-let racy_counter () =
-  let c = A.make 0 in
-  let body () = A.set c (A.get c + 1) in
-  ( [ body; body ],
-    fun () ->
-      let v = A.get c in
-      if v <> 2 then I.failf "lost update: counter = %d" v )
-
-let test_racy_counter () =
-  let o = I.explore racy_counter in
-  match o.I.failure with
-  | None -> fail "interleaving checker missed the lost update"
-  | Some f ->
-      check Alcotest.bool "failure message names the lost update" true
-        (String.length f.I.message > 0
-        && String.sub f.I.message 0 11 = "lost update")
-
-let mutexed_counter () =
-  let m = I.Shim.Mutex.create () in
-  let c = A.make 0 in
-  let body () = I.Shim.Mutex.protect m (fun () -> A.set c (A.get c + 1)) in
-  ( [ body; body ],
-    fun () ->
-      let v = A.get c in
-      if v <> 2 then I.failf "counter = %d" v )
-
-let test_mutexed_counter () =
-  let o = I.explore mutexed_counter in
-  (match o.I.failure with
-  | Some f -> fail (Format.asprintf "%a" I.pp_failure f)
-  | None -> ());
-  check Alcotest.bool "complete" true o.I.complete;
-  (* the two lock orders are the only schedules that differ *)
-  check Alcotest.int "executions" 2 o.I.executions
-
-let deadlocking_locks () =
-  let ma = I.Shim.Mutex.create () and mb = I.Shim.Mutex.create () in
-  let t1 () = I.Shim.Mutex.protect ma (fun () -> I.Shim.Mutex.protect mb ignore) in
-  let t2 () = I.Shim.Mutex.protect mb (fun () -> I.Shim.Mutex.protect ma ignore) in
-  ([ t1; t2 ], fun () -> ())
-
-let test_deadlock_found () =
-  match (I.explore deadlocking_locks).I.failure with
-  | None -> fail "lock-order inversion not detected"
-  | Some f ->
-      check Alcotest.bool "reported as deadlock" true
-        (f.I.message = "deadlock")
-
-(* ------------------------------------------------------------------ *)
-(* Interleave: Par.Deque under the shimmed primitives                  *)
-(* ------------------------------------------------------------------ *)
-
-module D = Par.Deque.Make (I.Shim)
-
-(* Owner pushes [npush] (after [preload] sequential pushes in the
-   setup), then pops twice; [nthieves] thieves each steal once.  All
-   cross-thread traffic goes through the deque; per-thread results land
-   in single-writer cells read only by the final check. *)
-let deque_client ?(preload = 0) ~npush ~nthieves () =
-  let q = D.create () in
-  for i = 1 to preload do
-    D.push q i
-  done;
-  let owner_got = ref [] in
-  let thief_got = Array.make nthieves None in
-  let owner () =
-    for i = preload + 1 to preload + npush do
-      D.push q i
-    done;
-    (match D.pop q with Some x -> owner_got := x :: !owner_got | None -> ());
-    match D.pop q with Some x -> owner_got := x :: !owner_got | None -> ()
-  in
-  let thief i () = thief_got.(i) <- D.steal q in
-  ( owner :: List.init nthieves thief,
-    fun () ->
-      let taken =
-        !owner_got @ (Array.to_list thief_got |> List.filter_map Fun.id)
-      in
-      let rec drain acc =
-        match D.pop q with Some x -> drain (x :: acc) | None -> acc
-      in
-      let all = List.sort compare (taken @ drain []) in
-      if all <> List.init (preload + npush) (fun i -> i + 1) then
-        I.failf "items lost or duplicated: [%s]"
-          (String.concat ";" (List.map string_of_int all)) )
-
-(* Exhaustive exploration with the execution count pinned: a count
-   drift means the independence relation, the sleep sets, or the deque
-   itself changed — all of which demand a deliberate re-baseline. *)
-let deque_case name ?preload ~npush ~nthieves ~executions () =
-  let o = I.explore (deque_client ?preload ~npush ~nthieves) in
-  (match o.I.failure with
-  | Some f -> fail (Format.asprintf "%s: %a" name I.pp_failure f)
-  | None -> ());
-  check Alcotest.bool (name ^ ": complete") true o.I.complete;
-  check Alcotest.int (name ^ ": executions") executions o.I.executions
-
-let test_deque_owner_vs_thief () =
-  deque_case "push2" ~npush:2 ~nthieves:1 ~executions:22 ();
-  deque_case "push3" ~npush:3 ~nthieves:1 ~executions:18 ()
-
-let test_deque_two_thieves () =
-  deque_case "pre2" ~preload:2 ~npush:0 ~nthieves:2 ~executions:317 ();
-  deque_case "pre3" ~preload:3 ~npush:0 ~nthieves:2 ~executions:228 ();
-  deque_case "pre2push1" ~preload:2 ~npush:1 ~nthieves:2 ~executions:470 ()
-
-(* A deliberately broken steal (read top / read slot / non-CAS bump)
-   must be caught: proves the deque tests can fail at all. *)
-let broken_steal () =
-  let top = A.make 0 and items = [| "a"; "b" |] in
-  let got = Array.make 2 None in
-  let thief i () =
-    let t = A.get top in
-    if t < Array.length items then begin
-      got.(i) <- Some items.(t);
-      A.set top (t + 1)
-    end
-  in
-  ( [ thief 0; thief 1 ],
-    fun () ->
-      match (got.(0), got.(1)) with
-      | Some a, Some b when a = b -> I.failf "duplicate take: %s" a
-      | _ -> () )
-
-let test_broken_steal_caught () =
-  match (I.explore broken_steal).I.failure with
-  | None -> fail "non-CAS steal not detected"
-  | Some _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Interleave: Par.Shard_tbl under the shimmed primitives              *)
-(* ------------------------------------------------------------------ *)
-
-module T = Par.Shard_tbl.Make (I.Shim)
-
-(* Writers on distinct shards are fully independent, so sleep sets
-   collapse the exploration to a single execution. *)
-let tbl_distinct_keys () =
-  let t = T.create ~shards:2 4 in
-  let w k () = ignore (T.add_if_absent t k k) in
-  ( [ w 0; w 1 ],
-    fun () ->
-      if not (T.mem t 0 && T.mem t 1) || T.length t <> 2 then
-        I.failf "lost update: length = %d" (T.length t) )
-
-let tbl_same_key () =
-  let t = T.create ~shards:2 4 in
-  let won = Array.make 2 false in
-  let w i () = won.(i) <- T.add_if_absent t 7 i in
-  ( [ w 0; w 1 ],
-    fun () ->
-      (match (won.(0), won.(1)) with
-      | true, true -> I.failf "both inserts won"
-      | false, false -> I.failf "no insert won"
-      | _ -> ());
-      if T.length t <> 1 then I.failf "length = %d" (T.length t) )
-
-let tbl_case name client ~executions =
-  let o = I.explore client in
-  (match o.I.failure with
-  | Some f -> fail (Format.asprintf "%s: %a" name I.pp_failure f)
-  | None -> ());
-  check Alcotest.bool (name ^ ": complete") true o.I.complete;
-  check Alcotest.int (name ^ ": executions") executions o.I.executions
-
-let test_shard_tbl () =
-  tbl_case "distinct-keys" tbl_distinct_keys ~executions:1;
-  tbl_case "same-key" tbl_same_key ~executions:2
 
 (* ------------------------------------------------------------------ *)
 (* Sanitize: the planted fixtures                                      *)
@@ -758,23 +580,6 @@ let test_kind_round_trip () =
 let () =
   Alcotest.run "lint"
     [
-      ( "interleave-soundness",
-        [
-          Alcotest.test_case "racy counter fails" `Quick test_racy_counter;
-          Alcotest.test_case "mutexed counter clean" `Quick
-            test_mutexed_counter;
-          Alcotest.test_case "deadlock found" `Quick test_deadlock_found;
-          Alcotest.test_case "broken steal caught" `Quick
-            test_broken_steal_caught;
-        ] );
-      ( "interleave-par",
-        [
-          Alcotest.test_case "deque owner vs thief" `Quick
-            test_deque_owner_vs_thief;
-          Alcotest.test_case "deque two thieves" `Quick
-            test_deque_two_thieves;
-          Alcotest.test_case "shard_tbl" `Quick test_shard_tbl;
-        ] );
       ( "sanitize-fixtures",
         [
           Alcotest.test_case "nondeterministic handler" `Quick

@@ -230,7 +230,58 @@ let test_parallel_verification_agrees () =
   check Alcotest.int "same rejections" serial.soundness_rejections
     parallel.soundness_rejections;
   check Alcotest.int "same calls" serial.soundness_calls
+    parallel.soundness_calls;
+  check Alcotest.int "same system states" serial.system_states_created
+    parallel.system_states_created;
+  let witness (r : L_ping.result) =
+    Option.map
+      (fun (v : L_ping.violation) ->
+        Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value v.schedule))
+      r.sound_violation
+  in
+  check
+    Alcotest.(option string)
+    "same witness" (witness serial) (witness parallel);
+  (* The default (non-deferred) re-verification pass the CLI runs: the
+     parallel fold counts what the serial pass counts. *)
+  let reverify domains =
+    L_tree.run
+      { L_tree.default_config with verify_domains = domains }
+      ~strategy:L_tree.General ~invariant:Tree.received_implies_sent
+      (tree_init ())
+  in
+  let serial = reverify 1 and parallel = reverify 2 in
+  check Alcotest.int "re-verification: same rejections"
+    serial.soundness_rejections parallel.soundness_rejections;
+  check Alcotest.int "re-verification: same calls" serial.soundness_calls
     parallel.soundness_calls
+
+let test_verify_domains_validated () =
+  Alcotest.check_raises "verify_domains = 0 rejected"
+    (Invalid_argument "Checker.run: verify_domains must be >= 1") (fun () ->
+      ignore
+        (L_ping.run
+           { L_ping.default_config with verify_domains = 0 }
+           ~strategy:L_ping.General ~invariant:Ping2.no_excess_pongs
+           (ping_init ())))
+
+(* The snapshot is a single combination: LMC-OPT must create it once,
+   however many of its root pairs conflict — as many system states as
+   LMC-GEN creates at depth 0. *)
+let test_opt_snapshot_created_once () =
+  let module Paxos = Protocols.Paxos.Make (Protocols.Paxos.Bench_config) in
+  let module L = Lmc.Checker.Make (Paxos) in
+  let init = Dsm.Protocol.initial_system (module Paxos) in
+  let config = { L.default_config with max_depth = Some 0 } in
+  let run strategy = L.run config ~strategy ~invariant:Paxos.safety init in
+  let everything_conflicts =
+    L.Invariant_specific
+      { abstract = (fun _ -> Some ()); conflict = (fun () () -> true) }
+  in
+  check Alcotest.int "GEN creates the snapshot once" 1
+    (run L.General).system_states_created;
+  check Alcotest.int "OPT creates the snapshot once" 1
+    (run everything_conflicts).system_states_created
 
 let test_deferred_cache_overflow_falls_back () =
   (* with a tiny cache, overflowing combos are verified inline, so
@@ -492,8 +543,7 @@ let test_lmc_memory_smaller_than_global () =
    with reduction off — exploration (node stores, I+, transitions),
    preliminary violations, and the sound violation's witness — while
    the combinations materialized drop by at least the 2x the issue
-   demands.  Checked at 1 and 2 domains: orbit bookkeeping lives on
-   the sequential half, so the parallel path must agree exactly. *)
+   demands. *)
 
 module Sym_equiv (P : Dsm.Protocol.S) = struct
   module L = Lmc.Checker.Make (P)
@@ -519,41 +569,38 @@ module Sym_equiv (P : Dsm.Protocol.S) = struct
     in
     check Alcotest.bool (name ^ ": audit licenses a non-trivial group") false
       (Dsm.Symmetry.is_trivial y.Y.verdict.Y.orbit);
-    List.iter
-      (fun domains ->
-        let go symmetry =
-          L.run
-            { L.default_config with domains; symmetry }
-            ~strategy:L.General ~invariant
-            (Dsm.Protocol.initial_system (module P))
-        in
-        let off = go (Dsm.Symmetry.identity_group P.num_nodes) in
-        let on = go y.Y.verdict.Y.orbit in
-        let tag s = Printf.sprintf "%s/d%d: %s" name domains s in
-        check Alcotest.bool (tag "completed") off.L.completed on.L.completed;
-        check
-          Alcotest.(array int)
-          (tag "node stores") off.L.node_states on.L.node_states;
-        check Alcotest.int (tag "I+") off.L.net_messages on.L.net_messages;
-        check Alcotest.int (tag "transitions") off.L.transitions
-          on.L.transitions;
-        check Alcotest.int (tag "preliminary violations")
-          off.L.preliminary_violations on.L.preliminary_violations;
-        check Alcotest.string (tag "sound violation")
-          (viol_fp off.L.sound_violation)
-          (viol_fp on.L.sound_violation);
-        (if expect_cut then
-           check Alcotest.bool (tag "combinations cut >= 2x") true
-             (off.L.system_states_created >= 2 * on.L.system_states_created)
-         else
-           check Alcotest.bool (tag "reduction never adds work") true
-             (off.L.system_states_created >= on.L.system_states_created));
-        check Alcotest.int (tag "orbit hits stay 0 when off") 0
-          off.L.orbit_hits;
-        if expect_cut then
-          check Alcotest.bool (tag "orbit hits counted") true
-            (on.L.orbit_hits > 0))
-      [ 1; 2 ]
+    let go symmetry =
+      L.run
+        { L.default_config with symmetry }
+        ~strategy:L.General ~invariant
+        (Dsm.Protocol.initial_system (module P))
+    in
+    let off = go (Dsm.Symmetry.identity_group P.num_nodes) in
+    let on = go y.Y.verdict.Y.orbit in
+    let tag s = Printf.sprintf "%s: %s" name s in
+    check Alcotest.bool (tag "completed") off.L.completed on.L.completed;
+    check
+      Alcotest.(array int)
+      (tag "node stores") off.L.node_states on.L.node_states;
+    check Alcotest.int (tag "I+") off.L.net_messages on.L.net_messages;
+    check Alcotest.int (tag "transitions") off.L.transitions
+      on.L.transitions;
+    check Alcotest.int (tag "preliminary violations")
+      off.L.preliminary_violations on.L.preliminary_violations;
+    check Alcotest.string (tag "sound violation")
+      (viol_fp off.L.sound_violation)
+      (viol_fp on.L.sound_violation);
+    (if expect_cut then
+       check Alcotest.bool (tag "combinations cut >= 2x") true
+         (off.L.system_states_created >= 2 * on.L.system_states_created)
+     else
+       check Alcotest.bool (tag "reduction never adds work") true
+         (off.L.system_states_created >= on.L.system_states_created));
+    check Alcotest.int (tag "orbit hits stay 0 when off") 0
+      off.L.orbit_hits;
+    if expect_cut then
+      check Alcotest.bool (tag "orbit hits counted") true
+        (on.L.orbit_hits > 0)
 end
 
 let test_sym_equiv_ring () =
@@ -614,6 +661,10 @@ let () =
             test_deferred_soundness;
           Alcotest.test_case "parallel verification" `Quick
             test_parallel_verification_agrees;
+          Alcotest.test_case "verify_domains validated" `Quick
+            test_verify_domains_validated;
+          Alcotest.test_case "OPT snapshot created once" `Quick
+            test_opt_snapshot_created_once;
           Alcotest.test_case "deferred overflow" `Quick
             test_deferred_cache_overflow_falls_back;
         ] );

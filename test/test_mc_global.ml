@@ -205,13 +205,62 @@ let prop_chain_linear =
       && o.stats.transitions = n
       && o.violation = None)
 
+(* ---------- the store-backed layered frontier ----------
+
+   With a [visited_store], B-DFS switches from the recursive DFS to
+   layered frontier expansion.  On an exhausted space both searches
+   visit the same set: same global and system states, same verdict. *)
+
+let with_store f =
+  let path = Filename.temp_file "lmc-bdfs" ".fps" in
+  Sys.remove path;
+  let set = Store.Fp_set.create path in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.Fp_set.close set;
+      Sys.remove path)
+    (fun () -> f set)
+
+let prop_store_frontier_matches_dfs =
+  QCheck.Test.make ~count:60 ~name:"store frontier agrees with DFS"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 9999))
+    (fun seed ->
+      let module P = Protocols.Synthetic.Make (struct
+        let seed = seed
+        let num_nodes = 3
+        let max_state = 4
+        let kinds = 2
+      end) in
+      let module G = Mc_global.Bdfs.Make (P) in
+      let cap = 3 + (seed mod 2) in
+      let invariant =
+        Dsm.Invariant.for_all_pairs ~name:"no-two-saturated"
+          (fun _ s1 _ s2 ->
+            if s1 >= cap && s2 >= cap then Some "both nodes saturated"
+            else None)
+      in
+      let init = Dsm.Protocol.initial_system (module P) in
+      let config = { G.default_config with stop_on_violation = false } in
+      let facts (o : G.outcome) =
+        ( o.violation <> None,
+          o.stats.global_states,
+          o.stats.system_states,
+          o.completed )
+      in
+      let dfs = G.run config ~invariant init in
+      let frontier =
+        with_store (fun set ->
+            G.run { config with visited_store = Some set } ~invariant init)
+      in
+      facts dfs = facts frontier)
+
 (* ---------- symmetry reduction ----------
 
    On the genuinely S3-symmetric flood fixture, canonical-fingerprint
    dedup must cut the explored global states (toward the |S_3| = 6
-   bound) without changing the verdict, and the layered frontier mode
-   must agree exactly with the DFS on the reduced space.  The audit
-   is run first — the checker only ever sees a licensed group. *)
+   bound) without changing the verdict, and the store-backed layered
+   frontier must agree exactly with the DFS on the reduced space.  The
+   audit is run first — the checker only ever sees a licensed group. *)
 
 let test_bdfs_symmetry_reduction () =
   let module F = Protocols.Lint_fixtures.Sym_flood in
@@ -224,9 +273,9 @@ let test_bdfs_symmetry_reduction () =
   let y = Y.run ~config:{ Y.default_config with invariant = Some gap } () in
   check Alcotest.string "audit licenses the full group" "full"
     (Dsm.Symmetry.name y.Y.verdict.Y.commutation.Dsm.Symmetry.group);
-  let go ?(domains = 1) symmetry =
+  let go ?visited_store symmetry =
     G.run
-      { G.default_config with max_depth = Some 6; domains; symmetry }
+      { G.default_config with max_depth = Some 6; visited_store; symmetry }
       ~invariant:gap
       (Dsm.Protocol.initial_system (module F))
   in
@@ -243,8 +292,11 @@ let test_bdfs_symmetry_reduction () =
   check Alcotest.bool "transitions cut" true
     (off.stats.transitions > on.stats.transitions);
   (* layered frontier expansion agrees with the DFS on the reduced
-     space — orbit bookkeeping lives on the sequential merge path *)
-  let on2 = go ~domains:2 y.Y.verdict.Y.commutation in
+     space *)
+  let on2 =
+    with_store (fun set ->
+        go ~visited_store:set y.Y.verdict.Y.commutation)
+  in
   check Alcotest.int "frontier: same states" on.stats.global_states
     on2.stats.global_states;
   check Alcotest.int "frontier: same transitions" on.stats.transitions
@@ -290,4 +342,6 @@ let () =
           Alcotest.test_case "sym-flood reduction" `Quick
             test_bdfs_symmetry_reduction;
         ] );
+      ( "frontier",
+        [ QCheck_alcotest.to_alcotest prop_store_frontier_matches_dfs ] );
     ]
