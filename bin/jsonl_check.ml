@@ -5,7 +5,8 @@
    "profile.v1" from the sampling profiler, "timeseries.v1" from the
    heartbeat gauge ring, "scenario.v1" from `lmc scenario') are
    well-formed records: known record kind, the fields that kind
-   requires, and strictly increasing [seq] numbers per schema.  Exits
+   requires, the type of any optional field it carries, and strictly
+   increasing [seq] numbers per schema.  Exits
    0 when every file is well-formed, 1 with line-numbered diagnostics
    otherwise.  Used by `make check' / `make lint' to assert that the
    CLI's machine-readable streams stay parseable. *)
@@ -209,7 +210,14 @@ let scenario_required_fields = function
         ]
   | _ -> None
 
-let check_record ~required_fields ~last_seq fields =
+(* Fields a record kind may omit — older recordings predate them — but
+   whose type is checked when present. *)
+let optional_fields = function
+  | "reject" -> [ ("reason", is_string) ]
+  | _ -> []
+
+let check_record ?(optional_fields = fun _ -> []) ~required_fields ~last_seq
+    fields =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let seq =
@@ -236,7 +244,14 @@ let check_record ~required_fields ~last_seq fields =
               | None -> err "%s: missing field %S" ev name
               | Some v ->
                   if not (check v) then err "%s: field %S: wrong type" ev name)
-            reqs)
+            reqs;
+          List.iter
+            (fun (name, check) ->
+              match field name fields with
+              | Some v when not (check v) ->
+                  err "%s: field %S: wrong type" ev name
+              | _ -> ())
+            (optional_fields ev))
   | Some _ -> err "field \"ev\": expected string"
   | None -> err "missing field \"ev\"");
   (seq, List.rev !errors)
@@ -252,8 +267,11 @@ let check_file path =
   and last_profile_seq = ref (-1)
   and last_timeseries_seq = ref (-1)
   and last_scenario_seq = ref (-1) in
-  let validate ~required_fields ~last_seq ~schema lineno fields =
-    let seq, errors = check_record ~required_fields ~last_seq:!last_seq fields in
+  let validate ?optional_fields ~required_fields ~last_seq ~schema lineno
+      fields =
+    let seq, errors =
+      check_record ?optional_fields ~required_fields ~last_seq:!last_seq fields
+    in
     last_seq := seq;
     List.iter
       (fun msg -> Printf.eprintf "%s:%d: %s: %s\n" path lineno schema msg)
@@ -269,8 +287,8 @@ let check_file path =
         | Ok (Dsm.Json.Obj fields)
           when field "schema" fields = Some (Dsm.Json.String trace_schema) ->
             let ok' =
-              validate ~required_fields ~last_seq:last_trace_seq
-                ~schema:trace_schema lineno fields
+              validate ~optional_fields ~required_fields
+                ~last_seq:last_trace_seq ~schema:trace_schema lineno fields
             in
             loop (lineno + 1) (ok && ok')
         | Ok (Dsm.Json.Obj fields)

@@ -134,10 +134,17 @@ module Make (P : Dsm.Protocol.S) = struct
     label : Fingerprint.t;
     kind : event_kind;
     requires : Fingerprint.t option;
-    produces : Fingerprint.t list;
+    produces : int list;  (* I+ ids of the generated messages *)
   }
 
   type pred = { prev : int option; event : event_info }
+
+  (* An entry's feasibility summary ({!Soundness.summarise}), valid
+     while its node's store generation is still [gen]. *)
+  type stamped = { gen : int; sum : Soundness.summary }
+
+  let unsummarised =
+    { gen = -1; sum = { must = None; prod = Soundness.Bits.empty } }
 
   type 'k entry = {
     idx : int;
@@ -154,6 +161,9 @@ module Make (P : Dsm.Protocol.S) = struct
     mutable fp_hex : string option;
         (* hex rendering of [fp], cached — every outgoing transition
            of this entry puts it in a step record's [fp_before] *)
+    mutable summary : stamped;
+        (* cached soundness prefilter input; recomputed on use once a
+           predecessor pointer lands anywhere in this node's store *)
   }
 
   type net_entry = {
@@ -268,6 +278,10 @@ module Make (P : Dsm.Protocol.S) = struct
     strategy : 'k strategy;
     invariant : P.state Dsm.Invariant.t;
     stores : 'k entry Vec.t array;
+    gens : int array;
+        (* per-node store generation, bumped whenever a predecessor
+           pointer is added to an existing entry: the only event that
+           can change an existing entry's feasibility summary *)
     by_fp : (Fingerprint.t, int) Hashtbl.t array;
     action_cursor : int array;  (* states already expanded for actions *)
     crash_cursor : int array;  (* states already expanded for crashes *)
@@ -493,15 +507,6 @@ module Make (P : Dsm.Protocol.S) = struct
                      tuple)) );
          ])
 
-  let record_reject t (violation : Dsm.Invariant.violation) sdepth ~why =
-    ignore
-      (Obs.Trace.emit t.config.trace ~ev:"reject"
-         [
-           ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
-           ("system_depth", Dsm.Json.Int sdepth);
-           ("why", Dsm.Json.String why);
-         ])
-
   let record_witness t (violation : Dsm.Invariant.violation) schedule =
     ignore
       (Obs.Trace.emit t.config.trace ~ev:"witness"
@@ -554,7 +559,7 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* Add a generated message to the shared network I+, deduplicating by
      fingerprint (the paper's duplicate limit of zero).  The returned
-     fingerprint always enters the producing event's [produces] list:
+     message's I+ id always enters the producing event's [produces] list:
      soundness bookkeeping counts productions, not distinct contents. *)
   let register_message t env fp =
     match Hashtbl.find_opt t.net_by_fp fp with
@@ -613,16 +618,13 @@ module Make (P : Dsm.Protocol.S) = struct
     walk entry [] [];
     !results
 
-  let to_soundness_sequence node events : Soundness.sequence =
-    List.map
-      (fun (e : event_info) ->
-        {
-          Soundness.node;
-          label = e.label;
-          requires = e.requires;
-          produces = e.produces;
-        })
-      events
+  let soundness_event t node (e : event_info) : Soundness.event =
+    {
+      Soundness.node;
+      label = e.label;
+      requires = e.requires;
+      produces = List.map (fun id -> (Vec.get t.net id).net_fp) e.produces;
+    }
 
   let step_of_event t node (e : event_info) : (P.message, P.action) Trace.step =
     match e.kind with
@@ -661,15 +663,7 @@ module Make (P : Dsm.Protocol.S) = struct
                        may traverse them *)
                     Hashtbl.replace by_label (entry.node, p.event.label) p.event;
                     edges :=
-                      ( j,
-                        {
-                          Soundness.node = entry.node;
-                          label = p.event.label;
-                          requires = p.event.requires;
-                          produces = p.event.produces;
-                        },
-                        i )
-                      :: !edges;
+                      (j, soundness_event t entry.node p.event, i) :: !edges;
                     if not (Hashtbl.mem seen j) then begin
                       Hashtbl.replace seen j ();
                       stack := j :: !stack
@@ -678,6 +672,114 @@ module Make (P : Dsm.Protocol.S) = struct
       done;
       { Soundness.root = 0; target = entry.idx; edges = !edges }
     end
+
+  (* ----- cached feasibility summaries ----- *)
+
+  (* [entry]'s summary, recomputed when its node's store generation
+     moved.  The fixpoint covers the stale part of the backward
+     closure only: an entry stamped with the current generation is
+     exact and bounds the walk as a pinned vertex.  Every stale entry
+     the walk reaches is re-stamped, since its own closure lies inside
+     the solved one. *)
+  let summary t (entry : 'k entry) =
+    let gen = t.gens.(entry.node) in
+    if entry.summary.gen = gen then entry.summary.sum
+    else begin
+      let store = t.stores.(entry.node) in
+      let local = Hashtbl.create 64 in
+      let stale = ref [] and pinned = ref [] in
+      let rec visit (e : 'k entry) =
+        if not (Hashtbl.mem local e.idx) then begin
+          Hashtbl.replace local e.idx (-1);
+          if e.summary.gen = gen then pinned := e :: !pinned
+          else begin
+            stale := e :: !stale;
+            List.iter
+              (fun (p : pred) ->
+                Option.iter (fun j -> visit (Vec.get store j)) p.prev)
+              e.preds
+          end
+        end
+      in
+      visit entry;
+      (* Stale entries first, in creation order — which roughly follows
+         the predecessor relation, so the fixpoint's index-order sweeps
+         converge fast — then the pinned ones. *)
+      let k = List.length !stale in
+      let vertices =
+        Array.of_list
+          (List.sort (fun (a : 'k entry) b -> compare a.idx b.idx) !stale
+          @ !pinned)
+      in
+      Array.iteri (fun l (e : 'k entry) -> Hashtbl.replace local e.idx l) vertices;
+      let edge (p : pred) =
+        Option.map
+          (fun j ->
+            {
+              Soundness.src = Hashtbl.find local j;
+              req =
+                (match p.event.kind with
+                | Net_event id -> id
+                | Action_event _ | Crash_event -> -1);
+              made = Soundness.Bits.of_list p.event.produces;
+            })
+          p.prev
+      in
+      let sums =
+        Soundness.summarise
+          ~root:
+            (match Hashtbl.find_opt local 0 with
+            | Some l when l < k -> l
+            | _ -> -1)
+          ~pinned:
+            (Array.mapi
+               (fun l (e : 'k entry) -> if l < k then None else Some e.summary.sum)
+               vertices)
+          (Array.mapi
+             (fun l (e : 'k entry) ->
+               if l < k then List.filter_map edge e.preds else [])
+             vertices)
+      in
+      for l = 0 to k - 1 do
+        vertices.(l).summary <- { gen; sum = sums.(l) }
+      done;
+      entry.summary.sum
+    end
+
+  (* The soundness prefilter over cached summaries: [None] lets the
+     tuple through to the search. *)
+  let screen t (tuple : 'k entry array) =
+    Soundness.screen ~initial:Soundness.Bits.empty (Array.map (summary t) tuple)
+
+  (* Why a preliminary violation was not confirmed. *)
+  type rejection =
+    | Infeasible of Soundness.infeasible  (* the prefilter, 0 steps *)
+    | Searched  (* the search found no schedule *)
+    | Exhausted  (* the search ran out of budget *)
+
+  let rejection_why = function
+    | Exhausted -> "budget_exhausted"
+    | Infeasible _ | Searched -> "invalid"
+
+  let rejection_reason t (tuple : 'k entry array) = function
+    | Infeasible (Soundness.Unreachable i) ->
+        Printf.sprintf "unreachable:%d" tuple.(i).node
+    | Infeasible (Soundness.Missing (i, m)) ->
+        Printf.sprintf "missing:%d:%s" tuple.(i).node
+          (message_label (Vec.get t.net m))
+    | Searched -> "search"
+    | Exhausted -> "budget_exhausted"
+
+  let record_reject t (violation : Dsm.Invariant.violation) sdepth tuple
+      rejection =
+    ignore
+      (Obs.Trace.emit t.config.trace ~ev:"reject"
+         [
+           ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
+           ("system_depth", Dsm.Json.Int sdepth);
+           ("why", Dsm.Json.String (rejection_why rejection));
+           ("reason", Dsm.Json.String (rejection_reason t tuple rejection));
+         ])
 
   (* A soundness search found [order]: map its events back to protocol
      steps and report the witness. *)
@@ -714,6 +816,82 @@ module Make (P : Dsm.Protocol.S) = struct
     t.soundness_rejections <- t.soundness_rejections + 1;
     Obs.Metrics.incr t.o.c_rejections
 
+  let count_exhausted t =
+    t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
+    Obs.Metrics.incr t.o.c_budget_exhausted
+
+  let count_sequence t =
+    t.sequences_checked <- t.sequences_checked + 1;
+    Obs.Metrics.incr t.o.c_sequences
+
+  (* Maps a scheduled event back to its protocol-level step. *)
+  let new_by_label () :
+      (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
+    Hashtbl.create 64
+
+  (* The paper's formulation: enumerate explicit event-sequence
+     combinations and check each. *)
+  let verify_sequences t (tuple : 'k entry array) =
+    let by_label = new_by_label () in
+    let paths =
+      Array.map (fun e -> Array.of_list (enumerate_paths t e)) tuple
+    in
+    Array.iteri
+      (fun n node_paths ->
+        Array.iter
+          (List.iter (fun (e : event_info) ->
+               Hashtbl.replace by_label (n, e.label) e))
+          node_paths)
+      paths;
+    let found = ref None and exhausted = ref false in
+    let combos = ref 0 in
+    ignore
+      (Combination.iter paths (fun sequences ->
+           incr combos;
+           count_sequence t;
+           let seqs =
+             Array.mapi (fun n evs -> List.map (soundness_event t n) evs) sequences
+           in
+           match
+             Soundness.check ?obs:t.o.soundness_obs ?trace:t.soundness_trace
+               ~budget:t.config.soundness_budget ~initial_net:[] seqs
+           with
+           | Soundness.Valid order ->
+               found := Some order;
+               `Stop
+           | Soundness.Invalid ->
+               if !combos >= t.config.max_sequence_combos then `Stop
+               else `Continue
+           | Soundness.Budget_exhausted ->
+               exhausted := true;
+               if !combos >= t.config.max_sequence_combos then `Stop
+               else `Continue));
+    match !found with
+    | Some order -> Ok (by_label, order)
+    | None -> Error (if !exhausted then Exhausted else Searched)
+
+  (* The default: screen the tuple with the cached summaries, and
+     search the product of the predecessor DAGs only if it passes. *)
+  let verify_dag t (tuple : 'k entry array) =
+    count_sequence t;
+    match screen t tuple with
+    | Some why ->
+        Soundness.record_infeasible ?obs:t.o.soundness_obs
+          ?trace:t.soundness_trace ();
+        Error (Infeasible why)
+    | None -> (
+        let by_label = new_by_label () in
+        let graphs = Array.map (fun e -> build_graph t e by_label) tuple in
+        match
+          Soundness.check_dag ?obs:t.o.soundness_obs ?trace:t.soundness_trace
+            ~budget:t.config.soundness_budget ~initial_net:[] graphs
+        with
+        | Soundness.Valid order -> Ok (by_label, order)
+        | Soundness.Invalid -> Error Searched
+        | Soundness.Budget_exhausted ->
+            count_exhausted t;
+            Error Exhausted)
+
   (* Confirm a preliminary violation (isStateSound): either search the
      product of the per-node predecessor DAGs directly (default), or
      enumerate explicit event-sequence combinations as in the paper. *)
@@ -722,74 +900,17 @@ module Make (P : Dsm.Protocol.S) = struct
     t.soundness_calls <- t.soundness_calls + 1;
     Obs.Metrics.incr t.o.c_soundness_calls;
     let t0 = now () in
-    (* Map a scheduled event back to its protocol-level step. *)
-    let by_label : (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
-      Hashtbl.create 64
+    let verdict =
+      if t.config.soundness_via_sequences then verify_sequences t tuple
+      else verify_dag t tuple
     in
-    let found = ref None in
-    let exhausted = ref false in
-    if t.config.soundness_via_sequences then begin
-      let paths =
-        Array.map (fun e -> Array.of_list (enumerate_paths t e)) tuple
-      in
-      Array.iteri
-        (fun n node_paths ->
-          Array.iter
-            (List.iter (fun (e : event_info) ->
-                 Hashtbl.replace by_label (n, e.label) e))
-            node_paths)
-        paths;
-      let combos = ref 0 in
-      ignore
-        (Combination.iter paths (fun sequences ->
-             incr combos;
-             t.sequences_checked <- t.sequences_checked + 1;
-             Obs.Metrics.incr t.o.c_sequences;
-             let seqs =
-               Array.mapi (fun n evs -> to_soundness_sequence n evs) sequences
-             in
-             match
-               Soundness.check ?obs:t.o.soundness_obs
-                 ?trace:t.soundness_trace ~budget:t.config.soundness_budget
-                 ~initial_net:[] seqs
-             with
-             | Soundness.Valid order ->
-                 found := Some order;
-                 `Stop
-             | Soundness.Invalid ->
-                 if !combos >= t.config.max_sequence_combos then `Stop
-                 else `Continue
-             | Soundness.Budget_exhausted ->
-                 exhausted := true;
-                 if !combos >= t.config.max_sequence_combos then `Stop
-                 else `Continue))
-    end
-    else begin
-      let graphs = Array.map (fun e -> build_graph t e by_label) tuple in
-      t.sequences_checked <- t.sequences_checked + 1;
-      Obs.Metrics.incr t.o.c_sequences;
-      (match
-         Soundness.check_dag ?obs:t.o.soundness_obs
-           ?trace:t.soundness_trace ~budget:t.config.soundness_budget
-           ~initial_net:[] graphs
-       with
-      | Soundness.Valid order -> found := Some order
-      | Soundness.Invalid -> ()
-      | Soundness.Budget_exhausted ->
-          exhausted := true;
-          t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
-          Obs.Metrics.incr t.o.c_budget_exhausted);
-      ()
-    end;
     let spent = now () -. t0 in
     t.soundness_time <- t.soundness_time +. spent;
     Obs.Metrics.observe t.o.h_soundness_us
       (int_of_float (1e6 *. spent));
-    match !found with
-    | None ->
-        if t.tracing then
-          record_reject t violation sdepth
-            ~why:(if !exhausted then "budget_exhausted" else "invalid");
+    match verdict with
+    | Error rejection ->
+        if t.tracing then record_reject t violation sdepth tuple rejection;
         if cache_rejection then begin
           count_rejection t;
           if
@@ -805,7 +926,7 @@ module Make (P : Dsm.Protocol.S) = struct
                    r_depth = sdepth;
                  })
         end
-    | Some order ->
+    | Ok (by_label, order) ->
         confirm t system violation by_label order;
         if t.config.stop_on_violation then raise Stop
 
@@ -1028,6 +1149,13 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* ----- exploration (findBugs main loop, Fig. 9) ----- *)
 
+  (* A predecessor pointer into an existing entry: the two sites that
+     call this (a known state reached again, a productive self-loop)
+     are the only ones that can change an existing entry's summary. *)
+  let add_pred t (e : 'k entry) pred =
+    e.preds <- pred :: e.preds;
+    t.gens.(e.node) <- t.gens.(e.node) + 1
+
   let add_next_state t ~node ~state ~fp ~history ~depth ~local_count ~crashes
       ~pred =
     let store = t.stores.(node) in
@@ -1039,7 +1167,7 @@ module Make (P : Dsm.Protocol.S) = struct
            simplification). *)
         let e = Vec.get store i in
         if List.length e.preds < t.config.max_preds_per_entry then
-          e.preds <- pred :: e.preds;
+          add_pred t e pred;
         false
     | None ->
         let idx = Vec.length store in
@@ -1057,6 +1185,7 @@ module Make (P : Dsm.Protocol.S) = struct
             key = abstract_key t state;
             preds = [ pred ];
             fp_hex = None;
+            summary = unsummarised;
           }
         in
         ignore (Vec.push store entry);
@@ -1128,7 +1257,7 @@ module Make (P : Dsm.Protocol.S) = struct
           let pentries =
             List.map (fun (env, fp) -> register_message t env fp) outs
           in
-          let produces = List.map (fun e -> e.net_fp) pentries in
+          let produces = List.map (fun e -> e.net_id) pentries in
           (* The step record precedes any record the new state causes
              (prelim / soundness / witness), preserving causal order. *)
           if t.tracing then
@@ -1150,8 +1279,7 @@ module Make (P : Dsm.Protocol.S) = struct
               if
                 produces <> []
                 && List.length entry.preds < t.config.max_preds_per_entry
-              then
-                entry.preds <- { prev = Some entry.idx; event } :: entry.preds;
+              then add_pred t entry { prev = Some entry.idx; event };
               false
             end
             else
@@ -1202,7 +1330,7 @@ module Make (P : Dsm.Protocol.S) = struct
         let pentries =
           List.map (fun (env, fp) -> register_message t env fp) outs
         in
-        let produces = List.map (fun e -> e.net_fp) pentries in
+        let produces = List.map (fun e -> e.net_id) pentries in
         if t.tracing then
           record_act_step t ~node action entry ~fp_after:fp' ~pentries;
         let changed =
@@ -1350,27 +1478,39 @@ module Make (P : Dsm.Protocol.S) = struct
   (* Parallel a-posteriori verification: the paper's third contribution
      notes that with exploration, system-state creation and soundness
      verification decoupled, "the model checking process can be
-     embarrassingly parallelized".  The predecessor DAGs are extracted
-     on the main domain (they read the mutable stores, which are
-     quiescent by now); the pure [Soundness.check_dag] calls fan out
-     across worker domains; results are folded back in deterministic
-     cache order. *)
+     embarrassingly parallelized".  The cached prefilter and the
+     predecessor-DAG extraction run on the main domain (they read the
+     mutable stores, which are quiescent by now); only the survivors'
+     pure [Soundness.check_dag] calls fan out across worker domains;
+     results are folded back in deterministic cache order. *)
   let verify_parallel t (pending : 'k rejected array) =
     let t0 = now () in
     let jobs =
       Array.map
         (fun r ->
-          let by_label :
-              (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let graphs =
-            Array.map (fun e -> build_graph t e by_label) r.r_tuple
-          in
-          (r, graphs, by_label))
+          let j0 = now () in
+          match screen t r.r_tuple with
+          | Some why ->
+              Soundness.record_infeasible ?obs:t.o.soundness_obs ();
+              Obs.Metrics.observe t.o.h_soundness_us
+                (int_of_float (1e6 *. (now () -. j0)));
+              (r, Error (Infeasible why))
+          | None ->
+              let by_label = new_by_label () in
+              let graphs =
+                Array.map (fun e -> build_graph t e by_label) r.r_tuple
+              in
+              (r, Ok (graphs, by_label)))
         pending
     in
-    let n = Array.length jobs in
+    let survivors =
+      Array.of_list
+        (List.filter_map
+           (fun (_, job) ->
+             match job with Ok (graphs, _) -> Some graphs | Error _ -> None)
+           (Array.to_list jobs))
+    in
+    let n = Array.length survivors in
     let verdicts = Array.make n Soundness.Invalid in
     let domains = t.config.verify_domains in
     let next = Atomic.make 0 in
@@ -1384,11 +1524,10 @@ module Make (P : Dsm.Protocol.S) = struct
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          let _, graphs, _ = jobs.(i) in
           let j0 = now () in
           verdicts.(i) <-
             Soundness.check_dag ?obs:soundness_obs ~budget ~initial_net:[]
-              graphs;
+              survivors.(i);
           Obs.Metrics.observe t.o.h_soundness_us
             (int_of_float (1e6 *. (now () -. j0)));
           loop ()
@@ -1422,33 +1561,40 @@ module Make (P : Dsm.Protocol.S) = struct
                | None -> Dsm.Json.Null );
            ])
     in
-    let reject (r : 'k rejected) ~why =
+    let reject (r : 'k rejected) rejection =
       if t.config.defer_soundness then count_rejection t;
       if t.tracing then begin
-        record_par_verdict why None;
-        record_reject t r.r_violation r.r_depth ~why
+        record_par_verdict (rejection_why rejection) None;
+        record_reject t r.r_violation r.r_depth r.r_tuple rejection
       end
     in
-    Array.iteri
-      (fun i verdict ->
+    let survivor = ref 0 in
+    Array.iter
+      (fun (r, job) ->
+        let verdict =
+          match job with
+          | Error rejection -> Error rejection
+          | Ok (_, by_label) ->
+              let v = verdicts.(!survivor) in
+              incr survivor;
+              Ok (v, by_label)
+        in
         if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
-          let r, _, by_label = jobs.(i) in
           t.soundness_calls <- t.soundness_calls + 1;
-          t.sequences_checked <- t.sequences_checked + 1;
+          count_sequence t;
           Obs.Metrics.incr t.o.c_soundness_calls;
-          Obs.Metrics.incr t.o.c_sequences;
           match verdict with
-          | Soundness.Invalid -> reject r ~why:"invalid"
-          | Soundness.Budget_exhausted ->
-              t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
-              Obs.Metrics.incr t.o.c_budget_exhausted;
-              reject r ~why:"budget_exhausted"
-          | Soundness.Valid order ->
+          | Error rejection -> reject r rejection
+          | Ok (Soundness.Invalid, _) -> reject r Searched
+          | Ok (Soundness.Budget_exhausted, _) ->
+              count_exhausted t;
+              reject r Exhausted
+          | Ok (Soundness.Valid order, by_label) ->
               if t.tracing then
                 record_par_verdict "valid" (Some (List.length order));
               confirm t r.r_system r.r_violation by_label order
         end)
-      verdicts
+      jobs
 
   (* Final verification pass.  In deferred mode this is where all the
      preliminary violations are decided; otherwise it re-verifies
@@ -1581,6 +1727,7 @@ module Make (P : Dsm.Protocol.S) = struct
         strategy;
         invariant;
         stores = Array.init P.num_nodes (fun _ -> Vec.create ());
+        gens = Array.make P.num_nodes 0;
         by_fp = Array.init P.num_nodes (fun _ -> Hashtbl.create 256);
         action_cursor = Array.make P.num_nodes 0;
         crash_cursor = Array.make P.num_nodes 0;
@@ -1627,6 +1774,7 @@ module Make (P : Dsm.Protocol.S) = struct
             key = abstract_key t state;
             preds = [];
             fp_hex = None;
+            summary = unsummarised;
           }
         in
         ignore (Vec.push t.stores.(n) entry);

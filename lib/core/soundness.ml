@@ -170,77 +170,200 @@ type node_graph = {
   edges : (int * event * int) list;
 }
 
-(* Necessary condition, checked before any search: every message that
-   is consumed on EVERY root->target path of some component must be
-   producible — by any edge of any component, or by the initial net.
-   Most hopeless combinations (a component whose history depends on a
-   node pinned at its snapshot state) die here in time linear in the
-   closure, instead of burning a full product search each. *)
-let feasible ~initial_net graphs =
-  let may_produce =
-    let s = ref (Dsm.Fingerprint.Set.of_list initial_net) in
-    Array.iter
-      (fun g ->
-        List.iter
-          (fun (_, ev, _) ->
-            List.iter
-              (fun fp -> s := Dsm.Fingerprint.Set.add fp !s)
-              ev.produces)
-          g.edges)
-      graphs;
-    !s
-  in
-  let graph_ok g =
-    if g.target = g.root then true
+(* ----- feasibility summaries ----- *)
+
+module Bits = struct
+  (* Little-endian words of [Sys.int_size] bits; a word past the end
+     reads as zero, so a set never needs resizing as the message
+     universe grows. *)
+  type t = int array
+
+  let width = Sys.int_size
+  let empty : t = [||]
+  let word (a : t) w = if w < Array.length a then Array.unsafe_get a w else 0
+
+  let subset (a : t) (b : t) =
+    let rec go w =
+      w >= Array.length a || (a.(w) land lnot (word b w) = 0 && go (w + 1))
+    in
+    go 0
+
+  let equal a b = subset a b && subset b a
+
+  let add i (a : t) =
+    let w = i / width and bit = 1 lsl (i mod width) in
+    if word a w land bit <> 0 then a
     else begin
-      let incoming = Hashtbl.create 64 in
-      List.iter
-        (fun (u, ev, v) ->
-          Hashtbl.replace incoming v
-            ((u, ev.requires)
-            :: Option.value ~default:[] (Hashtbl.find_opt incoming v)))
-        g.edges;
-      (* must_consume(v): messages consumed on every cycle-free
-         root->v path; [None] = no root path.  Memoisation across
-         on-path contexts can only shrink the set, which keeps the
-         filter sound. *)
-      let memo : (int, Dsm.Fingerprint.Set.t option) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let rec must v on_path =
-        if v = g.root then Some Dsm.Fingerprint.Set.empty
-        else if List.mem v on_path then None
-        else
-          match Hashtbl.find_opt memo v with
-          | Some r -> r
-          | None ->
-              let contribs =
-                List.filter_map
-                  (fun (u, req) ->
-                    match must u (v :: on_path) with
-                    | None -> None
-                    | Some s -> (
-                        match req with
-                        | Some fp -> Some (Dsm.Fingerprint.Set.add fp s)
-                        | None -> Some s))
-                  (Option.value ~default:[] (Hashtbl.find_opt incoming v))
-              in
-              let r =
-                match contribs with
-                | [] -> None
-                | first :: rest ->
-                    Some
-                      (List.fold_left Dsm.Fingerprint.Set.inter first rest)
-              in
-              Hashtbl.replace memo v r;
-              r
-      in
-      match must g.target [] with
-      | None -> false (* target not reachable from the snapshot state *)
-      | Some required -> Dsm.Fingerprint.Set.subset required may_produce
+      let r = Array.make (max (Array.length a) (w + 1)) 0 in
+      Array.blit a 0 r 0 (Array.length a);
+      r.(w) <- r.(w) lor bit;
+      r
     end
+
+  (* [union]/[inter] return an argument unchanged when it already is
+     the answer, so a converged fixpoint pass allocates nothing. *)
+  let union a b =
+    if subset b a then a
+    else if subset a b then b
+    else
+      Array.init (max (Array.length a) (Array.length b)) (fun w ->
+          word a w lor word b w)
+
+  let inter a b =
+    if subset a b then a
+    else if subset b a then b
+    else
+      Array.init (min (Array.length a) (Array.length b)) (fun w ->
+          a.(w) land b.(w))
+
+  let of_list l = List.fold_left (fun a i -> add i a) empty l
+
+  let elements (a : t) =
+    let acc = ref [] in
+    for i = (Array.length a * width) - 1 downto 0 do
+      if a.(i / width) land (1 lsl (i mod width)) <> 0 then acc := i :: !acc
+    done;
+    !acc
+end
+
+type summary = { must : Bits.t option; prod : Bits.t }
+type edge = { src : int; req : int; made : Bits.t }
+
+let unreachable = { must = None; prod = Bits.empty }
+
+(* must(v): the messages consumed on every root->v path, as the
+   meet-over-paths dataflow fixpoint — root = {}, every other vertex =
+   the intersection over its incoming edges u->v of must(u) + {req},
+   iterated down from "unreachable" (top).  The transfer distributes
+   over intersection, so the fixpoint is the meet over all paths, and
+   a path with a cycle consumes a superset of the cycle-free path
+   inside it: the meet over simple paths.  prod(v) is the union of the
+   productions of every edge into v's backward closure, iterated up
+   from {}.  Gauss-Seidel sweeps in index order converge in a couple
+   of passes when predecessors mostly carry smaller indices. *)
+let summarise ~root ~pinned incoming =
+  let n = Array.length incoming in
+  let s =
+    Array.init n (fun v ->
+        match pinned.(v) with
+        | Some x -> x
+        | None when v = root -> { must = Some Bits.empty; prod = Bits.empty }
+        | None -> unreachable)
   in
-  Array.for_all graph_ok graphs
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for v = 0 to n - 1 do
+      if pinned.(v) = None then begin
+        let old = s.(v) in
+        let must, prod =
+          List.fold_left
+            (fun (must, prod) e ->
+              let u = s.(e.src) in
+              let must =
+                match u.must with
+                | None -> must
+                | Some m -> (
+                    let m = if e.req >= 0 then Bits.add e.req m else m in
+                    match must with
+                    | None -> Some m
+                    | Some acc -> Some (Bits.inter acc m))
+              in
+              (must, Bits.union prod (Bits.union u.prod e.made)))
+            ((if v = root then Some Bits.empty else None), old.prod)
+            incoming.(v)
+        in
+        let same_must =
+          match (must, old.must) with
+          | None, None -> true
+          | Some a, Some b -> Bits.equal a b
+          | _ -> false
+        in
+        if not (same_must && Bits.equal prod old.prod) then begin
+          s.(v) <- { must; prod };
+          changed := true
+        end
+      end
+    done
+  done;
+  s
+
+type infeasible = Unreachable of int | Missing of int * int
+
+(* The tuple-level necessary condition: every component's target is
+   reachable, and every message it must consume is produced by some
+   edge of some component's closure or by the initial net. *)
+let screen ~initial sums =
+  let n = Array.length sums in
+  let may w =
+    let x = ref (Bits.word initial w) in
+    for i = 0 to n - 1 do
+      x := !x lor Bits.word sums.(i).prod w
+    done;
+    !x
+  in
+  let rec component i =
+    if i = n then None
+    else
+      match sums.(i).must with
+      | None -> Some (Unreachable i)
+      | Some must ->
+          let rec words w =
+            if w = Array.length must then component (i + 1)
+            else
+              let missing = must.(w) land lnot (may w) in
+              if missing = 0 then words (w + 1)
+              else
+                let rec low b =
+                  if missing land (1 lsl b) <> 0 then b else low (b + 1)
+                in
+                Some (Missing (i, (w * Bits.width) + low 0))
+          in
+          words 0
+  in
+  component 0
+
+(* The dense id of [x] in [tbl], the next free one on first sight. *)
+let dense tbl x =
+  match Hashtbl.find_opt tbl x with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl x i;
+      i
+
+(* The same screen over explicit graphs: vertices and messages are
+   numbered densely, then each target is summarised by [summarise]. *)
+let feasible ~initial_net graphs =
+  let msgs = Hashtbl.create 64 in
+  let target_summary g =
+    let ids = Hashtbl.create 64 in
+    let root = dense ids g.root and target = dense ids g.target in
+    let edges =
+      List.map
+        (fun (u, ev, v) ->
+          ( dense ids v,
+            {
+              src = dense ids u;
+              req = Option.fold ~none:(-1) ~some:(dense msgs) ev.requires;
+              made = Bits.of_list (List.map (dense msgs) ev.produces);
+            } ))
+        g.edges
+    in
+    let incoming = Array.make (Hashtbl.length ids) [] in
+    List.iter (fun (v, e) -> incoming.(v) <- e :: incoming.(v)) edges;
+    let pinned = Array.make (Array.length incoming) None in
+    (summarise ~root ~pinned incoming).(target)
+  in
+  let sums = Array.map target_summary graphs in
+  let initial = Bits.of_list (List.map (dense msgs) initial_net) in
+  screen ~initial sums = None
+
+(* A call the cached screen rejected records what [check_dag] records
+   when [feasible] rejects: a 0-step dag search with verdict Invalid. *)
+let record_infeasible ?obs ?trace () =
+  record obs ~kind:"dag" ~steps:0 Invalid;
+  record_trace trace ~kind:"dag" ~steps:0 Invalid
 
 let check_dag ?obs ?trace ?(budget = 200_000) ~initial_net graphs =
   let n = Array.length graphs in

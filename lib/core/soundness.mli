@@ -89,3 +89,71 @@ val check_dag :
   initial_net:Dsm.Fingerprint.t list ->
   node_graph array ->
   verdict
+
+(** {2 Feasibility summaries}
+
+    The necessary condition [check_dag] tests before any search, split
+    so that its per-component part can be cached.  Each vertex of a
+    component's predecessor graph is summarised by [must] — the
+    messages consumed on {e every} root-to-vertex path, [None] when no
+    path exists — and [prod] — the messages produced by any edge of its
+    backward closure.  A tuple of targets is infeasible when one is
+    unreachable, or one must consume a message that no component's
+    closure and no initial message supplies.  Messages are dense
+    integer ids, so the tuple test is a handful of word operations. *)
+
+(** Sets of dense message ids, any size. *)
+module Bits : sig
+  type t
+
+  val empty : t
+  val add : int -> t -> t
+  val of_list : int list -> t
+  val elements : t -> int list
+  (** in ascending order *)
+
+  val subset : t -> t -> bool
+  val equal : t -> t -> bool
+  val union : t -> t -> t
+  val inter : t -> t -> t
+end
+
+type summary = {
+  must : Bits.t option;  (** [None]: not reachable from the root *)
+  prod : Bits.t;
+}
+
+(** An edge into a vertex: its source vertex, the message it consumes
+    ([-1] for none) and the messages it produces. *)
+type edge = { src : int; req : int; made : Bits.t }
+
+(** [summarise ~root ~pinned incoming] solves every vertex
+    [0 .. Array.length incoming - 1], given each vertex's incoming
+    edges.  [must] is the meet-over-paths fixpoint (root = [{}], every
+    other vertex the intersection over its incoming edges of the
+    source's [must] plus the edge's message, iterated down from
+    unreachable); [prod] is the union fixpoint.  A vertex with
+    [pinned.(v) = Some s] is already solved and keeps [s]; the root may
+    be [-1] when it is pinned or absent.  The one implementation of
+    [must], used by [feasible] and by the checker's cached summaries. *)
+val summarise :
+  root:int -> pinned:summary option array -> edge list array -> summary array
+
+type infeasible =
+  | Unreachable of int  (** component [i]'s target has no root path *)
+  | Missing of int * int
+      (** component [i] must consume message [m], which nothing produces *)
+
+(** [screen ~initial targets] tests a tuple of target summaries against
+    the initial messages and the union of their [prod] sets; [None]
+    means the tuple may be schedulable.  A [Missing] reason names the
+    lowest such message of the first failing component. *)
+val screen : initial:Bits.t -> summary array -> infeasible option
+
+(** [feasible ~initial_net graphs] is [screen] over the targets of
+    explicit graphs — the filter [check_dag] runs before searching. *)
+val feasible : initial_net:Dsm.Fingerprint.t list -> node_graph array -> bool
+
+(** Record a call rejected by a cached [screen] exactly as [check_dag]
+    records a [feasible] rejection: a 0-step [dag] search, [Invalid]. *)
+val record_infeasible : ?obs:Obs.scope -> ?trace:Obs.Trace.t -> unit -> unit

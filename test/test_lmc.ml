@@ -636,6 +636,410 @@ let test_sym_equiv_paxos () =
   let module E = Sym_equiv (Paxos) in
   E.run ~name:"paxos" ~invariant:Paxos.safety ()
 
+(* ---------- cached feasibility summaries ---------- *)
+
+(* Node 0 reaches s1 two ways: quietly (s0 -> s1), or loudly through s2,
+   sending the m that moves node 1 to "got" (s0 -> s2 -> s1).  The
+   loud route is found one round after (s1, got) is first judged, as a
+   predecessor pointer into the known s1.  State encoding: node 0 is
+   0/1/2 for s0/s1/s2, node 1 is 0/1 for idle/got. *)
+module Detour = struct
+  let name = "detour"
+  let num_nodes = 2
+
+  type state = int
+  type message = unit
+  type action = Quiet | Loud | Settle
+
+  let initial _ = 0
+  let handle_message ~self s _ = if self = 1 then (1, []) else (s, [])
+
+  let enabled_actions ~self s =
+    match (self, s) with
+    | 0, 0 -> [ Quiet; Loud ]
+    | 0, 2 -> [ Settle ]
+    | _ -> []
+
+  let handle_action ~self:_ _ = function
+    | Quiet | Settle -> (1, [])
+    | Loud -> (2, [ Dsm.Envelope.make ~src:0 ~dst:1 () ])
+
+  let on_recover = Dsm.Protocol.default_on_recover
+  let pp_state = Format.pp_print_int
+  let pp_message ppf () = Format.pp_print_string ppf "m"
+
+  let pp_action ppf a =
+    Format.pp_print_string ppf
+      (match a with Quiet -> "quiet" | Loud -> "loud" | Settle -> "settle")
+
+  let quiet_got =
+    Dsm.Invariant.make ~name:"quiet-got" (fun sys ->
+        if sys.(0) = 1 && sys.(1) = 1 then Some "s1 with got" else None)
+end
+
+module L_detour = Lmc.Checker.Make (Detour)
+
+(* (s1, got) is screened out when first judged: s1's closure produces
+   no m.  Re-verification must see the summary the later pointer made
+   stale, recompute it and confirm the tuple. *)
+let test_stale_summary_recomputed () =
+  let run reverify_rejected =
+    L_detour.run
+      { L_detour.default_config with reverify_rejected }
+      ~strategy:L_detour.General ~invariant:Detour.quiet_got
+      (Dsm.Protocol.initial_system (module Detour))
+  in
+  let once = run false in
+  check Alcotest.int "first judgement rejects" 1 once.soundness_rejections;
+  check Alcotest.bool "nothing confirmed inline" true
+    (once.sound_violation = None);
+  let r = run true in
+  check Alcotest.int "re-verified once" 2 r.soundness_calls;
+  match r.sound_violation with
+  | None -> fail "stale summary reused: (s1, got) never confirmed"
+  | Some v ->
+      check Alcotest.int "loud route witnessed" 3 (List.length v.schedule)
+
+(* Counters captured before the feasibility summaries were cached:
+   (confirmed, system states, preliminary violations, soundness calls,
+   rejections, witness length or -1).  Rows: the 5.1 Paxos instance
+   with the last-response bug under LMC-OPT, the six deployments of the
+   5.5 hunt (the revealing restart), and synthetic protocols under an
+   invariant with many unsound combinations, stopping at the first
+   confirmation, judging everything, and deferred onto two domains. *)
+let golden =
+  [
+    ("paxos-buggy-lmc-opt", (false, 0, 0, 0, 0, -1));
+    ("hunt-7", (true, 43973, 43973, 43973, 43972, 9));
+    ("hunt-22", (true, 50654, 50654, 50654, 50653, 10));
+    ("hunt-37", (true, 61886, 61886, 61886, 61885, 10));
+    ("hunt-44", (true, 50654, 50654, 50654, 50653, 10));
+    ("hunt-48", (true, 61886, 61886, 61886, 61885, 10));
+    ("hunt-57", (true, 50654, 50654, 50654, 50653, 10));
+    ("synthetic-0-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-0-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-0-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-1-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-1-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-1-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-2-stop", (true, 58, 31, 31, 30, 5));
+    ("synthetic-2-all", (true, 125, 80, 158, 78, 4));
+    ("synthetic-2-deferred", (true, 125, 80, 80, 78, 4));
+    ("synthetic-3-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-3-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-3-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-4-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-4-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-4-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-5-stop", (false, 6, 0, 0, 0, -1));
+    ("synthetic-5-all", (false, 6, 0, 0, 0, -1));
+    ("synthetic-5-deferred", (false, 6, 0, 0, 0, -1));
+    ("synthetic-6-stop", (true, 8, 2, 2, 1, 3));
+    ("synthetic-6-all", (true, 125, 80, 153, 73, 7));
+    ("synthetic-6-deferred", (true, 125, 80, 80, 65, 7));
+    ("synthetic-7-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-7-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-7-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-8-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-8-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-8-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-9-stop", (true, 10, 2, 2, 1, 3));
+    ("synthetic-9-all", (true, 18, 6, 11, 5, 3));
+    ("synthetic-9-deferred", (true, 18, 6, 6, 5, 3));
+    ("synthetic-10-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-10-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-10-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-11-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-11-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-11-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-12-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-12-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-12-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-13-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-13-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-13-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-14-stop", (false, 6, 0, 0, 0, -1));
+    ("synthetic-14-all", (false, 6, 0, 0, 0, -1));
+    ("synthetic-14-deferred", (false, 6, 0, 0, 0, -1));
+    ("synthetic-15-stop", (false, 3, 0, 0, 0, -1));
+    ("synthetic-15-all", (false, 3, 0, 0, 0, -1));
+    ("synthetic-15-deferred", (false, 3, 0, 0, 0, -1));
+    ("synthetic-16-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-16-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-16-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-17-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-17-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-17-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-18-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-18-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-18-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-19-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-19-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-19-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-20-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-20-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-20-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-21-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-21-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-21-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-22-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-22-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-22-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-23-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-23-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-23-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-24-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-24-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-24-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-25-stop", (true, 8, 2, 2, 1, 3));
+    ("synthetic-25-all", (true, 125, 80, 153, 73, 7));
+    ("synthetic-25-deferred", (true, 125, 80, 80, 69, 7));
+    ("synthetic-26-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-26-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-26-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-27-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-27-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-27-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-28-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-28-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-28-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-29-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-29-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-29-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-30-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-30-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-30-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-31-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-31-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-31-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-32-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-32-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-32-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-33-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-33-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-33-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-34-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-34-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-34-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-35-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-35-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-35-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-36-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-36-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-36-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-37-stop", (true, 32, 12, 12, 11, 6));
+    ("synthetic-37-all", (true, 125, 80, 157, 77, 8));
+    ("synthetic-37-deferred", (true, 125, 80, 80, 77, 8));
+    ("synthetic-38-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-38-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-38-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-39-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-39-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-39-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-40-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-40-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-40-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-41-stop", (true, 8, 2, 2, 1, 3));
+    ("synthetic-41-all", (true, 125, 80, 156, 76, 4));
+    ("synthetic-41-deferred", (true, 125, 80, 80, 76, 4));
+    ("synthetic-42-stop", (true, 16, 6, 6, 5, 4));
+    ("synthetic-42-all", (true, 125, 80, 152, 72, 7));
+    ("synthetic-42-deferred", (true, 125, 80, 80, 60, 6));
+    ("synthetic-43-stop", (true, 14, 3, 3, 2, 4));
+    ("synthetic-43-all", (true, 24, 8, 15, 7, 4));
+    ("synthetic-43-deferred", (true, 24, 8, 8, 7, 4));
+    ("synthetic-44-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-44-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-44-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-45-stop", (false, 3, 0, 0, 0, -1));
+    ("synthetic-45-all", (false, 3, 0, 0, 0, -1));
+    ("synthetic-45-deferred", (false, 3, 0, 0, 0, -1));
+    ("synthetic-46-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-46-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-46-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-47-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-47-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-47-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-48-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-48-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-48-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-49-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-49-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-49-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-50-stop", (true, 8, 2, 2, 1, 3));
+    ("synthetic-50-all", (true, 8, 2, 3, 1, 3));
+    ("synthetic-50-deferred", (true, 8, 2, 2, 1, 3));
+    ("synthetic-51-stop", (true, 125, 80, 83, 80, 4));
+    ("synthetic-51-all", (true, 125, 80, 160, 80, 5));
+    ("synthetic-51-deferred", (true, 125, 80, 80, 78, 5));
+    ("synthetic-52-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-52-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-52-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-53-stop", (false, 125, 80, 160, 80, -1));
+    ("synthetic-53-all", (false, 125, 80, 160, 80, -1));
+    ("synthetic-53-deferred", (false, 125, 80, 80, 80, -1));
+    ("synthetic-54-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-54-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-54-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-55-stop", (true, 27, 8, 8, 7, 6));
+    ("synthetic-55-all", (true, 125, 80, 158, 78, 7));
+    ("synthetic-55-deferred", (true, 125, 80, 80, 78, 7));
+    ("synthetic-56-stop", (false, 4, 0, 0, 0, -1));
+    ("synthetic-56-all", (false, 4, 0, 0, 0, -1));
+    ("synthetic-56-deferred", (false, 4, 0, 0, 0, -1));
+    ("synthetic-57-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-57-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-57-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-58-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-58-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-58-deferred", (false, 2, 0, 0, 0, -1));
+    ("synthetic-59-stop", (false, 2, 0, 0, 0, -1));
+    ("synthetic-59-all", (false, 2, 0, 0, 0, -1));
+    ("synthetic-59-deferred", (false, 2, 0, 0, 0, -1));
+  ]
+
+let golden_rows () =
+  let wlen = function Some l -> List.length l | None -> -1 in
+  let paxos_buggy_opt =
+    let module B = Protocols.Paxos.Make (struct
+      include Protocols.Paxos.Bench_config
+
+      let bug = Protocols.Paxos_core.Last_response_wins
+    end) in
+    let module L = Lmc.Checker.Make (B) in
+    let r =
+      L.run L.default_config
+        ~strategy:
+          (L.Invariant_specific
+             { abstract = B.abstraction; conflict = B.conflicts })
+        ~invariant:B.safety
+        (Dsm.Protocol.initial_system (module B))
+    in
+    ( "paxos-buggy-lmc-opt",
+      ( r.sound_violation <> None,
+        r.system_states_created,
+        r.preliminary_violations,
+        r.soundness_calls,
+        r.soundness_rejections,
+        wlen (Option.map (fun (v : L.violation) -> v.schedule) r.sound_violation)
+      ) )
+  in
+  let hunt dseed =
+    let module H (F : sig
+      val fresh : bool
+    end) =
+    Protocols.Paxos.Make (struct
+      let num_nodes = 3
+      let proposers = [ 0; 1; 2 ]
+      let max_attempts = 2
+      let max_index = 16
+      let fresh_proposals = F.fresh
+      let bug = Protocols.Paxos_core.Last_response_wins
+    end) in
+    let module Live = H (struct
+      let fresh = true
+    end) in
+    let module Check = H (struct
+      let fresh = false
+    end) in
+    let module O = Online.Online_mc.Make (Live) (Check) in
+    let module S = Sim.Live_sim.Make (Live) in
+    let config =
+      {
+        O.sim =
+          {
+            S.seed = dseed;
+            link =
+              Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05
+                ~latency_max:0.3 ();
+            timer_min = 2.0;
+            timer_max = 20.0;
+            action_prob = None;
+            faults = Fault.Plan.empty;
+          };
+        check_interval = 30.0;
+        max_live_time = 3600.0;
+        checker =
+          { O.Checker.default_config with max_transitions = Some 100_000 };
+        action_bounds = [ 1; 2 ];
+        steer = false;
+        steer_scope = `Exact_action;
+        supervisor = O.default_supervisor;
+        store = None;
+      }
+    in
+    let o =
+      O.run config
+        ~strategy:
+          (O.Checker.Invariant_specific
+             { abstract = Check.abstraction; conflict = Check.conflicts })
+        ~invariant:Check.safety
+    in
+    let name = Printf.sprintf "hunt-%d" dseed in
+    match o.report with
+    | None -> (name, (false, 0, 0, 0, 0, -1))
+    | Some r ->
+        ( name,
+          ( true,
+            r.result.system_states_created,
+            r.result.preliminary_violations,
+            r.result.soundness_calls,
+            r.result.soundness_rejections,
+            List.length r.violation.schedule ) )
+  in
+  let synthetic seed =
+    let module P = Protocols.Synthetic.Make (struct
+      let seed = seed
+      let num_nodes = 3
+      let max_state = 4
+      let kinds = 2
+    end) in
+    let module L = Lmc.Checker.Make (P) in
+    let inv =
+      Dsm.Invariant.make ~name:"both-moved" (fun sys ->
+          if sys.(1) > 0 && sys.(2) > 0 then Some "moved" else None)
+    in
+    let go mode cfg =
+      let r =
+        L.run cfg ~strategy:L.General ~invariant:inv
+          (Dsm.Protocol.initial_system (module P))
+      in
+      ( Printf.sprintf "synthetic-%d-%s" seed mode,
+        ( r.sound_violation <> None,
+          r.system_states_created,
+          r.preliminary_violations,
+          r.soundness_calls,
+          r.soundness_rejections,
+          wlen
+            (Option.map (fun (v : L.violation) -> v.schedule) r.sound_violation)
+        ) )
+    in
+    [
+      go "stop" L.default_config;
+      go "all" { L.default_config with stop_on_violation = false };
+      go "deferred"
+        {
+          L.default_config with
+          stop_on_violation = false;
+          defer_soundness = true;
+          verify_domains = 2;
+        };
+    ]
+  in
+  (paxos_buggy_opt :: List.map hunt [ 7; 22; 37; 44; 48; 57 ])
+  @ List.concat_map synthetic (List.init 60 Fun.id)
+
+let test_golden_counters () =
+  let show (name, (found, sss, prelim, calls, rej, wlen)) =
+    Printf.sprintf
+      "%s: confirmed=%b system=%d prelim=%d calls=%d rejected=%d witness=%d"
+      name found sss prelim calls rej wlen
+  in
+  check
+    Alcotest.(list string)
+    "counters as before the summaries" (List.map show golden)
+    (List.map show (golden_rows ()))
+
 let () =
   Alcotest.run "lmc"
     [
@@ -694,6 +1098,12 @@ let () =
         [
           Alcotest.test_case "smaller than global" `Quick
             test_lmc_memory_smaller_than_global;
+        ] );
+      ( "summaries",
+        [
+          Alcotest.test_case "stale summary recomputed" `Quick
+            test_stale_summary_recomputed;
+          Alcotest.test_case "golden counters" `Slow test_golden_counters;
         ] );
       ( "symmetry",
         [

@@ -257,6 +257,227 @@ let test_dag_initial_net () =
   check Alcotest.bool "with net valid" true
     (is_valid (Lmc.Soundness.check_dag ~initial_net:[ fp "m" ] graphs))
 
+(* A vertex first reached inside a cycle: b is entered from the root
+   and from a, a only from b.  [0 -> b -> a -> t] is executable; only
+   the other edge into t needs the unproducible "m".  A must-consume
+   set memoised under an on-path cut saw a as unreachable (its only
+   predecessor b was on the path) and rejected t. *)
+let test_dag_cycle_first_reach () =
+  let b = 1 and a = 2 and t = 3 in
+  let edges =
+    [
+      (0, ev 0 "enter", b);
+      (a, ev 0 "a-b", b);
+      (b, ev 0 "b-a", a);
+      (a, ev 0 "a-t", t);
+      (b, ev 0 "b-t" ~requires:"m", t);
+    ]
+  in
+  check Alcotest.bool "schedulable through the cycle" true
+    (is_valid
+       (Lmc.Soundness.check_dag ~initial_net:[]
+          [| graph ~root:0 ~target:t edges |]));
+  check Alcotest.bool "without the consuming edge" true
+    (is_valid
+       (Lmc.Soundness.check_dag ~initial_net:[]
+          [| graph ~root:0 ~target:t (List.filteri (fun i _ -> i < 4) edges) |]))
+
+let test_bits_words () =
+  let open Lmc.Soundness.Bits in
+  let ids = [ 0; 62; 63; 64; 130 ] in
+  let s = of_list ids in
+  check Alcotest.(list int) "elements across words" ids (elements s);
+  check Alcotest.bool "subset" true (subset (of_list [ 63; 130 ]) s);
+  check Alcotest.bool "not subset" false (subset (of_list [ 129 ]) s);
+  check Alcotest.(list int) "inter" [ 63; 130 ]
+    (elements (inter s (of_list [ 1; 63; 130; 200 ])));
+  check Alcotest.(list int) "union" [ 0; 1; 62; 63; 64; 130; 200 ]
+    (elements (union s (of_list [ 1; 200 ])));
+  check Alcotest.bool "equal ignores trailing zero words" true
+    (equal (inter s (of_list [ 0; 200 ])) (of_list [ 0 ]))
+
+(* ---------- property: the feasibility filter ---------- *)
+
+(* Random components: up to six vertices, root 0, edges with cycles and
+   self-edges, each edge consuming at most one of three message kinds
+   and producing up to two. *)
+type rgraph = {
+  nv : int;
+  target : int;
+  redges : (int * int option * int list * int) list;  (* u, req, made, v *)
+}
+
+let gen_rgraph =
+  let open QCheck.Gen in
+  let* nv = int_range 1 6 in
+  let* target = int_range 0 (nv - 1) in
+  let* ne = int_range 0 8 in
+  let* redges =
+    list_repeat ne
+      (let* u = int_range 0 (nv - 1) in
+       let* v = int_range 0 (nv - 1) in
+       let* req = opt ~ratio:0.5 (int_range 0 2) in
+       let* made = list_size (int_range 0 2) (int_range 0 2) in
+       return (u, req, made, v))
+  in
+  return { nv; target; redges }
+
+let gen_components =
+  let open QCheck.Gen in
+  let* n = int_range 1 3 in
+  let* comps = list_repeat n gen_rgraph in
+  let* initial = list_size (int_range 0 1) (int_range 0 2) in
+  return (Array.of_list comps, initial)
+
+let print_components (comps, initial) =
+  let edge (u, req, made, v) =
+    Printf.sprintf "%d-%s/%s->%d" u
+      (match req with Some m -> string_of_int m | None -> "")
+      (String.concat "," (List.map string_of_int made))
+      v
+  in
+  Printf.sprintf "initial [%s]; %s"
+    (String.concat "," (List.map string_of_int initial))
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun g ->
+               Printf.sprintf "nv=%d target=%d: %s" g.nv g.target
+                 (String.concat " " (List.map edge g.redges)))
+             comps)))
+
+let kind m = "m" ^ string_of_int m
+
+let to_graph c g =
+  {
+    Lmc.Soundness.root = 0;
+    target = g.target;
+    edges =
+      List.mapi
+        (fun i (u, req, made, v) ->
+          ( u,
+            ev c (Printf.sprintf "c%de%d" c i) ?requires:(Option.map kind req)
+              ~produces:(List.map kind made),
+            v ))
+        g.redges;
+  }
+
+(* Edge-simple root->target paths (as event lists), vertices never
+   repeated; the empty path when the target is the root. *)
+let simple_paths c g =
+  let graph = to_graph c g in
+  let rec walk v visited acc =
+    if v = g.target then [ List.rev acc ]
+    else
+      List.concat_map
+        (fun (u, e, w) ->
+          if u = v && not (List.mem w visited) then
+            walk w (w :: visited) (e :: acc)
+          else [])
+        graph.Lmc.Soundness.edges
+  in
+  walk 0 [ 0 ] []
+
+let prop_feasible_rejections_unschedulable =
+  QCheck.Test.make ~count:500
+    ~name:"feasible rejects only tuples no simple-path combination schedules"
+    (QCheck.make ~print:print_components gen_components)
+    (fun (comps, initial) ->
+      let graphs = Array.mapi to_graph comps in
+      let initial_net = List.map (fun m -> fp (kind m)) initial in
+      Lmc.Soundness.feasible ~initial_net graphs
+      ||
+      let paths =
+        Array.mapi (fun c g -> Array.of_list (simple_paths c g)) comps
+      in
+      Lmc.Combination.iter paths (fun seqs ->
+          match Lmc.Soundness.check ~initial_net seqs with
+          | Lmc.Soundness.Invalid -> `Continue
+          | Lmc.Soundness.Valid _ | Lmc.Soundness.Budget_exhausted -> `Stop)
+      = `Done)
+
+(* Brute force over simple paths: the messages every root->v path
+   consumes ([None] without a path), and the productions of every edge
+   whose head reaches v. *)
+let brute_must g v =
+  let rec walk u visited req =
+    if u = v then [ req ]
+    else
+      List.concat_map
+        (fun (a, r, _, b) ->
+          if a = u && not (List.mem b visited) then
+            walk b (b :: visited)
+              (match r with
+              | Some m -> List.sort_uniq compare (m :: req)
+              | None -> req)
+          else [])
+        g.redges
+  in
+  match walk 0 [ 0 ] [] with
+  | [] -> None
+  | first :: rest ->
+      Some
+        (List.fold_left
+           (fun acc s -> List.filter (fun m -> List.mem m s) acc)
+           first rest)
+
+let brute_prod g v =
+  let rec reaches seen = function
+    | [] -> seen
+    | w :: rest ->
+        let preds =
+          List.filter_map
+            (fun (a, _, _, b) ->
+              if b = w && not (List.mem a seen) then Some a else None)
+            g.redges
+        in
+        let preds = List.sort_uniq compare preds in
+        reaches (seen @ preds) (rest @ preds)
+  in
+  let closure = reaches [ v ] [ v ] in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (_, _, made, b) -> if List.mem b closure then made else [])
+       g.redges)
+
+(* Message kinds spread across words, so multi-word sets are exercised. *)
+let msg_id m = m * 70
+
+let prop_summaries_match_brute_force =
+  QCheck.Test.make ~count:500
+    ~name:"bitset summaries = brute-force must/prod, pinned or not"
+    (QCheck.make ~print:(fun g -> print_components ([| g |], [])) gen_rgraph)
+    (fun g ->
+      let module S = Lmc.Soundness in
+      let incoming = Array.make g.nv [] in
+      List.iter
+        (fun (u, req, made, v) ->
+          incoming.(v) <-
+            {
+              S.src = u;
+              req = (match req with Some m -> msg_id m | None -> -1);
+              made = S.Bits.of_list (List.map msg_id made);
+            }
+            :: incoming.(v))
+        g.redges;
+      let solve pinned = S.summarise ~root:0 ~pinned incoming in
+      let full = solve (Array.make g.nv None) in
+      (* re-solving with some vertices pinned to their exact summaries,
+         as the checker does with entries still fresh, agrees too *)
+      let partial =
+        solve
+          (Array.init g.nv (fun v ->
+               if v mod 2 = 1 then Some full.(v) else None))
+      in
+      let ids l = List.map msg_id l in
+      let agrees (s : S.summary) v =
+        Option.map S.Bits.elements s.must = Option.map ids (brute_must g v)
+        && S.Bits.elements s.prod = ids (brute_prod g v)
+      in
+      List.for_all
+        (fun v -> agrees full.(v) v && agrees partial.(v) v)
+        (List.init g.nv Fun.id))
+
 (* ---------- property: projections of real runs are valid ---------- *)
 
 (* Generate a random valid run: a sequence of events where each event
@@ -449,6 +670,9 @@ let () =
             test_dag_optional_consume_not_filtered;
           Alcotest.test_case "cycle" `Quick test_dag_cycle_tolerated;
           Alcotest.test_case "initial net" `Quick test_dag_initial_net;
+          Alcotest.test_case "cycle reached first" `Quick
+            test_dag_cycle_first_reach;
+          Alcotest.test_case "bitsets span words" `Quick test_bits_words;
         ] );
       ( "combination",
         [
@@ -465,5 +689,7 @@ let () =
             prop_valid_run_projections;
             prop_valid_run_projections_dag;
             prop_ghost_requirement_invalid;
+            prop_feasible_rejections_unschedulable;
+            prop_summaries_match_brute_force;
           ] );
     ]

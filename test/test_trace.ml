@@ -246,6 +246,34 @@ let test_hunt_witness_replays () =
           check Alcotest.bool "non-empty schedule" true (o.RW.steps_checked > 0))
     witnesses
 
+(* Every rejection names its reason: a prefilter rejection the node and
+   the message it can never receive, a searched one "search". *)
+let test_reject_reasons () =
+  let _, records = hunt_trace () in
+  let rejects = List.filter (fun f -> ev_of f = "reject") records in
+  check Alcotest.bool "rejections recorded" true (rejects <> []);
+  let str name f =
+    match List.assoc_opt name f with
+    | Some (Dsm.Json.String s) -> s
+    | _ -> fail (Printf.sprintf "reject record without a string %S" name)
+  in
+  List.iter
+    (fun f ->
+      let reason = str "reason" f and why = str "why" f in
+      let well_formed =
+        match String.split_on_char ':' reason with
+        | [ "search" ] -> why = "invalid"
+        | [ "budget_exhausted" ] -> why = "budget_exhausted"
+        | [ "unreachable"; n ] -> why = "invalid" && int_of_string_opt n <> None
+        | "missing" :: n :: _ :: _ -> why = "invalid" && int_of_string_opt n <> None
+        | _ -> false
+      in
+      if not well_formed then
+        fail (Printf.sprintf "malformed reason %S (why %S)" reason why))
+    rejects;
+  check Alcotest.string "first rejection" "missing:0:Learn(i=1,r=9,v=3)"
+    (str "reason" (List.hd rejects))
+
 (* A tampered witness must be caught, not silently accepted. *)
 let test_tampered_witness_diverges () =
   let _, records = hunt_trace () in
@@ -331,6 +359,8 @@ let () =
             test_hunt_witness_replays;
           Alcotest.test_case "tampered witness detected" `Slow
             test_tampered_witness_diverges;
+          Alcotest.test_case "rejections carry their reason" `Slow
+            test_reject_reasons;
         ] );
       ( "metrics",
         [
