@@ -194,10 +194,14 @@ bench:
 # CI-sized pass: micro-benchmarks plus the telemetry-overhead gate,
 # trimmed budgets (used by the workflow in .github/workflows/ci.yml).
 # The telemetry section records within_bar in BENCH_lmc.json; the grep
-# enforces the <=5% overhead bar.
+# enforces the <=5% overhead bar.  The breadth section runs every
+# registry instance under B-DFS and LMC and marks a row UNEXPECTED when
+# a verdict disagrees with the other checker or with the expectation.
 bench-quick:
 	dune exec bench/main.exe -- --quick --only micro --only telemetry-overhead \
-	  --only symmetry --only churn
+	  --only symmetry --only churn --only breadth > bench-quick.log; \
+	  s=$$?; cat bench-quick.log; test $$s -eq 0
+	! grep UNEXPECTED bench-quick.log
 	grep -q '"within_bar":true' BENCH_lmc.json
 	grep -q '"symmetric_ok":true' BENCH_lmc.json
 	grep -q '"asymmetric_ok":true' BENCH_lmc.json

@@ -794,24 +794,32 @@ let ablation_auto () =
 (* Breadth: every bundled protocol under both checkers                 *)
 (* ------------------------------------------------------------------ *)
 
-module Breadth_row (P : Dsm.Protocol.S) = struct
-  module G = Mc_global.Bdfs.Make (P)
-  module L = Lmc.Checker.Make (P)
+module Breadth_row (S : Protocols.Registry.SUBJECT) = struct
+  module G = Mc_global.Bdfs.Make (S.P)
+  module L = Lmc.Checker.Make (S.P)
 
-  let run name ?strategy invariant expect_bug =
-    let init () = Dsm.Protocol.initial_system (module P) in
+  let run expect_bug =
+    let invariant = S.invariant in
+    let init () = Dsm.Protocol.initial_system (module S.P) in
     let g =
       G.run { G.default_config with time_limit = Some 30.0 } ~invariant
         (init ())
     in
-    let strategy = match strategy with Some s -> s | None -> L.General in
-    let l =
+    let lmc strategy =
       L.run { L.default_config with time_limit = Some 30.0 } ~strategy
         ~invariant (init ())
     in
+    let l =
+      match S.opt with
+      | Some (Protocols.Registry.Opt o) ->
+          lmc
+            (L.Invariant_specific
+               { abstract = o.abstract; conflict = o.conflict })
+      | None -> lmc L.General
+    in
     let lmc_bug = l.sound_violation <> None in
     let global_bug = g.violation <> None in
-    row "%-24s %12d %12d %7.1fx %8s  %s\n" name g.stats.transitions
+    row "%-24s %12d %12d %7.1fx %8s  %s\n" S.name g.stats.transitions
       l.transitions
       (float_of_int g.stats.transitions /. float_of_int (max 1 l.transitions))
       (match (global_bug, lmc_bug) with
@@ -827,99 +835,25 @@ let breadth () =
   header "Breadth: every bundled protocol, global vs local";
   row "%-24s %12s %12s %8s %8s  %s\n" "protocol" "B-DFS trans" "LMC trans"
     "ratio" "bug?" "notes";
-  let module Tree = Protocols.Tree.Make (Protocols.Tree.Paper_config) in
-  let module B = Breadth_row (Tree) in
-  B.run "tree" Tree.received_implies_sent false;
-  let module Chain = Protocols.Chain.Make (struct
-    let length = 8
-  end) in
-  let module B = Breadth_row (Chain) in
-  B.run "chain-8" Chain.prefix_closed false;
-  let module Ping = Protocols.Ping.Make (struct
-    let num_servers = 2
-  end) in
-  let module B = Breadth_row (Ping) in
-  B.run "ping" Ping.no_excess_pongs false;
-  let module RT = Protocols.Randtree.Make (struct
-    let num_nodes = 4
-    let max_children = 2
-    let max_attempts = 1
-    let bug = Protocols.Randtree.No_bug
-  end) in
-  let module B = Breadth_row (RT) in
-  B.run "randtree" RT.disjointness false;
-  let module RTB = Protocols.Randtree.Make (struct
-    let num_nodes = 4
-    let max_children = 2
-    let max_attempts = 1
-    let bug = Protocols.Randtree.Double_bookkeeping
-  end) in
-  let module B = Breadth_row (RTB) in
-  B.run "randtree-buggy" RTB.disjointness true;
-  let module B = Breadth_row (Paxos1) in
-  B.run "paxos (1 proposal)"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = Paxos1.abstraction; conflict = Paxos1.conflicts })
-    Paxos1.safety false;
-  let module T2 = Protocols.Twophase.Make (struct
-    let num_nodes = 4
-    let no_voters = [ 2 ]
-    let bug = Protocols.Twophase.No_bug
-  end) in
-  let module B = Breadth_row (T2) in
-  B.run "2pc (one no-voter)"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = T2.abstraction; conflict = T2.conflicts })
-    T2.atomicity false;
-  let module T2B = Protocols.Twophase.Make (struct
-    let num_nodes = 4
-    let no_voters = [ 2 ]
-    let bug = Protocols.Twophase.Commit_on_majority
-  end) in
-  let module B = Breadth_row (T2B) in
-  B.run "2pc-buggy"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = T2B.abstraction; conflict = T2B.conflicts })
-    T2B.atomicity true;
-  let module R = Protocols.Ring_election.Make (struct
-    let num_nodes = 3
-    let starters = [ 0; 1 ]
-    let bug = Protocols.Ring_election.No_bug
-  end) in
-  let module B = Breadth_row (R) in
-  B.run "ring-election"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = R.abstraction; conflict = R.conflicts })
-    R.agreement false;
-  let module PBS = Protocols.Pb_store.Make (struct
-    let key = 7
-    let value = 42
-    let bug = Protocols.Pb_store.No_bug
-  end) in
-  let module B = Breadth_row (PBS) in
-  B.run "pb-store" PBS.read_your_writes false;
-  let module PBSB = Protocols.Pb_store.Make (struct
-    let key = 7
-    let value = 42
-    let bug = Protocols.Pb_store.Ack_before_replication
-  end) in
-  let module B = Breadth_row (PBSB) in
-  B.run "pb-store-buggy" PBSB.read_your_writes true;
-  let module RB = Protocols.Ring_election.Make (struct
-    let num_nodes = 3
-    let starters = [ 0; 1 ]
-    let bug = Protocols.Ring_election.Forward_smaller
-  end) in
-  let module B = Breadth_row (RB) in
-  B.run "ring-buggy"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = RB.abstraction; conflict = RB.conflicts })
-    RB.agreement true;
+  List.iter
+    (fun (name, expect_bug) ->
+      let (module S) = Option.get (Protocols.Registry.find name) in
+      let module B = Breadth_row (S) in
+      B.run expect_bug)
+    [
+      ("tree", false);
+      ("chain", false);
+      ("ping", false);
+      ("randtree", false);
+      ("randtree-buggy", true);
+      ("paxos", false);
+      ("2pc", false);
+      ("2pc-buggy", true);
+      ("ring", false);
+      ("pb-store", false);
+      ("pb-store-buggy", true);
+      ("ring-buggy", true);
+    ];
   row
     "\nboth checkers agree on every verdict; the transition ratio tracks \
      how chatty the protocol is.\n"
@@ -1598,10 +1532,33 @@ let symmetry_bench () =
     final_ratio
     (if !verdicts_match then "bit-identical" else "DIVERGED");
   (* negative controls: asymmetric roles, the audit licenses nothing *)
+  (* audit the registry instance [name], then run LMC-GEN unreduced and
+     under whatever orbit group the audit licensed *)
+  let asym_control name =
+    let (module S) = Option.get (Protocols.Registry.find name) in
+    let module L = Lmc.Checker.Make (S.P) in
+    let module Y = Lint.Symmetry.Make (S.P) in
+    let y =
+      Y.run ~config:{ Y.default_config with invariant = Some S.invariant } ()
+    in
+    let go symmetry =
+      L.run
+        { L.default_config with symmetry }
+        ~strategy:L.General ~invariant:S.invariant
+        (Dsm.Protocol.initial_system (module S.P))
+    in
+    let off = go (Dsm.Symmetry.identity_group S.P.num_nodes) in
+    let auto = go y.Y.verdict.Y.orbit in
+    ( Dsm.Symmetry.name y.Y.verdict.Y.orbit,
+      off.L.system_states_created,
+      auto.L.system_states_created,
+      off.L.elapsed,
+      auto.L.elapsed )
+  in
   let control_results = ref [] in
-  let control name audit_and_run =
+  let control name =
     let group_name, off_states, auto_states, off_s, auto_s =
-      audit_and_run ()
+      asym_control name
     in
     let states_equal = off_states = auto_states in
     let within_noise = auto_s <= (off_s *. 1.5) +. 0.05 in
@@ -1623,43 +1580,8 @@ let symmetry_bench () =
       :: !control_results;
     states_equal
   in
-  let asym_control (type s m a)
-      (module P : Dsm.Protocol.S
-        with type state = s and type message = m and type action = a)
-      invariant () =
-    let module L = Lmc.Checker.Make (P) in
-    let module Y = Lint.Symmetry.Make (P) in
-    let y =
-      Y.run ~config:{ Y.default_config with invariant = Some invariant } ()
-    in
-    let go symmetry =
-      L.run
-        { L.default_config with symmetry }
-        ~strategy:L.General ~invariant
-        (Dsm.Protocol.initial_system (module P))
-    in
-    let off = go (Dsm.Symmetry.identity_group P.num_nodes) in
-    let auto = go y.Y.verdict.Y.orbit in
-    ( Dsm.Symmetry.name y.Y.verdict.Y.orbit,
-      off.L.system_states_created,
-      auto.L.system_states_created,
-      off.L.elapsed,
-      auto.L.elapsed )
-  in
-  let module Chain8 = Protocols.Chain.Make (struct
-    let length = 8
-  end) in
-  let module Pb = Protocols.Pb_store.Make (struct
-    let key = 7
-    let value = 42
-    let bug = Protocols.Pb_store.No_bug
-  end) in
-  let chain_ok =
-    control "chain" (asym_control (module Chain8) Chain8.prefix_closed)
-  in
-  let pb_ok =
-    control "pb-store" (asym_control (module Pb) Pb.read_your_writes)
-  in
+  let chain_ok = control "chain" in
+  let pb_ok = control "pb-store" in
   let asymmetric_ok = chain_ok && pb_ok in
   (* the §5.5 hunt, checker reduced vs not (full mode only: two long
      online runs) *)

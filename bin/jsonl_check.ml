@@ -213,6 +213,7 @@ let scenario_required_fields = function
 (* Fields a record kind may omit — older recordings predate them — but
    whose type is checked when present. *)
 let optional_fields = function
+  | "run" -> [ ("crash_budget", is_int) ]
   | "reject" -> [ ("reason", is_string) ]
   | _ -> []
 

@@ -1,14 +1,19 @@
 (* lmc-cli: command-line front end for the local model checker.
 
    Subcommands:
-     list   - the bundled protocol instances
-     check  - model-check a protocol offline (B-DFS, LMC-GEN, LMC-OPT)
-     hunt   - online checking against a simulated lossy deployment
-     lint   - protocol sanitizers (determinism, canonicality, coverage)
-     replay - re-execute a flight-recorder file, fail on divergence
-     report - offline analysis of recorded trace/metrics streams *)
+     list     - the bundled protocol instances
+     check    - model-check a protocol offline (B-DFS, LMC-GEN, LMC-OPT)
+     hunt     - online checking against a simulated lossy deployment
+     scenario - named workload + fault-plan bundles
+     lint     - protocol sanitizers (determinism, canonicality, coverage)
+     replay   - re-execute a flight-recorder file, fail on divergence
+     report   - offline analysis of recorded trace/metrics streams
+
+   Every protocol-facing subcommand is generic over the subjects of
+   {!Protocols.Registry}; no protocol functor is applied here. *)
 
 open Cmdliner
+module Registry = Protocols.Registry
 
 type checker_kind = Bdfs | Lmc_gen | Lmc_opt | Lmc_auto
 
@@ -17,6 +22,11 @@ let checker_name = function
   | Lmc_gen -> "lmc-gen"
   | Lmc_opt -> "lmc-opt"
   | Lmc_auto -> "lmc-auto"
+
+let checker_of_name s =
+  List.find_opt
+    (fun k -> checker_name k = s)
+    [ Bdfs; Lmc_gen; Lmc_opt; Lmc_auto ]
 
 (* The --symmetry flag.  [Sym_group] carries the CLI name ("full",
    "rot"); the degree-dependent group is resolved per protocol.  A
@@ -38,6 +48,8 @@ let sym_mode_of_name = function
   | Some "off" | None -> Sym_off
   | Some s -> Sym_group s
 
+(* One offline exploration: `check' builds it from the command line,
+   `replay' from a recording's run header. *)
 type check_params = {
   kind : checker_kind;
   max_depth : int option;
@@ -53,8 +65,27 @@ type check_params = {
   trace : Obs.Trace.t;  (* flight recorder (--record) *)
 }
 
-(* A protocol-agnostic rendering of one sanitizer run ({!Lint.Sanitize}),
-   so the registry can lint any instance behind one closure type.
+(* One online hunt (`hunt', and the hunt-kind scenarios). *)
+type hunt_params = {
+  seed : int;
+  drop : float;  (* non-loopback message drop probability *)
+  interval : float;  (* simulated seconds between checker restarts *)
+  max_live : float;
+  budget : float;  (* wall-clock seconds per checker restart *)
+  steer : bool;
+  faults : Fault.Plan.t;
+  h_crash_budget : int;
+  restart_budget_ms : int option;
+  max_retries : int option;
+  store_dir : string option;
+  resume : bool;
+  h_symmetry : sym_mode;
+  h_verify_domains : int;
+  h_obs : Obs.scope;
+  h_trace : Obs.Trace.t;
+}
+
+(* A protocol-agnostic rendering of one sanitizer run ({!Lint.Sanitize}).
    Findings are re-keyed to the registry name: module names do not
    distinguish a buggy variant from its correct twin (both paxos
    instantiations call themselves "paxos"), and the allowlist must. *)
@@ -68,11 +99,13 @@ type lint_result = {
   l_completed : bool;
 }
 
-let lint_protocol (module P : Dsm.Protocol.S) ~name ~max_depth
-    ~max_transitions ~sym ?claim () =
-  let module S = Lint.Sanitize.Make (P) in
-  let module Y = Lint.Symmetry.Make (P) in
-  let r = S.run ~config:{ S.default_config with max_depth; max_transitions } () in
+let lint_subject (module S : Registry.SUBJECT) ~max_depth ~max_transitions
+    ~sym =
+  let module San = Lint.Sanitize.Make (S.P) in
+  let module Y = Lint.Symmetry.Make (S.P) in
+  let r =
+    San.run ~config:{ San.default_config with max_depth; max_transitions } ()
+  in
   (* The symmetry audit rides along: --symmetry off skips it, a named
      group claims it for every target, and auto audits the target's
      own claim if it has one (the sym fixtures) or silently infers. *)
@@ -80,10 +113,10 @@ let lint_protocol (module P : Dsm.Protocol.S) ~name ~max_depth
     match sym with
     | Sym_off -> `Skip
     | Sym_group gname -> (
-        match Dsm.Symmetry.of_name gname ~degree:P.num_nodes with
+        match Dsm.Symmetry.of_name gname ~degree:S.P.num_nodes with
         | Some g -> `Claim g
         | None -> `Skip)
-    | Sym_auto -> ( match claim with Some g -> `Claim g | None -> `Infer)
+    | Sym_auto -> ( match S.claim with Some g -> `Claim g | None -> `Infer)
   in
   let y =
     match sym_claim with
@@ -105,10 +138,10 @@ let lint_protocol (module P : Dsm.Protocol.S) ~name ~max_depth
     | Some (y : Y.result) -> (y.findings, y.stats.probes, y.completed)
   in
   {
-    l_name = name;
+    l_name = S.name;
     l_findings =
       List.map
-        (fun (f : Lint.Report.finding) -> { f with protocol = name })
+        (fun (f : Lint.Report.finding) -> { f with protocol = S.name })
         (r.findings @ y_findings);
     l_states = r.stats.global_states;
     l_transitions = r.stats.transitions;
@@ -116,30 +149,6 @@ let lint_protocol (module P : Dsm.Protocol.S) ~name ~max_depth
     l_elapsed = r.stats.elapsed;
     l_completed = r.completed && y_completed;
   }
-
-(* One bundled protocol instance, closed over its invariant, its
-   optional LMC-OPT abstraction, an online-hunt setup, and its
-   sanitizer entry point. *)
-type runner = {
-  name : string;
-  description : string;
-  check : check_params -> int;
-  hunt :
-    (obs:Obs.scope -> trace:Obs.Trace.t -> seed:int -> drop:float ->
-     interval:float -> max_live:float -> budget:float -> steer:bool ->
-     faults:Fault.Plan.t -> crash_budget:int ->
-     restart_budget_ms:int option -> max_retries:int option ->
-     store_dir:string option -> resume:bool -> symmetry:sym_mode ->
-     verify_domains:int -> int)
-    option;
-  lint :
-    max_depth:int option -> max_transitions:int -> sym:sym_mode -> lint_result;
-  replay :
-    mode:string ->
-    header:(string * Dsm.Json.t) list ->
-    records:(string * Dsm.Json.t) list list ->
-    int;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder files (replay / report)                             *)
@@ -415,21 +424,126 @@ module Sym_resolver (P : Dsm.Protocol.S) = struct
         (r.verdict.commutation, r.verdict.orbit)
 end
 
-module Check_driver (P : Dsm.Protocol.S) = struct
+
+(* The CLI frames each recording with [run]/[end] records; the header
+   carries what `lmc replay' needs to re-run the exploration, read back
+   by {!check_params_of_header}. *)
+let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~verify_domains
+    ~symmetry ~crash_budget =
+  if Obs.Trace.enabled trace then
+    ignore
+      (Obs.Trace.emit trace ~ev:"run"
+         [
+           ("protocol", Dsm.Json.String protocol);
+           ("mode", Dsm.Json.String mode);
+           ("checker", Dsm.Json.String checker);
+           ( "max_depth",
+             match max_depth with
+             | Some d -> Dsm.Json.Int d
+             | None -> Dsm.Json.Null );
+           ("verify_domains", Dsm.Json.Int verify_domains);
+           ("symmetry", Dsm.Json.String (sym_mode_name symmetry));
+           ("crash_budget", Dsm.Json.Int crash_budget);
+         ])
+
+let emit_run_end trace code =
+  if Obs.Trace.enabled trace then
+    ignore (Obs.Trace.emit trace ~ev:"end" [ ("exit", Dsm.Json.Int code) ])
+
+(* The exploration a recording's header describes, re-run quietly into
+   [trace].  A header without [crash_budget] predates the field and was
+   recorded at budget 0. *)
+let check_params_of_header ~kind ~trace header =
+  {
+    kind;
+    max_depth = jint (jfield "max_depth" header);
+    time_limit = None;
+    crash_budget =
+      Option.value ~default:0 (jint (jfield "crash_budget" header));
+    verbose = false;
+    minimize = false;
+    dot = None;
+    json = false;
+    verify_domains =
+      Option.value ~default:1 (jint (jfield "verify_domains" header));
+    symmetry = sym_mode_of_name (jstr (jfield "symmetry" header));
+    obs = Obs.null;
+    trace;
+  }
+
+let lossy_link drop =
+  Net.Lossy_link.create ~drop_prob:drop ~latency_min:0.05 ~latency_max:0.3 ()
+
+module Check_driver (S : Registry.SUBJECT) = struct
+  module P = S.P
   module G = Mc_global.Bdfs.Make (P)
   module L = Lmc.Checker.Make (P)
   module W = Lmc.Witness.Make (P)
   module WR = Witness_replayer (P)
   module SR = Sym_resolver (P)
 
-  let resolve_symmetry = SR.resolve
+  let invariant = S.invariant
+
+  type outcome =
+    | Global of Dsm.Symmetry.group * G.outcome
+    | Local of Dsm.Symmetry.group * L.result
+
+  (* The one offline exploration: emits the run header [mode] names,
+     then runs the checker [params] selects.  `check' and `replay' both
+     come through here, so a recording's header and its re-run cannot
+     drift apart. *)
+  let explore ~mode params =
+    emit_run_header params.trace ~protocol:S.name ~mode
+      ~checker:(checker_name params.kind) ~max_depth:params.max_depth
+      ~verify_domains:params.verify_domains ~symmetry:params.symmetry
+      ~crash_budget:params.crash_budget;
+    let init = Dsm.Protocol.initial_system (module P) in
+    let sym_spec, orbit_group = SR.resolve ~invariant params.symmetry in
+    match params.kind with
+    | Bdfs ->
+        Global
+          ( sym_spec.group,
+            G.run
+              {
+                G.default_config with
+                max_depth = params.max_depth;
+                time_limit = params.time_limit;
+                crash_budget = params.crash_budget;
+                symmetry = sym_spec;
+                obs = params.obs;
+                trace = params.trace;
+              }
+              ~invariant init )
+    | Lmc_gen | Lmc_opt | Lmc_auto ->
+        let cfg =
+          {
+            L.default_config with
+            max_depth = params.max_depth;
+            time_limit = params.time_limit;
+            crash_budget = params.crash_budget;
+            verify_domains = params.verify_domains;
+            symmetry = orbit_group;
+            obs = params.obs;
+            trace = params.trace;
+          }
+        in
+        let go strategy = L.run cfg ~strategy ~invariant init in
+        Local
+          ( orbit_group,
+            match (params.kind, S.opt) with
+            | Lmc_opt, Some (Registry.Opt o) ->
+                go
+                  (L.Invariant_specific
+                     { abstract = o.abstract; conflict = o.conflict })
+            | Lmc_auto, _ -> go L.Automatic
+            | _ -> go L.General )
 
   let pp_violation_trace trace =
     Format.printf "witness schedule:@.%a"
       (Dsm.Trace.pp ~pp_message:P.pp_message ~pp_action:P.pp_action)
       trace
 
-  let maybe_minimize ~params ~invariant schedule =
+  let maybe_minimize ~params schedule =
     if not params.minimize then schedule
     else begin
       let init = Dsm.Protocol.initial_system (module P) in
@@ -483,149 +597,102 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                         ] );
               ])))
 
-  let run ?strategy ~invariant params =
-    let init = Dsm.Protocol.initial_system (module P) in
-    let sym_spec, orbit_group = resolve_symmetry ~invariant params.symmetry in
-    match params.kind with
-    | Bdfs ->
-        let cfg =
-          {
-            G.default_config with
-            max_depth = params.max_depth;
-            time_limit = params.time_limit;
-            crash_budget = params.crash_budget;
-            symmetry = sym_spec;
-            obs = params.obs;
-            trace = params.trace;
-          }
-        in
-        let o = G.run cfg ~invariant init in
-        if not params.json then
-          Format.printf
-            "B-DFS: %d transitions, %d global states, %d system states, \
-             depth %d, %d orbit hits, %.3f s, completed=%b@."
-            o.stats.transitions o.stats.global_states o.stats.system_states
-            o.stats.max_depth_reached o.stats.orbit_hits o.stats.elapsed
-            o.completed;
-        let violation =
-          Option.map
-            (fun (v : G.violation) ->
-              let trace = maybe_minimize ~params ~invariant v.trace in
-              maybe_dot ~params trace;
-              (v.violation.Dsm.Invariant.invariant,
-               v.violation.Dsm.Invariant.detail, trace))
-            o.violation
-        in
-        if params.json then
-          emit_json ~checker:"bdfs" ~violation
-            ~stats:
-              [
-                ("transitions", Dsm.Json.Int o.stats.transitions);
-                ("global_states", Dsm.Json.Int o.stats.global_states);
-                ("system_states", Dsm.Json.Int o.stats.system_states);
-                ("max_depth", Dsm.Json.Int o.stats.max_depth_reached);
-                ( "symmetry",
-                  Dsm.Json.String
-                    (Dsm.Symmetry.name sym_spec.Dsm.Symmetry.group) );
-                ("orbit_hits", Dsm.Json.Int o.stats.orbit_hits);
-                ("elapsed_s", Dsm.Json.Float o.stats.elapsed);
-                ("completed", Dsm.Json.Bool o.completed);
-              ];
-        (match violation with
-        | Some (_, _, trace) ->
-            if not params.json then begin
-              Format.printf "VIOLATION: %a@." Dsm.Invariant.pp_violation
-                (match o.violation with
-                | Some v -> v.violation
-                | None -> assert false);
-              if params.verbose then pp_violation_trace trace
-            end;
-            1
-        | None ->
-            if not params.json then Format.printf "no violation@.";
-            0)
-    | Lmc_gen | Lmc_opt | Lmc_auto ->
-        let strategy =
-          match (params.kind, strategy) with
-          | Lmc_opt, Some s -> s
-          | Lmc_opt, None ->
-              if not params.json then
-                Format.printf
-                  "note: no invariant-specific abstraction for this \
-                   protocol; using the general strategy@.";
-              L.General
-          | Lmc_auto, _ -> L.Automatic
-          | _ -> L.General
-        in
-        let cfg =
-          {
-            L.default_config with
-            max_depth = params.max_depth;
-            time_limit = params.time_limit;
-            crash_budget = params.crash_budget;
-            verify_domains = params.verify_domains;
-            symmetry = orbit_group;
-            obs = params.obs;
-            trace = params.trace;
-          }
-        in
-        let r = L.run cfg ~strategy ~invariant init in
-        if not params.json then
-          Format.printf
-            "LMC: %d transitions, %d node states, |I+|=%d, %d system \
-             states, %d orbit hits, %d preliminary violations (%d \
-             rejected), %.3f s, completed=%b@."
-            r.transitions r.total_node_states r.net_messages
-            r.system_states_created r.orbit_hits r.preliminary_violations
-            r.soundness_rejections r.elapsed r.completed;
-        let violation =
-          Option.map
-            (fun (v : L.violation) ->
-              let schedule = maybe_minimize ~params ~invariant v.schedule in
-              maybe_dot ~params schedule;
-              (v.violation.Dsm.Invariant.invariant,
-               v.violation.Dsm.Invariant.detail, schedule))
-            r.sound_violation
-        in
-        if params.json then
-          emit_json
-            ~checker:
+  let run params =
+    if params.kind = Lmc_opt && Option.is_none S.opt && not params.json then
+      Format.printf
+        "note: no invariant-specific abstraction for this protocol; using \
+         the general strategy@.";
+    let shown schedule =
+      let schedule = maybe_minimize ~params schedule in
+      maybe_dot ~params schedule;
+      schedule
+    in
+    (* Prose result line, then the (minimized, charted) witness, then
+       the JSON object or the violation headline; the exit code. *)
+    let finish ~stats ~prose ~headline violation =
+      if not params.json then prose ();
+      let violation =
+        Option.map (fun (v, schedule) -> (v, shown schedule)) violation
+      in
+      if params.json then
+        emit_json ~checker:(checker_name params.kind)
+          ~violation:
+            (Option.map
+               (fun ((v : Dsm.Invariant.violation), schedule) ->
+                 (v.invariant, v.detail, schedule))
+               violation)
+          ~stats;
+      match violation with
+      | Some (v, schedule) ->
+          if not params.json then begin
+            headline v schedule;
+            if params.verbose then pp_violation_trace schedule
+          end;
+          1
+      | None ->
+          if not params.json then
+            Format.printf
               (match params.kind with
-              | Lmc_gen -> "lmc-gen"
-              | Lmc_opt -> "lmc-opt"
-              | Lmc_auto -> "lmc-auto"
-              | Bdfs -> assert false)
-            ~violation
-            ~stats:
-              [
-                ("transitions", Dsm.Json.Int r.transitions);
-                ("node_states", Dsm.Json.Int r.total_node_states);
-                ("net_messages", Dsm.Json.Int r.net_messages);
-                ("system_states", Dsm.Json.Int r.system_states_created);
-                ("preliminary_violations",
-                 Dsm.Json.Int r.preliminary_violations);
-                ("soundness_rejections", Dsm.Json.Int r.soundness_rejections);
-                ("verify_domains", Dsm.Json.Int params.verify_domains);
-                ( "symmetry",
-                  Dsm.Json.String (Dsm.Symmetry.name orbit_group) );
-                ("orbit_hits", Dsm.Json.Int r.orbit_hits);
-                ("elapsed_s", Dsm.Json.Float r.elapsed);
-                ("completed", Dsm.Json.Bool r.completed);
-              ];
-        (match violation with
-        | Some (_, _, schedule) ->
-            if not params.json then begin
-              Format.printf "SOUND VIOLATION (%d events): %a@."
-                (List.length schedule) Dsm.Invariant.pp_violation
-                (match r.sound_violation with
-                | Some v -> v.violation
-                | None -> assert false);
-              if params.verbose then pp_violation_trace schedule
-            end;
-            1
-        | None ->
-            if not params.json then Format.printf "no sound violation@.";
-            0)
+              | Bdfs -> "no violation@."
+              | _ -> "no sound violation@.");
+          0
+    in
+    match explore ~mode:"check" params with
+    | Global (group, o) ->
+        finish
+          ~prose:(fun () ->
+            Format.printf
+              "B-DFS: %d transitions, %d global states, %d system states, \
+               depth %d, %d orbit hits, %.3f s, completed=%b@."
+              o.stats.transitions o.stats.global_states o.stats.system_states
+              o.stats.max_depth_reached o.stats.orbit_hits o.stats.elapsed
+              o.completed)
+          ~stats:
+            [
+              ("transitions", Dsm.Json.Int o.stats.transitions);
+              ("global_states", Dsm.Json.Int o.stats.global_states);
+              ("system_states", Dsm.Json.Int o.stats.system_states);
+              ("max_depth", Dsm.Json.Int o.stats.max_depth_reached);
+              ("symmetry", Dsm.Json.String (Dsm.Symmetry.name group));
+              ("orbit_hits", Dsm.Json.Int o.stats.orbit_hits);
+              ("elapsed_s", Dsm.Json.Float o.stats.elapsed);
+              ("completed", Dsm.Json.Bool o.completed);
+            ]
+          ~headline:(fun v _ ->
+            Format.printf "VIOLATION: %a@." Dsm.Invariant.pp_violation v)
+          (Option.map
+             (fun (v : G.violation) -> (v.violation, v.trace))
+             o.violation)
+    | Local (orbit_group, r) ->
+        finish
+          ~prose:(fun () ->
+            Format.printf
+              "LMC: %d transitions, %d node states, |I+|=%d, %d system \
+               states, %d orbit hits, %d preliminary violations (%d \
+               rejected), %.3f s, completed=%b@."
+              r.transitions r.total_node_states r.net_messages
+              r.system_states_created r.orbit_hits r.preliminary_violations
+              r.soundness_rejections r.elapsed r.completed)
+          ~stats:
+            [
+              ("transitions", Dsm.Json.Int r.transitions);
+              ("node_states", Dsm.Json.Int r.total_node_states);
+              ("net_messages", Dsm.Json.Int r.net_messages);
+              ("system_states", Dsm.Json.Int r.system_states_created);
+              ("preliminary_violations", Dsm.Json.Int r.preliminary_violations);
+              ("soundness_rejections", Dsm.Json.Int r.soundness_rejections);
+              ("verify_domains", Dsm.Json.Int params.verify_domains);
+              ("symmetry", Dsm.Json.String (Dsm.Symmetry.name orbit_group));
+              ("orbit_hits", Dsm.Json.Int r.orbit_hits);
+              ("elapsed_s", Dsm.Json.Float r.elapsed);
+              ("completed", Dsm.Json.Bool r.completed);
+            ]
+          ~headline:(fun v schedule ->
+            Format.printf "SOUND VIOLATION (%d events): %a@."
+              (List.length schedule) Dsm.Invariant.pp_violation v)
+          (Option.map
+             (fun (v : L.violation) -> (v.violation, v.schedule))
+             r.sound_violation)
 
   (* ----- deterministic replay -----
 
@@ -642,16 +709,8 @@ module Check_driver (P : Dsm.Protocol.S) = struct
      diffs them against the file; it is skipped when the original run
      was budget-truncated (a wall-clock limit cuts the stream at a
      non-deterministic point) or when a bounded ring dropped its head. *)
-  let replay ?strategy ~invariant ~header ~records () =
+  let replay ~header ~records =
     let wcount, wfail = WR.replay_witnesses records in
-    let kind =
-      match jstr (jfield "checker" header) with
-      | Some "bdfs" -> Some Bdfs
-      | Some "lmc-gen" -> Some Lmc_gen
-      | Some "lmc-opt" -> Some Lmc_opt
-      | Some "lmc-auto" -> Some Lmc_auto
-      | _ -> None
-    in
     let completed =
       List.fold_left
         (fun acc fields ->
@@ -670,6 +729,7 @@ module Check_driver (P : Dsm.Protocol.S) = struct
         records
     in
     let explore_fail =
+      let kind = Option.bind (jstr (jfield "checker" header)) checker_of_name in
       match (kind, completed) with
       | _ when ring_dropped ->
           Format.printf
@@ -677,78 +737,22 @@ module Check_driver (P : Dsm.Protocol.S) = struct
              replay only@.";
           0
       | Some kind, Some true ->
-          let recorded =
-            List.filter_map
-              (fun fields ->
-                if ev_of fields = "step" then Some (canonical_record fields)
-                else None)
-              records
-          in
-          let verify_domains =
-            Option.value ~default:1 (jint (jfield "verify_domains" header))
-          in
-          let max_depth = jint (jfield "max_depth" header) in
-          (* Re-run under the recorded symmetry mode: the audit is
-             deterministic, so resolving the mode again reproduces the
-             group the recording was explored with (reduction changes
-             which states are expanded, hence the step stream). *)
-          let sym_mode = sym_mode_of_name (jstr (jfield "symmetry" header)) in
-          let sym_spec, orbit_group = resolve_symmetry ~invariant sym_mode in
+          let steps = List.filter (fun f -> ev_of f = "step") in
+          let recorded = List.map canonical_record (steps records) in
           let sink, captured = Obs.Sink.memory () in
           let trace = Obs.Trace.of_sink sink in
           (* The re-run emits its own framing header so record sequence
              numbers (which provenance links reference) line up with
-             the original stream position for position. *)
+             the original stream position for position; the symmetry
+             audit is deterministic, so re-resolving the recorded mode
+             reproduces the group the recording was explored with. *)
           ignore
-            (Obs.Trace.emit trace ~ev:"run"
-               [
-                 ("protocol", Dsm.Json.String P.name);
-                 ("mode", Dsm.Json.String "replay");
-                 ("checker", Dsm.Json.String (checker_name kind));
-                 ( "max_depth",
-                   match max_depth with
-                   | Some d -> Dsm.Json.Int d
-                   | None -> Dsm.Json.Null );
-                 ("verify_domains", Dsm.Json.Int verify_domains);
-                 ("symmetry", Dsm.Json.String (sym_mode_name sym_mode));
-               ]);
-          let init = Dsm.Protocol.initial_system (module P) in
-          (match kind with
-          | Bdfs ->
-              ignore
-                (G.run
-                   {
-                     G.default_config with
-                     max_depth;
-                     trace;
-                     symmetry = sym_spec;
-                   }
-                   ~invariant init)
-          | _ ->
-              let strategy =
-                match (kind, strategy) with
-                | Lmc_opt, Some s -> s
-                | Lmc_auto, _ -> L.Automatic
-                | _ -> L.General
-              in
-              ignore
-                (L.run
-                   {
-                     L.default_config with
-                     max_depth;
-                     verify_domains;
-                     trace;
-                     symmetry = orbit_group;
-                   }
-                   ~strategy ~invariant init));
+            (explore ~mode:"replay"
+               (check_params_of_header ~kind ~trace header));
           Obs.Trace.close trace;
           let replayed =
-            List.filter_map
-              (fun (e : Obs.Sink.event) ->
-                if ev_of e.Obs.Sink.fields = "step" then
-                  Some (canonical_record e.Obs.Sink.fields)
-                else None)
-              (captured ())
+            List.map (fun (e : Obs.Sink.event) -> e.fields) (captured ())
+            |> steps |> List.map canonical_record
           in
           let nr = List.length recorded and np = List.length replayed in
           let rec diff i a b =
@@ -790,21 +794,30 @@ module Check_driver (P : Dsm.Protocol.S) = struct
              replay only@.";
           0
     in
-    Format.printf "replay: %d witness(es), %d failure(s)@." wcount wfail;
-    if wfail > 0 || explore_fail > 0 then 1 else 0
+    let failures = wfail + explore_fail in
+    Format.printf "replay: %d witness(es), %d failure(s)@." wcount failures;
+    if failures > 0 then 1 else 0
 end
 
-module Hunt_driver
-    (Live : Dsm.Protocol.S)
-    (Check : Dsm.Protocol.S
-               with type state = Live.state
-                and type message = Live.message
-                and type action = Live.action) =
-struct
-  module O = Online.Online_mc.Make (Live) (Check)
-  module S = Sim.Live_sim.Make (Live)
-  module WR = Witness_replayer (Check)
-  module SR = Sym_resolver (Check)
+(* Membership events the plan schedules, for the hunt-side report
+   (soaks count executed churn from the simulator itself). *)
+let plan_churn faults =
+  List.length
+    (List.filter
+       (fun (_, ev) ->
+         match ev with
+         | `Join _ | `Leave _ -> true
+         | `Crash _ | `Recover _ -> false)
+       (Fault.Plan.node_events faults))
+
+let popcount membership =
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 membership
+
+module Hunt_driver (H : Registry.HUNT) = struct
+  module O = Online.Online_mc.Make (H.Live) (H.Check)
+  module S = Sim.Live_sim.Make (H.Live)
+  module WR = Witness_replayer (H.Check)
+  module SR = Sym_resolver (H.Check)
 
   (* Hunt traces segment into wall-clock-budgeted checker restarts, so
      the exploration half is not re-explorable; witnesses, recorded
@@ -817,61 +830,72 @@ struct
       wcount wfail;
     if wfail > 0 then 1 else 0
 
-  let run ?strategy ?action_prob ?(faults = Fault.Plan.empty)
-      ?(crash_budget = 0) ?restart_budget_ms ?max_retries ?store_dir
-      ?(resume = false) ?(symmetry = Sym_off) ~obs ~trace ~invariant ~seed
-      ~drop ~interval ~max_live ~budget ~steer ~verify_domains () =
+  (* The one place the CLI builds an online-checking config. *)
+  let run (p : hunt_params) =
     (* audited once, up front; every budgeted restart reuses the
        verdict (the protocol does not change between restarts) *)
-    let _, orbit_group = SR.resolve ~invariant symmetry in
-    let link =
-      Net.Lossy_link.create ~drop_prob:drop ~latency_min:0.05 ~latency_max:0.3
-        ()
-    in
-    let supervisor =
-      {
-        O.default_supervisor with
-        O.restart_budget_ms;
-        max_retries =
-          Option.value max_retries ~default:O.default_supervisor.O.max_retries;
-        checksum_snapshots = true;
-      }
-    in
+    let _, orbit_group = SR.resolve ~invariant:H.invariant p.h_symmetry in
     let config =
       {
-        O.sim = { S.seed; link; timer_min = 2.0; timer_max = 20.0; action_prob; faults };
-        check_interval = interval;
-        max_live_time = max_live;
+        O.sim =
+          {
+            S.seed = p.seed;
+            link = lossy_link p.drop;
+            timer_min = 2.0;
+            timer_max = 20.0;
+            action_prob = H.action_prob;
+            faults = p.faults;
+          };
+        check_interval = p.interval;
+        max_live_time = p.max_live;
         checker =
           {
             O.Checker.default_config with
-            time_limit = Some budget;
+            time_limit = Some p.budget;
             max_transitions = Some 100_000;
-            crash_budget;
-            verify_domains;
+            crash_budget = p.h_crash_budget;
+            verify_domains = p.h_verify_domains;
             symmetry = orbit_group;
-            trace;
+            trace = p.h_trace;
           };
         action_bounds = [ 1; 2 ];
-        steer;
+        steer = p.steer;
         steer_scope = `Node;
-        supervisor;
-        store = Option.map (fun dir -> { O.dir; resume }) store_dir;
+        supervisor =
+          {
+            O.default_supervisor with
+            O.restart_budget_ms = p.restart_budget_ms;
+            max_retries =
+              Option.value p.max_retries
+                ~default:O.default_supervisor.O.max_retries;
+            checksum_snapshots = true;
+          };
+        store =
+          Option.map (fun dir -> { O.dir; resume = p.resume }) p.store_dir;
       }
     in
-    let strategy =
-      match strategy with Some s -> s | None -> O.Checker.General
+    let go strategy =
+      O.run ~obs:p.h_obs config ~strategy ~invariant:H.invariant
     in
-    let outcome = O.run ~obs config ~strategy ~invariant in
-    (* One greppable line per phase: the soak harness compares the
-       cumulative states-explored of kill+resume against cold reruns. *)
-    (if store_dir <> None then
+    match H.opt with
+    | Some (Registry.Opt o) ->
+        go
+          (O.Checker.Invariant_specific
+             { abstract = o.abstract; conflict = o.conflict })
+    | None -> go O.Checker.General
+
+  (* `lmc hunt': one greppable line per phase (the soak harness
+     compares the cumulative states-explored of kill+resume against
+     cold reruns), then the report; the exit code. *)
+  let main (p : hunt_params) =
+    let outcome = run p in
+    (if p.store_dir <> None then
        Format.printf "store: states_explored=%d hits=%d resumed_at=%s@."
          outcome.states_explored outcome.store_hits
          (match outcome.resumed_at with
          | Some t -> Printf.sprintf "%.0f" t
          | None -> "cold"));
-    (if steer then
+    (if p.steer then
        Format.printf
          "steering: %d veto(s) installed; live system %s@."
          (List.length outcome.vetoed)
@@ -887,615 +911,29 @@ struct
     | None ->
         Format.printf
           "no violation within %.0f simulated seconds (%d LMC runs)@."
-          max_live outcome.total_checks;
+          p.max_live outcome.total_checks;
         0
+
+  (* A hunt-kind scenario's verdict. *)
+  let scenario (p : hunt_params) =
+    let outcome = run p in
+    let verdict, detail =
+      match outcome.report with
+      | Some r ->
+          let v = r.violation.violation in
+          ( Sim.Scenario.Violation,
+            Printf.sprintf "%s: %s (witness %d event(s) at t=%.0f)"
+              v.invariant v.detail r.violation.system_depth r.live_time )
+      | None -> (Sim.Scenario.Clean, "")
+    in
+    {
+      Sim.Scenario.verdict;
+      detail;
+      steps = outcome.states_explored;
+      churn = plan_churn p.faults;
+      fleet = popcount outcome.membership;
+    }
 end
-
-(* ------------------------------------------------------------------ *)
-(* The registry                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let tree_runner =
-  let module T = Protocols.Tree.Make (Protocols.Tree.Paper_config) in
-  let module D = Check_driver (T) in
-  {
-    name = "tree";
-    description = "the 5-node forwarding tree of the paper's primer (2)";
-    check =
-      (fun params ->
-        D.run ~invariant:T.received_implies_sent params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module T) ~name:"tree" ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay ~invariant:T.received_implies_sent ~header ~records
-          ());
-  }
-
-let chain_runner =
-  let module C = Protocols.Chain.Make (struct
-    let length = 8
-  end) in
-  let module D = Check_driver (C) in
-  {
-    name = "chain";
-    description = "8-node sequential forwarding chain (4.3's worst case)";
-    check =
-      (fun params ->
-        D.run ~invariant:C.prefix_closed params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module C) ~name:"chain" ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay ~invariant:C.prefix_closed ~header ~records ());
-  }
-
-let ping_runner =
-  let module P = Protocols.Ping.Make (struct
-    let num_servers = 2
-  end) in
-  let module D = Check_driver (P) in
-  {
-    name = "ping";
-    description = "client/2-server request-response micro-protocol";
-    check =
-      (fun params ->
-        D.run ~invariant:P.no_excess_pongs params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module P) ~name:"ping" ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay ~invariant:P.no_excess_pongs ~header ~records ());
-  }
-
-let randtree_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Randtree.Double_bookkeeping
-    else Protocols.Randtree.No_bug
-  in
-  let module R = Protocols.Randtree.Make (struct
-    let num_nodes = 4
-    let max_children = 2
-    let max_attempts = 1
-    let bug = bug
-  end) in
-  let module D = Check_driver (R) in
-  let name = if buggy then "randtree-buggy" else "randtree" in
-  {
-    name;
-    description =
-      (if buggy then
-         "4-node RandTree overlay with the double-bookkeeping bug"
-       else "4-node RandTree overlay (children/siblings disjointness)");
-    check =
-      (fun params ->
-        D.run ~invariant:R.disjointness params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module R) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay ~invariant:R.disjointness ~header ~records ());
-  }
-
-let paxos_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Paxos_core.Last_response_wins
-    else Protocols.Paxos_core.No_bug
-  in
-  let module Live = Protocols.Paxos.Make (struct
-    let num_nodes = 3
-    let proposers = [ 0; 1; 2 ]
-    let max_attempts = 2
-    let max_index = 16
-    let fresh_proposals = true
-    let bug = bug
-  end) in
-  let module Check = Protocols.Paxos.Make (struct
-    let num_nodes = 3
-    let proposers = [ 0; 1; 2 ]
-    let max_attempts = 2
-    let max_index = 16
-    let fresh_proposals = false
-    let bug = bug
-  end) in
-  let module Bench = Protocols.Paxos.Make (struct
-    include Protocols.Paxos.Bench_config
-
-    let bug = bug
-  end) in
-  let module D = Check_driver (Bench) in
-  let module H = Hunt_driver (Live) (Check) in
-  let name = if buggy then "paxos-buggy" else "paxos" in
-  {
-    name;
-    description =
-      (if buggy then "3-node Paxos with the 5.5 last-response bug"
-       else "3-node Paxos, one proposal (the 5.1 benchmark space)");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = Bench.abstraction; conflict = Bench.conflicts })
-          ~invariant:Bench.safety params);
-    hunt =
-      Some
-        (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
-             ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~verify_domains ->
-          H.run
-            ~strategy:
-              (H.O.Checker.Invariant_specific
-                 { abstract = Check.abstraction; conflict = Check.conflicts })
-            ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs ~trace
-            ~invariant:Check.safety ~seed ~drop ~interval ~max_live ~budget
-            ~steer ~verify_domains ());
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module Bench) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode ~header ~records ->
-        (* hunt witnesses were recorded by the hunt's own Check
-           instantiation (fresh_proposals off); dispatch there, not to
-           the 5.1 benchmark configuration the check path uses *)
-        if mode = "hunt" then H.replay_witnesses records
-        else
-          D.replay
-            ~strategy:
-              (D.L.Invariant_specific
-                 { abstract = Bench.abstraction; conflict = Bench.conflicts })
-            ~invariant:Bench.safety ~header ~records ());
-  }
-
-let onepaxos_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Onepaxos.Postfix_increment
-    else Protocols.Onepaxos.No_bug
-  in
-  let module OP = Protocols.Onepaxos.Make (struct
-    let num_nodes = 3
-    let max_leader_claims = 2
-    let max_attempts = 1
-    let max_index = 12
-    let max_util_entries = 3
-    let max_util_attempts = 2
-    let bug = bug
-  end) in
-  let module D = Check_driver (OP) in
-  let module H = Hunt_driver (OP) (OP) in
-  let name = if buggy then "onepaxos-buggy" else "onepaxos" in
-  {
-    name;
-    description =
-      (if buggy then "3-node 1Paxos with the 5.6 postfix-increment bug"
-       else "3-node 1Paxos over an embedded PaxosUtility");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = OP.abstraction; conflict = OP.conflicts })
-          ~invariant:OP.safety params);
-    hunt =
-      Some
-        (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
-             ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~verify_domains ->
-          H.run
-            ~strategy:
-              (H.O.Checker.Invariant_specific
-                 { abstract = OP.abstraction; conflict = OP.conflicts })
-            ~action_prob:(fun _ a ->
-              match a with
-              | Protocols.Onepaxos.Claim_leadership -> 0.1
-              | _ -> 1.0)
-            ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs ~trace
-            ~invariant:OP.safety ~seed ~drop ~interval ~max_live ~budget
-            ~steer ~verify_domains ());
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module OP) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode ~header ~records ->
-        if mode = "hunt" then H.replay_witnesses records
-        else
-          D.replay
-            ~strategy:
-              (D.L.Invariant_specific
-                 { abstract = OP.abstraction; conflict = OP.conflicts })
-            ~invariant:OP.safety ~header ~records ());
-  }
-
-let twophase_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Twophase.Commit_on_majority
-    else Protocols.Twophase.No_bug
-  in
-  let module T = Protocols.Twophase.Make (struct
-    let num_nodes = 4
-    let no_voters = [ 2 ]
-    let bug = bug
-  end) in
-  let module D = Check_driver (T) in
-  let name = if buggy then "2pc-buggy" else "2pc" in
-  {
-    name;
-    description =
-      (if buggy then
-         "two-phase commit deciding on a majority instead of unanimity"
-       else "two-phase commit, 1 coordinator + 3 participants (one no-voter)");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = T.abstraction; conflict = T.conflicts })
-          ~invariant:T.atomicity params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module T) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = T.abstraction; conflict = T.conflicts })
-          ~invariant:T.atomicity ~header ~records ());
-  }
-
-let ring_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Ring_election.Forward_smaller
-    else Protocols.Ring_election.No_bug
-  in
-  let module R = Protocols.Ring_election.Make (struct
-    let num_nodes = 3
-    let starters = [ 0; 1 ]
-    let bug = bug
-  end) in
-  let module D = Check_driver (R) in
-  let name = if buggy then "ring-buggy" else "ring" in
-  {
-    name;
-    description =
-      (if buggy then
-         "Chang-Roberts election forwarding losing tokens (two leaders)"
-       else "Chang-Roberts leader election on a 3-node ring");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = R.abstraction; conflict = R.conflicts })
-          ~invariant:R.agreement params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module R) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = R.abstraction; conflict = R.conflicts })
-          ~invariant:R.agreement ~header ~records ());
-  }
-
-let mutex_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Token_mutex.Regenerate_token
-    else Protocols.Token_mutex.No_bug
-  in
-  let module M = Protocols.Token_mutex.Make (struct
-    let num_nodes = 3
-    let contenders = [ 1; 2 ]
-    let max_regenerations = 1
-    let bug = bug
-  end) in
-  let module D = Check_driver (M) in
-  let name = if buggy then "mutex-buggy" else "mutex" in
-  {
-    name;
-    description =
-      (if buggy then
-         "token-ring mutual exclusion regenerating an unlost token"
-       else "token-ring mutual exclusion, 3 nodes, 2 contenders");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = M.abstraction; conflict = M.conflicts })
-          ~invariant:M.mutual_exclusion params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module M) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = M.abstraction; conflict = M.conflicts })
-          ~invariant:M.mutual_exclusion ~header ~records ());
-  }
-
-let abp_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Alternating_bit.Ignore_bit
-    else Protocols.Alternating_bit.No_bug
-  in
-  let module A = Protocols.Alternating_bit.Make (struct
-    let data = [ 10; 20 ]
-    let max_retransmits = 1
-    let bug = bug
-  end) in
-  let module FA = Protocols.Fifo.Make (A) in
-  let module D = Check_driver (FA) in
-  let name = if buggy then "abp-buggy" else "abp" in
-  {
-    name;
-    description =
-      (if buggy then
-         "alternating-bit over FIFO channels, receiver ignoring the bit"
-       else "alternating-bit protocol over FIFO (TCP-like) channels");
-    check =
-      (fun params ->
-        D.run
-          ~invariant:(FA.lift_invariant A.prefix_delivery)
-          params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module FA) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay
-          ~invariant:(FA.lift_invariant A.prefix_delivery)
-          ~header ~records ());
-  }
-
-let pb_runner ~buggy =
-  let bug =
-    if buggy then Protocols.Pb_store.Ack_before_replication
-    else Protocols.Pb_store.No_bug
-  in
-  let module P = Protocols.Pb_store.Make (struct
-    let key = 7
-    let value = 42
-    let bug = bug
-  end) in
-  let module D = Check_driver (P) in
-  let name = if buggy then "pb-store-buggy" else "pb-store" in
-  {
-    name;
-    description =
-      (if buggy then
-         "primary-backup store acknowledging before replication"
-       else "primary-backup store with fail-over reads");
-    check =
-      (fun params -> D.run ~invariant:P.read_your_writes params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module P) ~name:name ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay ~invariant:P.read_your_writes ~header ~records ());
-  }
-
-(* The fault-injection fixture: correct under every message schedule,
-   broken only across a crash-recovery, so the hunt needs [--faults]
-   (live crash events) and [--crash-budget] (checker crash events) to
-   reach it. *)
-let pb_crash_runner =
-  let module P = Protocols.Pb_store.Make (struct
-    let key = 7
-    let value = 42
-    let bug = Protocols.Pb_store.Lose_acked_writes_on_recovery
-  end) in
-  let module D = Check_driver (P) in
-  let module H = Hunt_driver (P) (P) in
-  let name = "pb-store-crash" in
-  {
-    name;
-    description =
-      "primary-backup store losing acked writes on crash-recovery \
-       (needs --crash-budget/--faults)";
-    check = (fun params -> D.run ~invariant:P.read_your_writes params);
-    hunt =
-      Some
-        (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
-             ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~verify_domains ->
-          H.run ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs
-            ~trace ~invariant:P.read_your_writes ~seed ~drop ~interval
-            ~max_live ~budget ~steer ~verify_domains ());
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module P) ~name ~max_depth ~max_transitions ~sym ());
-    replay =
-      (fun ~mode ~header ~records ->
-        if mode = "hunt" then H.replay_witnesses records
-        else
-          D.replay ~invariant:P.read_your_writes ~header ~records ());
-  }
-
-(* The SWIM instances share one constructor: the clean protocol plus
-   the two planted-bug variants.  Both bugs hide behind the fault
-   plan: [No_suspicion] is harmless until a reorder:/dup: storm ages
-   live probes past the checker's widening bounds, and [Ack_race]
-   needs a crash-with-recovery of the relay (live crash clauses plus
-   --crash-budget for the checker's own crash exploration). *)
-let swim_runner bug =
-  let module P = Protocols.Swim.Make (struct
-    let num_servers = 4
-    let bug = bug
-  end) in
-  let module D = Check_driver (P) in
-  let module H = Hunt_driver (P) (P) in
-  let name, description =
-    match bug with
-    | Protocols.Swim.No_bug ->
-        ("swim", "4-node SWIM gossip membership (ping-req/suspicion/refutation)")
-    | Protocols.Swim.No_suspicion ->
-        ( "swim-nosuspect",
-          "SWIM declaring death on timeout alone (needs reorder:/dup: \
-           faults or link loss; control runs want --drop 0)" )
-    | Protocols.Swim.Ack_race ->
-        ( "swim-ackrace",
-          "SWIM relay losing ack ownership across a crash (needs relay \
-           crash:+--crash-budget)" )
-  in
-  {
-    name;
-    description;
-    check = (fun params -> D.run ~invariant:P.membership_safety params);
-    hunt =
-      Some
-        (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
-             ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
-             ~resume ~symmetry ~verify_domains ->
-          H.run ~faults ~crash_budget ?restart_budget_ms ?max_retries
-            ?store_dir ~resume ~symmetry ~obs ~trace
-            ~invariant:P.membership_safety ~seed ~drop ~interval ~max_live
-            ~budget ~steer ~verify_domains ());
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module P) ~name ~max_depth ~max_transitions ~sym ());
-    replay =
-      (fun ~mode ~header ~records ->
-        if mode = "hunt" then H.replay_witnesses records
-        else
-          D.replay ~invariant:P.membership_safety ~header ~records ());
-  }
-
-(* The genuinely symmetric fixture as a checkable instance: a harmless
-   invariant (pairwise progress gap, never violated, slot-symmetric)
-   gives `check --symmetry auto` something to orbit-audit, and the
-   protocol's full S_3 commutation makes it the B-DFS reduction demo —
-   canonicalization collapses permuted interleavings close to n!. *)
-let sym_flood_runner =
-  let module F = Protocols.Lint_fixtures.Sym_flood in
-  let module D = Check_driver (F) in
-  let invariant =
-    Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap"
-      (fun _ a _ b ->
-        if abs (a - b) > 100 then
-          Some (Printf.sprintf "progress gap %d" (abs (a - b)))
-        else None)
-  in
-  {
-    name = "sym-flood";
-    description = "S3-symmetric ping-pong flood (symmetry-reduction demo)";
-    check = (fun params -> D.run ~invariant params);
-    hunt = None;
-    lint =
-      (fun ~max_depth ~max_transitions ~sym ->
-        lint_protocol (module F) ~name:"sym-flood" ~max_depth
-          ~max_transitions ~sym ());
-    replay =
-      (fun ~mode:_ ~header ~records ->
-        D.replay ~invariant ~header ~records ());
-  }
-
-let runners =
-  [
-    tree_runner;
-    chain_runner;
-    ping_runner;
-    randtree_runner ~buggy:false;
-    randtree_runner ~buggy:true;
-    paxos_runner ~buggy:false;
-    paxos_runner ~buggy:true;
-    onepaxos_runner ~buggy:false;
-    onepaxos_runner ~buggy:true;
-    twophase_runner ~buggy:false;
-    twophase_runner ~buggy:true;
-    ring_runner ~buggy:false;
-    ring_runner ~buggy:true;
-    mutex_runner ~buggy:false;
-    mutex_runner ~buggy:true;
-    abp_runner ~buggy:false;
-    abp_runner ~buggy:true;
-    pb_runner ~buggy:false;
-    pb_runner ~buggy:true;
-    pb_crash_runner;
-    swim_runner Protocols.Swim.No_bug;
-    swim_runner Protocols.Swim.No_suspicion;
-    swim_runner Protocols.Swim.Ack_race;
-    sym_flood_runner;
-  ]
-
-let find_runner name =
-  match List.find_opt (fun r -> r.name = name) runners with
-  | Some r -> Ok r
-  | None ->
-      Error
-        (Printf.sprintf "unknown protocol %S; try `lmc_cli list'" name)
-
-(* The planted-defect fixtures are lint-only targets: they exist so
-   the suite (and `make lint') can prove each sanitizer class fires,
-   and they have no invariant worth model-checking.  The fourth
-   component is the fixture's symmetry *claim*, audited whenever the
-   lint runs with --symmetry auto (the default) — how the sym-broken
-   fixture's defect is reached. *)
-let lint_fixtures =
-  [
-    ( "fixture-nondet",
-      "planted defect: hidden counter leaks into a reply payload",
-      (module Protocols.Lint_fixtures.Nondet : Dsm.Protocol.S),
-      None );
-    ( "fixture-noncanon",
-      "planted defect: equal states with divergent Marshal sharing",
-      (module Protocols.Lint_fixtures.Noncanon : Dsm.Protocol.S),
-      None );
-    ( "fixture-dead",
-      "planted defect: a broadcast message nobody reacts to",
-      (module Protocols.Lint_fixtures.Dead_letter : Dsm.Protocol.S),
-      None );
-    ( "fixture-flaky-recovery",
-      "planted defect: an epoch counter leaks into on_recover",
-      (module Protocols.Lint_fixtures.Flaky_recovery : Dsm.Protocol.S),
-      None );
-    ( "fixture-sym-broken",
-      "planted defect: claims full symmetry but node 0 counts pings double",
-      (module Protocols.Lint_fixtures.Sym_broken : Dsm.Protocol.S),
-      Some (Dsm.Symmetry.full 3) );
-    ( "fixture-sym-flood",
-      "positive control: genuinely S3-symmetric ping-pong flood",
-      (module Protocols.Lint_fixtures.Sym_flood : Dsm.Protocol.S),
-      Some (Dsm.Symmetry.full 3) );
-  ]
-
-let lint_targets =
-  List.map (fun r -> (r.name, r.lint)) runners
-  @ List.map
-      (fun (name, _, m, claim) ->
-        ( name,
-          fun ~max_depth ~max_transitions ~sym ->
-            lint_protocol m ~name ~max_depth ~max_transitions ~sym ?claim () ))
-      lint_fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Offline run report                                                  *)
@@ -1908,12 +1346,13 @@ end
 let list_cmd =
   let doc = "List the bundled protocol instances." in
   let run () =
+    let print (module S : Registry.SUBJECT) =
+      Format.printf "%-16s %s@." S.name S.description
+    in
     Format.printf "%-16s %s@." "NAME" "DESCRIPTION";
-    List.iter (fun r -> Format.printf "%-16s %s@." r.name r.description) runners;
+    List.iter print Registry.subjects;
     Format.printf "@.lint-only targets (`lmc_cli lint'):@.";
-    List.iter
-      (fun (name, descr, _, _) -> Format.printf "%-16s %s@." name descr)
-      lint_fixtures;
+    List.iter print Registry.fixtures;
     0
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
@@ -1924,21 +1363,11 @@ let protocol_arg =
 
 let checker_arg =
   let doc = "Checker: bdfs, lmc-gen, lmc-opt or lmc-auto." in
-  let parse = function
-    | "bdfs" -> Ok Bdfs
-    | "lmc-gen" -> Ok Lmc_gen
-    | "lmc-opt" -> Ok Lmc_opt
-    | "lmc-auto" -> Ok Lmc_auto
-    | s -> Error (`Msg (Printf.sprintf "unknown checker %S" s))
+  let parse s =
+    Option.to_result ~none:(`Msg (Printf.sprintf "unknown checker %S" s))
+      (checker_of_name s)
   in
-  let print ppf k =
-    Format.pp_print_string ppf
-      (match k with
-      | Bdfs -> "bdfs"
-      | Lmc_gen -> "lmc-gen"
-      | Lmc_opt -> "lmc-opt"
-      | Lmc_auto -> "lmc-auto")
-  in
+  let print ppf k = Format.pp_print_string ppf (checker_name k) in
   Arg.(
     value
     & opt (conv (parse, print)) Lmc_opt
@@ -2095,29 +1524,6 @@ let make_trace ~record ~record_ring =
       in
       (t, fun () -> Obs.Trace.close t)
 
-(* The CLI frames each recording with [run]/[end] records; the header
-   carries what `lmc replay' needs to re-run the exploration. *)
-let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~verify_domains
-    ~symmetry =
-  if Obs.Trace.enabled trace then
-    ignore
-      (Obs.Trace.emit trace ~ev:"run"
-         [
-           ("protocol", Dsm.Json.String protocol);
-           ("mode", Dsm.Json.String mode);
-           ("checker", Dsm.Json.String checker);
-           ( "max_depth",
-             match max_depth with
-             | Some d -> Dsm.Json.Int d
-             | None -> Dsm.Json.Null );
-           ("verify_domains", Dsm.Json.Int verify_domains);
-           ("symmetry", Dsm.Json.String (sym_mode_name symmetry));
-         ])
-
-let emit_run_end trace code =
-  if Obs.Trace.enabled trace then
-    ignore (Obs.Trace.emit trace ~ev:"end" [ ("exit", Dsm.Json.Int code) ])
-
 (* Positive counts; anything below 1 is a usage error, reported
    through cmdliner rather than as a runtime invalid_arg. *)
 let pos_int =
@@ -2159,11 +1565,7 @@ let sym_mode_conv =
                 (Printf.sprintf
                    "unknown symmetry mode %S; use auto, off, full or rot" s)))
   in
-  let print ppf = function
-    | Sym_off -> Format.pp_print_string ppf "off"
-    | Sym_auto -> Format.pp_print_string ppf "auto"
-    | Sym_group s -> Format.pp_print_string ppf s
-  in
+  let print ppf m = Format.pp_print_string ppf (sym_mode_name m) in
   Arg.conv (parse, print)
 
 let symmetry_arg =
@@ -2178,16 +1580,23 @@ let symmetry_arg =
   in
   Arg.(value & opt sym_mode_conv Sym_off & info [ "symmetry" ] ~doc ~docv:"MODE")
 
+let find_subject name =
+  match Registry.find name with
+  | Some s -> Ok s
+  | None ->
+      Error (Printf.sprintf "unknown protocol %S; try `lmc_cli list'" name)
+
 let check_cmd =
   let doc = "Model-check a protocol offline from its initial state." in
   let run protocol checker max_depth time_limit crash_budget verbose minimize
       dot json metrics_out trace_out progress verify_domains symmetry record
       record_ring telemetry =
-    match find_runner protocol with
+    match find_subject protocol with
     | Error e ->
         prerr_endline e;
         2
-    | Ok r ->
+    | Ok (module S) ->
+        let module D = Check_driver (S) in
         let obs, finish =
           make_scope ~telemetry ?record ~metrics_out ~trace_out ~progress ()
         in
@@ -2197,11 +1606,8 @@ let check_cmd =
             finish_trace ();
             finish ())
           (fun () ->
-            emit_run_header trace ~protocol ~mode:"check"
-              ~checker:(checker_name checker) ~max_depth ~verify_domains
-              ~symmetry;
             let code =
-              r.check
+              D.run
                 { kind = checker; max_depth; time_limit; crash_budget;
                   verbose; minimize; dot; json; obs; verify_domains;
                   symmetry; trace }
@@ -2313,32 +1719,41 @@ let hunt_cmd =
       prerr_endline "lmc_cli: --resume requires --store DIR";
       exit 2
     end;
-    match find_runner protocol with
+    match find_subject protocol with
     | Error e ->
         prerr_endline e;
         2
-    | Ok { hunt = None; _ } ->
-        prerr_endline "this protocol has no online-hunt setup";
-        2
-    | Ok { hunt = Some h; _ } ->
-        let obs, finish =
-          make_scope ~telemetry ?record ~metrics_out ~trace_out ~progress ()
-        in
-        let trace, finish_trace = make_trace ~record ~record_ring in
-        Fun.protect
-          ~finally:(fun () ->
-            finish_trace ();
-            finish ())
-          (fun () ->
-            emit_run_header trace ~protocol ~mode:"hunt" ~checker:"lmc"
-              ~max_depth:None ~verify_domains ~symmetry;
-            let code =
-              h ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
-                ~faults ~crash_budget ~restart_budget_ms ~max_retries
-                ~store_dir ~resume ~symmetry ~verify_domains
+    | Ok (module S) -> (
+        match S.hunt with
+        | None ->
+            prerr_endline "this protocol has no online-hunt setup";
+            2
+        | Some (module H) ->
+            let module D = Hunt_driver (H) in
+            let obs, finish =
+              make_scope ~telemetry ?record ~metrics_out ~trace_out
+                ~progress ()
             in
-            emit_run_end trace code;
-            code)
+            let trace, finish_trace = make_trace ~record ~record_ring in
+            Fun.protect
+              ~finally:(fun () ->
+                finish_trace ();
+                finish ())
+              (fun () ->
+                emit_run_header trace ~protocol ~mode:"hunt" ~checker:"lmc"
+                  ~max_depth:None ~verify_domains ~symmetry ~crash_budget;
+                let code =
+                  D.main
+                    {
+                      seed; drop; interval; max_live; budget; steer; faults;
+                      h_crash_budget = crash_budget; restart_budget_ms;
+                      max_retries; store_dir; resume; h_symmetry = symmetry;
+                      h_verify_domains = verify_domains; h_obs = obs;
+                      h_trace = trace;
+                    }
+                in
+                emit_run_end trace code;
+                code))
   in
   Cmd.v
     (Cmd.info "hunt" ~doc)
@@ -2381,11 +1796,21 @@ let replay_cmd =
                   file;
                 2
             | Some protocol -> (
-                match find_runner protocol with
+                match find_subject protocol with
                 | Error e ->
                     prerr_endline e;
                     2
-                | Ok r -> r.replay ~mode ~header ~records)))
+                | Ok (module S) -> (
+                    match (mode, S.hunt) with
+                    | "hunt", Some (module H) ->
+                        (* hunt witnesses were recorded by the hunt's own
+                           Check instantiation, which can differ from the
+                           instance the check path explores *)
+                        let module D = Hunt_driver (H) in
+                        D.replay_witnesses records
+                    | _ ->
+                        let module D = Check_driver (S) in
+                        D.replay ~header ~records))))
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(const run $ trace_file_arg)
@@ -2431,15 +1856,16 @@ let lint_cmd =
     Arg.(
       value & opt sym_mode_conv Sym_auto & info [ "symmetry" ] ~doc ~docv:"MODE")
   in
-  let run protocol all max_depth max_transitions out allow sym =
+  let run protocol all_ max_depth max_transitions out allow sym =
+    let all = Registry.subjects @ Registry.fixtures in
     let targets =
-      match (protocol, all) with
+      match (protocol, all_) with
       | Some _, true -> Error "use either -p or --all, not both"
       | None, false -> Error "name a protocol with -p, or pass --all"
-      | None, true -> Ok lint_targets
+      | None, true -> Ok all
       | Some name, false -> (
-          match List.assoc_opt name lint_targets with
-          | Some l -> Ok [ (name, l) ]
+          match List.find_opt (fun s -> Registry.name s = name) all with
+          | Some s -> Ok [ s ]
           | None ->
               Error
                 (Printf.sprintf "unknown protocol %S; try `lmc_cli list'"
@@ -2473,10 +1899,13 @@ let lint_cmd =
               "TRANS" "PROBES" "TIME" "FINDINGS";
             let results =
               List.map
-                (fun (name, l) ->
+                (fun subject ->
+                  let name = Registry.name subject in
                   Lint.Report.emit_start emitter ~protocol:name ~max_depth
                     ~max_transitions;
-                  let r = l ~max_depth ~max_transitions ~sym in
+                  let r =
+                    lint_subject subject ~max_depth ~max_transitions ~sym
+                  in
                   List.iter (Lint.Report.emit_finding emitter) r.l_findings;
                   Lint.Report.emit_end emitter ~protocol:name
                     ~findings:(List.length r.l_findings)
@@ -2593,47 +2022,27 @@ let parse_plan ~name plan =
     | Ok p -> p
     | Error e -> invalid_arg (Printf.sprintf "scenario %s: %s" name e)
 
-let popcount membership =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 membership
-
-(* Membership events the plan schedules, for the hunt-side report
-   (soaks count executed churn from the simulator itself). *)
-let plan_churn faults =
-  List.length
-    (List.filter
-       (fun (_, ev) ->
-         match ev with
-         | `Join _ | `Leave _ -> true
-         | `Crash _ | `Recover _ -> false)
-       (Fault.Plan.node_events faults))
-
-let swim_soak ~name ~description ~nodes ~seed ~plan ?(drop = 0.1)
-    ?(check_every = 5.) ~duration () =
+(* Soak-kind scenarios drive the subject's protocol through
+   {!Sim.Scenario.Soak} with periodic invariant evaluation. *)
+let soak ~name ~description (module S : Registry.SUBJECT) ~seed ~plan ~drop
+    ?check_every ~duration () =
   let faults = parse_plan ~name plan in
   {
     Sim.Scenario.name;
     description;
-    protocol = "swim";
-    nodes;
+    protocol = S.name;
+    nodes = S.P.num_nodes;
     seed;
     plan;
     kind = Sim.Scenario.Soak;
     expected = Sim.Scenario.Clean;
     run =
       (fun () ->
-        let module P = Protocols.Swim.Make (struct
-          let num_servers = nodes
-          let bug = Protocols.Swim.No_bug
-        end) in
-        let module K = Sim.Scenario.Soak (P) in
-        let link =
-          Net.Lossy_link.create ~drop_prob:drop ~latency_min:0.05
-            ~latency_max:0.3 ()
-        in
-        K.run ~check_every ~invariant:P.membership_safety ~duration
+        let module K = Sim.Scenario.Soak (S.P) in
+        K.run ?check_every ~invariant:S.invariant ~duration
           {
             K.S.seed;
-            link;
+            link = lossy_link drop;
             timer_min = 2.0;
             timer_max = 20.0;
             action_prob = None;
@@ -2641,231 +2050,110 @@ let swim_soak ~name ~description ~nodes ~seed ~plan ?(drop = 0.1)
           });
   }
 
-let ping_soak ~name ~description ~seed ~plan ~duration () =
-  let faults = parse_plan ~name plan in
-  {
-    Sim.Scenario.name;
-    description;
-    protocol = "ping";
-    nodes = 3;
-    seed;
-    plan;
-    kind = Sim.Scenario.Soak;
-    expected = Sim.Scenario.Clean;
-    run =
-      (fun () ->
-        let module P = Protocols.Ping.Make (struct
-          let num_servers = 2
-        end) in
-        let module K = Sim.Scenario.Soak (P) in
-        let link =
-          Net.Lossy_link.create ~drop_prob:0.2 ~latency_min:0.05
-            ~latency_max:0.3 ()
-        in
-        K.run ~invariant:P.no_excess_pongs ~duration
-          {
-            K.S.seed;
-            link;
-            timer_min = 2.0;
-            timer_max = 20.0;
-            action_prob = None;
-            faults;
-          });
-  }
-
-let pb_soak ~name ~description ~seed ~plan ~duration () =
-  let faults = parse_plan ~name plan in
-  {
-    Sim.Scenario.name;
-    description;
-    protocol = "pb-store";
-    nodes = 3;
-    seed;
-    plan;
-    kind = Sim.Scenario.Soak;
-    expected = Sim.Scenario.Clean;
-    run =
-      (fun () ->
-        let module P = Protocols.Pb_store.Make (struct
-          let key = 7
-          let value = 42
-          let bug = Protocols.Pb_store.No_bug
-        end) in
-        let module K = Sim.Scenario.Soak (P) in
-        let link =
-          Net.Lossy_link.create ~drop_prob:0.2 ~latency_min:0.05
-            ~latency_max:0.3 ()
-        in
-        K.run ~invariant:P.read_your_writes ~duration
-          {
-            K.S.seed;
-            link;
-            timer_min = 2.0;
-            timer_max = 20.0;
-            action_prob = None;
-            faults;
-          });
-  }
-
-(* Hunt-kind scenarios drive the full online checker, same shape as
-   `lmc hunt' but with the scenario's fixed knobs.  The checker's
+(* Hunt-kind scenarios drive the full online checker through the same
+   path as `lmc hunt', with the scenario's fixed knobs.  The checker's
    crash budget mirrors the plan: a scenario whose plan crashes the
    relay also lets the checker explore one crash per node path. *)
-let swim_hunt ~name ~description ~bug ~protocol ~seed ~plan ~drop
+let hunt ~name ~description (module S : Registry.SUBJECT) ~seed ~plan ~drop
     ~crash_budget ~interval ~max_live ~budget ~expected () =
-  let nodes = 4 in
   let faults = parse_plan ~name plan in
   {
     Sim.Scenario.name;
     description;
-    protocol;
-    nodes;
+    protocol = S.name;
+    nodes = S.P.num_nodes;
     seed;
     plan;
     kind = Sim.Scenario.Hunt;
     expected;
     run =
       (fun () ->
-        let module P = Protocols.Swim.Make (struct
-          let num_servers = nodes
-          let bug = bug
-        end) in
-        let module O = Online.Online_mc.Make (P) (P) in
-        let module S = Sim.Live_sim.Make (P) in
-        let link =
-          Net.Lossy_link.create ~drop_prob:drop ~latency_min:0.05
-            ~latency_max:0.3 ()
-        in
-        let config =
+        let (module H) = Option.get S.hunt in
+        let module D = Hunt_driver (H) in
+        D.scenario
           {
-            O.sim =
-              {
-                S.seed;
-                link;
-                timer_min = 2.0;
-                timer_max = 20.0;
-                action_prob = None;
-                faults;
-              };
-            check_interval = interval;
-            max_live_time = max_live;
-            checker =
-              {
-                O.Checker.default_config with
-                time_limit = Some budget;
-                max_transitions = Some 100_000;
-                crash_budget;
-              };
-            action_bounds = [ 1; 2 ];
-            steer = false;
-            steer_scope = `Node;
-            supervisor =
-              { O.default_supervisor with checksum_snapshots = true };
-            store = None;
-          }
-        in
-        let outcome =
-          O.run config ~strategy:O.Checker.General
-            ~invariant:P.membership_safety
-        in
-        let fleet = popcount outcome.O.membership in
-        let churn = plan_churn faults in
-        match outcome.O.report with
-        | Some r ->
-            let v = r.O.violation.O.Checker.violation in
-            {
-              Sim.Scenario.verdict = Sim.Scenario.Violation;
-              detail =
-                Printf.sprintf "%s: %s (witness %d event(s) at t=%.0f)"
-                  v.Dsm.Invariant.invariant v.Dsm.Invariant.detail
-                  r.O.violation.O.Checker.system_depth r.O.live_time;
-              steps = outcome.O.states_explored;
-              churn;
-              fleet;
-            }
-        | None ->
-            {
-              Sim.Scenario.verdict = Sim.Scenario.Clean;
-              detail = "";
-              steps = outcome.O.states_explored;
-              churn;
-              fleet;
-            });
+            seed; drop; interval; max_live; budget; steer = false; faults;
+            h_crash_budget = crash_budget; restart_budget_ms = None;
+            max_retries = None; store_dir = None; resume = false;
+            h_symmetry = Sym_off; h_verify_domains = 1; h_obs = Obs.null;
+            h_trace = Obs.Trace.null;
+          });
   }
 
 let scenario_suite () =
+  let subject name = Option.get (Registry.find name) in
+  let swim nodes = Registry.swim ~num_servers:nodes Protocols.Swim.No_bug in
   [
-    swim_soak ~name:"churn-storm"
+    soak ~name:"churn-storm"
       ~description:
         "8-node SWIM fleet under join/leave waves with a crash-recovery \
          in the middle"
-      ~nodes:8 ~seed:11
+      (swim 8) ~seed:11
       ~plan:
         "join:node=6,at=15;leave:node=2,at=20;leave:node=5,at=25;\
          crash:node=1,at=30,recover=45;join:node=2,at=50;leave:node=7,at=70;\
          join:node=5,at=80"
-      ~duration:120. ();
-    ping_soak ~name:"partition-heal"
+      ~drop:0.1 ~duration:120. ();
+    soak ~name:"partition-heal"
       ~description:
         "client/2-server ping under a 40 s partition that heals mid-run"
-      ~seed:3 ~plan:"part:from=20,until=60,cut=0+1/2" ~duration:120. ();
-    pb_soak ~name:"crash-recover-waves"
+      (subject "ping") ~seed:3 ~plan:"part:from=20,until=60,cut=0+1/2"
+      ~drop:0.2 ~duration:120. ();
+    soak ~name:"crash-recover-waves"
       ~description:
         "primary-backup store through three crash-recovery waves"
-      ~seed:5
+      (subject "pb-store") ~seed:5
       ~plan:
         "crash:node=0,at=20,recover=30;crash:node=1,at=45,recover=60;\
          crash:node=0,at=80,recover=95"
-      ~duration:120. ();
-    swim_soak ~name:"skewed-load"
+      ~drop:0.2 ~duration:120. ();
+    soak ~name:"skewed-load"
       ~description:
         "6-node SWIM under open-loop client load, 4/s bursting then \
          trickling, with one departure"
-      ~nodes:6 ~seed:19
+      (swim 6) ~seed:19
       ~plan:"load:rate=4,from=5,until=60;load:rate=1,from=70,until=110;\
              leave:node=4,at=40"
-      ~duration:120. ();
-    swim_soak ~name:"churn-500"
+      ~drop:0.1 ~duration:120. ();
+    soak ~name:"churn-500"
       ~description:
         "500-node SWIM fleet absorbing join/leave churn (scale soak)"
-      ~nodes:500 ~seed:23
+      (swim 500) ~seed:23
       ~plan:
         "leave:node=17,at=10;leave:node=230,at=15;join:node=499,at=5;\
          leave:node=400,at=20;join:node=17,at=35;leave:node=88,at=40;\
          join:node=230,at=50"
       ~drop:0.05 ~check_every:10. ~duration:60. ();
-    swim_hunt ~name:"nosuspect-storm"
+    hunt ~name:"nosuspect-storm"
       ~description:
         "no-suspicion SWIM under an ack-delaying reorder/dup storm \
          (expected: false-positive death verdict)"
-      ~bug:Protocols.Swim.No_suspicion ~protocol:"swim-nosuspect" ~seed:11
+      (subject "swim-nosuspect") ~seed:11
       ~plan:"reorder:p=0.8,window=40;dup:p=0.3" ~drop:0.0 ~crash_budget:0
       ~interval:15. ~max_live:600. ~budget:2.0
       ~expected:Sim.Scenario.Violation ();
-    swim_hunt ~name:"nosuspect-calm"
+    hunt ~name:"nosuspect-calm"
       ~description:
         "no-suspicion SWIM on a calm network (control: the bug stays \
          latent without the storm)"
-      ~bug:Protocols.Swim.No_suspicion ~protocol:"swim-nosuspect" ~seed:11
-      ~plan:"" ~drop:0.0 ~crash_budget:0 ~interval:15. ~max_live:60.
-      ~budget:1.0 ~expected:Sim.Scenario.Clean ();
-    swim_hunt ~name:"ackrace-crash"
+      (subject "swim-nosuspect") ~seed:11 ~plan:"" ~drop:0.0 ~crash_budget:0
+      ~interval:15. ~max_live:60. ~budget:1.0 ~expected:Sim.Scenario.Clean ();
+    hunt ~name:"ackrace-crash"
       ~description:
         "ack-race SWIM with the relay crash-recovering mid-duty \
          (expected: phantom forwarded ack)"
-      ~bug:Protocols.Swim.Ack_race ~protocol:"swim-ackrace" ~seed:5
+      (subject "swim-ackrace") ~seed:5
       ~plan:
         "crash:node=2,at=30,recover=45;crash:node=2,at=120,recover=135;\
          crash:node=2,at=240,recover=255"
       ~drop:0.3 ~crash_budget:1 ~interval:15. ~max_live:900. ~budget:2.0
       ~expected:Sim.Scenario.Violation ();
-    swim_hunt ~name:"ackrace-calm"
+    hunt ~name:"ackrace-calm"
       ~description:
         "ack-race SWIM with no crashes (control: the stale seq is never \
          armed)"
-      ~bug:Protocols.Swim.Ack_race ~protocol:"swim-ackrace" ~seed:5 ~plan:""
-      ~drop:0.3 ~crash_budget:0 ~interval:15. ~max_live:60. ~budget:1.0
-      ~expected:Sim.Scenario.Clean ();
+      (subject "swim-ackrace") ~seed:5 ~plan:"" ~drop:0.3 ~crash_budget:0
+      ~interval:15. ~max_live:60. ~budget:1.0 ~expected:Sim.Scenario.Clean ();
   ]
 
 let scenario_cmd =
