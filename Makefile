@@ -15,12 +15,16 @@ test:
 
 check: build test
 	dune exec bin/lmc_cli.exe -- check -p paxos-buggy -c lmc-gen \
-	  --metrics-out /tmp/m.jsonl --trace-out /tmp/t.jsonl \
-	  --record /tmp/rec.jsonl > /dev/null; \
+	  --metrics-out /tmp/m.jsonl --record /tmp/rec.jsonl > /dev/null; \
 	  test $$? -le 1
-	dune exec bin/jsonl_check.exe -- /tmp/m.jsonl /tmp/t.jsonl /tmp/rec.jsonl
+	dune exec bin/jsonl_check.exe -- /tmp/m.jsonl /tmp/rec.jsonl
 	dune exec bin/lmc_cli.exe -- replay /tmp/rec.jsonl > /dev/null
 	dune exec bin/lmc_cli.exe -- report /tmp/rec.jsonl > /dev/null
+	dune exec bin/lmc_cli.exe -- check -p 2pc-buggy -c lmc-gen \
+	  --record /tmp/ring.jsonl --record-ring 8 > /dev/null; \
+	  test $$? -le 1
+	dune exec bin/lmc_cli.exe -- replay /tmp/ring.jsonl > /dev/null
+	dune exec bin/jsonl_check.exe -- /tmp/ring.jsonl
 	@echo "check: OK"
 
 # Static-analysis gate: protocol sanitizers over every bundled instance

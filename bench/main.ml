@@ -912,10 +912,6 @@ let micro () =
         (Staged.stage (fun () -> Obs.Metrics.incr bench_counter));
       Test.make ~name:"obs histogram observe"
         (Staged.stage (fun () -> Obs.Metrics.observe bench_hist 1234));
-      Test.make ~name:"obs event, no sink"
-        (Staged.stage (fun () ->
-             Obs.event Obs.null "bench.event"
-               ~fields:[ ("n", Dsm.Json.Int 1) ]));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -939,57 +935,76 @@ let micro () =
     tests;
   Bench_out.record "micro" (Dsm.Json.Obj (List.rev !estimates))
 
-(* Satellite of the observability work: what does the instrumentation
-   cost when nobody is listening?  The whole Fig. 10 LMC series runs
-   under three scopes — disabled ([Obs.null]), metrics-only, and a
-   full JSONL sink — and the summed checker-reported times are
-   compared.  The first ratio is the always-on price and must stay
-   within noise (the acceptance bar is 5%). *)
+(* What does observability cost?  The Fig. 10 LMC-GEN series runs
+   under four scopes — disabled ([Obs.null]), metrics-only, metrics
+   plus a recorder streaming every transition to a JSONL file
+   (--record), and metrics plus a ring-buffered recorder (records kept
+   in memory, dumped once at close; --record-ring) — and the summed
+   checker-reported times are compared.  Metrics are the always-on
+   price (bar 5%), the ring the always-on recording candidate (bar
+   2%); the file pays serialization and I/O per record (bar 10%). *)
 let obs_overhead () =
-  header "Observability overhead: Fig. 10 LMC series under three scopes";
-  let max_depth = if !quick then 12 else 16 in
-  let sweep obs =
-    let total = ref 0. in
+  header "Observability overhead: Fig. 10 LMC-GEN series, four scopes";
+  let max_depth = if !quick then 12 else 18 in
+  let run_one depth obs =
+    let cfg = { L1.default_config with max_depth = Some depth; obs } in
+    let r =
+      L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
+        (paxos1_init ())
+    in
+    r.elapsed
+  in
+  let path = Filename.temp_file "obs_overhead" ".jsonl" in
+  let with_recorder recorder depth =
+    let scope = Obs.create ~recorder () in
+    let s = run_one depth scope in
+    Obs.close scope;
+    s
+  in
+  let modes =
+    [|
+      (fun depth -> run_one depth Obs.null);
+      (fun depth -> run_one depth (Obs.create ()));
+      (fun depth -> with_recorder (Obs.Trace.to_file path) depth);
+      (fun depth -> with_recorder (Obs.Trace.ring ~capacity:65536 path) depth);
+    |]
+  in
+  (* Single-digit percentages are far below the drift of a shared
+     host, so the four modes are interleaved at *depth* granularity —
+     back-to-back runs within milliseconds of each other see the same
+     noise regime — and the per-(mode, depth) minimum over all rounds
+     is kept before summing the series. *)
+  let rounds = if !quick then 3 else 12 in
+  let best = Array.map (fun _ -> Array.make (max_depth + 1) infinity) modes in
+  for _ = 1 to rounds do
     for depth = 0 to max_depth do
-      let cfg = { L1.default_config with max_depth = Some depth; obs } in
-      let gen =
-        L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
-          (paxos1_init ())
-      in
-      let opt =
-        L1.run cfg ~strategy:opt1 ~invariant:Paxos1.safety (paxos1_init ())
-      in
-      total := !total +. gen.elapsed +. opt.elapsed
-    done;
-    !total
-  in
-  let best f =
-    let rec go n acc = if n = 0 then acc else go (n - 1) (min acc (f ())) in
-    go 3 (f ())
-  in
-  let null_s = best (fun () -> sweep Obs.null) in
-  let metrics_s = best (fun () -> sweep (Obs.create ())) in
-  let trace = Filename.temp_file "obs_overhead" ".jsonl" in
-  let sink_s =
-    best (fun () ->
-        let scope = Obs.create ~sinks:[ Obs.Sink.jsonl_file trace ] () in
-        let t = sweep scope in
-        Obs.close scope;
-        t)
-  in
-  Sys.remove trace;
+      Array.iteri
+        (fun m run -> best.(m).(depth) <- min best.(m).(depth) (run depth))
+        modes
+    done
+  done;
+  Sys.remove path;
+  let sum a = Array.fold_left ( +. ) 0. a in
+  let null_s = sum best.(0) and metrics_s = sum best.(1)
+  and file_s = sum best.(2) and ring_s = sum best.(3) in
   let pct x = 100. *. (x /. max 1e-9 null_s -. 1.) in
-  row "%-28s %10.4f s\n" "disabled (Obs.null)" null_s;
-  row "%-28s %10.4f s  (%+.1f%%)\n" "metrics only" metrics_s (pct metrics_s);
-  row "%-28s %10.4f s  (%+.1f%%)\n" "metrics + JSONL sink" sink_s (pct sink_s);
+  let column name x bar =
+    row "%-32s %10.4f s  (%+.1f%%, bar %.0f%%)\n" name x (pct x) bar
+  in
+  row "%-32s %10.4f s\n" "disabled (Obs.null)" null_s;
+  column "metrics only" metrics_s 5.;
+  column "metrics + recorder, file" file_s 10.;
+  column "metrics + recorder, ring" ring_s 2.;
   Bench_out.record "obs-overhead"
     (Dsm.Json.Obj
        [
          ("null_s", Dsm.Json.Float null_s);
          ("metrics_s", Dsm.Json.Float metrics_s);
-         ("sink_s", Dsm.Json.Float sink_s);
+         ("file_s", Dsm.Json.Float file_s);
+         ("ring_s", Dsm.Json.Float ring_s);
          ("metrics_pct", Dsm.Json.Float (pct metrics_s));
-         ("sink_pct", Dsm.Json.Float (pct sink_s));
+         ("file_pct", Dsm.Json.Float (pct file_s));
+         ("ring_pct", Dsm.Json.Float (pct ring_s));
        ])
 
 (* What do the three live-telemetry pillars cost when all of them are
@@ -997,8 +1012,8 @@ let obs_overhead () =
    and under a scope with the sampling profiler, the soak-timeseries
    ring AND a live /metrics exporter attached (a scraping thread
    sharing the process), interleaved at depth granularity with the
-   per-(mode, depth) minimum kept, like the recorder bench below.  The
-   acceptance bar is 5%. *)
+   per-(mode, depth) minimum kept, like the observability bench above.
+   The acceptance bar is 5%. *)
 let telemetry_overhead () =
   header "Live telemetry overhead: Fig. 10 LMC-GEN series, off vs full";
   (* The 5% bar is defined on the full Fig. 10 sweep, where combination
@@ -1050,69 +1065,6 @@ let telemetry_overhead () =
          ("telemetry_pct", Dsm.Json.Float pct);
          ("bar_pct", Dsm.Json.Float bar);
          ("within_bar", Dsm.Json.Bool (pct <= bar));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Flight-recorder overhead                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* What does recording every explored transition cost?  The Fig. 10
-   LMC-GEN series runs three ways — recorder disabled
-   ([Obs.Trace.null]), streaming to a JSONL file, and ring-buffered
-   (records kept in memory, dumped once at close) — and the summed
-   checker-reported times are compared.  The ring is the always-on
-   candidate (acceptance bar 2%); the file sink pays serialization and
-   I/O per record and must stay within 10%. *)
-let record_overhead () =
-  header "Flight-recorder overhead: Fig. 10 LMC-GEN series, three modes";
-  let max_depth = if !quick then 12 else 18 in
-  let run_one depth trace =
-    let cfg = { L1.default_config with max_depth = Some depth; trace } in
-    let r =
-      L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
-        (paxos1_init ())
-    in
-    r.elapsed
-  in
-  let path = Filename.temp_file "record_overhead" ".jsonl" in
-  (* Single-digit percentages are far below the drift of a shared
-     host, so the three modes are interleaved at *depth* granularity —
-     off/file/ring back-to-back within milliseconds of each other see
-     the same noise regime — and the per-(mode, depth) minimum over
-     all rounds is kept before summing the series. *)
-  let rounds = if !quick then 3 else 12 in
-  let off = Array.make (max_depth + 1) infinity in
-  let fil = Array.make (max_depth + 1) infinity in
-  let rin = Array.make (max_depth + 1) infinity in
-  for _ = 1 to rounds do
-    for depth = 0 to max_depth do
-      off.(depth) <- min off.(depth) (run_one depth Obs.Trace.null);
-      let t = Obs.Trace.to_file path in
-      let s = run_one depth t in
-      Obs.Trace.close t;
-      fil.(depth) <- min fil.(depth) s;
-      let t = Obs.Trace.ring ~capacity:65536 path in
-      let s = run_one depth t in
-      Obs.Trace.close t;
-      rin.(depth) <- min rin.(depth) s
-    done
-  done;
-  let sum a = Array.fold_left ( +. ) 0. a in
-  let off_s = sum off and file_s = sum fil and ring_s = sum rin in
-  Sys.remove path;
-  let pct x = 100. *. (x /. max 1e-9 off_s -. 1.) in
-  row "%-28s %10.4f s\n" "recorder off (Trace.null)" off_s;
-  row "%-28s %10.4f s  (%+.1f%%)\n" "file sink (--record)" file_s (pct file_s);
-  row "%-28s %10.4f s  (%+.1f%%)\n" "ring buffer (--record-ring)" ring_s
-    (pct ring_s);
-  Bench_out.record "record-overhead"
-    (Dsm.Json.Obj
-       [
-         ("off_s", Dsm.Json.Float off_s);
-         ("file_s", Dsm.Json.Float file_s);
-         ("ring_s", Dsm.Json.Float ring_s);
-         ("file_pct", Dsm.Json.Float (pct file_s));
-         ("ring_pct", Dsm.Json.Float (pct ring_s));
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -1736,7 +1688,6 @@ let sections =
     ("micro", micro);
     ("obs-overhead", obs_overhead);
     ("telemetry-overhead", telemetry_overhead);
-    ("record-overhead", record_overhead);
     ("fault-overhead", fault_overhead);
     ("churn", churn_bench);
     ("store", store_bench);

@@ -82,6 +82,16 @@ let required_fields = function
   | "restart" -> Some [ ("run", is_int); ("live_time", is_number) ]
   | "live" -> Some [ ("clock", is_number); ("kind", is_string) ]
   | "ring_meta" -> Some [ ("dropped", is_int); ("capacity", is_int) ]
+  | "veto" ->
+      Some [ ("live_time", is_number); ("node", is_int); ("scope", is_string) ]
+  | "degraded" ->
+      Some
+        [
+          ("live_time", is_number);
+          ("reason", is_string);
+          ("tier", is_int);
+          ("detail", is_string);
+        ]
   | _ -> None
 
 (* The sanitizer's finding taxonomy; `lmc lint' must not grow a kind
@@ -215,6 +225,7 @@ let scenario_required_fields = function
 let optional_fields = function
   | "run" -> [ ("crash_budget", is_int) ]
   | "reject" -> [ ("reason", is_string) ]
+  | "lmc_end" -> [ ("soundness_calls", is_int); ("store_hits", is_int) ]
   | _ -> []
 
 let check_record ?(optional_fields = fun _ -> []) ~required_fields ~last_seq
@@ -258,8 +269,8 @@ let check_record ?(optional_fields = fun _ -> []) ~required_fields ~last_seq
   (seq, List.rev !errors)
 
 (* Each schema validates independently: a file may interleave trace.v1
-   and lint.v1 lines (both ride Obs sinks), and each stream numbers
-   its own [seq] space. *)
+   and store.v1 lines (both ride one Obs sink), and each stream
+   numbers its own [seq] space. *)
 let check_file path =
   let ic = open_in path in
   let last_trace_seq = ref (-1)

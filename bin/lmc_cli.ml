@@ -61,8 +61,7 @@ type check_params = {
   json : bool;  (* machine-readable result on stdout *)
   verify_domains : int;  (* deferred-verification fan-out *)
   symmetry : sym_mode;  (* audited symmetry reduction (--symmetry) *)
-  obs : Obs.scope;  (* --metrics-out / --trace-out / --progress *)
-  trace : Obs.Trace.t;  (* flight recorder (--record) *)
+  obs : Obs.scope;  (* --metrics-out / --progress / --record *)
 }
 
 (* One online hunt (`hunt', and the hunt-kind scenarios). *)
@@ -82,7 +81,6 @@ type hunt_params = {
   h_symmetry : sym_mode;
   h_verify_domains : int;
   h_obs : Obs.scope;
-  h_trace : Obs.Trace.t;
 }
 
 (* A protocol-agnostic rendering of one sanitizer run ({!Lint.Sanitize}).
@@ -164,8 +162,8 @@ let ev_of fields =
 
 (* Every record of one schema in a JSONL file, as field lists, in file
    order.  Foreign lines (other schemas, blank lines) are skipped so a
-   trace interleaved with ordinary --trace-out events — or with the
-   profiler's profile.v1 stream — still loads. *)
+   trace interleaved with the checkpoint's store.v1 records — or with
+   the profiler's profile.v1 stream — still loads. *)
 let load_records ~schema path =
   let ic = open_in path in
   Fun.protect
@@ -264,24 +262,26 @@ let telemetry_profiling t =
   t.tel_profile || t.tel_flamegraph <> None || t.tel_speedscope <> None
 
 (* Build the scope requested on the command line; returns it with a
-   finaliser that dumps the metrics registry, writes the profiler
-   exports, closes the sinks (which dumps the timeseries ring) and
-   finally lingers and stops the exporter.  With no observability
+   finaliser that closes the recorder (a ring dumps here) and the
+   timeseries, writes the profiler exports, dumps the metrics registry
+   and finally lingers and stops the exporter.  With no observability
    flags this is [Obs.null] and a no-op.  Unwritable paths must fail
    here, before the run, not at the end. *)
-let make_scope ?(telemetry = no_telemetry) ?record ~metrics_out ~trace_out
+let make_scope ?(telemetry = no_telemetry) ~record ~record_ring ~metrics_out
     ~progress () =
+  let fail_io msg =
+    Printf.eprintf "lmc_cli: %s\n%!" msg;
+    exit 2
+  in
+  if record = None && record_ring <> None then
+    fail_io "--record-ring requires --record";
   let profiling = telemetry_profiling telemetry in
   if
-    metrics_out = None && trace_out = None && progress = None
+    metrics_out = None && record = None && progress = None
     && telemetry.tel_serve = None && telemetry.tel_timeseries = None
     && not profiling
   then (Obs.null, fun () -> ())
   else begin
-    let fail_io msg =
-      Printf.eprintf "lmc_cli: %s\n%!" msg;
-      exit 2
-    in
     if telemetry.tel_profile && record = None then
       fail_io "--profile requires --record (profile.v1 rides the record file)";
     (match metrics_out with
@@ -289,16 +289,16 @@ let make_scope ?(telemetry = no_telemetry) ?record ~metrics_out ~trace_out
         try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
         with Sys_error msg -> fail_io msg)
     | None -> ());
-    let sinks =
-      (match trace_out with
-      | Some path -> (
-          try [ Obs.Sink.jsonl_file path ]
+    let recorder =
+      match (record, record_ring) with
+      | None, _ -> Obs.Trace.null
+      | Some _, Some cap when cap < 1 -> fail_io "--record-ring must be >= 1"
+      | Some path, _ -> (
+          try
+            match record_ring with
+            | Some capacity -> Obs.Trace.ring ~capacity path
+            | None -> Obs.Trace.to_file path
           with Sys_error msg -> fail_io msg)
-      | None -> [])
-      @
-      match progress with
-      | Some _ -> [ Obs.Sink.console ~only:[ "progress" ] () ]
-      | None -> []
     in
     let metrics = Obs.Metrics.create () in
     let profiler = if profiling then Some (Obs.Prof.create ()) else None in
@@ -313,7 +313,7 @@ let make_scope ?(telemetry = no_telemetry) ?record ~metrics_out ~trace_out
       | None -> None
     in
     let scope =
-      Obs.create ~metrics ~sinks ?progress ?profiler ?timeseries ()
+      Obs.create ~metrics ~recorder ?progress ?profiler ?timeseries ()
     in
     let exporter =
       match telemetry.tel_serve with
@@ -330,10 +330,11 @@ let make_scope ?(telemetry = no_telemetry) ?record ~metrics_out ~trace_out
           (Obs.Exporter.port e)
     | None -> ());
     let finish () =
-      (* Order matters: the record file's trace sink is closed by the
-         caller before this runs, so appending profile.v1 here keeps
-         the streams whole; the metrics dump precedes the linger so a
-         scraper can compare the live endpoint against the file. *)
+      (* Order matters: the recorder is closed first, so appending
+         profile.v1 to the record file keeps the streams whole; the
+         metrics dump precedes the linger so a scraper can compare the
+         live endpoint against the file. *)
+      Obs.close scope;
       (match profiler with
       | Some p ->
           let export what f =
@@ -360,7 +361,6 @@ let make_scope ?(telemetry = no_telemetry) ?record ~metrics_out ~trace_out
           try Obs.write_metrics_jsonl scope path
           with Sys_error msg -> Printf.eprintf "lmc_cli: %s\n%!" msg)
       | None -> ());
-      Obs.close scope;
       match exporter with
       | Some e ->
           if telemetry.tel_linger > 0. then Unix.sleepf telemetry.tel_linger;
@@ -451,9 +451,9 @@ let emit_run_end trace code =
     ignore (Obs.Trace.emit trace ~ev:"end" [ ("exit", Dsm.Json.Int code) ])
 
 (* The exploration a recording's header describes, re-run quietly into
-   [trace].  A header without [crash_budget] predates the field and was
-   recorded at budget 0. *)
-let check_params_of_header ~kind ~trace header =
+   [obs]'s recorder.  A header without [crash_budget] predates the field
+   and was recorded at budget 0. *)
+let check_params_of_header ~kind ~obs header =
   {
     kind;
     max_depth = jint (jfield "max_depth" header);
@@ -467,8 +467,7 @@ let check_params_of_header ~kind ~trace header =
     verify_domains =
       Option.value ~default:1 (jint (jfield "verify_domains" header));
     symmetry = sym_mode_of_name (jstr (jfield "symmetry" header));
-    obs = Obs.null;
-    trace;
+    obs;
   }
 
 let lossy_link drop =
@@ -493,7 +492,7 @@ module Check_driver (S : Registry.SUBJECT) = struct
      come through here, so a recording's header and its re-run cannot
      drift apart. *)
   let explore ~mode params =
-    emit_run_header params.trace ~protocol:S.name ~mode
+    emit_run_header (Obs.recorder params.obs) ~protocol:S.name ~mode
       ~checker:(checker_name params.kind) ~max_depth:params.max_depth
       ~verify_domains:params.verify_domains ~symmetry:params.symmetry
       ~crash_budget:params.crash_budget;
@@ -511,7 +510,6 @@ module Check_driver (S : Registry.SUBJECT) = struct
                 crash_budget = params.crash_budget;
                 symmetry = sym_spec;
                 obs = params.obs;
-                trace = params.trace;
               }
               ~invariant init )
     | Lmc_gen | Lmc_opt | Lmc_auto ->
@@ -524,7 +522,6 @@ module Check_driver (S : Registry.SUBJECT) = struct
             verify_domains = params.verify_domains;
             symmetry = orbit_group;
             obs = params.obs;
-            trace = params.trace;
           }
         in
         let go strategy = L.run cfg ~strategy ~invariant init in
@@ -740,7 +737,7 @@ module Check_driver (S : Registry.SUBJECT) = struct
           let steps = List.filter (fun f -> ev_of f = "step") in
           let recorded = List.map canonical_record (steps records) in
           let sink, captured = Obs.Sink.memory () in
-          let trace = Obs.Trace.of_sink sink in
+          let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
           (* The re-run emits its own framing header so record sequence
              numbers (which provenance links reference) line up with
              the original stream position for position; the symmetry
@@ -748,8 +745,8 @@ module Check_driver (S : Registry.SUBJECT) = struct
              reproduces the group the recording was explored with. *)
           ignore
             (explore ~mode:"replay"
-               (check_params_of_header ~kind ~trace header));
-          Obs.Trace.close trace;
+               (check_params_of_header ~kind ~obs header));
+          Obs.close obs;
           let replayed =
             List.map (fun (e : Obs.Sink.event) -> e.fields) (captured ())
             |> steps |> List.map canonical_record
@@ -856,7 +853,6 @@ module Hunt_driver (H : Registry.HUNT) = struct
             crash_budget = p.h_crash_budget;
             verify_domains = p.h_verify_domains;
             symmetry = orbit_group;
-            trace = p.h_trace;
           };
         action_bounds = [ 1; 2 ];
         steer = p.steer;
@@ -944,33 +940,11 @@ end
    values, so it can digest a recording from any (possibly future)
    protocol binary. *)
 module Report = struct
-  type rstep = {
-    r_node : int;
-    r_kind : string;
-    r_label : string;
-    r_depth : int;
-    r_produced : string list;
-  }
-
   let parse_steps records =
     List.filter_map
       (fun f ->
         if ev_of f <> "step" then None
-        else
-          Some
-            {
-              r_node = Option.value ~default:(-1) (jint (jfield "node" f));
-              r_kind = Option.value ~default:"?" (jstr (jfield "kind" f));
-              r_label = Option.value ~default:"?" (jstr (jfield "label" f));
-              r_depth = Option.value ~default:0 (jint (jfield "depth" f));
-              r_produced =
-                (match jfield "produced" f with
-                | Some (Dsm.Json.List l) ->
-                    List.filter_map
-                      (function Dsm.Json.String s -> Some s | _ -> None)
-                      l
-                | _ -> []);
-            })
+        else Result.to_option (Obs.Trace.step_of_json (Dsm.Json.Obj f)))
       records
 
   (* "Prepare(1,2)" and "Prepare(2,0)" are the same handler; group by
@@ -1027,7 +1001,9 @@ module Report = struct
     let tbl : (string * string, int ref) Hashtbl.t = Hashtbl.create 32 in
     List.iter
       (fun s ->
-        let key = (family s.r_label, s.r_kind) in
+        let key =
+          (family s.Obs.Trace.label, Obs.Trace.kind_to_string s.kind)
+        in
         match Hashtbl.find_opt tbl key with
         | Some r -> incr r
         | None -> Hashtbl.add tbl key (ref 1))
@@ -1046,7 +1022,9 @@ module Report = struct
             kind n (pct n total)
             (bar ~width:24 (float_of_int n /. float_of_int total)))
         rows;
-      let nodes = List.sort_uniq compare (List.map (fun s -> s.r_node) steps) in
+      let nodes =
+        List.sort_uniq compare (List.map (fun s -> s.Obs.Trace.node) steps)
+      in
       Format.printf "%d handler famil%s exercised across node(s) %s@."
         (List.length rows)
         (if List.length rows = 1 then "y" else "ies")
@@ -1058,9 +1036,9 @@ module Report = struct
     match steps with
     | [] -> Format.printf "no step records@."
     | _ ->
-        let maxd = List.fold_left (fun m s -> max m s.r_depth) 0 steps in
-        let counts = Array.make (maxd + 1) 0 in
-        List.iter (fun s -> counts.(s.r_depth) <- counts.(s.r_depth) + 1) steps;
+        let depths = List.map (fun s -> s.Obs.Trace.depth) steps in
+        let counts = Array.make (List.fold_left max 0 depths + 1) 0 in
+        List.iter (fun d -> counts.(d) <- counts.(d) + 1) depths;
         let peak = Array.fold_left max 1 counts in
         Array.iteri
           (fun d n ->
@@ -1079,7 +1057,7 @@ module Report = struct
           List.iter
             (fun fp ->
               if not (Hashtbl.mem seen fp) then Hashtbl.add seen fp ())
-            s.r_produced;
+            s.Obs.Trace.produced;
           Hashtbl.length seen)
         steps
       |> Array.of_list
@@ -1404,13 +1382,6 @@ let metrics_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
 
-let trace_out_arg =
-  let doc =
-    "Stream structured events (new node states, preliminary and sound \
-     violations, rounds, progress) as JSONL to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
-
 let progress_arg =
   let doc =
     "Print a progress heartbeat to stderr roughly every $(docv) seconds."
@@ -1500,30 +1471,6 @@ let telemetry_term =
     const mk $ serve_arg $ serve_linger_arg $ profile_arg $ flamegraph_arg
     $ speedscope_arg $ timeseries_arg $ timeseries_interval_arg)
 
-(* Like make_scope: unwritable paths must fail before the run starts. *)
-let make_trace ~record ~record_ring =
-  match record with
-  | None ->
-      if record_ring <> None then begin
-        Printf.eprintf "lmc_cli: --record-ring requires --record\n%!";
-        exit 2
-      end;
-      (Obs.Trace.null, fun () -> ())
-  | Some path ->
-      let t =
-        try
-          match record_ring with
-          | Some cap when cap < 1 ->
-              Printf.eprintf "lmc_cli: --record-ring must be >= 1\n%!";
-              exit 2
-          | Some cap -> Obs.Trace.ring ~capacity:cap path
-          | None -> Obs.Trace.to_file path
-        with Sys_error msg ->
-          Printf.eprintf "lmc_cli: %s\n%!" msg;
-          exit 2
-      in
-      (t, fun () -> Obs.Trace.close t)
-
 (* Positive counts; anything below 1 is a usage error, reported
    through cmdliner rather than as a runtime invalid_arg. *)
 let pos_int =
@@ -1589,8 +1536,8 @@ let find_subject name =
 let check_cmd =
   let doc = "Model-check a protocol offline from its initial state." in
   let run protocol checker max_depth time_limit crash_budget verbose minimize
-      dot json metrics_out trace_out progress verify_domains symmetry record
-      record_ring telemetry =
+      dot json metrics_out progress verify_domains symmetry record record_ring
+      telemetry =
     match find_subject protocol with
     | Error e ->
         prerr_endline e;
@@ -1598,21 +1545,16 @@ let check_cmd =
     | Ok (module S) ->
         let module D = Check_driver (S) in
         let obs, finish =
-          make_scope ~telemetry ?record ~metrics_out ~trace_out ~progress ()
+          make_scope ~telemetry ~record ~record_ring ~metrics_out ~progress ()
         in
-        let trace, finish_trace = make_trace ~record ~record_ring in
-        Fun.protect
-          ~finally:(fun () ->
-            finish_trace ();
-            finish ())
-          (fun () ->
+        Fun.protect ~finally:finish (fun () ->
             let code =
               D.run
                 { kind = checker; max_depth; time_limit; crash_budget;
                   verbose; minimize; dot; json; obs; verify_domains;
-                  symmetry; trace }
+                  symmetry }
             in
-            emit_run_end trace code;
+            emit_run_end (Obs.recorder obs) code;
             code)
   in
   Cmd.v
@@ -1620,9 +1562,8 @@ let check_cmd =
     Term.(
       const run $ protocol_arg $ checker_arg $ depth_arg $ time_arg
       $ crash_budget_arg $ verbose_arg $ minimize_arg $ dot_arg $ json_arg
-      $ metrics_out_arg $ trace_out_arg $ progress_arg $ verify_domains_arg
-      $ symmetry_arg $ record_arg $ record_ring_arg
-      $ telemetry_term)
+      $ metrics_out_arg $ progress_arg $ verify_domains_arg $ symmetry_arg
+      $ record_arg $ record_ring_arg $ telemetry_term)
 
 let seed_arg =
   let doc = "Simulation seed." in
@@ -1713,8 +1654,7 @@ let hunt_cmd =
   in
   let run protocol seed drop interval max_live budget steer faults
       crash_budget restart_budget_ms max_retries store_dir resume symmetry
-      metrics_out trace_out progress verify_domains record record_ring
-      telemetry =
+      metrics_out progress verify_domains record record_ring telemetry =
     if resume && store_dir = None then begin
       prerr_endline "lmc_cli: --resume requires --store DIR";
       exit 2
@@ -1731,15 +1671,11 @@ let hunt_cmd =
         | Some (module H) ->
             let module D = Hunt_driver (H) in
             let obs, finish =
-              make_scope ~telemetry ?record ~metrics_out ~trace_out
+              make_scope ~telemetry ~record ~record_ring ~metrics_out
                 ~progress ()
             in
-            let trace, finish_trace = make_trace ~record ~record_ring in
-            Fun.protect
-              ~finally:(fun () ->
-                finish_trace ();
-                finish ())
-              (fun () ->
+            let trace = Obs.recorder obs in
+            Fun.protect ~finally:finish (fun () ->
                 emit_run_header trace ~protocol ~mode:"hunt" ~checker:"lmc"
                   ~max_depth:None ~verify_domains ~symmetry ~crash_budget;
                 let code =
@@ -1749,7 +1685,6 @@ let hunt_cmd =
                       h_crash_budget = crash_budget; restart_budget_ms;
                       max_retries; store_dir; resume; h_symmetry = symmetry;
                       h_verify_domains = verify_domains; h_obs = obs;
-                      h_trace = trace;
                     }
                 in
                 emit_run_end trace code;
@@ -1762,8 +1697,8 @@ let hunt_cmd =
       $ max_live_arg $ budget_arg $ steer_arg $ faults_arg
       $ crash_budget_arg $ restart_budget_ms_arg $ max_retries_arg
       $ store_arg $ resume_arg $ symmetry_arg $ metrics_out_arg
-      $ trace_out_arg $ progress_arg $ verify_domains_arg
-      $ record_arg $ record_ring_arg $ telemetry_term)
+      $ progress_arg $ verify_domains_arg $ record_arg $ record_ring_arg
+      $ telemetry_term)
 
 let trace_file_arg =
   let doc = "A trace.v1 JSONL file produced by --record." in
@@ -2076,7 +2011,6 @@ let hunt ~name ~description (module S : Registry.SUBJECT) ~seed ~plan ~drop
             h_crash_budget = crash_budget; restart_budget_ms = None;
             max_retries = None; store_dir = None; resume = false;
             h_symmetry = Sym_off; h_verify_domains = 1; h_obs = Obs.null;
-            h_trace = Obs.Trace.null;
           });
   }
 

@@ -47,8 +47,6 @@ module Make (P : Dsm.Protocol.S) = struct
     defer_soundness : bool;
     verify_domains : int;
     obs : Obs.scope;
-    trace : Obs.Trace.t;
-    on_new_node_state : (Dsm.Node_id.t -> P.state -> unit) option;
     persist : persist option;
         (* disk-backed stores shared across restarts *)
     symmetry : Dsm.Symmetry.group;
@@ -83,8 +81,6 @@ module Make (P : Dsm.Protocol.S) = struct
       defer_soundness = false;
       verify_domains = 1;
       obs = Obs.null;
-      trace = Obs.Trace.null;
-      on_new_node_state = None;
       persist = None;
       symmetry = Dsm.Symmetry.identity_group P.num_nodes;
     }
@@ -200,17 +196,12 @@ module Make (P : Dsm.Protocol.S) = struct
      a finished run agrees with the printed summary. *)
   type obs_handles = {
     scope : Obs.scope;
-    soundness_obs : Obs.scope option;
-        (* [None] for the null scope, sparing {!Soundness} the
-           per-call recording entirely *)
+    trace : Obs.Trace.t;  (* the scope's recorder, resolved once *)
     prof : Obs.Prof.t option;  (* the scope's sampling profiler, resolved once *)
     fam_act : (P.action, string) Hashtbl.t;
         (* action -> profiler frame name ("action:Propose"), touched
            only when a profiler is attached; delivery frames are
            cached on the net entry itself ([net_entry.frm]) *)
-    node_state_observers : (Dsm.Node_id.t -> P.state -> unit) list;
-        (* subscribers of the lmc.node_state stream; the deprecated
-           [on_new_node_state] callback is re-implemented as one *)
     c_transitions : Obs.Metrics.counter;
     c_node_states : Obs.Metrics.counter;
     c_net_messages : Obs.Metrics.counter;
@@ -232,11 +223,9 @@ module Make (P : Dsm.Protocol.S) = struct
     let scope = config.obs in
     {
       scope;
-      soundness_obs = (if Obs.is_null scope then None else Some scope);
+      trace = Obs.recorder scope;
       prof = Obs.prof scope;
       fam_act = Hashtbl.create 16;
-      node_state_observers =
-        (match config.on_new_node_state with Some f -> [ f ] | None -> []);
       c_transitions = Obs.counter scope "lmc.transitions";
       c_node_states = Obs.counter scope "lmc.node_states";
       c_net_messages = Obs.counter scope "lmc.net_messages";
@@ -265,9 +254,7 @@ module Make (P : Dsm.Protocol.S) = struct
            crash-recovery, precomputed so the hot path never hashes;
            empty when [crash_budget = 0] *)
     o : obs_handles;
-    tracing : bool;  (* [config.trace] is enabled; gates field assembly *)
-    soundness_trace : Obs.Trace.t option;
-        (* passed to {!Soundness} only on the sequential path *)
+    tracing : bool;  (* the recorder is enabled; gates field assembly *)
     snapshot : P.state array;  (* starting states, for witness records *)
     ph_handler_us : int ref;
     ph_fingerprint_us : int ref;
@@ -427,7 +414,7 @@ module Make (P : Dsm.Protocol.S) = struct
     let consumed_inj = m.first_inj in
     let depth = entry.depth + 1 in
     let seq =
-      Obs.Trace.record_step_lazy t.config.trace (fun () ->
+      Obs.Trace.record_step_lazy t.o.trace (fun () ->
           {
             Obs.Trace.node = m.env.Envelope.dst;
             kind = Obs.Trace.Deliver;
@@ -446,7 +433,7 @@ module Make (P : Dsm.Protocol.S) = struct
   let record_act_step t ~node action (entry : 'k entry) ~fp_after ~pentries =
     let depth = entry.depth + 1 in
     let seq =
-      Obs.Trace.record_step_lazy t.config.trace (fun () ->
+      Obs.Trace.record_step_lazy t.o.trace (fun () ->
           {
             Obs.Trace.node;
             kind = Obs.Trace.Action;
@@ -464,7 +451,7 @@ module Make (P : Dsm.Protocol.S) = struct
 
   let record_crash_step t ~node (entry : 'k entry) ~fp_after =
     ignore
-      (Obs.Trace.record_step_lazy t.config.trace (fun () ->
+      (Obs.Trace.record_step_lazy t.o.trace (fun () ->
            {
              Obs.Trace.node;
              kind = Obs.Trace.Crash;
@@ -480,7 +467,7 @@ module Make (P : Dsm.Protocol.S) = struct
 
   let record_drop t ~node ~kind ~src ~label ~fp_before ~depth =
     ignore
-      (Obs.Trace.emit_lazy t.config.trace ~ev:"drop" (fun () ->
+      (Obs.Trace.emit_lazy t.o.trace ~ev:"drop" (fun () ->
            [
              ("node", Dsm.Json.Int node);
              ("kind", Dsm.Json.String kind);
@@ -493,7 +480,7 @@ module Make (P : Dsm.Protocol.S) = struct
   let record_prelim t (violation : Dsm.Invariant.violation) sdepth
       (tuple : 'k entry array) =
     ignore
-      (Obs.Trace.emit t.config.trace ~ev:"prelim"
+      (Obs.Trace.emit t.o.trace ~ev:"prelim"
          [
            ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
            ("detail", Dsm.Json.String violation.Dsm.Invariant.detail);
@@ -509,7 +496,7 @@ module Make (P : Dsm.Protocol.S) = struct
 
   let record_witness t (violation : Dsm.Invariant.violation) schedule =
     ignore
-      (Obs.Trace.emit t.config.trace ~ev:"witness"
+      (Obs.Trace.emit t.o.trace ~ev:"witness"
          (RW.witness_fields ~init:t.snapshot ~schedule
             ~invariant:violation.Dsm.Invariant.invariant
             ~detail:violation.Dsm.Invariant.detail))
@@ -773,7 +760,7 @@ module Make (P : Dsm.Protocol.S) = struct
   let record_reject t (violation : Dsm.Invariant.violation) sdepth tuple
       rejection =
     ignore
-      (Obs.Trace.emit t.config.trace ~ev:"reject"
+      (Obs.Trace.emit t.o.trace ~ev:"reject"
          [
            ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
            ("system_depth", Dsm.Json.Int sdepth);
@@ -803,13 +790,6 @@ module Make (P : Dsm.Protocol.S) = struct
              component state depths *)
           system_depth = List.length schedule;
         };
-    Obs.event t.o.scope "lmc.sound_violation"
-      ~fields:
-        [
-          ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
-          ("detail", Dsm.Json.String violation.Dsm.Invariant.detail);
-          ("witness_events", Dsm.Json.Int (List.length schedule));
-        ];
     if t.tracing then record_witness t violation schedule
 
   let count_rejection t =
@@ -853,8 +833,8 @@ module Make (P : Dsm.Protocol.S) = struct
              Array.mapi (fun n evs -> List.map (soundness_event t n) evs) sequences
            in
            match
-             Soundness.check ?obs:t.o.soundness_obs ?trace:t.soundness_trace
-               ~budget:t.config.soundness_budget ~initial_net:[] seqs
+             Soundness.check ~obs:t.o.scope ~budget:t.config.soundness_budget
+               ~initial_net:[] seqs
            with
            | Soundness.Valid order ->
                found := Some order;
@@ -876,14 +856,13 @@ module Make (P : Dsm.Protocol.S) = struct
     count_sequence t;
     match screen t tuple with
     | Some why ->
-        Soundness.record_infeasible ?obs:t.o.soundness_obs
-          ?trace:t.soundness_trace ();
+        Soundness.record_infeasible ~obs:t.o.scope ();
         Error (Infeasible why)
     | None -> (
         let by_label = new_by_label () in
         let graphs = Array.map (fun e -> build_graph t e by_label) tuple in
         match
-          Soundness.check_dag ?obs:t.o.soundness_obs ?trace:t.soundness_trace
+          Soundness.check_dag ~obs:t.o.scope
             ~budget:t.config.soundness_budget ~initial_net:[] graphs
         with
         | Soundness.Valid order -> Ok (by_label, order)
@@ -1020,13 +999,6 @@ module Make (P : Dsm.Protocol.S) = struct
       | Some violation ->
           t.preliminary_violations <- t.preliminary_violations + 1;
           Obs.Metrics.incr t.o.c_prelim;
-          Obs.event t.o.scope "lmc.preliminary_violation"
-            ~fields:
-              [
-                ( "invariant",
-                  Dsm.Json.String violation.Dsm.Invariant.invariant );
-                ("system_depth", Dsm.Json.Int sdepth);
-              ];
           if t.tracing then record_prelim t violation sdepth tuple;
           if t.config.verify_soundness then begin
             if
@@ -1196,14 +1168,6 @@ module Make (P : Dsm.Protocol.S) = struct
         if depth > t.max_node_depth then t.max_node_depth <- depth;
         Obs.Metrics.incr t.o.c_node_states;
         Obs.Metrics.observe t.o.h_node_depth depth;
-        Obs.event t.o.scope "lmc.node_state"
-          ~fields:
-            [
-              ("node", Dsm.Json.Int node);
-              ("depth", Dsm.Json.Int depth);
-              ("fp", Dsm.Json.String (Fingerprint.to_hex fp));
-            ];
-        List.iter (fun f -> f node state) t.o.node_state_observers;
         check_system_invariant t entry;
         true
 
@@ -1485,13 +1449,23 @@ module Make (P : Dsm.Protocol.S) = struct
      results are folded back in deterministic cache order. *)
   let verify_parallel t (pending : 'k rejected array) =
     let t0 = now () in
+    (* Worker domains record into the scope's registry concurrently:
+       the histogram/counter cells are atomic, per-domain effort merges
+       without locks (the "per-domain buffers or atomic counters"
+       requirement of always-on instrumentation).  They get no
+       recorder: trace records are emitted in the fold below, in cache
+       order, whatever the scheduling. *)
+    let worker_obs =
+      if Obs.is_null t.o.scope then Obs.null
+      else Obs.create ~metrics:(Obs.metrics t.o.scope) ()
+    in
     let jobs =
       Array.map
         (fun r ->
           let j0 = now () in
           match screen t r.r_tuple with
           | Some why ->
-              Soundness.record_infeasible ?obs:t.o.soundness_obs ();
+              Soundness.record_infeasible ~obs:worker_obs ();
               Obs.Metrics.observe t.o.h_soundness_us
                 (int_of_float (1e6 *. (now () -. j0)));
               (r, Error (Infeasible why))
@@ -1515,18 +1489,13 @@ module Make (P : Dsm.Protocol.S) = struct
     let domains = t.config.verify_domains in
     let next = Atomic.make 0 in
     let budget = t.config.soundness_budget in
-    (* Worker domains record into the scope concurrently: the
-       histogram/counter cells are atomic, per-domain effort merges
-       without locks (the "per-domain buffers or atomic counters"
-       requirement of always-on instrumentation). *)
-    let soundness_obs = t.o.soundness_obs in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           let j0 = now () in
           verdicts.(i) <-
-            Soundness.check_dag ?obs:soundness_obs ~budget ~initial_net:[]
+            Soundness.check_dag ~obs:worker_obs ~budget ~initial_net:[]
               survivors.(i);
           Obs.Metrics.observe t.o.h_soundness_us
             (int_of_float (1e6 *. (now () -. j0)));
@@ -1550,7 +1519,7 @@ module Make (P : Dsm.Protocol.S) = struct
        workers and is reported as -1. *)
     let record_par_verdict verdict_str witness_events =
       ignore
-        (Obs.Trace.emit t.config.trace ~ev:"soundness"
+        (Obs.Trace.emit t.o.trace ~ev:"soundness"
            [
              ("kind", Dsm.Json.String "dag");
              ("steps", Dsm.Json.Int (-1));
@@ -1609,14 +1578,7 @@ module Make (P : Dsm.Protocol.S) = struct
     if wanted then begin
       let pending = Vec.to_array t.rejected in
       Vec.clear t.rejected;
-      Obs.span t.o.scope "lmc.reverify"
-        ~fields:
-          [
-            ("pending", Dsm.Json.Int (Array.length pending));
-            ("verify_domains", Dsm.Json.Int t.config.verify_domains);
-          ]
-        (fun () ->
-          Obs.frame t.o.scope "reverify" @@ fun () ->
+      Obs.frame t.o.scope "reverify" (fun () ->
           if
             t.config.verify_domains > 1
             && not t.config.soundness_via_sequences
@@ -1705,7 +1667,8 @@ module Make (P : Dsm.Protocol.S) = struct
     stores_bytes + net_bytes
 
   let exec config ~strategy ~invariant snapshot =
-    let tracing = Obs.Trace.enabled config.trace in
+    let o = make_obs_handles config in
+    let tracing = Obs.Trace.enabled o.trace in
     let t =
       {
         config;
@@ -1715,9 +1678,8 @@ module Make (P : Dsm.Protocol.S) = struct
             (fun n ->
               Array.init config.crash_budget (fun k ->
                   Fingerprint.of_value ("crash", n, k)));
-        o = make_obs_handles config;
+        o;
         tracing;
-        soundness_trace = (if tracing then Some config.trace else None);
         snapshot = Array.copy snapshot;
         ph_handler_us = ref 0;
         ph_fingerprint_us = ref 0;
@@ -1784,16 +1746,9 @@ module Make (P : Dsm.Protocol.S) = struct
         | None -> ());
         Obs.Metrics.incr t.o.c_node_states)
       snapshot;
-    Obs.event t.o.scope "lmc.run.start"
-      ~fields:
-        [
-          ("protocol", Dsm.Json.String P.name);
-          ("nodes", Dsm.Json.Int P.num_nodes);
-          ("verify_domains", Dsm.Json.Int config.verify_domains);
-        ];
     if tracing then
       ignore
-        (Obs.Trace.emit config.trace ~ev:"lmc_run"
+        (Obs.Trace.emit o.trace ~ev:"lmc_run"
            [
              ("protocol", Dsm.Json.String P.name);
              ("nodes", Dsm.Json.Int P.num_nodes);
@@ -1803,39 +1758,16 @@ module Make (P : Dsm.Protocol.S) = struct
        Obs.frame t.o.scope "lmc" @@ fun () ->
        check_initial t snapshot;
        if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
-         let rounds = ref 0 in
          let continue = ref true in
          while !continue do
            check_budget t;
-           incr rounds;
-           Obs.span t.o.scope "lmc.round"
-             ~fields:[ ("round", Dsm.Json.Int !rounds) ]
-             (fun () -> continue := round t)
+           continue := round t
          done;
          reverify_rejected t
        end
      with Stop -> ());
     let elapsed = now () -. t.started in
     let node_states = Array.map Vec.length t.stores in
-    Obs.event t.o.scope "lmc.run.end"
-      ~fields:
-        [
-          ("protocol", Dsm.Json.String P.name);
-          ("transitions", Dsm.Json.Int t.transitions);
-          ( "node_states",
-            Dsm.Json.Int (Array.fold_left ( + ) 0 node_states) );
-          ("net_messages", Dsm.Json.Int (Vec.length t.net));
-          ("system_states", Dsm.Json.Int t.system_states_created);
-          ("preliminary_violations", Dsm.Json.Int t.preliminary_violations);
-          ("soundness_calls", Dsm.Json.Int t.soundness_calls);
-          ("sound_violation", Dsm.Json.Bool (t.sound_violation <> None));
-          ("store_hits", Dsm.Json.Int t.store_hits);
-          ("symmetry", Dsm.Json.String (Dsm.Symmetry.name config.symmetry));
-          ("orbit_hits", Dsm.Json.Int t.orbit_hits);
-          ("completed", Dsm.Json.Bool (not t.truncated));
-          ("verify_domains", Dsm.Json.Int config.verify_domains);
-          ("elapsed_s", Dsm.Json.Float elapsed);
-        ];
     (match config.persist with
     | Some p ->
         Obs.Metrics.set
@@ -1852,7 +1784,7 @@ module Make (P : Dsm.Protocol.S) = struct
          reuse the result's accounting; [lmc report] derives the
          exploration residue. *)
       ignore
-        (Obs.Trace.emit config.trace ~ev:"phases"
+        (Obs.Trace.emit o.trace ~ev:"phases"
            [
              ("handler_us", Dsm.Json.Int !(t.ph_handler_us));
              ("fingerprint_us", Dsm.Json.Int !(t.ph_fingerprint_us));
@@ -1864,7 +1796,7 @@ module Make (P : Dsm.Protocol.S) = struct
              ("elapsed_us", Dsm.Json.Int (int_of_float (1e6 *. elapsed)));
            ]);
       ignore
-        (Obs.Trace.emit config.trace ~ev:"lmc_end"
+        (Obs.Trace.emit o.trace ~ev:"lmc_end"
            [
              ("transitions", Dsm.Json.Int t.transitions);
              ( "node_states",
@@ -1874,12 +1806,14 @@ module Make (P : Dsm.Protocol.S) = struct
              ( "preliminary_violations",
                Dsm.Json.Int t.preliminary_violations );
              ("sound_violation", Dsm.Json.Bool (t.sound_violation <> None));
+             ("soundness_calls", Dsm.Json.Int t.soundness_calls);
+             ("store_hits", Dsm.Json.Int t.store_hits);
              ( "symmetry",
                Dsm.Json.String (Dsm.Symmetry.name config.symmetry) );
              ("orbit_hits", Dsm.Json.Int t.orbit_hits);
              ("completed", Dsm.Json.Bool (not t.truncated));
            ]);
-      Obs.Trace.flush config.trace
+      Obs.Trace.flush o.trace
     end;
     {
       node_states;

@@ -124,34 +124,25 @@ module Make (P : Dsm.Protocol.S) : sig
     obs : Obs.scope;
         (** observability scope.  Counters mirroring every [result]
             tally ([lmc.transitions], [lmc.node_states],
-            [lmc.soundness_calls], ...) are always recorded —
-            single atomic increments, safe under [verify_domains > 1];
-            structured events ([lmc.node_state],
-            [lmc.preliminary_violation], [lmc.sound_violation],
-            [lmc.round] / [lmc.reverify] spans) flow to the scope's
-            sinks, and a periodic ["progress"] heartbeat reports
-            explored states / |I+| / preliminary violations during
-            long runs.  Defaults to {!Obs.null} (no sinks, throwaway
-            registry). *)
-    trace : Obs.Trace.t;
-        (** flight recorder.  When enabled, every explored transition
-            is logged as a causal [trace.v1] record (acting node,
-            handler label, consumed/produced message fingerprints with
-            I+ provenance, state fingerprints before/after, depth),
-            together with the soundness search's own records
-            (preliminary violations, per-call verdicts, rejections and
-            why), fully replayable violation witnesses, and per-phase
-            time attribution.  Records are emitted from the sequential
-            exploration only, so two runs with the same config record
-            bit-identical step streams, for any [verify_domains] value.
-            Defaults to {!Obs.Trace.null} (disabled; the hot loops pay
-            one branch). *)
-    on_new_node_state : (Dsm.Node_id.t -> P.state -> unit) option;
-        (** @deprecated superseded by the [obs] event stream: the
-            callback is kept working but is now just one more
-            subscriber of the [lmc.node_state] notification (fired
-            once per newly visited node state).  New code should
-            attach an {!Obs.Sink} instead. *)
+            [lmc.soundness_calls], ...) are always recorded — single
+            atomic increments, safe under [verify_domains > 1] — and a
+            periodic ["progress"] heartbeat reports explored states /
+            |I+| / preliminary violations during long runs.
+
+            When the scope carries a recorder ({!Obs.recorder}), every
+            explored transition is logged as a causal [trace.v1] [step]
+            record (acting node, handler label, consumed/produced
+            message fingerprints with I+ provenance, state fingerprints
+            before/after, depth), together with the run's [lmc_run] /
+            [lmc_end] frame, each preliminary violation ([prelim]), the
+            soundness search's own records (per-call verdicts,
+            rejections and why), fully replayable violation witnesses
+            and per-phase time attribution.  Each fact is one record.
+            Records are emitted from the sequential exploration only,
+            so two runs with the same config record bit-identical step
+            streams, for any [verify_domains] value.  Defaults to
+            {!Obs.null} (no recorder, throwaway registry; the hot loops
+            pay one branch). *)
     persist : persist option;
         (** disk-backed stores shared across restarts ({!persist}).
             When set, every combination consults the on-disk set of

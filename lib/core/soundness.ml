@@ -37,44 +37,40 @@ exception Out_of_budget
    prefilter rejections (0 steps) from the searches that actually
    backtrack, and the verdict counters make "how often does soundness
    save us" a first-class number.  All cells are atomic, so the
-   deferred-verification worker domains record concurrently. *)
+   deferred-verification worker domains record concurrently.  The
+   scope's recorder also gets one [ev = "soundness"] record per search,
+   with its effort and outcome; worker domains pass a scope without a
+   recorder, since their emissions would make record order
+   scheduling-dependent. *)
 let record obs ~kind ~steps verdict =
-  match obs with
-  | None -> ()
-  | Some scope ->
-      Obs.Metrics.observe (Obs.histogram scope "soundness.steps") steps;
-      Obs.Metrics.incr (Obs.counter scope ("soundness.checks." ^ kind));
-      Obs.Metrics.incr
-        (Obs.counter scope
-           (match verdict with
-           | Valid _ -> "soundness.valid"
-           | Invalid -> "soundness.invalid"
-           | Budget_exhausted -> "soundness.budget_exhausted"))
-
-let verdict_string = function
-  | Valid _ -> "valid"
-  | Invalid -> "invalid"
-  | Budget_exhausted -> "budget_exhausted"
-
-(* Flight-recorder view of the same call: one [ev = "soundness"]
-   record per interleaving search, with its effort and outcome.  Only
-   wired on the sequential verification path — worker-domain emissions
-   would make record order scheduling-dependent. *)
-let record_trace trace ~kind ~steps verdict =
-  match trace with
-  | None -> ()
-  | Some tr ->
+  if not (Obs.is_null obs) then begin
+    Obs.Metrics.observe (Obs.histogram obs "soundness.steps") steps;
+    Obs.Metrics.incr (Obs.counter obs ("soundness.checks." ^ kind));
+    Obs.Metrics.incr
+      (Obs.counter obs
+         (match verdict with
+         | Valid _ -> "soundness.valid"
+         | Invalid -> "soundness.invalid"
+         | Budget_exhausted -> "soundness.budget_exhausted"));
+    let tr = Obs.recorder obs in
+    if Obs.Trace.enabled tr then
       ignore
         (Obs.Trace.emit tr ~ev:"soundness"
            [
              ("kind", Dsm.Json.String kind);
              ("steps", Dsm.Json.Int steps);
-             ("verdict", Dsm.Json.String (verdict_string verdict));
+             ( "verdict",
+               Dsm.Json.String
+                 (match verdict with
+                 | Valid _ -> "valid"
+                 | Invalid -> "invalid"
+                 | Budget_exhausted -> "budget_exhausted") );
              ( "witness_events",
                match verdict with
                | Valid order -> Dsm.Json.Int (List.length order)
                | Invalid | Budget_exhausted -> Dsm.Json.Null );
            ])
+  end
 
 (* Necessary condition checked before any search: every consumed
    message must be produced somewhere (by another event or the initial
@@ -93,7 +89,7 @@ let balanced ~initial_net sequences =
     sequences;
   Hashtbl.fold (fun _ c ok -> ok && c >= 0) counts true
 
-let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
+let check ?(obs = Obs.null) ?(budget = 200_000) ~initial_net sequences =
   let n = Array.length sequences in
   let remaining = Array.map (fun s -> s) sequences in
   let net = Net.create initial_net in
@@ -161,7 +157,6 @@ let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
       | exception Out_of_budget -> Budget_exhausted
   in
   record obs ~kind:"sequence" ~steps:!steps verdict;
-  record_trace trace ~kind:"sequence" ~steps:!steps verdict;
   verdict
 
 type node_graph = {
@@ -361,11 +356,10 @@ let feasible ~initial_net graphs =
 
 (* A call the cached screen rejected records what [check_dag] records
    when [feasible] rejects: a 0-step dag search with verdict Invalid. *)
-let record_infeasible ?obs ?trace () =
-  record obs ~kind:"dag" ~steps:0 Invalid;
-  record_trace trace ~kind:"dag" ~steps:0 Invalid
+let record_infeasible ?(obs = Obs.null) () =
+  record obs ~kind:"dag" ~steps:0 Invalid
 
-let check_dag ?obs ?trace ?(budget = 200_000) ~initial_net graphs =
+let check_dag ?(obs = Obs.null) ?(budget = 200_000) ~initial_net graphs =
   let n = Array.length graphs in
   (* Adjacency: per node, state index -> outgoing (event, next). *)
   let adj =
@@ -491,5 +485,4 @@ let check_dag ?obs ?trace ?(budget = 200_000) ~initial_net graphs =
       | exception Out_of_budget -> Budget_exhausted
   in
   record obs ~kind:"dag" ~steps:!steps verdict;
-  record_trace trace ~kind:"dag" ~steps:!steps verdict;
   verdict

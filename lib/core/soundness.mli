@@ -46,14 +46,13 @@ type verdict =
     (default 200_000).  [obs] records per-call search effort into the
     scope's registry: a [soundness.steps] histogram plus
     per-kind/per-verdict counters; safe to pass from concurrent
-    verification domains.  [trace] additionally records one
-    [ev = "soundness"] flight-recorder record per call — the
-    interleaving search's kind, effort and verdict; pass it only from
-    the sequential verification path (record order must not depend on
-    domain scheduling). *)
+    verification domains.  Its recorder additionally gets one
+    [ev = "soundness"] record per call — the interleaving search's
+    kind, effort and verdict — so concurrent domains must pass a scope
+    without a recorder (record order must not depend on domain
+    scheduling). *)
 val check :
   ?obs:Obs.scope ->
-  ?trace:Obs.Trace.t ->
   ?budget:int ->
   initial_net:Dsm.Fingerprint.t list ->
   sequence array ->
@@ -84,7 +83,6 @@ type node_graph = {
     events form a valid run. *)
 val check_dag :
   ?obs:Obs.scope ->
-  ?trace:Obs.Trace.t ->
   ?budget:int ->
   initial_net:Dsm.Fingerprint.t list ->
   node_graph array ->
@@ -156,4 +154,4 @@ val feasible : initial_net:Dsm.Fingerprint.t list -> node_graph array -> bool
 
 (** Record a call rejected by a cached [screen] exactly as [check_dag]
     records a [feasible] rejection: a 0-step [dag] search, [Invalid]. *)
-val record_infeasible : ?obs:Obs.scope -> ?trace:Obs.Trace.t -> unit -> unit
+val record_infeasible : ?obs:Obs.scope -> unit -> unit

@@ -54,12 +54,12 @@ module Make (P : Dsm.Protocol.S) = struct
            re-expansion, making restarts incremental; [retained_bytes]
            then counts only the parent table. *)
     obs : Obs.scope;
-    trace : Obs.Trace.t;
-        (* flight recorder: first-visit transitions, violation
-           witnesses, run header/footer.  The global checker's network
-           is a consumable multiset, not the LMC's monotone I+, but
-           message provenance still applies: a delivery's consumed
-           fingerprint references the step that produced it. *)
+        (* metrics, plus the flight recorder: first-visit transitions,
+           violation witnesses, run header/footer.  The global
+           checker's network is a consumable multiset, not the LMC's
+           monotone I+, but message provenance still applies: a
+           delivery's consumed fingerprint references the step that
+           produced it. *)
     symmetry : (P.state, P.message) Dsm.Symmetry.spec;
         (* audited role-permutation group (with identifier mappers for
            states and messages): the visited set and parent links are
@@ -85,7 +85,6 @@ module Make (P : Dsm.Protocol.S) = struct
       track_traces = true;
       visited_store = None;
       obs = Obs.null;
-      trace = Obs.Trace.null;
       symmetry = Dsm.Symmetry.id_spec ~degree:P.num_nodes;
     }
 
@@ -151,6 +150,7 @@ module Make (P : Dsm.Protocol.S) = struct
      cost model (atomic increments on the hot path). *)
   type obs_handles = {
     scope : Obs.scope;
+    trace : Obs.Trace.t;  (* the scope's recorder *)
     c_transitions : Obs.Metrics.counter;
     c_global_states : Obs.Metrics.counter;
     c_system_states : Obs.Metrics.counter;
@@ -162,6 +162,7 @@ module Make (P : Dsm.Protocol.S) = struct
     let scope = config.obs in
     {
       scope;
+      trace = Obs.recorder scope;
       c_transitions = Obs.counter scope "bdfs.transitions";
       c_global_states = Obs.counter scope "bdfs.global_states";
       c_system_states = Obs.counter scope "bdfs.system_states";
@@ -301,16 +302,9 @@ module Make (P : Dsm.Protocol.S) = struct
       let tr = if s.config.track_traces then rebuild_trace s fp else [] in
       s.violation <-
         Some { system = Array.copy g.nodes; violation; trace = tr; depth };
-      Obs.event s.o.scope "bdfs.violation"
-        ~fields:
-          [
-            ("invariant", Dsm.Json.String violation.Dsm.Invariant.invariant);
-            ("detail", Dsm.Json.String violation.Dsm.Invariant.detail);
-            ("depth", Dsm.Json.Int depth);
-          ];
       if s.tracing && s.config.track_traces then
         ignore
-          (Obs.Trace.emit s.config.trace ~ev:"witness"
+          (Obs.Trace.emit s.o.trace ~ev:"witness"
              (RWB.witness_fields ~init:s.root ~schedule:tr
                 ~invariant:violation.Dsm.Invariant.invariant
                 ~detail:violation.Dsm.Invariant.detail))
@@ -419,7 +413,7 @@ module Make (P : Dsm.Protocol.S) = struct
     if s.config.track_traces then
       Hashtbl.replace s.parents cfp' (Some parent_cfp, step);
     if s.tracing then
-      record_global_step ~trace:s.config.trace ~inj:s.binj step out
+      record_global_step ~trace:s.o.trace ~inj:s.binj step out
         ~fp_before:parent_fp ~fp_after:fp' ~depth:depth';
     note_system_state s g'.nodes;
     match Dsm.Invariant.check s.invariant g'.nodes with
@@ -516,11 +510,12 @@ module Make (P : Dsm.Protocol.S) = struct
         crashes = Array.make P.num_nodes 0;
       }
     in
+    let o = make_obs_handles config in
     let s =
       {
         config;
-        o = make_obs_handles config;
-        tracing = Obs.Trace.enabled config.trace;
+        o;
+        tracing = Obs.Trace.enabled o.trace;
         reduce =
           not (Dsm.Symmetry.is_trivial config.symmetry.Dsm.Symmetry.group);
         binj = Hashtbl.create 256;
@@ -539,7 +534,7 @@ module Make (P : Dsm.Protocol.S) = struct
         started = Unix.gettimeofday ();
       }
     in
-    if s.tracing then record_run_header ~trace:config.trace;
+    if s.tracing then record_run_header ~trace:o.trace;
     let fp = fingerprint g in
     let cfp = canonical_fp config.symmetry g fp in
     let fresh =
@@ -586,7 +581,7 @@ module Make (P : Dsm.Protocol.S) = struct
       }
     in
     if s.tracing then
-      record_run_end ~trace:config.trace
+      record_run_end ~trace:o.trace
         ~symmetry:config.symmetry.Dsm.Symmetry.group outcome;
     outcome
 end

@@ -92,18 +92,17 @@ module Make (P : Dsm.Protocol.S) : sig
     obs : Obs.scope;
         (** observability scope: [bdfs.transitions] /
             [bdfs.global_states] / [bdfs.system_states] counters and a
-            [bdfs.depth] histogram mirror {!stats}; a periodic
-            ["progress"] heartbeat and a [bdfs.violation] event flow to
-            the scope's sinks.  Defaults to {!Obs.null}. *)
-    trace : Obs.Trace.t;
-        (** flight recorder: one [step] record per first-visited global
-            state (global-state fingerprints before/after, message
-            provenance), a replayable [witness] record per violation
-            (requires [track_traces]), and [bdfs_run] / [bdfs_end]
-            framing.  The DFS and the layered frontier BFS (with
-            [visited_store]) traverse in different orders, so their
-            record streams legitimately differ; two runs with the same
-            config record identical streams.  Defaults to {!Obs.Trace.null}. *)
+            [bdfs.depth] histogram mirror {!stats}, and a periodic
+            ["progress"] heartbeat reports long runs.  Its recorder
+            ({!Obs.recorder}) gets one [step] record per first-visited
+            global state (global-state fingerprints before/after,
+            message provenance), a replayable [witness] record per
+            violation (requires [track_traces]), and [bdfs_run] /
+            [bdfs_end] framing.  The DFS and the layered frontier BFS
+            (with [visited_store]) traverse in different orders, so
+            their record streams legitimately differ; two runs with the
+            same config record identical streams.  Defaults to
+            {!Obs.null}. *)
     symmetry : (P.state, P.message) Dsm.Symmetry.spec;
         (** audited role-permutation symmetry for global-state
             canonicalization.  Every successor's fingerprint is reduced

@@ -9,8 +9,7 @@ module Procstat = Procstat
 
 type scope = {
   metrics : Metrics.t;
-  sinks : Sink.t list;
-  active : bool;
+  recorder : Trace.t;
   clock0 : float;
   progress_interval : float option;
   mutable next_beat : float;
@@ -25,14 +24,14 @@ type scope = {
 
 let now () = Unix.gettimeofday ()
 
-let make ?metrics ?(sinks = []) ?progress ?profiler ?timeseries () =
+let create ?metrics ?(recorder = Trace.null) ?progress ?profiler ?timeseries
+    () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
   {
     metrics;
-    sinks;
-    active = sinks <> [];
+    recorder;
     clock0 = now ();
     progress_interval = progress;
     next_beat =
@@ -44,16 +43,13 @@ let make ?metrics ?(sinks = []) ?progress ?profiler ?timeseries () =
       progress <> None || profiler <> None || timeseries <> None;
   }
 
-let null = make ()
-
-let create ?metrics ?sinks ?progress ?profiler ?timeseries () =
-  make ?metrics ?sinks ?progress ?profiler ?timeseries ()
+let null = create ()
 
 let is_null scope = scope == null
 
-let active scope = scope.active
-
 let metrics scope = scope.metrics
+
+let recorder scope = scope.recorder
 
 let counter scope name = Metrics.counter scope.metrics name
 
@@ -61,32 +57,16 @@ let gauge scope name = Metrics.gauge scope.metrics name
 
 let histogram scope name = Metrics.histogram scope.metrics name
 
-let elapsed scope = now () -. scope.clock0
-
-let emit scope name fields =
-  let e = { Sink.ts = elapsed scope; name; fields } in
-  List.iter (fun sink -> Sink.emit sink e) scope.sinks
-
-let event scope ?(fields = []) name =
-  if scope.active then emit scope name fields
-
-let span scope ?(fields = []) name f =
-  if not scope.active then f ()
-  else begin
-    let t0 = now () in
-    let finish () =
-      emit scope name
-        (fields @ [ ("elapsed_s", Dsm.Json.Float (now () -. t0)) ])
-    in
-    Fun.protect ~finally:finish f
-  end
+let pp_field ppf (k, v) =
+  Format.fprintf ppf " %s=%s" k (Dsm.Json.to_string v)
 
 (* Hot-loop safe: a branch and an integer increment on the common path;
    the clock is consulted only every 256 calls.  Meant to be called
    from a single domain (the exploration loop).  The same tick gate
    drives profiler sampling and the attached timeseries sampler, and
    progress lines carry GC/RSS so memory pressure shows without any
-   extra flag. *)
+   extra flag.  Progress goes to stderr, never to the recorder: it is
+   time-gated, and the record stream must not depend on the clock. *)
 let heartbeat scope fields =
   if scope.ticking then begin
     scope.beat_tick <- scope.beat_tick + 1;
@@ -104,7 +84,9 @@ let heartbeat scope fields =
           match progress with
           | Some iv when t >= scope.next_beat ->
               scope.next_beat <- t +. iv;
-              emit scope "progress" (fields () @ Procstat.mem_fields ())
+              Format.eprintf "[obs %.3f] progress%a@." (t -. scope.clock0)
+                (Format.pp_print_list ~pp_sep:(fun _ () -> ()) pp_field)
+                (fields () @ Procstat.mem_fields ())
           | _ -> ())
     end
   end
@@ -130,13 +112,11 @@ let frame scope name f =
           Prof.leave p;
           raise e)
 
-let flush scope = List.iter Sink.flush scope.sinks
-
 let close scope =
   (match scope.timeseries with
   | Some ts -> Timeseries.close ts
   | None -> ());
-  List.iter Sink.close scope.sinks
+  Trace.close scope.recorder
 
 let write_metrics_jsonl scope path =
   let oc = open_out path in

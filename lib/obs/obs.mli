@@ -1,7 +1,7 @@
-(** Unified observability: metrics, structured events/spans, progress.
+(** Unified observability: metrics, the flight recorder, progress.
 
-    A {!scope} bundles a {!Metrics} registry, a list of event
-    {!Sink}s, and an optional progress heartbeat; checkers thread one
+    A {!scope} bundles a {!Metrics} registry, an optional {!Trace}
+    recorder and an optional progress heartbeat; checkers thread one
     scope through their run and record into it.  The design splits the
     cost model in two:
 
@@ -10,12 +10,10 @@
        always-on: updates are single atomic operations, safe under
        [verify_domains > 1] and negligible next to a handler execution
        or a fingerprint;}
-    {- {b events} flow only into attached sinks.  {!null} — the
-       default scope everywhere — has no sinks, so every event/span
-       call reduces to one branch (the no-op sink configuration).}}
-
-    Event streams are JSONL-friendly: each event renders as one
-    compact {!Dsm.Json} object per line. *)
+    {- {b records} — the one event stream — go to the scope's
+       {!recorder} ([trace.v1]).  {!null}, the default scope
+       everywhere, carries {!Trace.null}, so every record call reduces
+       to one branch.}} *)
 
 module Metrics = Metrics
 module Sink = Sink
@@ -41,20 +39,22 @@ module Procstat = Procstat
 
 type scope
 
-(** The disabled scope: no sinks, no heartbeat, a private throwaway
-    registry.  Physically unique, so [scope == null] is the
+(** The disabled scope: no recorder, no heartbeat, a private
+    throwaway registry.  Physically unique, so [scope == null] is the
     "instrumentation off" test. *)
 val null : scope
 
-(** [create ?metrics ?sinks ?progress ()] builds a live scope.
-    [progress] is the heartbeat period in seconds; without it (and
-    without a [timeseries]), {!heartbeat} is free.  An attached
-    [profiler] makes {!frame} live and is boundary-sampled from the
-    heartbeat tick gate; an attached [timeseries] is sampled from the
-    same gate and closed by {!close}. *)
+(** [create ?metrics ?recorder ?progress ()] builds a live scope.
+    [recorder] (default {!Trace.null}) receives every record the
+    checkers emit and is closed by {!close}.  [progress] is the
+    heartbeat period in seconds; without it (and without a
+    [timeseries]), {!heartbeat} is free.  An attached [profiler] makes
+    {!frame} live and is boundary-sampled from the heartbeat tick
+    gate; an attached [timeseries] is sampled from the same gate and
+    closed by {!close}. *)
 val create :
   ?metrics:Metrics.t ->
-  ?sinks:Sink.t list ->
+  ?recorder:Trace.t ->
   ?progress:float ->
   ?profiler:Prof.t ->
   ?timeseries:Timeseries.t ->
@@ -63,10 +63,11 @@ val create :
 
 val is_null : scope -> bool
 
-(** Whether any sink is attached (events will be observed). *)
-val active : scope -> bool
-
 val metrics : scope -> Metrics.t
+
+(** The scope's flight recorder; {!Trace.null} on {!null}.  Checkers
+    emit their records on it directly. *)
+val recorder : scope -> Trace.t
 
 (** Get-or-create in the scope's registry. *)
 val counter : scope -> string -> Metrics.counter
@@ -75,23 +76,11 @@ val gauge : scope -> string -> Metrics.gauge
 
 val histogram : scope -> string -> Metrics.histogram
 
-(** Seconds since the scope was created (event timestamps use this). *)
-val elapsed : scope -> float
-
-(** Emit a structured event to every attached sink; a single branch
-    when no sink is attached. *)
-val event : scope -> ?fields:(string * Dsm.Json.t) list -> string -> unit
-
-(** [span scope name f] runs [f] and emits one [name] event carrying
-    an ["elapsed_s"] field with [f]'s wall-clock duration (emitted
-    even if [f] raises).  Just [f ()] when no sink is attached. *)
-val span :
-  scope -> ?fields:(string * Dsm.Json.t) list -> string -> (unit -> 'a) ->
-  'a
-
 (** [heartbeat scope fields] is called from hot loops; roughly every
-    [progress] seconds it emits one ["progress"] event with
-    [fields ()] plus GC/RSS figures.  The same tick gate drives the
+    [progress] seconds it prints one ["progress"] line to stderr with
+    [fields ()] plus GC/RSS figures.  Progress never enters the
+    recorder: it is time-gated, and the record stream is
+    deterministic.  The same tick gate drives the
     attached {!Timeseries} sampler.  The common path is a branch plus
     an integer increment — the clock is consulted every 256th call —
     so it can sit on a per-transition path.  Call from one domain
@@ -108,10 +97,8 @@ val prof : scope -> Prof.t option
     frame (see {!Prof.enter}); just [f ()] without a profiler. *)
 val frame : scope -> string -> (unit -> 'a) -> 'a
 
-val flush : scope -> unit
-
-(** Flush and close every sink (file sinks close their channels) and
-    dump the attached timeseries, if any. *)
+(** Close the recorder (ring mode dumps here) and dump the attached
+    timeseries, if any. *)
 val close : scope -> unit
 
 (** Dump the scope's registry as JSONL, one metric per line. *)

@@ -11,7 +11,6 @@ let event_to_json e =
     :: e.fields)
 
 type t = {
-  only : string list option;
   emit : event -> unit;
   raw : (Buffer.t -> unit) option;
       (* byte-oriented fast path: the buffer holds whole pre-serialised
@@ -21,15 +20,9 @@ type t = {
   close : unit -> unit;
 }
 
-let accepts_name t name =
-  match t.only with None -> true | Some names -> List.mem name names
+let raw t = t.raw
 
-let accepts t e = accepts_name t e.name
-
-(* The raw line writer, if this sink has one and accepts [name]. *)
-let raw t ~name = if accepts_name t name then t.raw else None
-
-let emit t e = if accepts t e then t.emit e
+let emit t e = t.emit e
 
 let flush t = t.flush ()
 
@@ -41,10 +34,10 @@ let with_lock lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let jsonl ?only oc =
+let jsonl_file path =
+  let oc = open_out path in
   let lock = Mutex.create () in
   {
-    only;
     emit =
       (fun e ->
         let line = Dsm.Json.to_string (event_to_json e) in
@@ -54,38 +47,14 @@ let jsonl ?only oc =
     raw =
       Some (fun buf -> with_lock lock (fun () -> Buffer.output_buffer oc buf));
     flush = (fun () -> with_lock lock (fun () -> Stdlib.flush oc));
-    close = (fun () -> with_lock lock (fun () -> Stdlib.flush oc));
+    close = (fun () -> with_lock lock (fun () -> close_out oc));
   }
 
-let jsonl_file ?only path =
-  let oc = open_out path in
-  let t = jsonl ?only oc in
-  { t with close = (fun () -> t.close (); close_out oc) }
-
-let pp_field ppf (k, v) =
-  Format.fprintf ppf " %s=%s" k (Dsm.Json.to_string v)
-
-let console ?only () =
-  let lock = Mutex.create () in
-  {
-    only;
-    raw = None;
-    emit =
-      (fun e ->
-        with_lock lock (fun () ->
-            Format.eprintf "[obs %.3f] %s%a@." e.ts e.name
-              (Format.pp_print_list ~pp_sep:(fun _ () -> ()) pp_field)
-              e.fields));
-    flush = (fun () -> ());
-    close = (fun () -> ());
-  }
-
-let memory ?only () =
+let memory () =
   let lock = Mutex.create () in
   let events = ref [] in
   let t =
     {
-      only;
       raw = None;
       emit = (fun e -> with_lock lock (fun () -> events := e :: !events));
       flush = (fun () -> ());

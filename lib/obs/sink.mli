@@ -1,12 +1,11 @@
-(** Pluggable event sinks.
+(** JSONL and in-memory line writers.
 
-    A sink consumes structured events; emission is serialised behind a
-    per-sink mutex so events arriving from several domains interleave
-    whole.  The optional [?only] filter restricts a sink to the named
-    event kinds (e.g. a console sink showing only ["progress"]). *)
+    The flight recorder ({!Trace}), the lint report and the scenario
+    log write through a sink; emission is serialised behind a per-sink
+    mutex so events arriving from several domains interleave whole. *)
 
 type event = {
-  ts : float;  (** seconds since the owning scope was created *)
+  ts : float;  (** seconds since the writer's owner started *)
   name : string;
   fields : (string * Dsm.Json.t) list;
 }
@@ -17,26 +16,21 @@ type t
 
 val emit : t -> event -> unit
 
-(** The sink's raw byte writer, if it has one and accepts [name]: the
-    buffer must hold whole newline-terminated lines, each a JSON
-    object serialised exactly as {!emit} would have, and is written
-    verbatim.  Lets hot paths skip the intermediate {!Dsm.Json.t} and
-    batch many records into one write. *)
-val raw : t -> name:string -> (Buffer.t -> unit) option
+(** The sink's raw byte writer, if it has one: the buffer must hold
+    whole newline-terminated lines, each a JSON object serialised
+    exactly as {!emit} would have, and is written verbatim.  Lets hot
+    paths skip the intermediate {!Dsm.Json.t} and batch many records
+    into one write. *)
+val raw : t -> (Buffer.t -> unit) option
 
 val flush : t -> unit
 
-(** Flush and release resources; for [jsonl_file], closes the channel. *)
+(** Flush and release resources; for {!jsonl_file}, closes the file. *)
 val close : t -> unit
 
-(** One compact JSON object per line on [oc]. *)
-val jsonl : ?only:string list -> out_channel -> t
-
-val jsonl_file : ?only:string list -> string -> t
-
-(** Human-oriented one-liners on stderr. *)
-val console : ?only:string list -> unit -> t
+(** One compact JSON object per line in the file at [path]. *)
+val jsonl_file : string -> t
 
 (** In-memory sink for tests; the closure returns the events captured
     so far in emission order. *)
-val memory : ?only:string list -> unit -> t * (unit -> event list)
+val memory : unit -> t * (unit -> event list)

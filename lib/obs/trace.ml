@@ -177,8 +177,11 @@ type mode =
     }
   | Ring of {
       oc : out_channel;  (* opened eagerly so bad paths fail up front *)
+      mutable header : rentry option;
+          (* the stream's leading [run] record, kept outside the ring
+             so a recording that overflows still says what it replays *)
       buf : rentry option array;
-      mutable total : int;  (* records emitted over the whole run *)
+      mutable total : int;  (* records that entered the ring *)
     }
 
 type t = {
@@ -208,7 +211,7 @@ let of_sink sink =
        (Stream
           {
             sink;
-            raw = Sink.raw sink ~name:"trace";
+            raw = Sink.raw sink;
             buf = Buffer.create 512;
           }))
 
@@ -223,7 +226,15 @@ let default_ring_capacity = 65_536
 
 let ring ?(capacity = default_ring_capacity) path =
   if capacity < 1 then invalid_arg "Obs.Trace.ring: capacity must be >= 1";
-  make (Some (Ring { oc = open_out path; buf = Array.make capacity None; total = 0 }))
+  make
+    (Some
+       (Ring
+          {
+            oc = open_out path;
+            header = None;
+            buf = Array.make capacity None;
+            total = 0;
+          }))
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -256,15 +267,20 @@ let emit_lazy t ~ev fields =
       Mutex.lock t.lock;
       let seq = t.seq in
       t.seq <- seq + 1;
-      r.buf.(r.total mod Array.length r.buf) <-
+      let e =
         Some
           {
             r_ts = Unix.gettimeofday () -. t.clock0;
             r_seq = seq;
             r_ev = ev;
             r_fields = fields;
-          };
-      r.total <- r.total + 1;
+          }
+      in
+      if seq = 0 && ev = "run" then r.header <- e
+      else begin
+        r.buf.(r.total mod Array.length r.buf) <- e;
+        r.total <- r.total + 1
+      end;
       Mutex.unlock t.lock;
       seq
   | Some (Stream { sink; raw; buf }) ->
@@ -420,14 +436,13 @@ let close t =
                 | None -> ());
                 Sink.close sink
             | Ring r ->
-                (* Dump oldest-first; a trailing meta record says how
-                   many early records the ring overwrote, so consumers
-                   know the head is missing rather than malformed. *)
+                (* Dump the run header, then the ring oldest-first; a
+                   trailing meta record says how many early records the
+                   ring overwrote, so consumers know the head is missing
+                   rather than malformed. *)
                 let cap = Array.length r.buf in
                 let dropped = max 0 (r.total - cap) in
-                let count = min r.total cap in
-                for i = 0 to count - 1 do
-                  match r.buf.((dropped + i) mod cap) with
+                let write = function
                   | Some e ->
                       write_event r.oc
                         {
@@ -440,6 +455,10 @@ let close t =
                             :: e.r_fields ();
                         }
                   | None -> assert false
+                in
+                if r.header <> None then write r.header;
+                for i = 0 to min r.total cap - 1 do
+                  write r.buf.((dropped + i) mod cap)
                 done;
                 let seq = t.seq in
                 t.seq <- seq + 1;

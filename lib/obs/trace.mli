@@ -48,7 +48,10 @@ val sink : t -> Sink.t option
 (** Keep only the last [capacity] (default 65536) records in memory;
     {!close} writes them to [path] oldest-first, followed by a
     [ring_meta] record saying how many early records were overwritten.
-    The file is opened eagerly so an unwritable path fails here. *)
+    A [run] header emitted as the stream's first record is kept outside
+    the ring and written first, so an overflowed recording still
+    replays its witnesses.  The file is opened eagerly so an
+    unwritable path fails here. *)
 val ring : ?capacity:int -> string -> t
 
 (** [emit t ~ev fields] appends one record
@@ -93,6 +96,8 @@ type step = {
   depth : int;
   dom : int;  (** domain id of the recording (apply) side *)
 }
+
+val kind_to_string : step_kind -> string
 
 val step_to_json : step -> Dsm.Json.t
 

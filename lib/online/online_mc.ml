@@ -89,14 +89,13 @@ struct
   let run ?(obs = Obs.null) config ~strategy ~invariant =
     if config.check_interval <= 0. then
       invalid_arg "Online_mc.run: check_interval must be positive";
+    (* A scope given here reaches everything below the online loop; when the
+       caller passes none, the checker config's scope serves the whole
+       hunt. *)
+    let obs = if Obs.is_null obs then config.checker.Checker.obs else obs in
+    let trace = Obs.recorder obs in
     let c_checks = Obs.counter obs "online.checks" in
     let c_vetoes = Obs.counter obs "online.vetoes" in
-    (* A scope given here reaches everything below the driver; when the
-       caller passes none, the checker keeps whatever its own config
-       carries. *)
-    let checker_obs =
-      if Obs.is_null obs then config.checker.Checker.obs else obs
-    in
     let vetoes : (Dsm.Node_id.t * Live.action, unit) Hashtbl.t =
       Hashtbl.create 8
     in
@@ -108,8 +107,8 @@ struct
         | `Node -> Hashtbl.replace quarantined n ()
         | `Exact_action -> ());
         Obs.Metrics.incr c_vetoes;
-        Obs.event obs "online.veto"
-          ~fields:
+        ignore
+          (Obs.Trace.emit trace ~ev:"veto"
             [
               ("live_time", Dsm.Json.Float live_time);
               ("node", Dsm.Json.Int n);
@@ -118,7 +117,7 @@ struct
                   (match config.steer_scope with
                   | `Exact_action -> "exact_action"
                   | `Node -> "node") );
-            ];
+            ]);
         true
       end
       else false
@@ -134,9 +133,7 @@ struct
         { config.sim with Sim_p.action_prob = Some action_prob }
       end
     in
-    let sim =
-      Sim_p.create ~obs ~trace:config.checker.Checker.trace sim_config
-    in
+    let sim = Sim_p.create ~obs sim_config in
     let checks = ref 0 in
     let check_time = ref 0. in
     let vetoed = ref [] in
@@ -150,7 +147,7 @@ struct
        The live loop must outlive its checker.  Every pathology below
        — a checker exception, a restart that blows its wall-clock or
        memory budget, a snapshot that arrives torn — is recorded as an
-       [online.degraded] event and the loop continues, possibly with a
+       [degraded] record and the loop continues, possibly with a
        narrower checker. *)
     let sup = config.supervisor in
     let c_degraded = Obs.counter obs "online.degraded" in
@@ -175,14 +172,14 @@ struct
     let degraded ~reason ~detail =
       Obs.Metrics.incr c_degraded;
       degradations := reason :: !degradations;
-      Obs.event obs "online.degraded"
-        ~fields:
-          [
-            ("live_time", Dsm.Json.Float (Sim_p.now sim));
-            ("reason", Dsm.Json.String reason);
-            ("tier", Dsm.Json.Int !tier);
-            ("detail", Dsm.Json.String detail);
-          ]
+      ignore
+        (Obs.Trace.emit trace ~ev:"degraded"
+           [
+             ("live_time", Dsm.Json.Float (Sim_p.now sim));
+             ("reason", Dsm.Json.String reason);
+             ("tier", Dsm.Json.Int !tier);
+             ("detail", Dsm.Json.String detail);
+           ])
     in
     let escalate ~reason ~detail =
       if !tier < 3 then incr tier;
@@ -204,7 +201,7 @@ struct
       match config.store with
       | None -> (None, None)
       | Some sc ->
-          let events = Store.Events.of_trace config.checker.Checker.trace in
+          let events = Store.Events.of_trace trace in
           let open_cold () =
             Store.Checkpoint.create ~events ~dir:sc.dir ~protocol:Check.name
               ~num_nodes:Check.num_nodes ~seed:config.sim.Sim_p.seed ()
@@ -436,7 +433,6 @@ struct
             (* Frame the restart in the flight recorder before the
                checker emits its own [lmc_run] header, so a hunt trace
                segments into per-snapshot, per-bound episodes. *)
-            let trace = config.checker.Checker.trace in
             if Obs.Trace.enabled trace then
               ignore
                 (Obs.Trace.emit trace ~ev:"restart"
@@ -453,7 +449,7 @@ struct
                 {
                   config.checker with
                   local_action_bound = bound;
-                  obs = checker_obs;
+                  obs;
                   persist;
                 }
                 snapshot
@@ -465,27 +461,6 @@ struct
             states_total :=
               !states_total + result.Checker.system_states_created;
             hits_total := !hits_total + result.Checker.store_hits;
-            Obs.event obs "online.check"
-              ~fields:
-                [
-                  ("live_time", Dsm.Json.Float (Sim_p.now sim));
-                  ("run", Dsm.Json.Int !checks);
-                  ( "bound",
-                    match bound with
-                    | Some b -> Dsm.Json.Int b
-                    | None -> Dsm.Json.Null );
-                  ("transitions", Dsm.Json.Int result.Checker.transitions);
-                  ( "node_states",
-                    Dsm.Json.Int result.Checker.total_node_states );
-                  ( "system_states",
-                    Dsm.Json.Int result.Checker.system_states_created );
-                  ( "preliminary_violations",
-                    Dsm.Json.Int result.Checker.preliminary_violations );
-                  ( "sound_violation",
-                    Dsm.Json.Bool (result.Checker.sound_violation <> None) );
-                  ("store_hits", Dsm.Json.Int result.Checker.store_hits);
-                  ("elapsed_s", Dsm.Json.Float result.Checker.elapsed);
-                ];
             match result.Checker.sound_violation with
             | Some violation -> Some (violation, result)
             | None -> widen rest))

@@ -142,7 +142,7 @@ module Make (P : Dsm.Protocol.S) = struct
      with Exit -> ());
     !found
 
-  let create ?(obs = Obs.null) ?(trace = Obs.Trace.null) config =
+  let create ?(obs = Obs.null) config =
     if config.timer_min <= 0. || config.timer_max < config.timer_min then
       invalid_arg "Live_sim.create: need 0 < timer_min <= timer_max";
     (match Fault.Plan.validate ~num_nodes:P.num_nodes config.faults with
@@ -157,8 +157,8 @@ module Make (P : Dsm.Protocol.S) = struct
       {
         config;
         o = make_obs_handles obs;
-        trace;
-        tracing = Obs.Trace.enabled trace;
+        trace = Obs.recorder obs;
+        tracing = Obs.Trace.enabled (Obs.recorder obs);
         states = Dsm.Protocol.initial_system (module P);
         queue = Event_queue.create ();
         node_rng;

@@ -45,14 +45,14 @@ module Make (P : Dsm.Protocol.S) : sig
 
   type t
 
-  (** [create ?obs ?trace config] builds a simulation.  When [obs] is
-      given, [sim.events] / [sim.messages_sent] / [sim.messages_dropped]
+  (** [create ?obs config] builds a simulation.  When [obs] is given,
+      [sim.events] / [sim.messages_sent] / [sim.messages_dropped]
       counters mirror the accessors below, and a periodic ["progress"]
       heartbeat reports them together with the simulated clock.  When
-      [trace] is given, every executed event additionally enters the
-      flight recorder as a lightweight [ev = "live"] record (simulated
-      clock, acting node, rendered event). *)
-  val create : ?obs:Obs.scope -> ?trace:Obs.Trace.t -> config -> t
+      its recorder is enabled, every executed event additionally enters
+      the flight recorder as a lightweight [ev = "live"] record
+      (simulated clock, acting node, rendered event). *)
+  val create : ?obs:Obs.scope -> config -> t
 
   (** Current simulation time in seconds. *)
   val now : t -> float

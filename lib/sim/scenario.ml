@@ -19,9 +19,6 @@ module Events = struct
   let of_sink sink =
     { sink = Some sink; seq = 0; clock0 = Unix.gettimeofday () }
 
-  let of_trace trace =
-    match Obs.Trace.sink trace with Some s -> of_sink s | None -> null
-
   let enabled t = t.sink <> None
 
   let emit t ~ev fields =
@@ -121,8 +118,8 @@ let run_all events scs = List.map (run_one events) scs
 module Soak (P : Dsm.Protocol.S) = struct
   module S = Live_sim.Make (P)
 
-  let run ?obs ?trace ?(check_every = 5.) ~invariant ~duration config =
-    let sim = S.create ?obs ?trace config in
+  let run ?obs ?(check_every = 5.) ~invariant ~duration config =
+    let sim = S.create ?obs config in
     let rec loop violation =
       match violation with
       | Some _ -> violation

@@ -22,8 +22,6 @@ module Events : sig
 
   val of_sink : Obs.Sink.t -> t
 
-  val of_trace : Obs.Trace.t -> t
-
   val enabled : t -> bool
 
   val emit : t -> ev:string -> (string * Dsm.Json.t) list -> unit
@@ -80,7 +78,6 @@ module Soak (P : Dsm.Protocol.S) : sig
 
   val run :
     ?obs:Obs.scope ->
-    ?trace:Obs.Trace.t ->
     ?check_every:float ->
     invariant:P.state Dsm.Invariant.t ->
     duration:float ->

@@ -388,10 +388,10 @@ let plan_gen =
 
 let run_fingerprint ~seed plan_str =
   let sink, events = Obs.Sink.memory () in
-  let trace = Obs.Trace.of_sink sink in
-  let sim = S.create ~trace (sim_config ~seed ~drop:0.2 (parse plan_str)) in
+  let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+  let sim = S.create ~obs (sim_config ~seed ~drop:0.2 (parse plan_str)) in
   S.run_until sim 40.0;
-  Obs.Trace.close trace;
+  Obs.close obs;
   let records =
     List.map
       (fun (e : Obs.Sink.event) -> Dsm.Json.to_string (Dsm.Json.Obj e.Obs.Sink.fields))
@@ -429,7 +429,7 @@ module Sim_pb = Sim.Live_sim.Make (PB_cr)
 
 let hunt_trace () =
   let sink, events = Obs.Sink.memory () in
-  let trace = Obs.Trace.of_sink sink in
+  let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
   let config =
     {
       O.sim =
@@ -452,7 +452,7 @@ let hunt_trace () =
           O.Checker.default_config with
           max_transitions = Some 100_000;
           crash_budget = 1;
-          trace;
+          obs;
         };
       action_bounds = [ 1; 2 ];
       steer = false;
@@ -462,7 +462,7 @@ let hunt_trace () =
     }
   in
   let outcome = O.run config ~strategy:O.Checker.General ~invariant:PB_cr.read_your_writes in
-  Obs.Trace.close trace;
+  Obs.close obs;
   ( outcome,
     List.filter_map
       (fun (e : Obs.Sink.event) ->

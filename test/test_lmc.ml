@@ -121,19 +121,37 @@ let test_sequences_mode () =
   check Alcotest.int "rejects ----r" 1 r.soundness_rejections;
   check Alcotest.bool "no false positive" true (r.sound_violation = None)
 
+(* Each newly visited node state is announced once, by the step record
+   that reached it: the distinct (node, fp_after) pairs outside the
+   roots are exactly the non-root states. *)
 let test_observer_hook () =
-  let seen = ref 0 in
-  let cfg =
-    { L_tree.default_config with
-      on_new_node_state = Some (fun _ _ -> incr seen) }
-  in
+  let sink, events = Obs.Sink.memory () in
+  let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+  let cfg = { L_tree.default_config with obs } in
+  let init = tree_init () in
   let r =
     L_tree.run cfg ~strategy:L_tree.General
-      ~invariant:Tree.received_implies_sent (tree_init ())
+      ~invariant:Tree.received_implies_sent init
   in
-  (* fires once per non-root state *)
-  check Alcotest.int "observer saw non-root states" (r.total_node_states - 5)
-    !seen
+  Obs.close obs;
+  let roots =
+    Array.to_list
+      (Array.mapi
+         (fun n s -> (n, Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value s)))
+         init)
+  in
+  let reached =
+    List.filter_map
+      (fun (e : Obs.Sink.event) ->
+        match Obs.Trace.step_of_json (Dsm.Json.Obj e.fields) with
+        | Ok st when not (List.mem (st.node, st.fp_after) roots) ->
+            Some (st.node, st.fp_after)
+        | _ -> None)
+      (events ())
+  in
+  check Alcotest.int "step records reach every non-root state"
+    (r.total_node_states - Array.length init)
+    (List.length (List.sort_uniq compare reached))
 
 let test_transition_budget () =
   let cfg = { L_ping.default_config with max_transitions = Some 2 } in

@@ -120,11 +120,13 @@ let test_json_roundtrip () =
 
 let test_jsonl_sink_roundtrip () =
   let path = Filename.temp_file "test_obs" ".jsonl" in
-  let scope = Obs.create ~sinks:[ Obs.Sink.jsonl_file path ] () in
-  Obs.event scope "first" ~fields:[ ("n", Dsm.Json.Int 7) ];
-  Obs.event scope "second"
-    ~fields:[ ("s", Dsm.Json.String "with \"quotes\" and \n newline") ];
-  Obs.close scope;
+  let sink = Obs.Sink.jsonl_file path in
+  let emit name fields =
+    Obs.Sink.emit sink { Obs.Sink.ts = 0.5; name; fields }
+  in
+  emit "first" [ ("n", Dsm.Json.Int 7) ];
+  emit "second" [ ("s", Dsm.Json.String "with \"quotes\" and \n newline") ];
+  Obs.Sink.close sink;
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -162,22 +164,13 @@ let test_jsonl_sink_roundtrip () =
       | _ -> Alcotest.fail "ts is not a float")
   | _ -> assert false)
 
-let test_sink_only_filter () =
-  let sink, events = Obs.Sink.memory ~only:[ "keep" ] () in
-  let scope = Obs.create ~sinks:[ sink ] () in
-  Obs.event scope "drop";
-  Obs.event scope "keep";
-  Obs.event scope "drop";
-  check Alcotest.(list string) "filtered" [ "keep" ]
-    (List.map (fun e -> e.Obs.Sink.name) (events ()))
-
 let test_memory_sink_two_domains () =
   let sink, events = Obs.Sink.memory () in
-  let scope = Obs.create ~sinks:[ sink ] () in
   let n = 500 in
   let emitter tag () =
     for i = 0 to n - 1 do
-      Obs.event scope tag ~fields:[ ("i", Dsm.Json.Int i) ]
+      Obs.Sink.emit sink
+        { Obs.Sink.ts = 0.; name = tag; fields = [ ("i", Dsm.Json.Int i) ] }
     done
   in
   let d = Domain.spawn (emitter "d1") in
@@ -204,43 +197,31 @@ let test_memory_sink_two_domains () =
 let test_null_scope () =
   check Alcotest.bool "null is null" true (Obs.is_null Obs.null);
   check Alcotest.bool "created scope is not" false (Obs.is_null (Obs.create ()));
-  check Alcotest.bool "null is inactive" false (Obs.active Obs.null);
-  (* events, spans and heartbeats on the disabled scope are no-ops *)
-  Obs.event Obs.null "nobody" ~fields:[ ("x", Dsm.Json.Int 1) ];
+  check Alcotest.bool "null has no recorder" false
+    (Obs.Trace.enabled (Obs.recorder Obs.null));
+  (* heartbeats and frames on the disabled scope are no-ops *)
   Obs.heartbeat Obs.null (fun () -> Alcotest.fail "fields forced");
-  check Alcotest.int "span passes the value through" 41
-    (Obs.span Obs.null "s" (fun () -> 41))
+  check Alcotest.int "frame passes the value through" 41
+    (Obs.frame Obs.null "f" (fun () -> 41))
 
-let test_span_emits_duration () =
-  let sink, events = Obs.Sink.memory () in
-  let scope = Obs.create ~sinks:[ sink ] () in
-  let v =
-    Obs.span scope "work" ~fields:[ ("k", Dsm.Json.Int 3) ] (fun () -> 7)
-  in
-  check Alcotest.int "result" 7 v;
-  match events () with
-  | [ e ] ->
-      check Alcotest.string "name" "work" e.Obs.Sink.name;
-      check Alcotest.bool "keeps fields" true
-        (List.assoc_opt "k" e.Obs.Sink.fields = Some (Dsm.Json.Int 3));
-      (match List.assoc_opt "elapsed_s" e.Obs.Sink.fields with
-      | Some (Dsm.Json.Float t) ->
-          check Alcotest.bool "duration >= 0" true (t >= 0.)
-      | _ -> Alcotest.fail "no elapsed_s field")
-  | es -> Alcotest.fail (Printf.sprintf "%d events, wanted 1" (List.length es))
-
+(* Progress is time-gated, so it goes to stderr and never into the
+   deterministic record stream. *)
 let test_heartbeat () =
   let sink, events = Obs.Sink.memory () in
-  let scope = Obs.create ~sinks:[ sink ] ~progress:0.0 () in
+  let scope =
+    Obs.create ~recorder:(Obs.Trace.of_sink sink) ~progress:0.0 ()
+  in
+  let beats = ref 0 in
   for i = 1 to 1024 do
-    Obs.heartbeat scope (fun () -> [ ("i", Dsm.Json.Int i) ])
+    Obs.heartbeat scope (fun () ->
+        incr beats;
+        [ ("i", Dsm.Json.Int i) ])
   done;
-  let beats = events () in
+  Obs.close scope;
   (* the clock is consulted every 256th call; with a zero interval each
-     consultation emits *)
-  check Alcotest.int "4 beats in 1024 calls" 4 (List.length beats);
-  check Alcotest.bool "named progress" true
-    (List.for_all (fun e -> e.Obs.Sink.name = "progress") beats)
+     consultation reports *)
+  check Alcotest.int "4 beats in 1024 calls" 4 !beats;
+  check Alcotest.int "no progress records" 0 (List.length (events ()))
 
 let test_metrics_jsonl_dump () =
   let scope = Obs.create () in
@@ -721,33 +702,6 @@ let test_telemetry_is_pure_observer () =
        (fun e -> List.mem "combination" e.Obs.Prof.stack)
        (Obs.Prof.snapshot profiler))
 
-(* the deprecated callback keeps firing, now as an event subscriber *)
-let test_on_new_node_state_still_works () =
-  let sink, events = Obs.Sink.memory ~only:[ "lmc.node_state" ] () in
-  let scope = Obs.create ~sinks:[ sink ] () in
-  let calls = ref 0 in
-  let cfg =
-    {
-      L.default_config with
-      max_depth = Some 6;
-      local_action_bound = Some 1;
-      obs = scope;
-      on_new_node_state = Some (fun _ _ -> incr calls);
-    }
-  in
-  let snapshot = Protocols.Scenarios.wids_snapshot (module Buggy) in
-  let r =
-    L.run cfg ~strategy:L.General ~invariant:Buggy.safety snapshot
-  in
-  check Alcotest.bool "callback fired" true (!calls > 0);
-  (* one callback invocation and one event per new node state, minus
-     the snapshot roots which predate exploration *)
-  check Alcotest.int "callback counts new node states"
-    (r.total_node_states - Array.length snapshot)
-    !calls;
-  check Alcotest.int "events mirror the callback" !calls
-    (List.length (events ()))
-
 let () =
   Alcotest.run "obs"
     [
@@ -780,14 +734,12 @@ let () =
         [
           Alcotest.test_case "jsonl round-trip" `Quick
             test_jsonl_sink_roundtrip;
-          Alcotest.test_case "only filter" `Quick test_sink_only_filter;
           Alcotest.test_case "memory sink, two domains" `Quick
             test_memory_sink_two_domains;
         ] );
       ( "scopes",
         [
           Alcotest.test_case "null scope" `Quick test_null_scope;
-          Alcotest.test_case "span duration" `Quick test_span_emits_duration;
           Alcotest.test_case "heartbeat gating" `Quick test_heartbeat;
         ] );
       ( "checker",
@@ -796,7 +748,5 @@ let () =
             test_checker_counters_match_result;
           Alcotest.test_case "counters match result (parallel)" `Quick
             test_checker_counters_match_result_parallel;
-          Alcotest.test_case "on_new_node_state still works" `Quick
-            test_on_new_node_state_still_works;
         ] );
     ]

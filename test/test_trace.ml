@@ -164,7 +164,7 @@ let strategy =
    record's fields in emission order. *)
 let hunt_trace () =
   let sink, events = Obs.Sink.memory () in
-  let trace = Obs.Trace.of_sink sink in
+  let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
   let config =
     {
       O.sim =
@@ -188,7 +188,7 @@ let hunt_trace () =
         {
           O.Checker.default_config with
           max_transitions = Some 100_000;
-          trace;
+          obs;
         };
       action_bounds = [ 1; 2 ];
       steer = false;
@@ -198,7 +198,7 @@ let hunt_trace () =
     }
   in
   let outcome = O.run config ~strategy ~invariant:Check_p.safety in
-  Obs.Trace.close trace;
+  Obs.close obs;
   ( outcome,
     List.map (fun (e : Obs.Sink.event) -> e.Obs.Sink.fields) (events ()) )
 
@@ -308,6 +308,127 @@ let test_tampered_witness_diverges () =
               fail (Printf.sprintf "divergence reported at step %d, not 0" i)
           | None -> fail "tampered fingerprint not detected"))
 
+(* ---------- one fact, one record ---------- *)
+
+(* A run into a fresh memory-backed scope; the records' fields, in
+   emission order. *)
+let recorded f =
+  let sink, events = Obs.Sink.memory () in
+  let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+  let r = f obs in
+  Obs.close obs;
+  (r, List.map (fun (e : Obs.Sink.event) -> e.Obs.Sink.fields) (events ()))
+
+let count ev records = List.length (List.filter (fun f -> ev_of f = ev) records)
+
+let test_lmc_facts_once () =
+  let (module S) = Option.get (Protocols.Registry.find "2pc-buggy") in
+  let module L = Lmc.Checker.Make (S.P) in
+  let r, records =
+    recorded (fun obs ->
+        match S.opt with
+        | Some (Protocols.Registry.Opt o) ->
+            L.run { L.default_config with obs }
+              ~strategy:
+                (L.Invariant_specific
+                   { abstract = o.abstract; conflict = o.conflict })
+              ~invariant:S.invariant
+              (Dsm.Protocol.initial_system (module S.P))
+        | None -> fail "2pc-buggy has no LMC-OPT abstraction")
+  in
+  check Alcotest.bool "a witness was found" true (r.sound_violation <> None);
+  check Alcotest.int "one prelim record per preliminary violation"
+    r.preliminary_violations (count "prelim" records);
+  check Alcotest.int "one witness record" 1 (count "witness" records);
+  let lmc_end =
+    match List.filter (fun f -> ev_of f = "lmc_end") records with
+    | [ f ] -> f
+    | l -> fail (Printf.sprintf "%d lmc_end records" (List.length l))
+  in
+  let expected =
+    Dsm.Json.
+      [
+        ("transitions", Int r.transitions);
+        ("node_states", Int r.total_node_states);
+        ("net_messages", Int r.net_messages);
+        ("system_states", Int r.system_states_created);
+        ("preliminary_violations", Int r.preliminary_violations);
+        ("sound_violation", Bool (r.sound_violation <> None));
+        ("soundness_calls", Int r.soundness_calls);
+        ("store_hits", Int r.store_hits);
+        ( "symmetry",
+          String
+            (Dsm.Symmetry.name (Dsm.Symmetry.identity_group S.P.num_nodes)) );
+        ("orbit_hits", Int r.orbit_hits);
+        ("completed", Bool r.completed);
+      ]
+  in
+  List.iter
+    (fun (k, v) ->
+      if not (List.mem k [ "schema"; "seq"; "ev" ]) then
+        match List.assoc_opt k expected with
+        | None -> fail (Printf.sprintf "lmc_end field %S has no result twin" k)
+        | Some e ->
+            check Alcotest.string ("lmc_end." ^ k) (Dsm.Json.to_string e)
+              (Dsm.Json.to_string v))
+    lmc_end;
+  check Alcotest.int "every result tally is in lmc_end"
+    (List.length expected + 3) (List.length lmc_end)
+
+let test_bdfs_witness_once () =
+  let (module S) = Option.get (Protocols.Registry.find "2pc-buggy") in
+  let module G = Mc_global.Bdfs.Make (S.P) in
+  let o, records =
+    recorded (fun obs ->
+        G.run { G.default_config with obs } ~invariant:S.invariant
+          (Dsm.Protocol.initial_system (module S.P)))
+  in
+  check Alcotest.bool "a violation was found" true (o.violation <> None);
+  check Alcotest.int "one witness record" 1 (count "witness" records)
+
+(* Every restart blows a zero budget, so each one degrades. *)
+let test_degraded_once () =
+  let config =
+    {
+      O.sim =
+        {
+          Sim_p.seed = 7;
+          link =
+            Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05
+              ~latency_max:0.3 ();
+          timer_min = 2.0;
+          timer_max = 20.0;
+          action_prob = None;
+          faults = Fault.Plan.empty;
+        };
+      check_interval = 30.0;
+      max_live_time = 120.0;
+      checker =
+        {
+          O.Checker.default_config with
+          time_limit = Some 5.0;
+          max_transitions = Some 100_000;
+        };
+      action_bounds = [ 1; 2 ];
+      steer = false;
+      steer_scope = `Exact_action;
+      supervisor = { O.default_supervisor with O.restart_budget_ms = Some 0 };
+      store = None;
+    }
+  in
+  let (outcome, degraded), records =
+    recorded (fun obs ->
+        let outcome = O.run ~obs config ~strategy ~invariant:Check_p.safety in
+        ( outcome,
+          Obs.Metrics.find_counter (Obs.metrics obs) "online.degraded"
+          |> Option.map Obs.Metrics.value ))
+  in
+  check Alcotest.bool "the hunt degraded" true (outcome.O.degradations <> []);
+  check Alcotest.(option int) "one degraded record per counted degradation"
+    degraded (Some (count "degraded" records));
+  check Alcotest.int "one degraded record per reported degradation"
+    (List.length outcome.O.degradations) (count "degraded" records)
+
 (* ---------- registry lookups the recorder leans on ---------- *)
 
 let test_find_gauge_and_histogram () =
@@ -361,6 +482,14 @@ let () =
             test_tampered_witness_diverges;
           Alcotest.test_case "rejections carry their reason" `Slow
             test_reject_reasons;
+        ] );
+      ( "one record",
+        [
+          Alcotest.test_case "LMC: lmc_end mirrors the result" `Quick
+            test_lmc_facts_once;
+          Alcotest.test_case "B-DFS: one witness" `Quick test_bdfs_witness_once;
+          Alcotest.test_case "hunt: one record per degradation" `Slow
+            test_degraded_once;
         ] );
       ( "metrics",
         [
