@@ -162,6 +162,16 @@ module Make (P : Dsm.Protocol.S) = struct
            predecessor pointer lands anywhere in this node's store *)
   }
 
+  (* LMC-OPT's partner index over one node's store: its keyed entries,
+     one bucket per distinct abstract key, each bucket in store order.
+     Keys are looked up by structural equality and hashing, so they
+     must be pure data; a key that is not canonical costs an extra
+     bucket, never a missed partner. *)
+  type 'k keyed = {
+    bucket_of : ('k, 'k entry Vec.t) Hashtbl.t;
+    key_order : ('k * 'k entry Vec.t) Vec.t;  (* first-seen order *)
+  }
+
   type net_entry = {
     net_id : int;
     env : P.message Envelope.t;
@@ -270,6 +280,7 @@ module Make (P : Dsm.Protocol.S) = struct
            pointer is added to an existing entry: the only event that
            can change an existing entry's feasibility summary *)
     by_fp : (Fingerprint.t, int) Hashtbl.t array;
+    keyed : 'k keyed array;
     action_cursor : int array;  (* states already expanded for actions *)
     crash_cursor : int array;  (* states already expanded for crashes *)
     net : net_entry Vec.t;
@@ -540,6 +551,24 @@ module Make (P : Dsm.Protocol.S) = struct
     match t.strategy with
     | General | Automatic -> None
     | Invariant_specific { abstract; _ } -> abstract state
+
+  (* File a new entry under its abstract key; unkeyed entries are never
+     LMC-OPT partners. *)
+  let index_key t (e : 'k entry) =
+    match e.key with
+    | None -> ()
+    | Some k ->
+        let kd = t.keyed.(e.node) in
+        let bucket =
+          match Hashtbl.find_opt kd.bucket_of k with
+          | Some b -> b
+          | None ->
+              let b = Vec.create () in
+              Hashtbl.add kd.bucket_of k b;
+              ignore (Vec.push kd.key_order (k, b));
+              b
+        in
+        ignore (Vec.push bucket e)
 
   let depth_allows t d =
     match t.config.max_depth with Some bound -> d <= bound | None -> true
@@ -1043,46 +1072,61 @@ module Make (P : Dsm.Protocol.S) = struct
      that map to [None] never seed a combination, which is why a
      bug-free run creates no system states at all. *)
 
-  (* Pin [new_entry] together with each partner the filter accepts and
-     complete the system state from the remaining nodes' full stores. *)
-  let pinned_pair_combos t (new_entry : 'k entry) ~partner =
+  (* Pin [new_entry] together with each partner [partners m] visits on
+     node [m] (in store order) and complete the system state from the
+     remaining nodes' full stores.  Those stores are copied once per
+     [m], and only once a partner turns up; slot [m] is overwritten per
+     partner. *)
+  let pinned_pair_combos t (new_entry : 'k entry) ~partners =
+    let stop () = t.sound_violation <> None && t.config.stop_on_violation in
     try
       for m = 0 to P.num_nodes - 1 do
-        if m <> new_entry.node then
-          Vec.iteri
-            (fun _ (other : 'k entry) ->
-              if partner m other then begin
-                let candidates =
-                  Array.init P.num_nodes (fun j ->
-                      if j = new_entry.node then [| new_entry |]
-                      else if j = m then [| other |]
-                      else Vec.to_array t.stores.(j))
-                in
-                ignore
-                  (Combination.iter candidates (fun tuple ->
-                       let cfp = tuple_fp tuple in
-                       if not (Hashtbl.mem t.seen_combos cfp) then begin
-                         Hashtbl.replace t.seen_combos cfp ();
-                         consider_combo t tuple
-                       end;
-                       if
-                         t.sound_violation <> None
-                         && t.config.stop_on_violation
-                       then `Stop
-                       else `Continue));
-                if t.sound_violation <> None && t.config.stop_on_violation
-                then raise Exit
-              end)
-            t.stores.(m)
+        if m <> new_entry.node then begin
+          let candidates =
+            lazy
+              (Array.init P.num_nodes (fun j ->
+                   if j = new_entry.node then [| new_entry |]
+                   else if j = m then [||]
+                   else Vec.to_array t.stores.(j)))
+          in
+          partners m (fun (other : 'k entry) ->
+              let candidates = Lazy.force candidates in
+              candidates.(m) <- [| other |];
+              ignore
+                (Combination.iter candidates (fun tuple ->
+                     let cfp = tuple_fp tuple in
+                     if not (Hashtbl.mem t.seen_combos cfp) then begin
+                       Hashtbl.replace t.seen_combos cfp ();
+                       consider_combo t tuple
+                     end;
+                     if stop () then `Stop else `Continue));
+              if stop () then raise Exit)
+        end
       done
     with Exit -> ()
 
+  (* One [conflict] call per distinct key of node [m]; the partners are
+     the union of the conflicting buckets, visited in store order. *)
   let opt_combos t conflict (new_entry : 'k entry) =
     match new_entry.key with
     | None -> ()
     | Some k ->
-        pinned_pair_combos t new_entry ~partner:(fun _ (other : 'k entry) ->
-            match other.key with Some k' -> conflict k k' | None -> false)
+        pinned_pair_combos t new_entry ~partners:(fun m visit ->
+            let hits =
+              Vec.fold_left
+                (fun acc (k', bucket) ->
+                  if conflict k k' then bucket :: acc else acc)
+                [] t.keyed.(m).key_order
+            in
+            match hits with
+            | [] -> ()
+            | [ bucket ] -> Vec.iteri (fun _ e -> visit e) bucket
+            | buckets ->
+                let merged = Array.concat (List.map Vec.to_array buckets) in
+                Array.sort
+                  (fun (a : 'k entry) (b : 'k entry) -> Int.compare a.idx b.idx)
+                  merged;
+                Array.iter visit merged)
 
   (* The paper's future-work pruning, derived from the invariant's
      shape: a pairwise invariant needs a violating pair in the
@@ -1091,8 +1135,12 @@ module Make (P : Dsm.Protocol.S) = struct
   let auto_combos t (new_entry : 'k entry) =
     match Dsm.Invariant.pairwise_witness t.invariant with
     | Some pair ->
-        pinned_pair_combos t new_entry ~partner:(fun m (other : 'k entry) ->
-            pair new_entry.node new_entry.state m other.state)
+        pinned_pair_combos t new_entry ~partners:(fun m visit ->
+            Vec.iteri
+              (fun _ (other : 'k entry) ->
+                if pair new_entry.node new_entry.state m other.state then
+                  visit other)
+              t.stores.(m))
     | None -> (
         match Dsm.Invariant.nodewise_witness t.invariant with
         | Some local ->
@@ -1162,6 +1210,7 @@ module Make (P : Dsm.Protocol.S) = struct
         in
         ignore (Vec.push store entry);
         Hashtbl.replace t.by_fp.(node) fp idx;
+        index_key t entry;
         (match t.config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_nodes.(node) fp)
         | None -> ());
@@ -1597,49 +1646,42 @@ module Make (P : Dsm.Protocol.S) = struct
               pending)
     end
 
-  let check_initial t snapshot =
-    if not t.config.create_system_states then ignore snapshot
-    else
-    match t.strategy with
-    | General ->
-        let tuple = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
-        consider_combo t tuple
-    | Invariant_specific { conflict; _ } ->
-        (* The snapshot is one combination, however many of its root
-           pairs conflict: consider it once, as [Automatic] does. *)
-        let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
-        let conflicting (ei : 'k entry) (ej : 'k entry) =
-          match (ei.key, ej.key) with
-          | Some ki, Some kj -> conflict ki kj
-          | _ -> false
+  (* The snapshot is one combination, however many of its root pairs
+     conflict: consider it at most once. *)
+  let check_initial t =
+    if t.config.create_system_states then begin
+      let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
+      let exists_root_pair p =
+        let rec from i j =
+          if i >= P.num_nodes then false
+          else if j >= P.num_nodes then from (i + 1) (i + 2)
+          else p roots.(i) roots.(j) || from i (j + 1)
         in
-        let hit = ref false in
-        for i = 0 to P.num_nodes - 1 do
-          for j = i + 1 to P.num_nodes - 1 do
-            if conflicting roots.(i) roots.(j) then hit := true
-          done
-        done;
-        if !hit then consider_combo t roots;
-        ignore snapshot
-    | Automatic ->
-        let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
-        let fire =
-          match Dsm.Invariant.pairwise_witness t.invariant with
-          | Some pair ->
-              let hit = ref false in
-              for i = 0 to P.num_nodes - 1 do
-                for j = i + 1 to P.num_nodes - 1 do
-                  if pair i roots.(i).state j roots.(j).state then hit := true
-                done
-              done;
-              !hit
-          | None -> (
-              match Dsm.Invariant.nodewise_witness t.invariant with
-              | Some local ->
-                  Array.exists (fun (e : 'k entry) -> local e.node e.state) roots
-              | None -> true)
-        in
-        if fire then consider_combo t roots
+        from 0 1
+      in
+      let fire =
+        match t.strategy with
+        | General -> true
+        | Invariant_specific { conflict; _ } ->
+            exists_root_pair (fun (ei : 'k entry) (ej : 'k entry) ->
+                match (ei.key, ej.key) with
+                | Some ki, Some kj -> conflict ki kj
+                | _ -> false)
+        | Automatic -> (
+            match Dsm.Invariant.pairwise_witness t.invariant with
+            | Some pair ->
+                exists_root_pair (fun (ei : 'k entry) (ej : 'k entry) ->
+                    pair ei.node ei.state ej.node ej.state)
+            | None -> (
+                match Dsm.Invariant.nodewise_witness t.invariant with
+                | Some local ->
+                    Array.exists
+                      (fun (e : 'k entry) -> local e.node e.state)
+                      roots
+                | None -> true))
+      in
+      if fire then consider_combo t roots
+    end
 
   let retained_bytes t =
     let entry_bytes acc (e : 'k entry) =
@@ -1691,6 +1733,9 @@ module Make (P : Dsm.Protocol.S) = struct
         stores = Array.init P.num_nodes (fun _ -> Vec.create ());
         gens = Array.make P.num_nodes 0;
         by_fp = Array.init P.num_nodes (fun _ -> Hashtbl.create 256);
+        keyed =
+          Array.init P.num_nodes (fun _ ->
+              { bucket_of = Hashtbl.create 8; key_order = Vec.create () });
         action_cursor = Array.make P.num_nodes 0;
         crash_cursor = Array.make P.num_nodes 0;
         net = Vec.create ();
@@ -1741,6 +1786,7 @@ module Make (P : Dsm.Protocol.S) = struct
         in
         ignore (Vec.push t.stores.(n) entry);
         Hashtbl.replace t.by_fp.(n) fp 0;
+        index_key t entry;
         (match config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_nodes.(n) fp)
         | None -> ());
@@ -1756,7 +1802,7 @@ module Make (P : Dsm.Protocol.S) = struct
            ]);
     (try
        Obs.frame t.o.scope "lmc" @@ fun () ->
-       check_initial t snapshot;
+       check_initial t;
        if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
          let continue = ref true in
          while !continue do

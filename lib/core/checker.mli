@@ -44,10 +44,16 @@ module Make (P : Dsm.Protocol.S) : sig
     | Invariant_specific of {
         abstract : P.state -> 'k option;
             (** [None] means the state can never contribute to a
-                violation and is skipped entirely *)
+                violation and is skipped entirely.  Each node store
+                buckets its keyed states by key, so keys must be pure
+                data: they are compared by structural equality and
+                hashing, like fingerprinted states.  A key that is not
+                canonical costs an extra bucket, never a missed
+                partner. *)
         conflict : 'k -> 'k -> bool;
             (** whether two abstractions can violate the invariant
-                together *)
+                together; called once per distinct key of each other
+                node, not once per stored state *)
       }
     | Automatic
         (** derive the pruning from the invariant's shape — the paper's

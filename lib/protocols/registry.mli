@@ -14,10 +14,14 @@
 type 's opt =
   | Opt : {
       abstract : 's -> 'k option;
-          (** [None]: the state never contributes to a violation *)
+          (** [None]: the state never contributes to a violation.  The
+              checker buckets states by key with structural equality
+              and hashing, so keys must be pure data; a key that is not
+              canonical costs an extra bucket, never a missed
+              partner. *)
       conflict : 'k -> 'k -> bool;
           (** whether two abstractions can violate the invariant
-              together *)
+              together; called once per pair of distinct keys *)
     }
       -> 's opt
 

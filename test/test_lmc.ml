@@ -654,6 +654,189 @@ let test_sym_equiv_paxos () =
   let module E = Sym_equiv (Paxos) in
   E.run ~name:"paxos" ~invariant:Paxos.safety ()
 
+(* ---------- LMC-OPT partner index ---------- *)
+
+(* LMC-OPT finds a new state's partners through per-node key buckets;
+   they must be exactly the entries the whole-store scan accepted, in
+   store order.  The reference abstraction pairs every key with its
+   state's fingerprint, so each bucket holds one entry and the checker
+   walks every store in full, in store order: the old scan.  Both runs
+   must agree on every counter, on the ordered stream of [prelim]
+   tuples and on the witness. *)
+module Opt_equiv (P : Dsm.Protocol.S) = struct
+  module L = Lmc.Checker.Make (P)
+
+  let counters (r : L.result) =
+    Printf.sprintf
+      "nodes=%s transitions=%d net=%d system=%d prelim=%d calls=%d \
+       sequences=%d rejected=%d exhausted=%d drops=%d completed=%b \
+       depth=%d/%d"
+      (String.concat ","
+         (Array.to_list (Array.map string_of_int r.node_states)))
+      r.transitions r.net_messages r.system_states_created
+      r.preliminary_violations r.soundness_calls r.sequences_checked
+      r.soundness_rejections r.soundness_budget_exhausted
+      r.local_assert_drops r.completed r.max_system_depth r.max_node_depth
+
+  let witness (r : L.result) =
+    match r.sound_violation with
+    | None -> "none"
+    | Some v ->
+        Dsm.Fingerprint.to_hex
+          (Dsm.Fingerprint.of_value
+             (v.violation.Dsm.Invariant.detail, v.schedule))
+
+  (* Each [prelim] record's tuple of node-state fingerprints, in
+     emission order. *)
+  let prelims events =
+    List.filter_map
+      (fun (e : Obs.Sink.event) ->
+        match
+          (List.assoc_opt "ev" e.fields, List.assoc_opt "tuple" e.fields)
+        with
+        | Some (Dsm.Json.String "prelim"), Some (Dsm.Json.List fps) ->
+            Some
+              (List.map
+                 (function Dsm.Json.String h -> h | _ -> fail "tuple")
+                 fps)
+        | _ -> None)
+      events
+
+  (* The transition budget keeps 1Paxos's spaces small; it cuts both
+     runs at the same transition. *)
+  let run ~invariant ~abstract ~conflict =
+    let sink, events = Obs.Sink.memory () in
+    let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+    let r =
+      L.run
+        {
+          L.default_config with
+          stop_on_violation = false;
+          max_transitions = Some 20_000;
+          obs;
+        }
+        ~strategy:(L.Invariant_specific { abstract; conflict })
+        ~invariant
+        (Dsm.Protocol.initial_system (module P))
+    in
+    Obs.close obs;
+    (r, prelims (events ()))
+
+  (* Returns the indexed run's [prelim] tuples. *)
+  let agree ~name ~invariant ~abstract ~conflict =
+    let r, p = run ~invariant ~abstract ~conflict in
+    let r', p' =
+      run ~invariant
+        ~abstract:(fun s ->
+          Option.map (fun k -> (Dsm.Fingerprint.of_value s, k)) (abstract s))
+        ~conflict:(fun (_, k) (_, k') -> conflict k k')
+    in
+    let tag s = Printf.sprintf "%s: %s" name s in
+    check Alcotest.string (tag "counters") (counters r') (counters r);
+    check Alcotest.(list (list string)) (tag "prelim stream") p' p;
+    check Alcotest.string (tag "witness") (witness r') (witness r);
+    p
+end
+
+let test_opt_index_equals_scan () =
+  List.iter
+    (fun (module S : Protocols.Registry.SUBJECT) ->
+      match S.opt with
+      | None -> ()
+      | Some (Protocols.Registry.Opt { abstract; conflict }) ->
+          let module E = Opt_equiv (S.P) in
+          ignore
+            (E.agree ~name:S.name ~invariant:S.invariant ~abstract ~conflict))
+    Protocols.Registry.subjects
+
+(* Node 0 walks through chosen values K1 = [(1,2)], K2 = [(2,2)], K1,
+   K2 (distinct states, interleaved keys), then tells node 1, which
+   chooses K = [(1,1); (2,1)]: Paxos's [conflicts] puts K against both
+   K1 and K2, so node 1's new state has two conflicting buckets on node
+   0, whose union must be walked in store order. *)
+module Two_index = struct
+  let name = "two-index"
+  let num_nodes = 2
+
+  type state = int * (int * int) list  (* step, chosen (index, value) *)
+  type message = unit
+  type action = Advance
+
+  let script = [| []; [ (1, 2) ]; [ (2, 2) ]; [ (1, 2) ]; [ (2, 2) ] |]
+  let decided = [ (1, 1); (2, 1) ]
+  let initial _ = (0, [])
+  let handle_message ~self:_ _ _ = ((1, decided), [])
+
+  let enabled_actions ~self (step, _) =
+    if self = 0 && step < Array.length script - 1 then [ Advance ] else []
+
+  let handle_action ~self:_ (step, _) Advance =
+    let step = step + 1 in
+    ( (step, script.(step)),
+      if step = Array.length script - 1 then
+        [ Dsm.Envelope.make ~src:0 ~dst:1 () ]
+      else [] )
+
+  let on_recover = Dsm.Protocol.default_on_recover
+  let pp_state ppf (step, _) = Format.pp_print_int ppf step
+  let pp_message ppf () = Format.pp_print_string ppf "decide"
+  let pp_action ppf Advance = Format.pp_print_string ppf "advance"
+end
+
+let test_opt_merges_buckets_in_store_order () =
+  let module Paxos = Protocols.Paxos.Make (Protocols.Paxos.Bench_config) in
+  let module E = Opt_equiv (Two_index) in
+  let invariant =
+    Dsm.Invariant.make ~name:"agree" (fun sys ->
+        if Paxos.conflicts (snd sys.(0)) (snd sys.(1)) then Some "disagree"
+        else None)
+  in
+  let abstract (_, chosen) = if chosen = [] then None else Some chosen in
+  let p =
+    E.agree ~name:"two-index" ~invariant ~abstract ~conflict:Paxos.conflicts
+  in
+  let hex s = Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value s) in
+  check
+    Alcotest.(list string)
+    "node 0 partners in store order"
+    (List.init 4 (fun i -> hex (i + 1, Two_index.script.(i + 1))))
+    (List.map List.hd p)
+
+(* One [conflict] call per distinct key of each other node: on the
+   5.1 Paxos instance (243 node states) the count is bounded by keyed
+   states x (nodes - 1) x distinct keys.  The distinct keys are counted
+   over all nodes, a bound on any one node's. *)
+let test_opt_conflict_calls_bounded () =
+  let module Paxos = Protocols.Paxos.Make (Protocols.Paxos.Bench_config) in
+  let module L = Lmc.Checker.Make (Paxos) in
+  let keyed = ref 0 and keys = Hashtbl.create 8 and calls = ref 0 in
+  let abstract s =
+    let k = Paxos.abstraction s in
+    Option.iter
+      (fun k ->
+        incr keyed;
+        Hashtbl.replace keys k ())
+      k;
+    k
+  in
+  let conflict a b =
+    incr calls;
+    Paxos.conflicts a b
+  in
+  let r =
+    L.run L.default_config
+      ~strategy:(L.Invariant_specific { abstract; conflict })
+      ~invariant:Paxos.safety
+      (Dsm.Protocol.initial_system (module Paxos))
+  in
+  check Alcotest.int "node states" 243 r.total_node_states;
+  check Alcotest.bool "some states are keyed" true (!keyed > 0);
+  let bound = !keyed * (Paxos.num_nodes - 1) * Hashtbl.length keys in
+  if !calls > bound then
+    fail
+      (Printf.sprintf "%d conflict calls > %d keyed x %d x %d keys" !calls
+         !keyed (Paxos.num_nodes - 1) (Hashtbl.length keys))
+
 (* ---------- cached feasibility summaries ---------- *)
 
 (* Node 0 reaches s1 two ways: quietly (s0 -> s1), or loudly through s2,
@@ -1089,6 +1272,15 @@ let () =
             test_opt_snapshot_created_once;
           Alcotest.test_case "deferred overflow" `Quick
             test_deferred_cache_overflow_falls_back;
+        ] );
+      ( "opt index",
+        [
+          Alcotest.test_case "buckets = whole-store scan" `Quick
+            test_opt_index_equals_scan;
+          Alcotest.test_case "merged buckets in store order" `Quick
+            test_opt_merges_buckets_in_store_order;
+          Alcotest.test_case "conflict calls bounded" `Quick
+            test_opt_conflict_calls_bounded;
         ] );
       ( "automatic",
         [
