@@ -195,21 +195,14 @@ soak-resume: build
 bench:
 	dune exec bench/main.exe
 
-# CI-sized pass: micro-benchmarks plus the telemetry-overhead gate,
-# trimmed budgets (used by the workflow in .github/workflows/ci.yml).
-# The telemetry section records within_bar in BENCH_lmc.json; the grep
-# enforces the <=5% overhead bar.  The breadth section runs every
-# registry instance under B-DFS and LMC and marks a row UNEXPECTED when
-# a verdict disagrees with the other checker or with the expectation.
+# CI-sized pass over the two timing bars (used by the workflow in
+# .github/workflows/ci.yml): full-telemetry overhead <= 5% and inert
+# churn >= 0.9x the empty plan's events/s.  The bench exits 1 when a
+# bar fails; the log is kept for the CI artifact upload.
 bench-quick:
-	dune exec bench/main.exe -- --quick --only micro --only telemetry-overhead \
-	  --only symmetry --only churn --only breadth > bench-quick.log; \
-	  s=$$?; cat bench-quick.log; test $$s -eq 0
-	! grep UNEXPECTED bench-quick.log
-	grep -q '"within_bar":true' BENCH_lmc.json
-	grep -q '"symmetric_ok":true' BENCH_lmc.json
-	grep -q '"asymmetric_ok":true' BENCH_lmc.json
-	grep -q '"churn_within_bar":true' BENCH_lmc.json
+	dune exec bench/main.exe -- --quick --only overhead \
+	  --only sim-overhead > bench-quick.log; \
+	  s=$$?; cat bench-quick.log; exit $$s
 
 clean:
 	dune clean

@@ -1,13 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (§5), plus the ablations DESIGN.md calls out and
-   a few bechamel micro-benchmarks of the core operations.
+   the overhead bars of the observability and fault layers.
 
    Usage: dune exec bench/main.exe -- [--quick] [--only SECTION]
      --quick  trims time budgets and depth caps (CI-sized run)
      --only   run a single section (see `--help' for the list)
 
-   Besides the printed tables, every run writes BENCH_lmc.json: per-figure
-   data series plus per-section wall-clock, for machines to diff.
+   The bench prints tables and writes no file; perfbench/ is the
+   benchmark of record.  It exits 1 when a gated timing bar fails
+   (full-telemetry overhead, inert-churn throughput).  The facts the
+   tables illustrate — B-DFS/LMC verdict agreement, symmetry parity,
+   inert-plan trajectories — are checked by the unit tests.
 
    Absolute numbers differ from the paper's 2006-era Pentium 4; the
    shapes — who wins, by what factor, where the explosion bites — are
@@ -25,45 +28,14 @@ let header title = Printf.printf "\n=== %s ===\n%!" title
 
 let row fmt = Printf.printf fmt
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable output: BENCH_lmc.json                             *)
-(* ------------------------------------------------------------------ *)
+(* Gated bars that failed; [main] exits 1 when there is any. *)
+let failed_bars : string list ref = ref []
 
-(* Sections [record] JSON data series next to their printed tables;
-   the dispatcher adds per-section wall-clock.  The file is written
-   atomically (.tmp + rename) so an interrupted run never leaves a
-   half-written artifact behind. *)
-module Bench_out = struct
-  let sections : (string * Dsm.Json.t) list ref = ref []
-  let elapsed : (string * float) list ref = ref []
-
-  let record name json = sections := (name, json) :: !sections
-
-  let timed name f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    elapsed := (name, Unix.gettimeofday () -. t0) :: !elapsed
-
-  let write path =
-    let obj =
-      Dsm.Json.Obj
-        [
-          ("schema", Dsm.Json.String "lmc-bench/1");
-          ("quick", Dsm.Json.Bool !quick);
-          ( "wall_clock_s",
-            Dsm.Json.Obj
-              (List.rev_map (fun (n, t) -> (n, Dsm.Json.Float t)) !elapsed) );
-          ("sections", Dsm.Json.Obj (List.rev !sections));
-        ]
-    in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (Dsm.Json.to_string obj);
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path;
-    Printf.printf "\nwrote %s\n%!" path
-end
+(* [gate name ok] records bar [name] as failed unless [ok], and returns
+   the word the section prints in the bar's column. *)
+let gate name ok =
+  if not ok then failed_bars := name :: !failed_bars;
+  if ok then "ok" else "FAILED"
 
 (* ------------------------------------------------------------------ *)
 (* Shared modules                                                      *)
@@ -236,30 +208,7 @@ let fig10_12 () =
   row
     "\npaper shapes: B-DFS time explodes exponentially; LMC-OPT finishes the \
      whole space in ms;\nLMC-OPT creates 0 system states; LMC memory stays \
-     flat and linear in depth.\n";
-  Bench_out.record "fig10-12"
-    (Dsm.Json.List
-       (List.map
-          (fun p ->
-            Dsm.Json.Obj
-              [
-                ("depth", Dsm.Json.Int p.depth);
-                ( "bdfs_s",
-                  match p.bdfs_time with
-                  | Some t -> Dsm.Json.Float t
-                  | None -> Dsm.Json.Null );
-                ("bdfs_states", Dsm.Json.Int p.bdfs_states);
-                ("bdfs_bytes", Dsm.Json.Int p.bdfs_bytes);
-                ("lmc_gen_s", Dsm.Json.Float p.gen_time);
-                ("lmc_gen_system", Dsm.Json.Int p.gen_system);
-                ("lmc_gen_bytes", Dsm.Json.Int p.gen_bytes);
-                ("lmc_opt_s", Dsm.Json.Float p.opt_time);
-                ("lmc_opt_system", Dsm.Json.Int p.opt_system);
-                ("lmc_opt_bytes", Dsm.Json.Int p.opt_bytes);
-                ("lmc_local_states", Dsm.Json.Int p.local_states);
-                ("lmc_local_bytes", Dsm.Json.Int p.local_bytes);
-              ])
-          points))
+     flat and linear in depth.\n"
 
 (* The same sweep on the two-proposal space (5.2's wall): here B-DFS
    genuinely hits the per-depth cap the way the paper's did at 1514 s,
@@ -342,7 +291,6 @@ let fig13 () =
   let cap = if !quick then 10.0 else 60.0 in
   row "%5s %12s %16s %12s %10s %10s\n" "depth" "LMC-OPT" "LMC-system-state"
     "LMC-explore" "prelim" "found";
-  let series = ref [] in
   let found_at = ref None in
   for depth = 2 to max_depth do
     if !found_at = None || depth <= Option.value ~default:0 !found_at + 2
@@ -376,18 +324,6 @@ let fig13 () =
       row "%5d %12.4f %16.4f %12.4f %10d %10s\n" depth full.elapsed
         no_sound.elapsed explore_only.elapsed full.preliminary_violations
         (if hit then "BUG" else "-");
-      series :=
-        Dsm.Json.Obj
-          [
-            ("depth", Dsm.Json.Int depth);
-            ("full_s", Dsm.Json.Float full.elapsed);
-            ("system_state_s", Dsm.Json.Float no_sound.elapsed);
-            ("explore_s", Dsm.Json.Float explore_only.elapsed);
-            ( "preliminary_violations",
-              Dsm.Json.Int full.preliminary_violations );
-            ("bug", Dsm.Json.Bool hit);
-          ]
-        :: !series;
       if hit && depth = Option.value ~default:max_int !found_at then begin
         row
           "\nat the revealing depth: %d soundness invocations, %.2f ms \
@@ -403,8 +339,7 @@ let fig13 () =
   row
     "\npaper shape: system-state creation cost appears once conflicting \
      values exist;\nsoundness verification dominates as the bug nears; \
-     LMC-explore stays cheap.\n";
-  Bench_out.record "fig13" (Dsm.Json.List (List.rev !series))
+     LMC-explore stays cheap.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Table 5.1: headline totals                                          *)
@@ -438,32 +373,7 @@ let table51 () =
     "LMC-GEN speedup: %.0fx (paper ~300x); LMC-OPT speedup: %.0fx (paper \
      ~8000x)\n"
     (g.stats.elapsed /. max 1e-9 gen.elapsed)
-    (g.stats.elapsed /. max 1e-9 opt.elapsed);
-  let lmc_cols (r : L1.result) =
-    Dsm.Json.Obj
-      [
-        ("elapsed_s", Dsm.Json.Float r.elapsed);
-        ("transitions", Dsm.Json.Int r.transitions);
-        ("node_states", Dsm.Json.Int r.total_node_states);
-        ("system_states", Dsm.Json.Int r.system_states_created);
-        ("retained_bytes", Dsm.Json.Int r.retained_bytes);
-      ]
-  in
-  Bench_out.record "table5.1"
-    (Dsm.Json.Obj
-       [
-         ( "bdfs",
-           Dsm.Json.Obj
-             [
-               ("elapsed_s", Dsm.Json.Float g.stats.elapsed);
-               ("transitions", Dsm.Json.Int g.stats.transitions);
-               ("global_states", Dsm.Json.Int g.stats.global_states);
-               ("system_states", Dsm.Json.Int g.stats.system_states);
-               ("retained_bytes", Dsm.Json.Int g.stats.retained_bytes);
-             ] );
-         ("lmc_gen", lmc_cols gen);
-         ("lmc_opt", lmc_cols opt);
-       ])
+    (g.stats.elapsed /. max 1e-9 opt.elapsed)
 
 (* ------------------------------------------------------------------ *)
 (* Table 5.2: scalability limits, two proposals                        *)
@@ -507,60 +417,64 @@ let table52 () =
 (* Tables 5.5 / 5.6: online bug hunts                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The online hunts, over a registry hunt setup: a lossy live
+   deployment snapshotted every [interval] simulated seconds for up to
+   an hour, each checker restart capped at 5 s and 100k transitions. *)
+module Hunt (H : Protocols.Registry.HUNT) = struct
+  module O = Online.Online_mc.Make (H.Live) (H.Check)
+  module S = Sim.Live_sim.Make (H.Live)
+
+  let max_live_time = 3600.0
+
+  let run ~seed ~interval ?(symmetry = O.Checker.default_config.symmetry) ()
+      =
+    let config =
+      {
+        O.sim =
+          {
+            S.seed;
+            link =
+              Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05
+                ~latency_max:0.3 ();
+            timer_min = 2.0;
+            timer_max = 20.0;
+            action_prob = H.action_prob;
+            faults = Fault.Plan.empty;
+          };
+        check_interval = interval;
+        max_live_time;
+        checker =
+          {
+            O.Checker.default_config with
+            time_limit = Some 5.0;
+            max_transitions = Some 100_000;
+            symmetry;
+          };
+        action_bounds = [ 1; 2 ];
+        steer = false;
+        steer_scope = `Exact_action;
+        supervisor = O.default_supervisor;
+        store = None;
+      }
+    in
+    let go strategy = O.run config ~strategy ~invariant:H.invariant in
+    match H.opt with
+    | Some (Protocols.Registry.Opt o) ->
+        go
+          (O.Checker.Invariant_specific
+             { abstract = o.abstract; conflict = o.conflict })
+    | None -> go O.Checker.General
+end
+
+let hunt_of name : (module Protocols.Registry.HUNT) =
+  let (module S) = Option.get (Protocols.Registry.find name) in
+  Option.get S.hunt
+
 let table55 () =
   header "Table 5.5: online checking finds the WiDS Paxos bug";
-  let module Live = Protocols.Paxos.Make (struct
-    let num_nodes = 3
-    let proposers = [ 0; 1; 2 ]
-    let max_attempts = 2
-    let max_index = 16
-    let fresh_proposals = true
-    let bug = Protocols.Paxos_core.Last_response_wins
-  end) in
-  let module Check = Protocols.Paxos.Make (struct
-    let num_nodes = 3
-    let proposers = [ 0; 1; 2 ]
-    let max_attempts = 2
-    let max_index = 16
-    let fresh_proposals = false
-    let bug = Protocols.Paxos_core.Last_response_wins
-  end) in
-  let module Online_p = Online.Online_mc.Make (Live) (Check) in
-  let module Sim_p = Sim.Live_sim.Make (Live) in
-  let link =
-    Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05 ~latency_max:0.3 ()
-  in
-  let config =
-    {
-      Online_p.sim =
-        {
-          Sim_p.seed = 7;
-          link;
-          timer_min = 2.0;
-          timer_max = 20.0;
-          action_prob = None;
-          faults = Fault.Plan.empty;
-        };
-      check_interval = 30.0;
-      max_live_time = 3600.0;
-      checker =
-        {
-          Online_p.Checker.default_config with
-          time_limit = Some 5.0;
-          max_transitions = Some 100_000;
-        };
-      action_bounds = [ 1; 2 ];
-      steer = false;
-      steer_scope = `Exact_action;
-      supervisor = Online_p.default_supervisor;
-      store = None;
-    }
-  in
-  let strategy =
-    Online_p.Checker.Invariant_specific
-      { abstract = Check.abstraction; conflict = Check.conflicts }
-  in
-  let outcome = Online_p.run config ~strategy ~invariant:Check.safety in
+  let (module H0) = hunt_of "paxos-buggy" in
+  let module H = Hunt (H0) in
+  let outcome = H.run ~seed:7 ~interval:30.0 () in
   (match outcome.report with
   | Some r ->
       row
@@ -568,65 +482,17 @@ let table55 () =
         r.live_time r.checks_run;
       row
         "revealing run: %.3f s, witness of %d events (paper: found in 11 s)\n"
-        r.result.Online_p.Checker.elapsed
-        (List.length r.violation.Online_p.Checker.schedule)
-  | None ->
-      row "NOT FOUND within %.0f simulated seconds\n" config.max_live_time);
+        r.result.elapsed
+        (List.length r.violation.schedule)
+  | None -> row "NOT FOUND within %.0f simulated seconds\n" H.max_live_time);
   row "total checking time across restarts: %.1f s in %d runs\n"
     outcome.total_check_time outcome.total_checks
 
 let table56 () =
   header "Table 5.6: online checking finds the 1Paxos ++ bug";
-  let module OP = Protocols.Onepaxos.Make (struct
-    let num_nodes = 3
-    let max_leader_claims = 2
-    let max_attempts = 1
-    let max_index = 12
-    let max_util_entries = 3
-    let max_util_attempts = 2
-    let bug = Protocols.Onepaxos.Postfix_increment
-  end) in
-  let module Online_p = Online.Online_mc.Make (OP) (OP) in
-  let module Sim_p = Sim.Live_sim.Make (OP) in
-  let link =
-    Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05 ~latency_max:0.3 ()
-  in
-  let config =
-    {
-      Online_p.sim =
-        {
-          Sim_p.seed = 9;
-          link;
-          timer_min = 2.0;
-          timer_max = 20.0;
-          action_prob =
-            Some
-              (fun _ a ->
-                match a with
-                | Protocols.Onepaxos.Claim_leadership -> 0.1
-                | _ -> 1.0);
-        faults = Fault.Plan.empty;
-        };
-      check_interval = 10.0;
-      max_live_time = 3600.0;
-      checker =
-        {
-          Online_p.Checker.default_config with
-          time_limit = Some 5.0;
-          max_transitions = Some 100_000;
-        };
-      action_bounds = [ 1; 2 ];
-      steer = false;
-      steer_scope = `Exact_action;
-      supervisor = Online_p.default_supervisor;
-      store = None;
-    }
-  in
-  let strategy =
-    Online_p.Checker.Invariant_specific
-      { abstract = OP.abstraction; conflict = OP.conflicts }
-  in
-  let outcome = Online_p.run config ~strategy ~invariant:OP.safety in
+  let (module H0) = hunt_of "onepaxos-buggy" in
+  let module H = Hunt (H0) in
+  let outcome = H.run ~seed:9 ~interval:10.0 () in
   (match outcome.report with
   | Some r ->
       row
@@ -636,9 +502,8 @@ let table56 () =
         "witness (%d events): the stale leader proposes to its buggy cached \
          acceptor - itself -\naccepts, and chooses from its own loopback \
          Learn (the paper's exact scenario)\n"
-        (List.length r.violation.Online_p.Checker.schedule)
-  | None ->
-      row "NOT FOUND within %.0f simulated seconds\n" config.max_live_time);
+        (List.length r.violation.schedule)
+  | None -> row "NOT FOUND within %.0f simulated seconds\n" H.max_live_time);
   row "total checking time across restarts: %.1f s in %d runs\n"
     outcome.total_check_time outcome.total_checks
 
@@ -798,7 +663,7 @@ module Breadth_row (S : Protocols.Registry.SUBJECT) = struct
   module G = Mc_global.Bdfs.Make (S.P)
   module L = Lmc.Checker.Make (S.P)
 
-  let run expect_bug =
+  let run () =
     let invariant = S.invariant in
     let init () = Dsm.Protocol.initial_system (module S.P) in
     let g =
@@ -819,7 +684,7 @@ module Breadth_row (S : Protocols.Registry.SUBJECT) = struct
     in
     let lmc_bug = l.sound_violation <> None in
     let global_bug = g.violation <> None in
-    row "%-24s %12d %12d %7.1fx %8s  %s\n" S.name g.stats.transitions
+    row "%-24s %12d %12d %7.1fx %8s\n" S.name g.stats.transitions
       l.transitions
       (float_of_int g.stats.transitions /. float_of_int (max 1 l.transitions))
       (match (global_bug, lmc_bug) with
@@ -827,126 +692,59 @@ module Breadth_row (S : Protocols.Registry.SUBJECT) = struct
       | false, false -> "none"
       | true, false -> "G only"
       | false, true -> "L only")
-      (if expect_bug = lmc_bug && expect_bug = global_bug then ""
-       else "UNEXPECTED")
 end
 
 let breadth () =
   header "Breadth: every bundled protocol, global vs local";
-  row "%-24s %12s %12s %8s %8s  %s\n" "protocol" "B-DFS trans" "LMC trans"
-    "ratio" "bug?" "notes";
+  row "%-24s %12s %12s %8s %8s\n" "protocol" "B-DFS trans" "LMC trans"
+    "ratio" "bug?";
   List.iter
-    (fun (name, expect_bug) ->
+    (fun name ->
       let (module S) = Option.get (Protocols.Registry.find name) in
       let module B = Breadth_row (S) in
-      B.run expect_bug)
+      B.run ())
     [
-      ("tree", false);
-      ("chain", false);
-      ("ping", false);
-      ("randtree", false);
-      ("randtree-buggy", true);
-      ("paxos", false);
-      ("2pc", false);
-      ("2pc-buggy", true);
-      ("ring", false);
-      ("pb-store", false);
-      ("pb-store-buggy", true);
-      ("ring-buggy", true);
+      "tree";
+      "chain";
+      "ping";
+      "randtree";
+      "randtree-buggy";
+      "paxos";
+      "2pc";
+      "2pc-buggy";
+      "ring";
+      "pb-store";
+      "pb-store-buggy";
+      "ring-buggy";
     ];
   row
-    "\nboth checkers agree on every verdict; the transition ratio tracks \
-     how chatty the protocol is.\n"
+    "\nthe transition ratio tracks how chatty the protocol is; \
+     test/test_oracle.ml checks that the checkers agree on every \
+     registry verdict.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
+(* Observability overhead                                              *)
 (* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Micro-benchmarks (bechamel): core operation costs";
-  let open Bechamel in
-  let snapshot = Protocols.Scenarios.wids_snapshot (module Buggy) in
-  let state = snapshot.(1) in
-  let env =
-    Dsm.Envelope.make ~src:1 ~dst:2
-      (Protocols.Paxos_core.Prepare { idx = 0; rnd = 5 })
-  in
-  let ms = Net.Multiset.of_list (List.init 20 (fun i -> i mod 7)) in
-  let seqs =
-    [|
-      [
-        {
-          Lmc.Soundness.node = 0;
-          label = Dsm.Fingerprint.of_string "a";
-          requires = None;
-          produces = [ Dsm.Fingerprint.of_string "m" ];
-        };
-      ];
-      [
-        {
-          Lmc.Soundness.node = 1;
-          label = Dsm.Fingerprint.of_string "b";
-          requires = Some (Dsm.Fingerprint.of_string "m");
-          produces = [];
-        };
-      ];
-    |]
-  in
-  let live_scope = Obs.create () in
-  let bench_counter = Obs.counter live_scope "bench.counter" in
-  let bench_hist = Obs.histogram live_scope "bench.hist" in
-  let tests =
-    [
-      Test.make ~name:"fingerprint Paxos state"
-        (Staged.stage (fun () -> ignore (Dsm.Fingerprint.of_value state)));
-      Test.make ~name:"handler execution (Prepare)"
-        (Staged.stage (fun () ->
-             ignore (Buggy.handle_message ~self:2 snapshot.(2) env)));
-      Test.make ~name:"multiset add+remove"
-        (Staged.stage (fun () ->
-             ignore (Net.Multiset.remove 3 (Net.Multiset.add 3 ms))));
-      Test.make ~name:"soundness check (2 events)"
-        (Staged.stage (fun () ->
-             ignore (Lmc.Soundness.check ~initial_net:[] seqs)));
-      Test.make ~name:"obs counter incr"
-        (Staged.stage (fun () -> Obs.Metrics.incr bench_counter));
-      Test.make ~name:"obs histogram observe"
-        (Staged.stage (fun () -> Obs.Metrics.observe bench_hist 1234));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-              row "%-32s %12.1f ns/run\n" name est;
-              estimates := (name, Dsm.Json.Float est) :: !estimates
-          | _ -> row "%-32s %12s\n" name "n/a")
-        stats)
-    tests;
-  Bench_out.record "micro" (Dsm.Json.Obj (List.rev !estimates))
 
 (* What does observability cost?  The Fig. 10 LMC-GEN series runs
-   under four scopes — disabled ([Obs.null]), metrics-only, metrics
-   plus a recorder streaming every transition to a JSONL file
-   (--record), and metrics plus a ring-buffered recorder (records kept
-   in memory, dumped once at close; --record-ring) — and the summed
-   checker-reported times are compared.  Metrics are the always-on
-   price (bar 5%), the ring the always-on recording candidate (bar
-   2%); the file pays serialization and I/O per record (bar 10%). *)
-let obs_overhead () =
-  header "Observability overhead: Fig. 10 LMC-GEN series, four scopes";
-  let max_depth = if !quick then 12 else 18 in
-  let run_one depth obs =
+   under five scopes: disabled ([Obs.null]); metrics only; metrics plus
+   a recorder streaming every record to a JSONL file (--record);
+   metrics plus a ring-buffered recorder (records kept in memory,
+   dumped once at close; --record-ring); and full live telemetry — the
+   sampling profiler, the timeseries ring and a /metrics exporter on a
+   thread sharing the process.  The summed checker-reported times are
+   compared.  Bars: metrics 5% (the always-on price), ring 2% (the
+   always-on recording candidate), file 10% (serialization and I/O per
+   record), all reported; full telemetry 5%, gated.
+
+   The series always runs to depth 18, where combination checking
+   dominates: frame push/pop scales with transitions while combination
+   work grows much faster with depth, so a shallower sweep would
+   inflate the ratios.  Quick mode trims rounds, not depth. *)
+let overhead () =
+  header "Observability overhead: Fig. 10 LMC-GEN series, five scopes";
+  let max_depth = 18 in
+  let run_one obs depth =
     let cfg = { L1.default_config with max_depth = Some depth; obs } in
     let r =
       L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
@@ -954,23 +752,38 @@ let obs_overhead () =
     in
     r.elapsed
   in
-  let path = Filename.temp_file "obs_overhead" ".jsonl" in
+  let path = Filename.temp_file "overhead" ".jsonl" in
   let with_recorder recorder depth =
     let scope = Obs.create ~recorder () in
-    let s = run_one depth scope in
+    let s = run_one scope depth in
     Obs.close scope;
     s
   in
+  let ts_path = Filename.temp_file "overhead_ts" ".jsonl" in
+  let metrics = Obs.Metrics.create () in
+  let profiler = Obs.Prof.create () in
+  let timeseries = Obs.Timeseries.create ~interval:0.5 ~metrics ts_path in
+  let exporter = Obs.Exporter.start ~metrics ~port:0 () in
+  let telemetry = Obs.create ~metrics ~profiler ~timeseries () in
+  (* (label, bar %, gated, one depth of the series); the gated mode
+     runs right after the baseline, before the recorder modes' I/O *)
   let modes =
     [|
-      (fun depth -> run_one depth Obs.null);
-      (fun depth -> run_one depth (Obs.create ()));
-      (fun depth -> with_recorder (Obs.Trace.to_file path) depth);
-      (fun depth -> with_recorder (Obs.Trace.ring ~capacity:65536 path) depth);
+      ("disabled (Obs.null)", 0., false, run_one Obs.null);
+      ("profiler + timeseries + /metrics", 5., true, run_one telemetry);
+      ("metrics only", 5., false, fun d -> run_one (Obs.create ()) d);
+      ( "metrics + recorder, file",
+        10.,
+        false,
+        fun d -> with_recorder (Obs.Trace.to_file path) d );
+      ( "metrics + recorder, ring",
+        2.,
+        false,
+        fun d -> with_recorder (Obs.Trace.ring ~capacity:65536 path) d );
     |]
   in
   (* Single-digit percentages are far below the drift of a shared
-     host, so the four modes are interleaved at *depth* granularity —
+     host, so the modes are interleaved at *depth* granularity —
      back-to-back runs within milliseconds of each other see the same
      noise regime — and the per-(mode, depth) minimum over all rounds
      is kept before summing the series. *)
@@ -979,350 +792,172 @@ let obs_overhead () =
   for _ = 1 to rounds do
     for depth = 0 to max_depth do
       Array.iteri
-        (fun m run -> best.(m).(depth) <- min best.(m).(depth) (run depth))
+        (fun m (_, _, _, run) ->
+          best.(m).(depth) <- min best.(m).(depth) (run depth))
         modes
     done
   done;
-  Sys.remove path;
-  let sum a = Array.fold_left ( +. ) 0. a in
-  let null_s = sum best.(0) and metrics_s = sum best.(1)
-  and file_s = sum best.(2) and ring_s = sum best.(3) in
-  let pct x = 100. *. (x /. max 1e-9 null_s -. 1.) in
-  let column name x bar =
-    row "%-32s %10.4f s  (%+.1f%%, bar %.0f%%)\n" name x (pct x) bar
-  in
-  row "%-32s %10.4f s\n" "disabled (Obs.null)" null_s;
-  column "metrics only" metrics_s 5.;
-  column "metrics + recorder, file" file_s 10.;
-  column "metrics + recorder, ring" ring_s 2.;
-  Bench_out.record "obs-overhead"
-    (Dsm.Json.Obj
-       [
-         ("null_s", Dsm.Json.Float null_s);
-         ("metrics_s", Dsm.Json.Float metrics_s);
-         ("file_s", Dsm.Json.Float file_s);
-         ("ring_s", Dsm.Json.Float ring_s);
-         ("metrics_pct", Dsm.Json.Float (pct metrics_s));
-         ("file_pct", Dsm.Json.Float (pct file_s));
-         ("ring_pct", Dsm.Json.Float (pct ring_s));
-       ])
-
-(* What do the three live-telemetry pillars cost when all of them are
-   on at once?  The Fig. 10 LMC-GEN series runs under a disabled scope
-   and under a scope with the sampling profiler, the soak-timeseries
-   ring AND a live /metrics exporter attached (a scraping thread
-   sharing the process), interleaved at depth granularity with the
-   per-(mode, depth) minimum kept, like the observability bench above.
-   The acceptance bar is 5%. *)
-let telemetry_overhead () =
-  header "Live telemetry overhead: Fig. 10 LMC-GEN series, off vs full";
-  (* The 5% bar is defined on the full Fig. 10 sweep, where combination
-     checking dominates; stopping at depth 12 would inflate the ratio
-     (frame push/pop scales with transitions, combination work grows
-     much faster with depth).  Quick mode trims rounds, not depth —
-     this section is a CI gate. *)
-  let max_depth = 18 in
-  let run_one depth obs =
-    let cfg = { L1.default_config with max_depth = Some depth; obs } in
-    let r =
-      L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
-        (paxos1_init ())
-    in
-    r.elapsed
-  in
-  let ts_path = Filename.temp_file "telemetry_overhead" ".jsonl" in
-  let metrics = Obs.Metrics.create () in
-  let profiler = Obs.Prof.create () in
-  let timeseries = Obs.Timeseries.create ~interval:0.5 ~metrics ts_path in
-  let exporter = Obs.Exporter.start ~metrics ~port:0 () in
-  let scope = Obs.create ~metrics ~profiler ~timeseries () in
-  let rounds = if !quick then 3 else 12 in
-  let off = Array.make (max_depth + 1) infinity in
-  let tel = Array.make (max_depth + 1) infinity in
-  for _ = 1 to rounds do
-    for depth = 0 to max_depth do
-      off.(depth) <- min off.(depth) (run_one depth Obs.null);
-      tel.(depth) <- min tel.(depth) (run_one depth scope)
-    done
-  done;
   Obs.Exporter.stop exporter;
-  Obs.close scope;
+  Obs.close telemetry;
+  Sys.remove path;
   Sys.remove ts_path;
-  let sum = Array.fold_left ( +. ) 0. in
-  let off_s = sum off and tel_s = sum tel in
-  let pct = 100. *. (tel_s /. max 1e-9 off_s -. 1.) in
-  let bar = 5.0 in
-  row "%-36s %10.4f s\n" "telemetry off (Obs.null)" off_s;
-  row "%-36s %10.4f s  (%+.1f%%)\n"
-    "profiler + timeseries + /metrics" tel_s pct;
-  if pct > bar then
-    row "WARNING: telemetry overhead %.1f%% exceeds the %.0f%% bar\n" pct bar;
-  Bench_out.record "telemetry-overhead"
-    (Dsm.Json.Obj
-       [
-         ("off_s", Dsm.Json.Float off_s);
-         ("telemetry_s", Dsm.Json.Float tel_s);
-         ("telemetry_pct", Dsm.Json.Float pct);
-         ("bar_pct", Dsm.Json.Float bar);
-         ("within_bar", Dsm.Json.Bool (pct <= bar));
-       ])
+  let sum = Array.map (Array.fold_left ( +. ) 0.) best in
+  row "%-36s %10.4f s\n" "disabled (Obs.null)" sum.(0);
+  Array.iteri
+    (fun m (name, bar, gated, _) ->
+      if m > 0 then begin
+        let pct = 100. *. ((sum.(m) /. max 1e-9 sum.(0)) -. 1.) in
+        row "%-36s %10.4f s  (%+.1f%%, bar %.0f%%)%s\n" name sum.(m) pct bar
+          (if gated then "  " ^ gate name (pct <= bar) else "")
+      end)
+    modes
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injector overhead                                             *)
+(* Live-sim overhead: fault plans and churn                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The injector sits on the live sim's send/deliver hot path, so an
-   empty plan must cost (nearly) nothing: one boolean test per send
-   and two per delivery.  The bundled protocols all quiesce (finite
-   spaces, by design), which would leave the run timer-dominated, so
-   the deployment here is a token ring whose every timer tick launches
-   a 32-hop token — sends dominate, handlers are trivial, and any
-   injector cost is proportionally at its worst.  Three runs: empty
-   plan (the gated fast path), an "inert" plan whose clauses are all
-   windowed past the horizon (pays the per-message plan scan, rolls
-   nothing, trajectory bit-identical to empty), and an active plan for
-   reference (different trajectory; reported, not compared).
-   Acceptance bar (EXPERIMENTS.md): the empty plan within 5% of the
-   pre-injector simulator — validated by an A/B against the seed
-   commit on this exact deployment (bit-identical event counts); the
-   inert and active columns put numbers on the scan and the injected
-   work, for machines to diff across commits. *)
-let fault_overhead () =
-  header "Fault-injector overhead: one live deployment, three plans";
-  let module P = struct
-    let name = "bench-chatter"
-    let num_nodes = 3
+(* A token ring whose every timer tick launches a [hops]-hop token.
+   The bundled protocols all quiesce (finite spaces, by design), which
+   would leave a live run timer-dominated; here sends dominate and
+   handlers are trivial, so the cost of the fault injector and the
+   membership filter on the send/deliver path is at its worst. *)
+module Token_ring (N : sig
+  val num_nodes : int
+  val hops : int
+end) =
+struct
+  let name = "bench-token-ring"
+  let num_nodes = N.num_nodes
 
-    type state = int
-    type message = int (* remaining hops *)
-    type action = unit
+  type state = int
+  type message = int (* remaining hops *)
+  type action = unit
 
-    let initial _ = 0
+  let initial _ = 0
 
-    let fwd self ttl =
-      if ttl <= 0 then []
-      else
-        [ Dsm.Envelope.make ~src:self ~dst:((self + 1) mod num_nodes)
-            (ttl - 1) ]
+  let fwd self ttl =
+    if ttl <= 0 then []
+    else
+      [ Dsm.Envelope.make ~src:self ~dst:((self + 1) mod num_nodes) (ttl - 1) ]
 
-    let handle_message ~self st (env : message Dsm.Envelope.t) =
-      (st + 1, fwd self env.Dsm.Envelope.payload)
+  let handle_message ~self st (env : message Dsm.Envelope.t) =
+    (st + 1, fwd self env.Dsm.Envelope.payload)
 
-    let enabled_actions ~self:_ _ = [ () ]
-    let handle_action ~self st () = (st + 1, fwd self 32)
-    let on_recover = Dsm.Protocol.default_on_recover
-    let pp_state = Format.pp_print_int
-    let pp_message ppf ttl = Format.fprintf ppf "tok%d" ttl
-    let pp_action ppf () = Format.pp_print_string ppf "launch"
-  end in
-  let module S = Sim.Live_sim.Make (P) in
-  let horizon = if !quick then 500. else 3_000. in
+  let enabled_actions ~self:_ _ = [ () ]
+  let handle_action ~self st () = (st + 1, fwd self N.hops)
+  let on_recover = Dsm.Protocol.default_on_recover
+  let pp_state = Format.pp_print_int
+  let pp_message ppf ttl = Format.fprintf ppf "tok%d" ttl
+  let pp_action ppf () = Format.pp_print_string ppf "launch"
+end
+
+(* Each fleet runs three plans, interleaved per round with the per-plan
+   minimum kept: the empty plan (the injector's fast path: one boolean
+   test per send, two per delivery); an inert plan, whose clauses are
+   all windowed past the horizon (it pays the per-message plan scan,
+   rolls nothing, and follows the empty plan's trajectory exactly, as
+   test_fault checks); and an active plan, for reference (a different
+   trajectory: reported, not compared).
+   - 3 nodes, 32-hop tokens: duplication, reordering, corruption and a
+     partition.
+   - 100 and 500 nodes, 8-hop tokens: a storm of ten leave/rejoin
+     pairs.  An active storm legitimately shrinks the workload
+     (departed nodes break the forwarding chains), so the bar is held
+     against the inert storm: at least 0.9x the empty plan's events/s,
+     gated. *)
+let sim_overhead () =
+  header "Live-sim overhead: fault plans and churn storms on a token ring";
   let plan s =
     match Fault.Plan.of_string s with Ok p -> p | Error e -> failwith e
   in
   let far = "from=9000000,until=9000001" in
-  let inert =
-    plan
-      (Printf.sprintf "corrupt:p=0.5,%s;dup:p=0.5,%s;part:%s,cut=0+1/2" far
-         far far)
-  in
-  let active = plan "dup:p=0.05;reorder:p=0.2,window=0.5;corrupt:p=0.01" in
-  let run faults =
-    let config =
-      {
-        S.seed = 11;
-        link =
-          Net.Lossy_link.create ~drop_prob:0.05 ~latency_min:0.05
-            ~latency_max:0.3 ();
-        timer_min = 0.5;
-        timer_max = 1.5;
-        action_prob = None;
-        faults;
-      }
-    in
-    let t0 = Unix.gettimeofday () in
-    let sim = S.create config in
-    S.run_until sim horizon;
-    (Unix.gettimeofday () -. t0, S.events_executed sim, S.messages_sent sim)
-  in
-  (* interleaved rounds, per-mode minimum: the three plans run
-     back-to-back so they see the same noise regime *)
-  let rounds = if !quick then 3 else 8 in
-  let empty_s = ref infinity and inert_s = ref infinity in
-  let active_s = ref infinity in
-  let empty_ev = ref 0 and inert_ev = ref 0 and sent = ref 0 in
-  for _ = 1 to rounds do
-    let t, ev, ms = run Fault.Plan.empty in
-    empty_s := min !empty_s t;
-    empty_ev := ev;
-    sent := ms;
-    let t, ev, _ = run inert in
-    inert_s := min !inert_s t;
-    inert_ev := ev;
-    let t, _, _ = run active in
-    active_s := min !active_s t
-  done;
-  let pct x = 100. *. (x /. max 1e-9 !empty_s -. 1.) in
-  row "horizon %.0f s simulated, %d events, %d sends, best of %d:\n" horizon
-    !empty_ev !sent rounds;
-  row "%-28s %10.4f s\n" "empty plan (fast path)" !empty_s;
-  row "%-28s %10.4f s  (%+.1f%%)\n" "inert plan (scan, no rolls)" !inert_s
-    (pct !inert_s);
-  row "%-28s %10.4f s  (%+.1f%%)\n" "active plan (dup+reorder+corrupt)"
-    !active_s (pct !active_s);
-  row "inert trajectory identical: %b\n" (!inert_ev = !empty_ev);
-  Bench_out.record "fault-overhead"
-    (Dsm.Json.Obj
-       [
-         ("horizon_s", Dsm.Json.Float horizon);
-         ("events", Dsm.Json.Int !empty_ev);
-         ("messages_sent", Dsm.Json.Int !sent);
-         ("empty_s", Dsm.Json.Float !empty_s);
-         ("inert_s", Dsm.Json.Float !inert_s);
-         ("active_s", Dsm.Json.Float !active_s);
-         ("inert_pct", Dsm.Json.Float (pct !inert_s));
-         ("active_pct", Dsm.Json.Float (pct !active_s));
-         ("inert_identical", Dsm.Json.Bool (!inert_ev = !empty_ev));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Churn: dynamic node sets under join/leave storms                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The scenario harness's churn machinery — join/leave node events and
-   the per-envelope membership filter in Live_sim — rides the same hot
-   path every steady-state deployment pays for.  Events/sec at 100
-   and 500 nodes under a storm of ten leave/rejoin pairs.  An active
-   storm legitimately shrinks the workload (departed nodes break the
-   forwarding chains), so the 10% bar is held against an inert plan —
-   the same clauses scheduled beyond the horizon, which pays the
-   mechanism cost on an identical trajectory (as in fault-overhead);
-   the active storm's throughput is reported alongside. *)
-let churn_bench () =
-  header "Churn: dynamic node sets at 100 and 500 nodes";
-  let horizon = if !quick then 60. else 300. in
-  let rounds = if !quick then 3 else 6 in
-  let plan_of clauses =
-    match Fault.Plan.of_string (String.concat ";" clauses) with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
   (* ten leave/rejoin pairs; [base] pushes the whole storm past the
      horizon to make the inert variant *)
-  let storm ?(base = 0) nodes =
-    plan_of
-      (List.concat_map
-         (fun i ->
-           let n = (1 + (i * nodes / 10)) mod nodes in
-           [
-             Printf.sprintf "leave:node=%d,at=%d" n (base + 5 + (4 * i));
-             Printf.sprintf "join:node=%d,at=%d" n (base + 45 + (4 * i));
-           ])
-         [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])
+  let storm ~base nodes =
+    plan
+      (String.concat ";"
+         (List.concat_map
+            (fun i ->
+              let n = (1 + (i * nodes / 10)) mod nodes in
+              [
+                Printf.sprintf "leave:node=%d,at=%d" n (base + 5 + (4 * i));
+                Printf.sprintf "join:node=%d,at=%d" n (base + 45 + (4 * i));
+              ])
+            (List.init 10 Fun.id)))
   in
-  let run_at nodes faults =
-    let module P = struct
-      let name = "bench-churn"
-      let num_nodes = nodes
-
-      type state = int
-      type message = int (* remaining hops *)
-      type action = unit
-
-      let initial _ = 0
-
-      let fwd self ttl =
-        if ttl <= 0 then []
-        else
-          [
-            Dsm.Envelope.make ~src:self
-              ~dst:((self + 1) mod num_nodes)
-              (ttl - 1);
-          ]
-
-      let handle_message ~self st (env : message Dsm.Envelope.t) =
-        (st + 1, fwd self env.Dsm.Envelope.payload)
-
-      let enabled_actions ~self:_ _ = [ () ]
-      let handle_action ~self st () = (st + 1, fwd self 8)
-      let on_recover = Dsm.Protocol.default_on_recover
-      let pp_state = Format.pp_print_int
-      let pp_message ppf ttl = Format.fprintf ppf "tok%d" ttl
-      let pp_action ppf () = Format.pp_print_string ppf "launch"
-    end in
-    let module S = Sim.Live_sim.Make (P) in
-    let config =
-      {
-        S.seed = 11;
-        link =
-          Net.Lossy_link.create ~drop_prob:0.05 ~latency_min:0.05
-            ~latency_max:0.3 ();
-        timer_min = 0.5;
-        timer_max = 1.5;
-        action_prob = None;
-        faults;
-      }
-    in
-    let t0 = Unix.gettimeofday () in
-    let sim = S.create config in
-    S.run_until sim horizon;
-    (Unix.gettimeofday () -. t0, S.events_executed sim, S.churn_events sim)
+  let faults_horizon = if !quick then 500. else 3_000. in
+  let churn_horizon = if !quick then 60. else 300. in
+  (* (nodes, hops, horizon, inert, active, gated) *)
+  let fleets =
+    ( 3,
+      32,
+      faults_horizon,
+      plan
+        (Printf.sprintf "corrupt:p=0.5,%s;dup:p=0.5,%s;part:%s,cut=0+1/2" far
+           far far),
+      plan "dup:p=0.05;reorder:p=0.2,window=0.5;corrupt:p=0.01",
+      false )
+    :: List.map
+         (fun nodes ->
+           ( nodes,
+             8,
+             churn_horizon,
+             storm ~base:9_000_000 nodes,
+             storm ~base:0 nodes,
+             true ))
+         [ 100; 500 ]
   in
-  let fleet_rows = ref [] in
-  let ok = ref true in
+  (* runs last milliseconds in quick mode, so more rounds than the
+     overhead section *)
+  let rounds = if !quick then 10 else 20 in
+  row "%-6s %5s %8s %9s %12s %12s %8s %12s  %s\n" "nodes" "hops" "horizon"
+    "events" "empty ev/s" "inert ev/s" "inert" "active ev/s" "bar 0.9x";
   List.iter
-    (fun nodes ->
-      let active = storm nodes in
-      let inert = storm ~base:9_000_000 nodes in
-      (* interleaved rounds, per-mode minimum, as in fault-overhead *)
-      let empty_s = ref infinity and inert_s = ref infinity in
-      let storm_s = ref infinity in
-      let empty_ev = ref 0 and inert_ev = ref 0 in
-      let storm_ev = ref 0 and churn = ref 0 in
+    (fun (nodes, hops, horizon, inert, active, gated) ->
+      let module R = Token_ring (struct
+        let num_nodes = nodes
+        let hops = hops
+      end) in
+      let module S = Sim.Live_sim.Make (R) in
+      let run faults =
+        let config =
+          {
+            S.seed = 11;
+            link =
+              Net.Lossy_link.create ~drop_prob:0.05 ~latency_min:0.05
+                ~latency_max:0.3 ();
+            timer_min = 0.5;
+            timer_max = 1.5;
+            action_prob = None;
+            faults;
+          }
+        in
+        (* start every run from a clean heap, so no run pays for the
+           garbage of the one before it *)
+        Gc.full_major ();
+        let t0 = Unix.gettimeofday () in
+        let sim = S.create config in
+        S.run_until sim horizon;
+        (Unix.gettimeofday () -. t0, S.events_executed sim)
+      in
+      let plans = [| Fault.Plan.empty; inert; active |] in
+      let best = Array.make 3 infinity and events = Array.make 3 0 in
       for _ = 1 to rounds do
-        let t, ev, _ = run_at nodes Fault.Plan.empty in
-        empty_s := min !empty_s t;
-        empty_ev := ev;
-        let t, ev, _ = run_at nodes inert in
-        inert_s := min !inert_s t;
-        inert_ev := ev;
-        let t, ev, c = run_at nodes active in
-        storm_s := min !storm_s t;
-        storm_ev := ev;
-        churn := c
+        Array.iteri
+          (fun i p ->
+            let t, ev = run p in
+            best.(i) <- min best.(i) t;
+            events.(i) <- ev)
+          plans
       done;
-      let eps t ev = float_of_int ev /. max 1e-9 t in
-      let empty_eps = eps !empty_s !empty_ev in
-      let inert_eps = eps !inert_s !inert_ev in
-      let storm_eps = eps !storm_s !storm_ev in
-      let within = !inert_ev = !empty_ev && inert_eps >= 0.9 *. empty_eps in
-      ok := !ok && within;
-      row
-        "%4d nodes: empty %10.0f ev/s, inert %10.0f ev/s, storm %10.0f \
-         ev/s (%d churn)  %s\n"
-        nodes empty_eps inert_eps storm_eps !churn
-        (if within then "ok" else "REGRESSION");
-      fleet_rows :=
-        ( string_of_int nodes,
-          Dsm.Json.Obj
-            [
-              ("empty_events_per_s", Dsm.Json.Float empty_eps);
-              ("inert_events_per_s", Dsm.Json.Float inert_eps);
-              ("storm_events_per_s", Dsm.Json.Float storm_eps);
-              ("churn_events", Dsm.Json.Int !churn);
-              ("inert_identical", Dsm.Json.Bool (!inert_ev = !empty_ev));
-              ("within", Dsm.Json.Bool within);
-            ] )
-        :: !fleet_rows)
-    [ 100; 500 ];
-  row "inert-churn throughput within 10%% of the empty plan: %b\n" !ok;
-  Bench_out.record "churn"
-    (Dsm.Json.Obj
-       [
-         ("horizon_s", Dsm.Json.Float horizon);
-         ("fleets", Dsm.Json.Obj (List.rev !fleet_rows));
-         ("churn_within_bar", Dsm.Json.Bool !ok);
-       ])
+      let eps i = float_of_int events.(i) /. max 1e-9 best.(i) in
+      let ratio = eps 1 /. max 1e-9 (eps 0) in
+      row "%-6d %5d %7.0fs %9d %12.0f %12.0f %7.2fx %12.0f  %s\n" nodes hops
+        horizon events.(0) (eps 0) (eps 1) ratio (eps 2)
+        (if gated then
+           gate (Printf.sprintf "inert churn at %d nodes" nodes) (ratio >= 0.9)
+         else "-"))
+    fleets
 
 (* ------------------------------------------------------------------ *)
 (* lib/store: mmap'd visited set vs the heap table, and warm restarts   *)
@@ -1341,10 +976,6 @@ let store_bench () =
   let dir = Filename.temp_file "lmc-bench-store" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let rss () =
-    Gc.compact ();
-    match Store.Rss.sample_bytes () with Some b -> b | None -> 0
-  in
   let points =
     List.map
       (fun depth ->
@@ -1356,16 +987,14 @@ let store_bench () =
           }
         in
         let ram = G1.run cfg ~invariant:Paxos1.safety (paxos1_init ()) in
-        let ram_rss = rss () in
         let path = Filename.concat dir (Printf.sprintf "d%d.fps" depth) in
         let set = Store.Fp_set.create path in
         let mcfg = { cfg with visited_store = Some set } in
         let mmap = G1.run mcfg ~invariant:Paxos1.safety (paxos1_init ()) in
-        let mmap_rss = rss () in
         let warm = G1.run mcfg ~invariant:Paxos1.safety (paxos1_init ()) in
         Store.Fp_set.close set;
         Sys.remove path;
-        (depth, ram, ram_rss, mmap, mmap_rss, warm))
+        (depth, ram, mmap, warm))
       depths
   in
   Unix.rmdir dir;
@@ -1378,7 +1007,7 @@ let store_bench () =
   row "%5s %10s %10s %6s %12s %12s %10s %10s\n" "depth" "RAM-st/s"
     "mmap-st/s" "ratio" "RAM-bytes" "mmap-bytes" "warm-s" "warm-hits";
   List.iter
-    (fun (depth, ram, _, mmap, _, (warm : G1.outcome)) ->
+    (fun (depth, ram, mmap, (warm : G1.outcome)) ->
       let rr = rate ram and mr = rate mmap in
       row "%5d %10.0f %10.0f %6.2f %12d %12d %10.4f %10d\n" depth rr mr
         (if rr > 0. then mr /. rr else 0.)
@@ -1388,51 +1017,23 @@ let store_bench () =
   row
     "\nbar: both reach the same states, the mmap frontier with the \
      visited fingerprints off the heap; the warm rerun of a completed \
-     depth discovers 0 new states (cold-vs-incremental restart).\n";
-  Bench_out.record "store"
-    (Dsm.Json.List
-       (List.map
-          (fun (depth, ram, ram_rss, mmap, mmap_rss, warm) ->
-            Dsm.Json.Obj
-              [
-                ("depth", Dsm.Json.Int depth);
-                ("ram_s", Dsm.Json.Float ram.G1.stats.elapsed);
-                ("ram_states", Dsm.Json.Int ram.G1.stats.global_states);
-                ("ram_states_per_s", Dsm.Json.Float (rate ram));
-                ("ram_bytes", Dsm.Json.Int ram.G1.stats.retained_bytes);
-                ("ram_rss_bytes", Dsm.Json.Int ram_rss);
-                ("cold_s", Dsm.Json.Float mmap.G1.stats.elapsed);
-                ("mmap_states_per_s", Dsm.Json.Float (rate mmap));
-                ("mmap_bytes", Dsm.Json.Int mmap.G1.stats.retained_bytes);
-                ("mmap_rss_bytes", Dsm.Json.Int mmap_rss);
-                ("warm_s", Dsm.Json.Float warm.G1.stats.elapsed);
-                ("warm_new_states", Dsm.Json.Int warm.G1.stats.global_states);
-                ("warm_store_hits", Dsm.Json.Int warm.G1.stats.store_hits);
-                ("completed", Dsm.Json.Bool mmap.G1.completed);
-              ])
-          points))
+     depth discovers 0 new states (cold-vs-incremental restart).\n"
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry reduction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* What does audited orbit dedup buy, and what does it cost when it
-   buys nothing?  Three experiments:
+(* What does audited orbit dedup buy?  The Fig. 10 LMC-GEN sweep on
+   3-node Paxos, reduction off vs the audited orbit group: combinations
+   materialized and elapsed time per depth, and the cut at the deepest
+   depth.  In full mode, the §5.5 hunt with the checker reduced vs not:
+   total checking time across restarts, same planted bug.
 
-   1. The Fig. 10 LMC-GEN sweep on 3-node Paxos, reduction off vs the
-      audited orbit group: combinations materialized and elapsed time
-      per depth, with the cut ratio recorded.  Verdict-bearing numbers
-      (preliminary violations) must be bit-identical — reduction only
-      skips duplicate invariant evaluations.
-   2. Negative controls on protocols whose roles are genuinely
-      asymmetric (chain, pb-store): the audit must license nothing,
-      --symmetry auto must materialize exactly the same states as off,
-      and the audit's own cost is the only overhead.
-   3. (full mode) the §5.5 hunt with the checker reduced vs not: total
-      checking time across restarts, same planted bug.
-
-   The [symmetric_ok]/[asymmetric_ok] booleans gate `make bench-quick'
-   in CI. *)
+   Reduction only skips duplicate invariant evaluations, so every
+   verdict-bearing number must be bit-identical to the unreduced run;
+   test_lmc's symmetry group checks that, the 2x cut, and the negative
+   controls (chain, pb-store: asymmetric roles, the audit licenses only
+   the identity group). *)
 let symmetry_bench () =
   header "Symmetry reduction: audited orbit dedup (LMC-GEN + hunt)";
   let module Y1 = Lint.Symmetry.Make (Paxos1) in
@@ -1444,8 +1045,14 @@ let symmetry_bench () =
     (Dsm.Symmetry.name y.Y1.verdict.Y1.commutation.Dsm.Symmetry.group)
     (Dsm.Symmetry.name orbit) y.Y1.stats.Y1.probes y.Y1.stats.Y1.elapsed;
   let max_depth = if !quick then 10 else 18 in
-  let sweep = ref [] in
-  let no_increase = ref true and verdicts_match = ref true in
+  let ratio (off : L1.result) (on : L1.result) =
+    float_of_int off.system_states_created
+    /. float_of_int (max 1 on.system_states_created)
+  in
+  row "\n-- LMC-GEN combinations checked vs depth, off vs reduced --\n";
+  row "%5s %14s %14s %7s %10s %10s\n" "depth" "off-system" "reduced-system"
+    "ratio" "off-s" "reduced-s";
+  let last = ref 1. in
   for depth = 0 to max_depth do
     let go symmetry =
       L1.run
@@ -1454,219 +1061,35 @@ let symmetry_bench () =
     in
     let off = go (Dsm.Symmetry.identity_group 3) in
     let on = go orbit in
-    if on.system_states_created > off.system_states_created then
-      no_increase := false;
-    if
-      off.preliminary_violations <> on.preliminary_violations
-      || (off.sound_violation = None) <> (on.sound_violation = None)
-    then verdicts_match := false;
-    sweep := (depth, off, on) :: !sweep
+    last := ratio off on;
+    row "%5d %14d %14d %7.2f %10.4f %10.4f\n" depth off.system_states_created
+      on.system_states_created !last off.elapsed on.elapsed
   done;
-  let sweep = List.rev !sweep in
-  row "\n-- LMC-GEN combinations checked vs depth, off vs reduced --\n";
-  row "%5s %14s %14s %7s %10s %10s\n" "depth" "off-system" "reduced-system"
-    "ratio" "off-s" "reduced-s";
-  List.iter
-    (fun (depth, (off : L1.result), (on : L1.result)) ->
-      row "%5d %14d %14d %7.2f %10.4f %10.4f\n" depth
-        off.system_states_created on.system_states_created
-        (float_of_int off.system_states_created
-        /. float_of_int (max 1 on.system_states_created))
-        off.elapsed on.elapsed)
-    sweep;
-  let _, off_last, on_last = List.nth sweep (List.length sweep - 1) in
-  let final_ratio =
-    float_of_int off_last.system_states_created
-    /. float_of_int (max 1 on_last.system_states_created)
-  in
-  let symmetric_ok = !no_increase && !verdicts_match && final_ratio >= 2.0 in
-  row "\ncut at depth %d: %.2fx (issue bar: 2x); verdicts %s\n" max_depth
-    final_ratio
-    (if !verdicts_match then "bit-identical" else "DIVERGED");
-  (* negative controls: asymmetric roles, the audit licenses nothing *)
-  (* audit the registry instance [name], then run LMC-GEN unreduced and
-     under whatever orbit group the audit licensed *)
-  let asym_control name =
-    let (module S) = Option.get (Protocols.Registry.find name) in
-    let module L = Lmc.Checker.Make (S.P) in
-    let module Y = Lint.Symmetry.Make (S.P) in
-    let y =
-      Y.run ~config:{ Y.default_config with invariant = Some S.invariant } ()
-    in
-    let go symmetry =
-      L.run
-        { L.default_config with symmetry }
-        ~strategy:L.General ~invariant:S.invariant
-        (Dsm.Protocol.initial_system (module S.P))
-    in
-    let off = go (Dsm.Symmetry.identity_group S.P.num_nodes) in
-    let auto = go y.Y.verdict.Y.orbit in
-    ( Dsm.Symmetry.name y.Y.verdict.Y.orbit,
-      off.L.system_states_created,
-      auto.L.system_states_created,
-      off.L.elapsed,
-      auto.L.elapsed )
-  in
-  let control_results = ref [] in
-  let control name =
-    let group_name, off_states, auto_states, off_s, auto_s =
-      asym_control name
-    in
-    let states_equal = off_states = auto_states in
-    let within_noise = auto_s <= (off_s *. 1.5) +. 0.05 in
-    row "%-10s audit licenses %-4s  off %7d = auto %7d states  %s\n" name
-      group_name off_states auto_states
-      (if states_equal then "(identical)" else "(MISMATCH)");
-    control_results :=
-      ( name,
-        Dsm.Json.Obj
-          [
-            ("orbit", Dsm.Json.String group_name);
-            ("off_system", Dsm.Json.Int off_states);
-            ("auto_system", Dsm.Json.Int auto_states);
-            ("states_equal", Dsm.Json.Bool states_equal);
-            ("off_s", Dsm.Json.Float off_s);
-            ("auto_s", Dsm.Json.Float auto_s);
-            ("within_noise", Dsm.Json.Bool within_noise);
-          ] )
-      :: !control_results;
-    states_equal
-  in
-  let chain_ok = control "chain" in
-  let pb_ok = control "pb-store" in
-  let asymmetric_ok = chain_ok && pb_ok in
+  row "\ncut at depth %d: %.2fx\n" max_depth !last;
   (* the §5.5 hunt, checker reduced vs not (full mode only: two long
      online runs) *)
-  let hunt_json = ref Dsm.Json.Null in
   if not !quick then begin
-    let module Live = Protocols.Paxos.Make (struct
-      let num_nodes = 3
-      let proposers = [ 0; 1; 2 ]
-      let max_attempts = 2
-      let max_index = 16
-      let fresh_proposals = true
-      let bug = Protocols.Paxos_core.Last_response_wins
-    end) in
-    let module Check = Protocols.Paxos.Make (struct
-      let num_nodes = 3
-      let proposers = [ 0; 1; 2 ]
-      let max_attempts = 2
-      let max_index = 16
-      let fresh_proposals = false
-      let bug = Protocols.Paxos_core.Last_response_wins
-    end) in
-    let module Yc = Lint.Symmetry.Make (Check) in
+    let (module H0) = hunt_of "paxos-buggy" in
+    let module Yc = Lint.Symmetry.Make (H0.Check) in
     let yc =
-      Yc.run
-        ~config:{ Yc.default_config with invariant = Some Check.safety }
-        ()
+      Yc.run ~config:{ Yc.default_config with invariant = Some H0.invariant } ()
     in
-    let module Online_p = Online.Online_mc.Make (Live) (Check) in
-    let module Sim_p = Sim.Live_sim.Make (Live) in
-    let hunt symmetry =
-      let link =
-        Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05
-          ~latency_max:0.3 ()
-      in
-      let config =
-        {
-          Online_p.sim =
-            {
-              Sim_p.seed = 7;
-              link;
-              timer_min = 2.0;
-              timer_max = 20.0;
-              action_prob = None;
-              faults = Fault.Plan.empty;
-            };
-          check_interval = 30.0;
-          max_live_time = 3600.0;
-          checker =
-            {
-              Online_p.Checker.default_config with
-              time_limit = Some 5.0;
-              max_transitions = Some 100_000;
-              symmetry;
-            };
-          action_bounds = [ 1; 2 ];
-          steer = false;
-          steer_scope = `Exact_action;
-          supervisor = Online_p.default_supervisor;
-          store = None;
-        }
-      in
-      let strategy =
-        Online_p.Checker.Invariant_specific
-          { abstract = Check.abstraction; conflict = Check.conflicts }
-      in
-      Online_p.run config ~strategy ~invariant:Check.safety
-    in
+    let module H = Hunt (H0) in
+    let hunt symmetry = H.run ~seed:7 ~interval:30.0 ~symmetry () in
     let off = hunt (Dsm.Symmetry.identity_group 3) in
     let on = hunt yc.Yc.verdict.Yc.orbit in
-    let found o =
-      match o.Online_p.report with
-      | Some r -> Printf.sprintf "found at %.0f s" r.Online_p.live_time
+    let found (o : H.O.outcome) =
+      match o.report with
+      | Some r -> Printf.sprintf "found at %.0f s" r.live_time
       | None -> "not found"
     in
     row "\n-- §5.5 hunt, checker reduced vs not --\n";
     row "off    : %s, %.1f s checking in %d runs\n" (found off)
-      off.Online_p.total_check_time off.Online_p.total_checks;
+      off.total_check_time off.total_checks;
     row "reduced: %s, %.1f s checking in %d runs (%.2fx)\n" (found on)
-      on.Online_p.total_check_time on.Online_p.total_checks
-      (off.Online_p.total_check_time
-      /. max 1e-9 on.Online_p.total_check_time);
-    let live_time o =
-      match o.Online_p.report with
-      | Some r -> Dsm.Json.Float r.Online_p.live_time
-      | None -> Dsm.Json.Null
-    in
-    hunt_json :=
-      Dsm.Json.Obj
-        [
-          ("off_found_at_s", live_time off);
-          ("reduced_found_at_s", live_time on);
-          ("off_check_time_s", Dsm.Json.Float off.Online_p.total_check_time);
-          ( "reduced_check_time_s",
-            Dsm.Json.Float on.Online_p.total_check_time );
-          ( "check_time_ratio",
-            Dsm.Json.Float
-              (off.Online_p.total_check_time
-              /. max 1e-9 on.Online_p.total_check_time) );
-          ("off_checks", Dsm.Json.Int off.Online_p.total_checks);
-          ("reduced_checks", Dsm.Json.Int on.Online_p.total_checks);
-        ]
-  end;
-  Bench_out.record "symmetry"
-    (Dsm.Json.Obj
-       [
-         ("orbit", Dsm.Json.String (Dsm.Symmetry.name orbit));
-         ( "sweep",
-           Dsm.Json.List
-             (List.map
-                (fun (depth, (off : L1.result), (on : L1.result)) ->
-                  Dsm.Json.Obj
-                    [
-                      ("depth", Dsm.Json.Int depth);
-                      ("off_system", Dsm.Json.Int off.system_states_created);
-                      ( "reduced_system",
-                        Dsm.Json.Int on.system_states_created );
-                      ("orbit_hits", Dsm.Json.Int on.orbit_hits);
-                      ( "ratio",
-                        Dsm.Json.Float
-                          (float_of_int off.system_states_created
-                          /. float_of_int (max 1 on.system_states_created))
-                      );
-                      ("off_s", Dsm.Json.Float off.elapsed);
-                      ("reduced_s", Dsm.Json.Float on.elapsed);
-                    ])
-                sweep) );
-         ("final_ratio", Dsm.Json.Float final_ratio);
-         ("verdicts_match", Dsm.Json.Bool !verdicts_match);
-         ("symmetric_ok", Dsm.Json.Bool symmetric_ok);
-         ("controls", Dsm.Json.Obj (List.rev !control_results));
-         ("asymmetric_ok", Dsm.Json.Bool asymmetric_ok);
-         ("hunt", !hunt_json);
-       ])
+      on.total_check_time on.total_checks
+      (off.total_check_time /. max 1e-9 on.total_check_time)
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -1685,11 +1108,8 @@ let sections =
     ("ablation-soundness", ablation_soundness);
     ("ablation-auto", ablation_auto);
     ("breadth", breadth);
-    ("micro", micro);
-    ("obs-overhead", obs_overhead);
-    ("telemetry-overhead", telemetry_overhead);
-    ("fault-overhead", fault_overhead);
-    ("churn", churn_bench);
+    ("overhead", overhead);
+    ("sim-overhead", sim_overhead);
     ("store", store_bench);
     ("symmetry", symmetry_bench);
   ]
@@ -1699,11 +1119,14 @@ let main q o =
   only := o;
   Printf.printf "LMC benchmark harness%s\n%!"
     (if !quick then " (--quick)" else "");
-  List.iter
-    (fun (name, f) -> if section name then Bench_out.timed name f)
-    sections;
-  Bench_out.write "BENCH_lmc.json";
-  Printf.printf "\ndone.\n"
+  List.iter (fun (name, f) -> if section name then f ()) sections;
+  match List.rev !failed_bars with
+  | [] ->
+      Printf.printf "\ndone.\n";
+      0
+  | failed ->
+      Printf.printf "\nFAILED bars: %s\n" (String.concat ", " failed);
+      1
 
 let () =
   let open Cmdliner in
@@ -1720,8 +1143,8 @@ let () =
     Arg.(value & opt_all sec [] & info [ "only" ] ~doc ~docv:"SECTION")
   in
   let doc =
-    "regenerate the paper's evaluation (tables, figures, ablations) and \
-     write BENCH_lmc.json"
+    "regenerate the paper's evaluation (tables, figures, ablations); exit 1 \
+     when a gated overhead bar fails"
   in
   let info = Cmd.info "bench" ~doc in
-  exit (Cmd.eval (Cmd.v info Term.(const main $ quick_arg $ only_arg)))
+  exit (Cmd.eval' (Cmd.v info Term.(const main $ quick_arg $ only_arg)))

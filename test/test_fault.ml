@@ -416,6 +416,94 @@ let prop_same_seed_same_plan_identical =
       Dsm.Fingerprint.equal fp1 fp2 && counters1 = counters2
       && records1 = records2)
 
+(* ---------- inert plans ----------
+
+   A plan whose every clause is windowed past the horizon makes the
+   injector scan each message but roll nothing, so the run must follow
+   the empty plan's trajectory exactly.  The deployment is the bench's
+   token ring, whose timer ticks launch multi-hop tokens: sends
+   dominate, so any stray fault-stream draw or membership slip would
+   show. *)
+module Token_ring (N : sig
+  val num_nodes : int
+  val hops : int
+end) =
+struct
+  let name = "token-ring"
+  let num_nodes = N.num_nodes
+
+  type state = int
+  type message = int (* remaining hops *)
+  type action = unit
+
+  let initial _ = 0
+
+  let fwd self ttl =
+    if ttl <= 0 then []
+    else
+      [ Dsm.Envelope.make ~src:self ~dst:((self + 1) mod num_nodes) (ttl - 1) ]
+
+  let handle_message ~self st (env : message Dsm.Envelope.t) =
+    (st + 1, fwd self env.Dsm.Envelope.payload)
+
+  let enabled_actions ~self:_ _ = [ () ]
+  let handle_action ~self st () = (st + 1, fwd self N.hops)
+  let on_recover = Dsm.Protocol.default_on_recover
+  let pp_state = Format.pp_print_int
+  let pp_message ppf ttl = Format.fprintf ppf "tok%d" ttl
+  let pp_action ppf () = Format.pp_print_string ppf "launch"
+end
+
+let test_inert_plan_identical () =
+  List.iter
+    (fun (nodes, hops) ->
+      let module R = Token_ring (struct
+        let num_nodes = nodes
+        let hops = hops
+      end) in
+      let module Sr = Sim.Live_sim.Make (R) in
+      let far = "from=9000000,until=9000001" in
+      let inert =
+        parse
+          (String.concat ";"
+             [
+               "corrupt:p=0.5," ^ far;
+               "dup:p=0.5," ^ far;
+               "reorder:p=0.5,window=2," ^ far;
+               "part:cut=0/1," ^ far;
+               "crash:node=0,at=9000000,recover=9000001";
+               "leave:node=1,at=9000000";
+               "join:node=1,at=9000001";
+             ])
+      in
+      let run faults =
+        let sim =
+          Sr.create
+            {
+              Sr.seed = 11;
+              link =
+                Net.Lossy_link.create ~drop_prob:0.05 ~latency_min:0.05
+                  ~latency_max:0.3 ();
+              timer_min = 0.5;
+              timer_max = 1.5;
+              action_prob = None;
+              faults;
+            }
+        in
+        Sr.run_until sim 60.0;
+        ( Sr.events_executed sim,
+          Sr.messages_sent sim,
+          Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value (Sr.states sim)) )
+      in
+      let ev, sent, fp = run Fault.Plan.empty in
+      let ev', sent', fp' = run inert in
+      let tag s = Printf.sprintf "%d nodes: %s" nodes s in
+      check Alcotest.bool (tag "traffic flowed") true (ev > 0);
+      check Alcotest.int (tag "events executed") ev ev';
+      check Alcotest.int (tag "messages sent") sent sent';
+      check Alcotest.string (tag "final states") fp fp')
+    [ (3, 32); (100, 8) ]
+
 (* ---------- hunt under faults: run-to-run determinism ---------- *)
 
 module PB_cr = Protocols.Pb_store.Make (struct
@@ -524,6 +612,8 @@ let () =
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest prop_same_seed_same_plan_identical;
+          Alcotest.test_case "inert plan = empty plan" `Quick
+            test_inert_plan_identical;
           Alcotest.test_case "fault hunt, identical step streams" `Slow
             test_fault_hunt_deterministic;
         ] );

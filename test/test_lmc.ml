@@ -581,12 +581,15 @@ module Sym_equiv (P : Dsm.Protocol.S) = struct
      completion; a run stopping at its first sound violation may halt
      before the orbits pay off, so there we only require the reduced
      run never to do MORE work. *)
-  let run ~name ~invariant ?(expect_cut = true) () =
+  let run ~name ~invariant ?(expect_cut = true) ?(expect_identity = false) ()
+      =
     let y =
       Y.run ~config:{ Y.default_config with invariant = Some invariant } ()
     in
-    check Alcotest.bool (name ^ ": audit licenses a non-trivial group") false
-      (Dsm.Symmetry.is_trivial y.Y.verdict.Y.orbit);
+    check Alcotest.bool
+      (name ^ ": audit licenses a non-trivial group")
+      (not expect_identity)
+      (not (Dsm.Symmetry.is_trivial y.Y.verdict.Y.orbit));
     let go symmetry =
       L.run
         { L.default_config with symmetry }
@@ -608,7 +611,10 @@ module Sym_equiv (P : Dsm.Protocol.S) = struct
     check Alcotest.string (tag "sound violation")
       (viol_fp off.L.sound_violation)
       (viol_fp on.L.sound_violation);
-    (if expect_cut then
+    (if expect_identity then
+       check Alcotest.int (tag "identity group, same combinations")
+         off.L.system_states_created on.L.system_states_created
+     else if expect_cut then
        check Alcotest.bool (tag "combinations cut >= 2x") true
          (off.L.system_states_created >= 2 * on.L.system_states_created)
      else
@@ -616,7 +622,10 @@ module Sym_equiv (P : Dsm.Protocol.S) = struct
          (off.L.system_states_created >= on.L.system_states_created));
     check Alcotest.int (tag "orbit hits stay 0 when off") 0
       off.L.orbit_hits;
-    if expect_cut then
+    if expect_identity then
+      check Alcotest.int (tag "identity group, no orbit hits") 0
+        on.L.orbit_hits
+    else if expect_cut then
       check Alcotest.bool (tag "orbit hits counted") true
         (on.L.orbit_hits > 0)
 end
@@ -653,6 +662,17 @@ let test_sym_equiv_paxos () =
   let module Paxos = Protocols.Paxos.Make (Protocols.Paxos.Bench_config) in
   let module E = Sym_equiv (Paxos) in
   E.run ~name:"paxos" ~invariant:Paxos.safety ()
+
+(* Negative controls: roles that are genuinely asymmetric.  The audit
+   must license only the identity group, and auto must then equal off
+   on every counter. *)
+let test_sym_equiv_asymmetric () =
+  List.iter
+    (fun name ->
+      let (module S) = Option.get (Protocols.Registry.find name) in
+      let module E = Sym_equiv (S.P) in
+      E.run ~name ~invariant:S.invariant ~expect_identity:true ())
+    [ "chain"; "pb-store" ]
 
 (* ---------- LMC-OPT partner index ---------- *)
 
@@ -1322,5 +1342,7 @@ let () =
             test_sym_equiv_ring_buggy;
           Alcotest.test_case "mutex auto = off" `Quick test_sym_equiv_mutex;
           Alcotest.test_case "paxos auto = off" `Quick test_sym_equiv_paxos;
+          Alcotest.test_case "chain, pb-store: identity only" `Quick
+            test_sym_equiv_asymmetric;
         ] );
     ]

@@ -1,0 +1,161 @@
+(* Registry-wide differential oracle: every bundled subject runs under
+   B-DFS, LMC-GEN and LMC-OPT (where the subject has an abstraction)
+   under one shared transition budget.
+
+   - Verdicts: a run that found a violation says [Bug]; a run that
+     reached its fixpoint without one says [Safe]; a run the budget cut
+     short says nothing.  Every pair of definite verdicts must agree —
+     the paper's §4.3 claim that eliminating the network changes the
+     cost of checking, not its answer.
+   - Witnesses: every sound violation LMC reports must replay under
+     global semantics ([Lmc.Witness]) to a system state that violates
+     the invariant.
+
+   Subjects whose B-DFS and LMC verdicts cannot both be reached cheaply
+   are listed in [not_compared] with the reason; the test
+   fails if that list and the runs disagree in either direction, so no
+   subject drops out of the comparison silently. *)
+
+let check = Alcotest.check
+
+(* Transitions per run.  Every compared subject reaches its fixpoint
+   or its bug below it (3-node Paxos under B-DFS, the largest, needs
+   41,599).  The subjects in [not_compared] run under [bounded] instead:
+   LMC-GEN's combination work grows with the product of the node
+   stores, so on 1Paxos and SWIM a few thousand transitions already
+   cost seconds. *)
+let budget = 50_000
+let bounded = 300
+
+type verdict = Bug | Safe | Unknown
+
+let pp_verdict = function Bug -> "bug" | Safe -> "safe" | Unknown -> "?"
+
+let verdict ~violated ~completed =
+  if violated then Bug else if completed then Safe else Unknown
+
+(* Subjects whose B-DFS and LMC verdicts are not compared, and why. *)
+let not_compared =
+  [
+    ( "onepaxos",
+      "no checker reaches a verdict in 20 s; bounded, replay only" );
+    ( "onepaxos-buggy",
+      "no checker reaches a verdict in 20 s; bounded, replay only" );
+    ( "swim",
+      "no checker reaches a verdict in 20 s; bounded, replay only" );
+    ( "swim-nosuspect",
+      "LMC confirms a 4-event violation, B-DFS does not finish: the \
+       soundness-only case" );
+    ( "swim-ackrace",
+      "no checker reaches a verdict in 20 s; bounded, replay only" );
+  ]
+
+module Oracle (S : Protocols.Registry.SUBJECT) = struct
+  module G = Mc_global.Bdfs.Make (S.P)
+  module L = Lmc.Checker.Make (S.P)
+  module W = Lmc.Witness.Make (S.P)
+
+  let init () = Dsm.Protocol.initial_system (module S.P)
+
+  let budget =
+    if List.mem_assoc S.name not_compared then bounded else budget
+
+  let lmc strategy =
+    let r =
+      L.run
+        { L.default_config with max_transitions = Some budget }
+        ~strategy ~invariant:S.invariant (init ())
+    in
+    (* the witness direction: the schedule must execute from the
+       initial state and end in a violating system state *)
+    Option.iter
+      (fun (v : L.violation) ->
+        match W.replay ~init:(init ()) v.schedule with
+        | None ->
+            Alcotest.failf "%s: %d-event witness does not replay" S.name
+              (List.length v.schedule)
+        | Some final ->
+            check Alcotest.bool
+              (S.name ^ ": replayed witness violates the invariant")
+              true
+              (Dsm.Invariant.check S.invariant final <> None))
+      r.sound_violation;
+    verdict ~violated:(r.sound_violation <> None) ~completed:r.completed
+
+  (* (checker, verdict) for every checker that applies *)
+  let verdicts () =
+    let g =
+      G.run
+        { G.default_config with max_transitions = Some budget }
+        ~invariant:S.invariant (init ())
+    in
+    let opt =
+      match S.opt with
+      | Some (Protocols.Registry.Opt o) ->
+          [
+            ( "lmc-opt",
+              lmc
+                (L.Invariant_specific
+                   { abstract = o.abstract; conflict = o.conflict }) );
+          ]
+      | None -> []
+    in
+    ("bdfs", verdict ~violated:(g.violation <> None) ~completed:g.completed)
+    :: ("lmc-gen", lmc L.General)
+    :: opt
+end
+
+let test_registry_verdicts () =
+  let uncompared =
+    List.filter_map
+      (fun (module S : Protocols.Registry.SUBJECT) ->
+        let module O = Oracle (S) in
+        let vs = O.verdicts () in
+        let definite = List.filter (fun (_, v) -> v <> Unknown) vs in
+        List.iter
+          (fun (c, v) ->
+            List.iter
+              (fun (c', v') ->
+                if v <> v' then
+                  Alcotest.failf "%s: %s says %s, %s says %s" S.name c
+                    (pp_verdict v) c' (pp_verdict v'))
+              definite)
+          definite;
+        if List.for_all (fun (_, v) -> v <> Unknown) vs then None
+        else Some S.name)
+      Protocols.Registry.subjects
+  in
+  check
+    Alcotest.(list string)
+    "subjects without a B-DFS/LMC comparison" (List.map fst not_compared)
+    uncompared
+
+(* The soundness-only case is pinned: LMC finds the planted SWIM bug,
+   with a short witness, where the global search gets nowhere. *)
+let test_swim_nosuspect_pinned () =
+  let (module S) = Option.get (Protocols.Registry.find "swim-nosuspect") in
+  let module L = Lmc.Checker.Make (S.P) in
+  let r =
+    L.run
+      { L.default_config with max_transitions = Some bounded }
+      ~strategy:L.General ~invariant:S.invariant
+      (Dsm.Protocol.initial_system (module S.P))
+  in
+  check Alcotest.bool "swim-nosuspect: LMC-GEN completed" true r.completed;
+  match r.sound_violation with
+  | None -> Alcotest.fail "swim-nosuspect: LMC-GEN found no violation"
+  | Some v ->
+      check Alcotest.int "swim-nosuspect: witness length" 4
+        (List.length v.schedule)
+
+let () =
+  Alcotest.run "oracle"
+    [
+      ( "registry",
+        [
+          Alcotest.test_case "verdicts agree, witnesses replay" `Quick
+            test_registry_verdicts;
+          Alcotest.test_case "swim-nosuspect soundness-only" `Quick
+            test_swim_nosuspect_pinned;
+        ] );
+    ]
