@@ -224,6 +224,7 @@ let scenario_required_fields = function
    whose type is checked when present. *)
 let optional_fields = function
   | "run" -> [ ("crash_budget", is_int) ]
+  | "bdfs_run" -> [ ("key", is_string) ]
   | "reject" -> [ ("reason", is_string) ]
   | "lmc_end" -> [ ("soundness_calls", is_int); ("store_hits", is_int) ]
   | _ -> []

@@ -725,12 +725,25 @@ module Check_driver (S : Registry.SUBJECT) = struct
              | None -> false)
         records
     in
+    (* B-DFS step records carry state keys; a [bdfs_run] without a
+       [key] field predates the compositional key, so its keys cannot
+       be reproduced (its witnesses, keyed by node states, still can). *)
+    let unkeyed_bdfs =
+      List.exists
+        (fun f -> ev_of f = "bdfs_run" && jfield "key" f = None)
+        records
+    in
     let explore_fail =
       let kind = Option.bind (jstr (jfield "checker" header)) checker_of_name in
       match (kind, completed) with
       | _ when ring_dropped ->
           Format.printf
             "exploration: ring buffer dropped early records; witness \
+             replay only@.";
+          0
+      | _ when unkeyed_bdfs ->
+          Format.printf
+            "exploration: recorded under the whole-state digest; witness \
              replay only@.";
           0
       | Some kind, Some true ->

@@ -20,3 +20,55 @@ let pp ppf t = Format.pp_print_string ppf (String.sub (to_hex t) 0 8)
 
 module Set = Set.Make (String)
 module Map = Map.Make (String)
+
+module Mix = struct
+  (* Two lanes of 63-bit native ints; all arithmetic wraps mod 2^63. *)
+  type nonrec t = { a : int; b : int }
+
+  let zero = { a = 0; b = 0 }
+
+  let of_fp d =
+    {
+      a = Int64.to_int (String.get_int64_le d 0);
+      b = Int64.to_int (String.get_int64_le d 8);
+    }
+
+  let of_value v = of_fp (of_value v)
+
+  let add x y = { a = x.a + y.a; b = x.b + y.b }
+
+  let sub x y = { a = x.a - y.a; b = x.b - y.b }
+
+  let scale k x = { a = k * x.a; b = k * x.b }
+
+  let equal x y = x.a = y.a && x.b = y.b
+
+  (* A 63-bit finaliser (splitmix64's shape, constants below 2^62):
+     spreads consecutive lane indices into unrelated odd multipliers. *)
+  let multiplier k =
+    let z = (k + 1) * 0x3C6EF372FE94F82B in
+    let z = (z lxor (z lsr 31)) * 0x3F58476D1CE4E5B9 in
+    let z = (z lxor (z lsr 29)) * 0x14D049BB133111EB in
+    (z lxor (z lsr 32)) lor 1
+
+  let slot i x =
+    { a = multiplier (2 * i) * x.a; b = multiplier ((2 * i) + 1) * x.b }
+
+  let slots xs =
+    let acc = ref zero in
+    Array.iteri (fun i x -> acc := add !acc (slot i x)) xs;
+    !acc
+
+  let bindings bs =
+    List.fold_left (fun acc (e, c) -> add acc (scale c (of_value e))) zero bs
+
+  let to_fp x =
+    let buf = Bytes.create 16 in
+    Bytes.set_int64_le buf 0 (Int64.of_int x.a);
+    Bytes.set_int64_le buf 8 (Int64.of_int x.b);
+    Bytes.unsafe_to_string buf
+end
+
+let product nodes bindings =
+  Mix.to_fp
+    (Mix.add (Mix.slots (Array.map Mix.of_value nodes)) (Mix.bindings bindings))

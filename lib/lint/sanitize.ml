@@ -37,8 +37,8 @@ module Make (P : Dsm.Protocol.S) = struct
     net : P.message Envelope.t Net.Multiset.t;
   }
 
-  let fingerprint g =
-    Fingerprint.of_value (g.nodes, Net.Multiset.bindings g.net)
+  (* The B-DFS state key (Fingerprint.Mix), from scratch. *)
+  let fingerprint g = Fingerprint.product g.nodes (Net.Multiset.bindings g.net)
 
   let msg_family m = Report.family (Format.asprintf "%a" P.pp_message m)
   let act_family a = Report.family (Format.asprintf "%a" P.pp_action a)

@@ -1,6 +1,7 @@
 module Make (P : Dsm.Protocol.S) = struct
   module Envelope = Dsm.Envelope
   module Fingerprint = Dsm.Fingerprint
+  module Mix = Fingerprint.Mix
   module Trace = Dsm.Trace
 
   type global = {
@@ -9,6 +10,9 @@ module Make (P : Dsm.Protocol.S) = struct
     crashes : int array;
         (* never mutated in place: crash successors copy, everything
            else shares the parent's array *)
+    digests : Mix.t array;  (* [Mix.of_value nodes.(i)], per node *)
+    nodes_key : Mix.t;  (* [sum_i Mix.slot i digests.(i)] *)
+    net_key : Mix.t;  (* [sum count * Mix.of_value envelope] *)
   }
 
   type violation = {
@@ -63,7 +67,7 @@ module Make (P : Dsm.Protocol.S) = struct
     symmetry : (P.state, P.message) Dsm.Symmetry.spec;
         (* audited role-permutation group (with identifier mappers for
            states and messages): the visited set and parent links are
-           keyed by the least fingerprint over the group's images of a
+           keyed by the least key over the group's images of a
            global state, so permutation-equivalent states are explored
            once.  Exploration, traces and witnesses stay in original
            coordinates — every recorded step is a real transition, so
@@ -71,8 +75,7 @@ module Make (P : Dsm.Protocol.S) = struct
            [enabled_actions], [initial], [on_recover] and the invariant
            commute with the group's action — audited by
            [Lint.Symmetry]; the checker trusts the caller.  Default:
-           identity spec (no reduction, fingerprints bit-identical to
-           before). *)
+           identity spec (no reduction: canonical key = raw key). *)
   }
 
   let default_config =
@@ -88,60 +91,80 @@ module Make (P : Dsm.Protocol.S) = struct
       symmetry = Dsm.Symmetry.id_spec ~degree:P.num_nodes;
     }
 
-  (* The canonical fingerprint of a global state: node states are
-     positional, the network multiset is sorted by construction.  The
-     crash counts join the tuple only once some node has crashed, so a
-     [crash_budget = 0] run hashes exactly what it always did. *)
-  let fingerprint g =
-    if Array.exists (fun c -> c > 0) g.crashes then
-      Fingerprint.of_value (g.nodes, Net.Multiset.bindings g.net, g.crashes)
-    else Fingerprint.of_value (g.nodes, Net.Multiset.bindings g.net)
-
-  let system_fingerprint nodes = Fingerprint.of_value nodes
-
-  (* Fingerprint of the image of [g] under one permutation: node
-     [p.(i)] takes node [i]'s identifier-rewritten state, envelopes
-     are renamed and re-sorted into the multiset's canonical binding
-     order (a permutation is a bijection on envelopes, so multiplicity
-     structure is preserved), crash counters travel with their node. *)
-  let permuted_fp (spec : (P.state, P.message) Dsm.Symmetry.spec) p g =
-    let rename = Dsm.Symmetry.apply p in
-    let nodes' =
-      Dsm.Symmetry.permute_slots p
-        (Array.map (spec.Dsm.Symmetry.map_state rename) g.nodes)
+  (* The key of a global state (Fingerprint.Mix): the positional mix of
+     its node digests plus the multiset sum of its envelope digests.
+     The crash counts join only once some node has crashed, so a
+     [crash_budget = 0] run keys on nodes and network alone. *)
+  let compose nodes_key net_key crashes =
+    let crash_term =
+      if Array.exists (fun c -> c > 0) crashes then Mix.of_value crashes
+      else Mix.zero
     in
-    let bindings' =
-      List.sort compare
-        (List.map
-           (fun ((e : P.message Envelope.t), c) ->
-             ( {
-                 Envelope.src = rename e.Envelope.src;
-                 dst = rename e.Envelope.dst;
-                 payload = spec.Dsm.Symmetry.map_message rename e.payload;
-               },
-               c ))
-           (Net.Multiset.bindings g.net))
-    in
-    if Array.exists (fun c -> c > 0) g.crashes then
-      Fingerprint.of_value
-        (nodes', bindings', Dsm.Symmetry.permute_slots p g.crashes)
-    else Fingerprint.of_value (nodes', bindings')
+    Mix.to_fp (Mix.add nodes_key (Mix.add net_key crash_term))
 
-  (* Canonical (least-over-orbit) fingerprint, given the state's raw
-     fingerprint.  With the identity group this IS the raw fingerprint
-     — reduction off reproduces prior runs bit for bit. *)
-  let canonical_fp (spec : (P.state, P.message) Dsm.Symmetry.spec) g raw =
+  let key_of ~nodes ~bindings ~crashes =
+    compose
+      (Mix.slots (Array.map Mix.of_value nodes))
+      (Mix.bindings bindings) crashes
+
+  (* The same key from the parts a [global] caches: O(1) per state. *)
+  let key g = compose g.nodes_key g.net_key g.crashes
+
+  let make_global nodes net crashes =
+    let digests = Array.map Mix.of_value nodes in
+    {
+      nodes;
+      net;
+      crashes;
+      digests;
+      nodes_key = Mix.slots digests;
+      net_key = Mix.bindings (Net.Multiset.bindings net);
+    }
+
+  (* [g] with node [n] in [state'] of digest [d]: the one node digest a
+     successor pays, and the positional sum moved by the difference. *)
+  let with_node g n state' d =
+    let nodes = Array.copy g.nodes in
+    nodes.(n) <- state';
+    let digests = Array.copy g.digests in
+    digests.(n) <- d;
+    {
+      g with
+      nodes;
+      digests;
+      nodes_key = Mix.add g.nodes_key (Mix.slot n (Mix.sub d g.digests.(n)));
+    }
+
+  let envelopes_key out =
+    List.fold_left (fun acc e -> Mix.add acc (Mix.of_value e)) Mix.zero out
+
+  (* Key of the image of [g] under one permutation: node [p.(i)] takes
+     node [i]'s identifier-rewritten state, envelopes are renamed (the
+     multiset sum needs no re-sorting), crash counters travel with
+     their node. *)
+  let permuted_key spec p g =
+    let bindings = Net.Multiset.bindings g.net in
+    let nodes, envs =
+      Dsm.Symmetry.permute_global spec p g.nodes (List.map fst bindings)
+    in
+    key_of ~nodes
+      ~bindings:(List.map2 (fun e (_, c) -> (e, c)) envs bindings)
+      ~crashes:(Dsm.Symmetry.permute_slots p g.crashes)
+
+  (* Canonical (least-over-orbit) key, given the state's raw key.  With
+     the identity group this IS the raw key. *)
+  let canonical_key (spec : (P.state, P.message) Dsm.Symmetry.spec) g raw =
     if Dsm.Symmetry.is_trivial spec.Dsm.Symmetry.group then raw
     else
       List.fold_left
         (fun best p ->
           if Dsm.Symmetry.is_identity p then best
           else
-            let f = permuted_fp spec p g in
+            let f = permuted_key spec p g in
             if Fingerprint.compare f best < 0 then f else best)
         raw spec.Dsm.Symmetry.group.Dsm.Symmetry.elements
 
-  (* Per-entry analytic footprint of the visited set: fingerprint key
+  (* Per-entry analytic footprint of the visited set: 16-byte key
      plus hash-table slot overhead (next pointer, depth). *)
   let visited_entry_bytes = Fingerprint.size + 48
   let parent_entry_bytes = (2 * Fingerprint.size) + 80
@@ -217,12 +240,18 @@ module Make (P : Dsm.Protocol.S) = struct
       (fun f -> if not (Hashtbl.mem inj f) then Hashtbl.add inj f seq)
       produces
 
+  (* Names the state-key definition in [bdfs_run]: step records'
+     [fp_before]/[fp_after] are keys, so a recording made under another
+     definition cannot be re-explored bit for bit. *)
+  let key_name = "mix128"
+
   let record_run_header ~trace =
     ignore
       (Obs.Trace.emit trace ~ev:"bdfs_run"
          [
            ("protocol", Dsm.Json.String P.name);
            ("nodes", Dsm.Json.Int P.num_nodes);
+           ("key", Dsm.Json.String key_name);
          ])
 
   let record_run_end ~trace ~symmetry (outcome : outcome) =
@@ -247,14 +276,13 @@ module Make (P : Dsm.Protocol.S) = struct
     root : P.state array;  (* starting states, for witness records *)
     invariant : P.state Dsm.Invariant.t;
     visited : (Fingerprint.t, int) Hashtbl.t;
-        (* canonical fingerprint -> min depth, for the DFS; empty when
+        (* canonical key -> min depth, for the DFS; empty when
            [config.visited_store] holds presence on disk instead.  With
-           the identity group canonical = raw, so keys are unchanged
-           from prior runs *)
+           the identity group canonical = raw *)
     parents :
       (Fingerprint.t, Fingerprint.t option * (P.message, P.action) Trace.step)
       Hashtbl.t;
-        (* keyed by canonical fingerprints; each key resolves to the
+        (* keyed by canonical keys; each key resolves to the
            unique first-visited (original-coordinate) state of its
            orbit, so a rebuilt chain is a real executable path *)
     mutable transitions : int;
@@ -262,7 +290,7 @@ module Make (P : Dsm.Protocol.S) = struct
     mutable store_hits : int;
         (* successors already present in [config.visited_store] *)
     mutable orbit_hits : int;
-    mutable system_states : Fingerprint.Set.t;
+    system_states : (Fingerprint.t, unit) Hashtbl.t;
     mutable max_depth_reached : int;
     mutable violation : violation option;
     mutable truncated : bool;  (* some limit tripped *)
@@ -323,14 +351,18 @@ module Make (P : Dsm.Protocol.S) = struct
           match P.handle_message ~self:node g.nodes.(node) env with
           | exception Dsm.Protocol.Local_assert _ -> acc
           | state', out ->
-              let nodes = Array.copy g.nodes in
-              nodes.(node) <- state';
+              let g' = with_node g node state' (Mix.of_value state') in
               let net =
                 match Net.Multiset.remove env g.net with
                 | Some net -> Net.Multiset.add_list out net
                 | None -> assert false
               in
-              (Trace.Deliver env, { g with nodes; net }, out) :: acc)
+              let net_key =
+                Mix.add
+                  (Mix.sub g.net_key (Mix.of_value env))
+                  (envelopes_key out)
+              in
+              (Trace.Deliver env, { g' with net; net_key }, out) :: acc)
         g.net []
     in
     let actions =
@@ -341,10 +373,11 @@ module Make (P : Dsm.Protocol.S) = struct
               match P.handle_action ~self:n g.nodes.(n) action with
               | exception Dsm.Protocol.Local_assert _ -> None
               | state', out ->
-                  let nodes = Array.copy g.nodes in
-                  nodes.(n) <- state';
+                  let g' = with_node g n state' (Mix.of_value state') in
                   let net = Net.Multiset.add_list out g.net in
-                  Some (Trace.Execute (n, action), { g with nodes; net }, out))
+                  let net_key = Mix.add g.net_key (envelopes_key out) in
+                  Some
+                    (Trace.Execute (n, action), { g' with net; net_key }, out))
             (P.enabled_actions ~self:n g.nodes.(n)))
         (Dsm.Node_id.all P.num_nodes)
     in
@@ -356,20 +389,16 @@ module Make (P : Dsm.Protocol.S) = struct
             if g.crashes.(n) >= crash_budget then None
             else
               let state' = P.on_recover ~self:n g.nodes.(n) in
+              let d = Mix.of_value state' in
               (* a recovery that lands on the same state adds nothing:
                  every successor of the crashed branch exists verbatim
                  on the uncrashed one, so the prune is sound *)
-              if
-                Fingerprint.equal
-                  (Fingerprint.of_value state')
-                  (Fingerprint.of_value g.nodes.(n))
-              then None
+              if Mix.equal d g.digests.(n) then None
               else begin
-                let nodes = Array.copy g.nodes in
-                nodes.(n) <- state';
                 let crashes = Array.copy g.crashes in
                 crashes.(n) <- crashes.(n) + 1;
-                Some (Trace.Crash n, { g with nodes; crashes }, [])
+                let g' = with_node g n state' d in
+                Some (Trace.Crash n, { g' with crashes }, [])
               end)
           (Dsm.Node_id.all P.num_nodes)
     in
@@ -380,8 +409,7 @@ module Make (P : Dsm.Protocol.S) = struct
         [
           ("transitions", Dsm.Json.Int s.transitions);
           ("global_states", Dsm.Json.Int s.global_states);
-          ( "system_states",
-            Dsm.Json.Int (Dsm.Fingerprint.Set.cardinal s.system_states) );
+          ("system_states", Dsm.Json.Int (Hashtbl.length s.system_states));
           ("max_depth", Dsm.Json.Int s.max_depth_reached);
           ( "elapsed_s",
             Dsm.Json.Float (Unix.gettimeofday () -. s.started) );
@@ -395,10 +423,11 @@ module Make (P : Dsm.Protocol.S) = struct
     s.global_states <- s.global_states + 1;
     Obs.Metrics.incr s.o.c_global_states
 
-  let note_system_state s nodes =
-    let sys_fp = system_fingerprint nodes in
-    if not (Fingerprint.Set.mem sys_fp s.system_states) then begin
-      s.system_states <- Fingerprint.Set.add sys_fp s.system_states;
+  (* System states are keyed by the node-digest mix alone. *)
+  let note_system_state s g =
+    let sys_key = Mix.to_fp g.nodes_key in
+    if not (Hashtbl.mem s.system_states sys_key) then begin
+      Hashtbl.replace s.system_states sys_key ();
       Obs.Metrics.incr s.o.c_system_states
     end
 
@@ -415,20 +444,20 @@ module Make (P : Dsm.Protocol.S) = struct
     if s.tracing then
       record_global_step ~trace:s.o.trace ~inj:s.binj step out
         ~fp_before:parent_fp ~fp_after:fp' ~depth:depth';
-    note_system_state s g'.nodes;
+    note_system_state s g';
     match Dsm.Invariant.check s.invariant g'.nodes with
     | Some violation ->
         record_violation s g' cfp' depth' violation;
         if s.config.stop_on_violation then raise Stop
     | None -> ()
 
-  (* The recursive DFS.  [fp] is the raw fingerprint of [g] (trace
-     records stay in original coordinates, so witness replay
-     re-derives them); [cfp] its canonical form, keying the visited
-     and parent tables. *)
+  (* The recursive DFS.  [fp] is the raw key of [g] (trace records stay
+     in original coordinates, so witness replay re-derives them); [cfp]
+     its canonical form, keying the visited and parent tables.  The
+     budget is checked before each transition, as in [explore_layers],
+     so [max_transitions] is exact. *)
   let rec explore s g fp cfp depth =
     heartbeat s;
-    check_budget s;
     if depth > s.max_depth_reached then s.max_depth_reached <- depth;
     let depth_ok =
       match s.config.max_depth with Some d -> depth < d | None -> true
@@ -436,9 +465,10 @@ module Make (P : Dsm.Protocol.S) = struct
     if depth_ok then
       List.iter
         (fun (step, g', out) ->
+          check_budget s;
           count_transition s;
-          let fp' = fingerprint g' in
-          let cfp' = canonical_fp s.config.symmetry g' fp' in
+          let fp' = key g' in
+          let cfp' = canonical_key s.config.symmetry g' fp' in
           let depth' = depth + 1 in
           match Hashtbl.find_opt s.visited cfp' with
           | Some d when depth' >= d ->
@@ -479,8 +509,8 @@ module Make (P : Dsm.Protocol.S) = struct
               (fun (step, g', out) ->
                 check_budget s;
                 count_transition s;
-                let fp' = fingerprint g' in
-                let cfp' = canonical_fp s.config.symmetry g' fp' in
+                let fp' = key g' in
+                let cfp' = canonical_key s.config.symmetry g' fp' in
                 if Store.Fp_set.add store cfp' then begin
                   count_global_state s;
                   if depth' > s.max_depth_reached then
@@ -504,11 +534,9 @@ module Make (P : Dsm.Protocol.S) = struct
   let run config ~invariant ?(initial_net = []) init =
     Obs.frame config.obs "bdfs" @@ fun () ->
     let g =
-      {
-        nodes = Array.copy init;
-        net = Net.Multiset.of_list initial_net;
-        crashes = Array.make P.num_nodes 0;
-      }
+      make_global (Array.copy init)
+        (Net.Multiset.of_list initial_net)
+        (Array.make P.num_nodes 0)
     in
     let o = make_obs_handles config in
     let s =
@@ -527,7 +555,7 @@ module Make (P : Dsm.Protocol.S) = struct
         global_states = 0;
         store_hits = 0;
         orbit_hits = 0;
-        system_states = Fingerprint.Set.empty;
+        system_states = Hashtbl.create 4096;
         max_depth_reached = 0;
         violation = None;
         truncated = false;
@@ -535,8 +563,8 @@ module Make (P : Dsm.Protocol.S) = struct
       }
     in
     if s.tracing then record_run_header ~trace:o.trace;
-    let fp = fingerprint g in
-    let cfp = canonical_fp config.symmetry g fp in
+    let fp = key g in
+    let cfp = canonical_key config.symmetry g fp in
     let fresh =
       match config.visited_store with
       | None ->
@@ -546,7 +574,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     if fresh then count_global_state s else s.store_hits <- s.store_hits + 1;
     (* The root has no parent entry; [rebuild_trace] stops there. *)
-    note_system_state s g.nodes;
+    note_system_state s g;
     (match Dsm.Invariant.check invariant g.nodes with
     | Some violation -> record_violation s g cfp 0 violation
     | None -> ());
@@ -558,7 +586,7 @@ module Make (P : Dsm.Protocol.S) = struct
        with Stop -> ());
     let elapsed = Unix.gettimeofday () -. s.started in
     let retained_bytes =
-      (* with a disk-backed visited set the fingerprints live in the
+      (* with a disk-backed visited set the keys live in the
          page cache, not the heap: only the parent table is retained *)
       (Hashtbl.length s.visited * visited_entry_bytes)
       + (Hashtbl.length s.parents * parent_entry_bytes)
@@ -569,7 +597,7 @@ module Make (P : Dsm.Protocol.S) = struct
           {
             transitions = s.transitions;
             global_states = s.global_states;
-            system_states = Fingerprint.Set.cardinal s.system_states;
+            system_states = Hashtbl.length s.system_states;
             max_depth_reached = s.max_depth_reached;
             retained_bytes;
             store_hits = s.store_hits;

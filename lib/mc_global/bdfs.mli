@@ -4,7 +4,8 @@
     {e global}: the system state (all node-local states) together with
     the network (a multiset of in-flight messages).  Every enabled
     handler is executed on every traversed global state; duplicate
-    detection uses fingerprints of the canonical serialised state.
+    detection uses a compositional 128-bit {e key} (below) that each
+    transition updates rather than recomputes.
 
     B-DFS is sound (every traversed state is reachable, so every
     report is real) and complete given enough time — but the network
@@ -12,13 +13,69 @@
     explosion LMC removes. *)
 
 module Make (P : Dsm.Protocol.S) : sig
-  type global = {
+  (** A global state with the parts of its key cached.  The key
+      ({!Dsm.Fingerprint.Mix}) is
+      [sum_i slot i (of_value nodes.(i)) + sum count * of_value env],
+      plus [Mix.of_value crashes] once some node has crashed — so a
+      [crash_budget = 0] run keys on nodes and network alone.  A
+      transition re-digests only the node whose handler ran, subtracts
+      the consumed envelope's digest and adds the produced ones'. *)
+  type global = private {
     nodes : P.state array;
     net : P.message Dsm.Envelope.t Net.Multiset.t;
     crashes : int array;
         (** crash-recoveries taken per node on the path to this state;
             all zero unless [crash_budget > 0] *)
+    digests : Dsm.Fingerprint.Mix.t array;
+        (** [Mix.of_value nodes.(i)], per node *)
+    nodes_key : Dsm.Fingerprint.Mix.t;
+        (** [sum_i Mix.slot i digests.(i)]: the system-state key *)
+    net_key : Dsm.Fingerprint.Mix.t;
+        (** [sum count * Mix.of_value env] over [net] *)
   }
+
+  (** [make_global nodes net crashes] computes every cached part from
+      scratch. *)
+  val make_global :
+    P.state array ->
+    P.message Dsm.Envelope.t Net.Multiset.t ->
+    int array ->
+    global
+
+  (** Successors of a global state, each with the step taken and the
+      messages it sent: one delivery per distinct in-flight message,
+      one execution per enabled internal action, then (with
+      [crash_budget > 0]) one crash-recovery per node under budget
+      whose recovered state differs from its current one.  A handler
+      raising [Local_assert] disables its transition.  Each successor
+      pays one node digest. *)
+  val successors :
+    crash_budget:int ->
+    global ->
+    ((P.message, P.action) Dsm.Trace.step
+    * global
+    * P.message Dsm.Envelope.t list)
+    list
+
+  (** The key from [g]'s cached parts; this keys the visited set, the
+      parent table and step records' [fp_before]/[fp_after]. *)
+  val key : global -> Dsm.Fingerprint.t
+
+  (** The same key computed from scratch. *)
+  val key_of :
+    nodes:P.state array ->
+    bindings:(P.message Dsm.Envelope.t * int) list ->
+    crashes:int array ->
+    Dsm.Fingerprint.t
+
+  (** [permuted_key spec p g] is [key_of] of [g]'s image under [p]
+      (see [symmetry] below), built from renamed, slot-permuted node
+      states and renamed envelopes. *)
+  val permuted_key :
+    (P.state, P.message) Dsm.Symmetry.spec ->
+    Dsm.Symmetry.perm ->
+    global ->
+    Dsm.Fingerprint.t
 
   type violation = {
     system : P.state array;  (** the violating system state *)
@@ -35,15 +92,15 @@ module Make (P : Dsm.Protocol.S) : sig
     max_depth_reached : int;
     retained_bytes : int;
         (** analytic heap memory of the visited + parent sets; with
-            [visited_store] the fingerprints live in the page cache
+            [visited_store] the keys live in the page cache
             instead and only the parent table counts *)
     store_hits : int;
-        (** successors whose fingerprint was already present in
+        (** successors whose key was already present in
             [visited_store] (earlier run or this one); [0] without a
             store *)
     orbit_hits : int;
         (** successors deduplicated against a {e different} member of
-            their symmetry orbit (their raw fingerprint was new but the
+            their symmetry orbit (their raw key was new but the
             canonical one was already visited); [0] with the identity
             group *)
     elapsed : float;  (** wall-clock seconds *)
@@ -65,16 +122,16 @@ module Make (P : Dsm.Protocol.S) : sig
             crash rewrites the node state through
             {!Dsm.Protocol.S.on_recover}, consumes and produces no
             messages, and is pruned when the recovered state equals the
-            current one.  The crash count joins the global fingerprint
-            only when some node has crashed, so [0] (the default)
-            explores the crash-free space bit-identically. *)
+            current one.  The crash counts join the state key only
+            when some node has crashed, so [0] (the default) keys the
+            crash-free space on nodes and network alone. *)
     stop_on_violation : bool;
     track_traces : bool;
         (** keep parent pointers for counterexample traces; disable to
             measure the bare visited-set footprint *)
     visited_store : Store.Fp_set.t option;
         (** disk-backed visited set ({!Store.Fp_set}): global-state
-            fingerprints go to an mmap'd file instead of the heap, so
+            keys go to an mmap'd file instead of the heap, so
             the visited set no longer bounds the explorable space by
             RAM (the paper's Fig. 10 axis) and a later run against the
             same file skips everything a {e completed} earlier run
@@ -95,29 +152,31 @@ module Make (P : Dsm.Protocol.S) : sig
             [bdfs.depth] histogram mirror {!stats}, and a periodic
             ["progress"] heartbeat reports long runs.  Its recorder
             ({!Obs.recorder}) gets one [step] record per first-visited
-            global state (global-state fingerprints before/after,
+            global state (global-state keys before/after,
             message provenance), a replayable [witness] record per
             violation (requires [track_traces]), and [bdfs_run] /
-            [bdfs_end] framing.  The DFS and the layered frontier BFS
+            [bdfs_end] framing; [bdfs_run] names the key definition
+            (["key": "mix128"]).  The DFS and the layered frontier BFS
             (with [visited_store]) traverse in different orders, so
             their record streams legitimately differ; two runs with the
             same config record identical streams.  Defaults to
             {!Obs.null}. *)
     symmetry : (P.state, P.message) Dsm.Symmetry.spec;
         (** audited role-permutation symmetry for global-state
-            canonicalization.  Every successor's fingerprint is reduced
-            to the lexicographically least over its orbit (node states
-            renamed and slot-permuted, envelopes renamed, crash counts
-            permuted) before the visited-set lookup, so each orbit is
+            canonicalization.  Every successor's key is reduced to the
+            least ({!Dsm.Fingerprint.compare}) over its orbit
+            ({!permuted_key}: node states renamed and slot-permuted,
+            envelopes renamed, crash counts permuted) before the
+            visited-set lookup, so each orbit is
             explored once.  {b Sound iff handlers, [enabled_actions],
             [initial], [on_recover] and the invariant all commute with
             the group} — audit with [Lint.Symmetry] before passing
             anything but the identity spec.  Witness traces are
             recorded in original coordinates: parent chains are keyed
-            by canonical fingerprints but store the concrete
+            by canonical keys but store the concrete
             first-visited state of each orbit, so a rebuilt trace is a
             real executable path.  With [visited_store], the persisted
-            key becomes the canonical fingerprint; share a store file
+            key becomes the canonical key; share a store file
             only between runs using the same symmetry setting.
             Default: the identity spec (no reduction). *)
   }

@@ -303,6 +303,200 @@ let test_bdfs_symmetry_reduction () =
     on2.stats.transitions;
   check Alcotest.bool "frontier: clean" true (on2.violation = None)
 
+(* ---------- the transition budget is exact ----------
+
+   Both searches check [max_transitions] before each transition, so a
+   truncated run executes exactly the budget. *)
+
+let test_transition_budget_exact () =
+  let (module S) = Option.get (Protocols.Registry.find "paxos") in
+  let module G = Mc_global.Bdfs.Make (S.P) in
+  let go ?visited_store limit =
+    G.run
+      { G.default_config with max_transitions = Some limit; visited_store }
+      ~invariant:S.invariant
+      (Dsm.Protocol.initial_system (module S.P))
+  in
+  List.iter
+    (fun limit ->
+      let dfs = go limit in
+      let layered = with_store (fun set -> go ~visited_store:set limit) in
+      List.iter
+        (fun (mode, (o : G.outcome)) ->
+          check Alcotest.int
+            (Printf.sprintf "%s: %d transitions" mode limit)
+            limit o.stats.transitions;
+          check Alcotest.bool (mode ^ ": truncated") false o.completed)
+        [ ("dfs", dfs); ("layered", layered) ])
+    [ 1000; 5000; 20000 ]
+
+(* ---------- the compositional key against references ----------
+
+   [Ref] is B-DFS with the key taken out: the same recursive DFS
+   (depth-keyed table, re-expansion on a shallower revisit, the
+   checker's successor order) deduplicating on the structural value
+   [(nodes, bindings, crashes)].  At every state it visits first it
+   also checks the key the checker updated incrementally against the
+   key recomputed from scratch, and the key of every image under
+   [spec] against the key of that image built as a fresh state. *)
+
+module Ref (P : Dsm.Protocol.S) = struct
+  module G = Mc_global.Bdfs.Make (P)
+
+  module H = Hashtbl.Make (struct
+    type t = P.state array * (P.message Dsm.Envelope.t * int) list * int array
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 256 1024
+  end)
+
+  let fp = Alcotest.testable Dsm.Fingerprint.pp Dsm.Fingerprint.equal
+
+  let check_keys spec (g : G.global) =
+    let bindings = Net.Multiset.bindings g.net in
+    let scratch = G.key_of ~nodes:g.nodes ~bindings ~crashes:g.crashes in
+    check fp "incremental key = key from scratch" scratch (G.key g);
+    if Array.for_all (( = ) 0) g.crashes then
+      check fp "B-DFS key = Fingerprint.product"
+        (Dsm.Fingerprint.product g.nodes bindings)
+        scratch;
+    List.iter
+      (fun p ->
+        let nodes, envs =
+          Dsm.Symmetry.permute_global spec p g.nodes
+            (Net.Multiset.to_list g.net)
+        in
+        let image =
+          G.make_global nodes (Net.Multiset.of_list envs)
+            (Dsm.Symmetry.permute_slots p g.crashes)
+        in
+        check fp "image key" (G.key image) (G.permuted_key spec p g))
+      spec.Dsm.Symmetry.group.Dsm.Symmetry.elements
+
+  (* ((transitions, global states, system states), violated) *)
+  let structural (g : G.global) =
+    (g.nodes, Net.Multiset.bindings g.net, g.crashes)
+
+  let run ?(max_depth = max_int) ?(crash_budget = 0) ?(initial_net = [])
+      ?(spec = Dsm.Symmetry.id_spec ~degree:P.num_nodes) ~invariant init =
+    let visited = H.create 4096 and systems = Hashtbl.create 1024 in
+    let transitions = ref 0 and violated = ref false in
+    let visit (g : G.global) depth =
+      H.replace visited (structural g) depth;
+      Hashtbl.replace systems g.nodes ();
+      if Dsm.Invariant.check invariant g.nodes <> None then violated := true;
+      check_keys spec g
+    in
+    let rec explore g depth =
+      if depth < max_depth then
+        List.iter
+          (fun (_, (g' : G.global), _) ->
+            incr transitions;
+            let k = structural g' in
+            match H.find_opt visited k with
+            | Some d when depth + 1 >= d -> ()
+            | Some _ ->
+                H.replace visited k (depth + 1);
+                explore g' (depth + 1)
+            | None ->
+                visit g' (depth + 1);
+                explore g' (depth + 1))
+          (G.successors ~crash_budget g)
+    in
+    let g =
+      G.make_global (Array.copy init)
+        (Net.Multiset.of_list initial_net)
+        (Array.make P.num_nodes 0)
+    in
+    visit g 0;
+    explore g 0;
+    ((!transitions, H.length visited, Hashtbl.length systems), !violated)
+
+  (* (checker facts, reference facts) over the same space *)
+  let both ?max_depth ?(crash_budget = 0) ?(initial_net = []) ?spec
+      ~invariant init =
+    let o =
+      G.run
+        {
+          G.default_config with
+          max_depth;
+          crash_budget;
+          stop_on_violation = false;
+        }
+        ~invariant ~initial_net init
+    in
+    check Alcotest.bool "checker completed" true o.completed;
+    ( ( (o.stats.transitions, o.stats.global_states, o.stats.system_states),
+        o.violation <> None ),
+      run ?max_depth ~crash_budget ~initial_net ?spec ~invariant init )
+end
+
+let facts = Alcotest.(pair (triple int int int) bool)
+
+let check_agrees name (checker, reference) =
+  check facts (name ^ ": checker = structural reference") reference checker
+
+let prop_key_matches_reference_synthetic =
+  QCheck.Test.make ~count:40 ~name:"key dedup = structural dedup (synthetic)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 9999))
+    (fun seed ->
+      let module P = Protocols.Synthetic.Make (struct
+        let seed = seed
+        let num_nodes = 3
+        let max_state = 4
+        let kinds = 2
+      end) in
+      let module R = Ref (P) in
+      let invariant =
+        Dsm.Invariant.for_all_pairs ~name:"no-two-saturated" (fun _ s1 _ s2 ->
+            if s1 >= 3 && s2 >= 3 then Some "both nodes saturated" else None)
+      in
+      let checker, reference =
+        R.both
+          ~spec:(Dsm.Symmetry.with_id_maps (Dsm.Symmetry.full 3))
+          ~invariant
+          (Dsm.Protocol.initial_system (module P))
+      in
+      checker = reference)
+
+(* Every registry subject to a small depth (crash-recovery subjects
+   with one crash per node), the tree primer from a seeded network,
+   and the audited S3 flood's images. *)
+let test_key_matches_reference_registry () =
+  List.iter
+    (fun (module S : Protocols.Registry.SUBJECT) ->
+      let module R = Ref (S.P) in
+      let init = Dsm.Protocol.initial_system (module S.P) in
+      let crash_budget =
+        if S.name = "pb-store-crash" || S.name = "swim-ackrace" then 1 else 0
+      in
+      let spec =
+        Dsm.Symmetry.with_id_maps (Dsm.Symmetry.rotations S.P.num_nodes)
+      in
+      check_agrees S.name
+        (R.both ~max_depth:6 ~crash_budget ~spec ~invariant:S.invariant init))
+    Protocols.Registry.subjects;
+  let module R = Ref (Tree) in
+  check_agrees "tree, initial net"
+    (R.both ~invariant:Tree.received_implies_sent
+       ~initial_net:
+         [
+           Dsm.Envelope.make ~src:0 ~dst:1 ();
+           Dsm.Envelope.make ~src:1 ~dst:4 ();
+         ]
+       (tree_init ()));
+  let module F = Protocols.Lint_fixtures.Sym_flood in
+  let module Y = Lint.Symmetry.Make (F) in
+  let module RF = Ref (F) in
+  let gap =
+    Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap" (fun _ a _ b ->
+        if abs (a - b) > 100 then Some "progress gap" else None)
+  in
+  let y = Y.run ~config:{ Y.default_config with invariant = Some gap } () in
+  check_agrees "sym-flood, audited images"
+    (RF.both ~max_depth:8 ~spec:y.Y.verdict.Y.commutation ~invariant:gap
+       (Dsm.Protocol.initial_system (module F)))
+
 let () =
   Alcotest.run "mc_global"
     [
@@ -344,4 +538,15 @@ let () =
         ] );
       ( "frontier",
         [ QCheck_alcotest.to_alcotest prop_store_frontier_matches_dfs ] );
+      ( "budget",
+        [
+          Alcotest.test_case "max_transitions is exact" `Quick
+            test_transition_budget_exact;
+        ] );
+      ( "key",
+        [
+          QCheck_alcotest.to_alcotest prop_key_matches_reference_synthetic;
+          Alcotest.test_case "registry, initial net, images" `Quick
+            test_key_matches_reference_registry;
+        ] );
     ]
