@@ -177,7 +177,7 @@ soak-resume: build
 	s=$$?; test $$s -eq 1
 	grep 'resumed_at=' soak/resume-phase2.out; \
 	grep 'resumed_at=' soak/resume-phase2.out | grep -qv 'resumed_at=cold'
-	grep -q '"schema":"store.v1"' soak/resume-phase2.jsonl
+	grep -q '"schema":"store.v2"' soak/resume-phase2.jsonl
 	$(SOAK_RESUME) --max-live 10 --store soak/store-cold1 \
 	  > soak/resume-cold1.out 2>&1; test $$? -eq 0
 	$(SOAK_RESUME) --max-live 120 --crash-budget 1 --store soak/store-cold2 \

@@ -1,7 +1,7 @@
 (* jsonl_check: validate that every line of a JSONL file parses as a
    JSON value, and that lines carrying a known schema tag ("schema":
    "trace.v1" from the flight recorder, "lint.v1" from `lmc lint
-   --out', "store.v1" from the persistent-checkpoint layer,
+   --out', "store.v2" from the persistent-checkpoint layer,
    "profile.v1" from the sampling profiler, "timeseries.v1" from the
    heartbeat gauge ring, "scenario.v1" from `lmc scenario') are
    well-formed records: known record kind, the fields that kind
@@ -13,7 +13,7 @@
 
 let trace_schema = "trace.v1"
 let lint_schema = "lint.v1"
-let store_schema = "store.v1"
+let store_schema = "store.v2"
 let profile_schema = "profile.v1"
 let timeseries_schema = "timeseries.v1"
 let scenario_schema = "scenario.v1"
@@ -224,6 +224,7 @@ let scenario_required_fields = function
    whose type is checked when present. *)
 let optional_fields = function
   | "run" -> [ ("crash_budget", is_int) ]
+  | "lmc_run" -> [ ("fp", is_string) ]
   | "bdfs_run" -> [ ("key", is_string) ]
   | "reject" -> [ ("reason", is_string) ]
   | "lmc_end" -> [ ("soundness_calls", is_int); ("store_hits", is_int) ]
@@ -270,7 +271,7 @@ let check_record ?(optional_fields = fun _ -> []) ~required_fields ~last_seq
   (seq, List.rev !errors)
 
 (* Each schema validates independently: a file may interleave trace.v1
-   and store.v1 lines (both ride one Obs sink), and each stream
+   and store.v2 lines (both ride one Obs sink), and each stream
    numbers its own [seq] space. *)
 let check_file path =
   let ic = open_in path in

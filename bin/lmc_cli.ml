@@ -162,7 +162,7 @@ let ev_of fields =
 
 (* Every record of one schema in a JSONL file, as field lists, in file
    order.  Foreign lines (other schemas, blank lines) are skipped so a
-   trace interleaved with the checkpoint's store.v1 records — or with
+   trace interleaved with the checkpoint's store.v2 records — or with
    the profiler's profile.v1 stream — still loads. *)
 let load_records ~schema path =
   let ic = open_in path in
@@ -194,13 +194,29 @@ let canonical_record fields =
     (Dsm.Json.Obj
        (List.filter (fun (k, _) -> k <> "ts" && k <> "event") fields))
 
+(* Whether a recording's run headers name a digest other than the
+   current one, or none: [lmc_run]'s [fp] (the fingerprint kernel) or
+   [bdfs_run]'s [key] (the B-DFS state key).  Its digests were taken
+   under an older definition and cannot be reproduced. *)
+let foreign_digest records =
+  List.exists
+    (fun f ->
+      match ev_of f with
+      | "lmc_run" -> jstr (jfield "fp" f) <> Some Dsm.Fingerprint.name
+      | "bdfs_run" -> jstr (jfield "key" f) <> Some Mc_global.Bdfs.key_name
+      | _ -> false)
+    records
+
 (* Re-execute every [witness] record of a trace against protocol [P];
-   prints one line per witness and counts fingerprint divergences. *)
+   prints one line per witness and counts fingerprint divergences.  A
+   recording under a foreign digest has its schedules re-executed but
+   its fingerprints left uncompared. *)
 module Witness_replayer (P : Dsm.Protocol.S) = struct
   module R = Obs.Replay.Make (P)
 
   let replay_witnesses records =
     let witnesses = List.filter (fun f -> ev_of f = "witness") records in
+    let compare_fps = not (foreign_digest records) in
     let failures = ref 0 in
     List.iteri
       (fun i fields ->
@@ -208,6 +224,11 @@ module Witness_replayer (P : Dsm.Protocol.S) = struct
         | Error msg ->
             incr failures;
             Format.printf "witness #%d: cannot replay: %s@." i msg
+        | Ok o when not compare_fps ->
+            Format.printf
+              "witness #%d: %d steps re-executed, fingerprints not \
+               compared (foreign digest)@."
+              i o.R.steps_checked
         | Ok o -> (
             match o.R.divergence with
             | Some (step, expect, got) ->
@@ -725,14 +746,6 @@ module Check_driver (S : Registry.SUBJECT) = struct
              | None -> false)
         records
     in
-    (* B-DFS step records carry state keys; a [bdfs_run] without a
-       [key] field predates the compositional key, so its keys cannot
-       be reproduced (its witnesses, keyed by node states, still can). *)
-    let unkeyed_bdfs =
-      List.exists
-        (fun f -> ev_of f = "bdfs_run" && jfield "key" f = None)
-        records
-    in
     let explore_fail =
       let kind = Option.bind (jstr (jfield "checker" header)) checker_of_name in
       match (kind, completed) with
@@ -741,9 +754,9 @@ module Check_driver (S : Registry.SUBJECT) = struct
             "exploration: ring buffer dropped early records; witness \
              replay only@.";
           0
-      | _ when unkeyed_bdfs ->
+      | _ when foreign_digest records ->
           Format.printf
-            "exploration: recorded under the whole-state digest; witness \
+            "exploration: recorded under another state digest; witness \
              replay only@.";
           0
       | Some kind, Some true ->

@@ -1798,6 +1798,7 @@ module Make (P : Dsm.Protocol.S) = struct
            [
              ("protocol", Dsm.Json.String P.name);
              ("nodes", Dsm.Json.Int P.num_nodes);
+             ("fp", Dsm.Json.String Fingerprint.name);
              ("verify_domains", Dsm.Json.Int config.verify_domains);
            ]);
     (try

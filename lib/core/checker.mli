@@ -140,10 +140,11 @@ module Make (P : Dsm.Protocol.S) : sig
             record (acting node, handler label, consumed/produced
             message fingerprints with I+ provenance, state fingerprints
             before/after, depth), together with the run's [lmc_run] /
-            [lmc_end] frame, each preliminary violation ([prelim]), the
-            soundness search's own records (per-call verdicts,
-            rejections and why), fully replayable violation witnesses
-            and per-phase time attribution.  Each fact is one record.
+            [lmc_end] frame ([lmc_run] names the fingerprint kernel,
+            ["fp"]: {!Dsm.Fingerprint.name}), each preliminary
+            violation ([prelim]), the soundness search's own records
+            (per-call verdicts, rejections and why), fully replayable
+            violation witnesses and per-phase time attribution.  Each fact is one record.
             Records are emitted from the sequential exploration only,
             so two runs with the same config record bit-identical step
             streams, for any [verify_domains] value.  Defaults to

@@ -1,10 +1,29 @@
 type t = string
 
-let of_value v = Digest.string (Marshal.to_string v [])
+(* The kernel lives in fingerprint_stubs.c; each stub fills a fresh
+   16-byte buffer and never allocates. *)
+external walk : 'a -> bytes -> bool = "lmc_fp_value" [@@noalloc]
+external hash_string : raw:bool -> string -> bytes -> unit = "lmc_fp_string"
+  [@@noalloc]
+external hash_list : string list -> bytes -> unit = "lmc_fp_combine"
+  [@@noalloc]
 
-let of_string s = Digest.string s
+let name = "pre128"
 
-let combine fps = Digest.string (String.concat "" fps)
+let of_value v =
+  let buf = Bytes.create 16 in
+  if not (walk v buf) then hash_string ~raw:false (Marshal.to_string v []) buf;
+  Bytes.unsafe_to_string buf
+
+let of_string s =
+  let buf = Bytes.create 16 in
+  hash_string ~raw:true s buf;
+  Bytes.unsafe_to_string buf
+
+let combine fps =
+  let buf = Bytes.create 16 in
+  hash_list fps buf;
+  Bytes.unsafe_to_string buf
 
 let equal = String.equal
 

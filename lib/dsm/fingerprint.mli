@@ -1,24 +1,58 @@
 (** State and message fingerprints.
 
     Section 4.2: "To efficiently check for duplicate states, we use the
-    hashes of the serialized states."  We serialise with [Marshal] and
-    hash with MD5 ([Digest]), yielding a 16-byte binary string.
+    hashes of the serialized states."  A fingerprint is a 16-byte
+    binary string: a 128-bit hash of what [Marshal.to_string v []]
+    would write, computed without building that string.
+
+    {b Kernel.}  A C stub walks [v] in [Marshal]'s own preorder (fields
+    left to right, depth first) and feeds a two-lane 64-bit
+    multiply-xorshift mixer with immediates, block tags and sizes,
+    string bytes and float bits.  A size-0 block hashes as its tag
+    alone.  Any other block reached a second time during the walk
+    hashes as a back-reference to its preorder number, exactly where
+    [Marshal] would write a shared reference; so cyclic values are fine.
+
+    {b Sharing sensitivity.}  Two values get equal fingerprints exactly
+    when their [Marshal.to_string v []] bytes are equal, up to hash
+    collisions.  Physical sharing is therefore part of the fingerprint:
+    a list aliased into two fields and two separately allocated equal
+    lists fingerprint differently.
+
+    {b Fallback.}  Custom blocks (e.g. [Int64]), abstract, lazy and
+    object blocks, forward blocks that [Marshal] does not
+    short-circuit, values nested more than 4095 levels deep through
+    non-last fields, and values of more than 32768 blocks are hashed
+    from their marshalled bytes with the same mixer.  That is
+    deterministic in the same bytes, so the equivalence above still
+    holds; closures raise [Invalid_argument] as [Marshal] does.
+
+    Fingerprints are stable across runs on one host byte order; they
+    are not an interchange format.  {!name} names the kernel, so
+    recordings and persisted stores made under another one are
+    recognised.
 
     Contract: fingerprinted values must be {e canonical pure data} — no
     closures, and logically-equal values must be structurally identical
     (e.g. use sorted association lists rather than balanced-tree maps,
-    whose internal shape depends on insertion order). *)
+    whose internal shape depends on insertion order) and share alike. *)
 
 type t = string
 
-(** [of_value v] is the MD5 digest of the marshalled representation of
-    [v].  Raises [Invalid_argument] if [v] contains functional values. *)
+(** The kernel's name (["pre128"]), recorded in [lmc_run] headers. *)
+val name : string
+
+(** [of_value v] is [v]'s fingerprint (see above).  Raises
+    [Invalid_argument] if [v] contains functional values.  Safe to call
+    from several domains at once. *)
 val of_value : 'a -> t
 
-(** Digest of a raw string, for composing fingerprints of fingerprints. *)
+(** Fingerprint of a raw string, for composing fingerprints of
+    fingerprints. *)
 val of_string : string -> t
 
-(** [combine fps] fingerprints a list of fingerprints. *)
+(** [combine fps] fingerprints a list of fingerprints: each element's
+    length and bytes feed the same mixer; order matters. *)
 val combine : t list -> t
 
 val equal : t -> t -> bool

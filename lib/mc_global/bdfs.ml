@@ -1,3 +1,9 @@
+(* Names the state-key definition in [bdfs_run]: step records'
+   [fp_before]/[fp_after] are keys, so a recording made under another
+   definition (or another fingerprint kernel) cannot be re-explored bit
+   for bit. *)
+let key_name = "mix128-" ^ Dsm.Fingerprint.name
+
 module Make (P : Dsm.Protocol.S) = struct
   module Envelope = Dsm.Envelope
   module Fingerprint = Dsm.Fingerprint
@@ -239,11 +245,6 @@ module Make (P : Dsm.Protocol.S) = struct
     List.iter
       (fun f -> if not (Hashtbl.mem inj f) then Hashtbl.add inj f seq)
       produces
-
-  (* Names the state-key definition in [bdfs_run]: step records'
-     [fp_before]/[fp_after] are keys, so a recording made under another
-     definition cannot be re-explored bit for bit. *)
-  let key_name = "mix128"
 
   let record_run_header ~trace =
     ignore

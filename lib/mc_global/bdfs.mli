@@ -12,6 +12,10 @@
     component multiplies the state space, which is precisely the
     explosion LMC removes. *)
 
+(** The key definition's name (["mix128-pre128"]: the {!Make.key} mix
+    over {!Dsm.Fingerprint.name} digests), recorded in [bdfs_run]. *)
+val key_name : string
+
 module Make (P : Dsm.Protocol.S) : sig
   (** A global state with the parts of its key cached.  The key
       ({!Dsm.Fingerprint.Mix}) is
@@ -156,7 +160,7 @@ module Make (P : Dsm.Protocol.S) : sig
             message provenance), a replayable [witness] record per
             violation (requires [track_traces]), and [bdfs_run] /
             [bdfs_end] framing; [bdfs_run] names the key definition
-            (["key": "mix128"]).  The DFS and the layered frontier BFS
+            (["key"]: {!key_name}).  The DFS and the layered frontier BFS
             (with [visited_store]) traverse in different orders, so
             their record streams legitimately differ; two runs with the
             same config record identical streams.  Defaults to

@@ -41,7 +41,7 @@ val of_sink : Sink.t -> t
 (** The underlying sink of a streaming recorder ({!to_file} /
     {!of_sink}); [None] for {!null} and for {!ring} mode, whose file
     is only written at {!close}.  Lets sibling schemas (the
-    checkpoint layer's [store.v1] records) interleave their own
+    checkpoint layer's [store.v2] records) interleave their own
     [seq]-spaces into the same JSONL stream. *)
 val sink : t -> Sink.t option
 

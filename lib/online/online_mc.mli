@@ -117,7 +117,7 @@ module Make
     store : store_config option;
         (** persistent, resumable checking; [None] keeps everything in
             memory.  When the flight recorder streams to a file, the
-            checkpoint emits its own [store.v1] records
+            checkpoint emits its own [store.v2] records
             (open/flush/compact/resume) into the same JSONL sink. *)
   }
 

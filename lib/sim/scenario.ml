@@ -4,7 +4,7 @@ let schema = "scenario.v1"
 
    Same discipline as [Store.Events]: its own schema tag and its own
    strictly-increasing [seq] space, so the records interleave with
-   trace.v1 / lint.v1 / store.v1 lines in one JSONL file and
+   trace.v1 / lint.v1 / store.v2 lines in one JSONL file and
    [bin/jsonl_check] validates each stream independently. *)
 
 module Events = struct

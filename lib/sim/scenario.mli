@@ -10,7 +10,7 @@
     which knows the protocol registry.
 
     Results stream as [scenario.v1] JSONL records (own schema tag,
-    own [seq] space, interleavable with trace.v1 / store.v1 lines). *)
+    own [seq] space, interleavable with trace.v1 / store.v2 lines). *)
 
 val schema : string
 

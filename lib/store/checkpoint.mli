@@ -48,7 +48,7 @@ val pp_error : Format.formatter -> error -> unit
 (** [create ~dir ~protocol ~num_nodes ~seed ()] starts a cold
     checkpoint: the directory is created if missing and every store
     file is truncated fresh.  [events] (default {!Events.null})
-    receives the [store.v1] stream; an ["open"] record is emitted
+    receives the [store.v2] stream; an ["open"] record is emitted
     here. *)
 val create :
   ?events:Events.t ->

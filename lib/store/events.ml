@@ -1,4 +1,4 @@
-let schema = "store.v1"
+let schema = "store.v2"
 
 type t = {
   sink : Obs.Sink.t option;

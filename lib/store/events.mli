@@ -1,4 +1,4 @@
-(** The [store.v1] record stream.
+(** The [store.v2] record stream.
 
     Checkpoint life-cycle events — open, resume, flush, compact — ride
     the same JSONL sinks as the flight recorder's [trace.v1] and the

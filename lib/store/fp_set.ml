@@ -2,7 +2,7 @@
 
    File layout (host byte order, all cells 8 bytes):
 
-     cell 0      magic "store.v1"
+     cell 0      magic "store.v2"
      cell 1      capacity (slots, a power of two)
      cell 2      salt (reserved, 0)
      cell 3      advisory entry count (loading recounts)
@@ -13,7 +13,12 @@
    The checksum deliberately covers only the immutable prefix: the
    count cell is rewritten on every flush, and a crash between a slot
    store and a count store must not condemn the whole file.  Loading
-   verifies the prefix and recounts the slots instead. *)
+   verifies the prefix and recounts the slots instead.
+
+   The version names the fingerprint kernel the keys fold: a
+   [store.v1] file holds keys of the older MD5 digests, which no
+   current fingerprint reproduces, so it loads as a bad magic rather
+   than as a set of silently stale keys. *)
 
 type slots = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -35,7 +40,7 @@ type error = Corrupt_store of string
 let pp_error ppf (Corrupt_store why) =
   Format.fprintf ppf "corrupt store: %s" why
 
-let magic = "store.v1"
+let magic = "store.v2"
 let header_cells = 8
 let magic_cell = Bytes.get_int64_ne (Bytes.of_string magic) 0
 
@@ -156,9 +161,9 @@ let load path =
 
 let path t = t.file
 
-(* A fingerprint's on-disk key: XOR of the two 8-byte halves of the
-   MD5.  Zero is the empty-slot sentinel, so the (astronomically rare)
-   zero fold remaps to an arbitrary odd constant. *)
+(* A fingerprint's on-disk key: XOR of its two 8-byte halves.  Zero
+   is the empty-slot sentinel, so the (astronomically rare) zero fold
+   remaps to an arbitrary odd constant. *)
 let key fp =
   if String.length fp <> Dsm.Fingerprint.size then
     invalid_arg "Fp_set.key: not a fingerprint";

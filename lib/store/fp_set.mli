@@ -2,7 +2,7 @@
     64-bit fingerprints.
 
     The table is one file — a versioned, checksummed 64-byte header
-    ([store.v1]) followed by [capacity] 8-byte slots — mapped into
+    ([store.v2]) followed by [capacity] 8-byte slots — mapped into
     memory with [Unix.map_file], so lookups are loads, inserts are
     stores, and the working set is bounded by the page cache rather
     than the OCaml heap.  A slot value of [0] means empty; 16-byte
@@ -76,7 +76,7 @@ val occupancy : t -> float
 val compactions : t -> int
 
 (** Called after each growth round with the old and new slot counts;
-    the checkpoint layer turns this into a [store.v1] "compact"
+    the checkpoint layer turns this into a [store.v2] "compact"
     record. *)
 val on_compact : t -> (old_capacity:int -> new_capacity:int -> unit) -> unit
 

@@ -87,6 +87,208 @@ let test_fingerprint_set_map () =
   check Alcotest.(option int) "map find" (Some 1)
     (Dsm.Fingerprint.Map.find_opt a m)
 
+(* ---------- Fingerprint kernel vs Marshal ----------
+
+   The kernel must distinguish exactly what the marshaller does: for
+   any two values, equal [Marshal.to_string] digests iff equal
+   fingerprints.  The reference is MD5 over the marshalled bytes. *)
+
+let reference v = Digest.string (Marshal.to_string v [])
+
+type sample = {
+  label : string;
+  ref_fp : string;
+  fp : Dsm.Fingerprint.t;
+  recompute : unit -> Dsm.Fingerprint.t;
+}
+
+let sample label v =
+  {
+    label;
+    ref_fp = reference v;
+    fp = Dsm.Fingerprint.of_value v;
+    recompute = (fun () -> Dsm.Fingerprint.of_value v);
+  }
+
+(* A seeded random walk of [P] under global semantics: every node
+   state, sent envelope and fired [(node, action)] label it meets, and
+   the global [(nodes, in-flight)] pair after each step, whose parts
+   share structure across nodes. *)
+let walk_samples (module P : Dsm.Protocol.S) ~seed ~steps =
+  let rng = Random.State.make [| seed |] in
+  let sys = Dsm.Protocol.initial_system (module P) in
+  let net = ref [] and out = ref [] in
+  let keep kind v = out := sample (P.name ^ " " ^ kind) v :: !out in
+  Array.iter (keep "state") sys;
+  (try
+     for _ = 1 to steps do
+       let actions =
+         List.concat_map
+           (fun n -> List.map (fun a -> (n, a)) (P.enabled_actions ~self:n sys.(n)))
+           (List.init P.num_nodes Fun.id)
+       in
+       let na = List.length actions and nd = List.length !net in
+       if na + nd = 0 then raise Exit;
+       let k = Random.State.int rng (na + nd) in
+       let n, step =
+         if k < na then begin
+           let ((n, a) as label) = List.nth actions k in
+           keep "label" label;
+           (n, fun () -> P.handle_action ~self:n sys.(n) a)
+         end
+         else begin
+           let env = List.nth !net (k - na) in
+           net := List.filteri (fun i _ -> i <> k - na) !net;
+           let n = env.Dsm.Envelope.dst in
+           (n, fun () -> P.handle_message ~self:n sys.(n) env)
+         end
+       in
+       match step () with
+       | s', sent ->
+           sys.(n) <- s';
+           net := sent @ !net;
+           keep "state" s';
+           List.iter (keep "envelope") sent;
+           keep "global" (Array.copy sys, !net)
+       | exception Dsm.Protocol.Local_assert _ -> ()
+     done
+   with Exit -> ());
+  !out
+
+(* The [fixture-noncanon] pair: node 1's states after each of node 0's
+   actions is delivered, equal as values but shared differently; with
+   whether they are structurally equal. *)
+let noncanon_pair () =
+  let (module S) =
+    List.find
+      (fun s -> Protocols.Registry.name s = "fixture-noncanon")
+      Protocols.Registry.fixtures
+  in
+  let module P = S.P in
+  let init = Dsm.Protocol.initial_system (module P) in
+  let states =
+    List.concat_map
+      (fun a ->
+        let _, sent = P.handle_action ~self:0 init.(0) a in
+        List.map
+          (fun (env : P.message Dsm.Envelope.t) ->
+            fst (P.handle_message ~self:env.dst init.(env.dst) env))
+          sent)
+      (P.enabled_actions ~self:0 init.(0))
+  in
+  match states with
+  | [ a; b ] -> (sample "noncanon shared" a, sample "noncanon split" b, a = b)
+  | _ -> fail "fixture-noncanon: expected two states"
+
+(* Nested through the first field, so each level leaves one field
+   pending on the walk's stack. *)
+type left = Leaf | Left of left * int
+
+(* Hand-picked edge cases: string lengths around word boundaries,
+   float bit patterns, atoms, custom blocks (the marshalled fallback),
+   explicit sharing, cycles, and values too big or too deep for the
+   walk. *)
+let edge_samples () =
+  let n = Sys.opaque_identity 7 in
+  let shared = let l = [ n ] in (l, l) and split = ([ n ], [ n ]) in
+  let twice v = (v, v) and apart f = (f (), f ()) in
+  let str () = String.make n 'a' and flt () = Sys.opaque_identity (float n) in
+  let flts () = [| float n; 0.5 |] in
+  let rec cycle = 1 :: 2 :: cycle in
+  let rec cycle' = 1 :: 2 :: 1 :: 2 :: cycle' in
+  let rec deep d acc = if d = 0 then acc else deep (d - 1) (Left (acc, d)) in
+  List.concat
+    [
+      List.init 18 (fun len ->
+          sample "string" (String.init len (fun i -> Char.chr (97 + i))));
+      List.init 18 (fun len -> sample "string" (String.make len '\000'));
+      List.map (sample "float") [ 0.; -0.; nan; -.nan; infinity; 1.5 ];
+      List.map (sample "float array")
+        [ [| 0. |]; [| -0. |]; [| nan; 1. |]; [| 1.; nan |] ];
+      List.map (sample "int64") [ 1L; 2L; Int64.min_int ];
+      [ sample "int64 pair" (1L, "x"); sample "int64 pair" (1L, "y") ];
+      [
+        sample "atom" [||];
+        sample "atom" ([||], [||]);
+        sample "atom" ([||] : float array);
+        sample "shared" shared;
+        sample "split" split;
+        sample "shared string" (twice (str ()));
+        sample "split string" (apart str);
+        sample "shared float" (twice (flt ()));
+        sample "split float" (apart flt);
+        sample "shared float array" (twice (flts ()));
+        sample "split float array" (apart flts);
+        sample "cycle" cycle;
+        sample "cycle" cycle';
+        sample "long list" (List.init 200_000 Fun.id);
+        sample "long list" (List.init 200_000 (fun i -> i land 0xFFFF));
+        sample "deep" (deep 5_000 Leaf);
+        sample "deep" (deep 5_001 Leaf);
+      ];
+    ]
+
+let all_samples () =
+  List.concat
+    [
+      List.concat_map
+        (fun (module S : Protocols.Registry.SUBJECT) ->
+          List.concat_map
+            (fun seed -> walk_samples (module S.P) ~seed ~steps:60)
+            [ 1; 2; 3; 4 ])
+        (Protocols.Registry.subjects @ Protocols.Registry.fixtures);
+      (let a, b, _ = noncanon_pair () in
+       [ a; b ]);
+      edge_samples ();
+    ]
+
+let test_fingerprint_kernel_equivalence () =
+  let samples = all_samples () in
+  (* reference-equal <=> kernel-equal over every pair: both maps are
+     functions, so distinct references and distinct fingerprints are
+     in bijection *)
+  let functional key value name =
+    let seen = Hashtbl.create 4096 in
+    List.iter
+      (fun s ->
+        match Hashtbl.find_opt seen (key s) with
+        | None -> Hashtbl.add seen (key s) s
+        | Some s' when value s' = value s -> ()
+        | Some s' ->
+            fail
+              (Printf.sprintf "%s: %s and %s agree on one digest only" name
+                 s'.label s.label))
+      samples
+  in
+  functional (fun s -> s.ref_fp) (fun s -> s.fp) "marshal-equal";
+  functional (fun s -> s.fp) (fun s -> s.ref_fp) "kernel-equal";
+  let distinct =
+    List.length (List.sort_uniq String.compare (List.map (fun s -> s.fp) samples))
+  in
+  check Alcotest.bool "over 2,000 distinct values" true (distinct > 2_000);
+  let a, b, equal = noncanon_pair () in
+  check Alcotest.bool "the noncanon pair is structurally equal" true equal;
+  check Alcotest.bool "but fingerprints apart" false
+    (Dsm.Fingerprint.equal a.fp b.fp)
+
+let test_fingerprint_closure () =
+  match Dsm.Fingerprint.of_value (Sys.opaque_identity (fun x -> x + 1)) with
+  | exception Invalid_argument _ -> ()
+  | _ -> fail "closure fingerprinted"
+
+(* Two domains fingerprint the same samples at once; each must see the
+   sequential results (the walk's address table is per thread). *)
+let test_fingerprint_domains () =
+  let samples = Array.of_list (all_samples ()) in
+  let run () = Array.map (fun s -> s.recompute ()) samples in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Array.iteri
+    (fun i s ->
+      if not (String.equal r1.(i) s.fp && String.equal r2.(i) s.fp) then
+        fail (s.label ^ ": a domain disagrees with the sequential result"))
+    samples
+
 (* ---------- Vec ---------- *)
 
 let test_vec_push_get () =
@@ -325,6 +527,10 @@ let () =
           Alcotest.test_case "serialized_size" `Quick
             test_fingerprint_serialized_size;
           Alcotest.test_case "set/map" `Quick test_fingerprint_set_map;
+          Alcotest.test_case "kernel equals marshal" `Quick
+            test_fingerprint_kernel_equivalence;
+          Alcotest.test_case "closures raise" `Quick test_fingerprint_closure;
+          Alcotest.test_case "two domains" `Quick test_fingerprint_domains;
         ] );
       ( "vec",
         [

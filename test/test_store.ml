@@ -517,6 +517,57 @@ let test_online_corrupt_checkpoint_falls_back () =
     (phase2.resumed_at = None);
   check Alcotest.bool "loop kept running" true (phase2.total_checks > 0)
 
+(* A checkpoint directory written under the previous store version
+   holds keys of another fingerprint kernel: each set file (magic
+   [store.v1], header checksum intact) is a typed load error, and the
+   resume degrades to a logged cold start instead of trusting stale
+   keys. *)
+let test_online_v1_store_falls_back () =
+  with_dir @@ fun dir ->
+  let phase1 =
+    O.run
+      (online_config ~max_live_time:30.0
+         ~store:(Some { O.dir; resume = false }))
+      ~strategy ~invariant:Check_p.safety
+  in
+  check Alcotest.bool "phase 1 ran" true (phase1.total_checks > 0);
+  let v1_header path =
+    let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+    let cells =
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true [| 8 |])
+    in
+    let prefix = Bytes.create 24 in
+    Bytes.blit_string "store.v1" 0 prefix 0 8;
+    Bigarray.Array1.set cells 0 (Bytes.get_int64_ne prefix 0);
+    Bytes.set_int64_ne prefix 8 (Bigarray.Array1.get cells 1);
+    Bytes.set_int64_ne prefix 16 (Bigarray.Array1.get cells 2);
+    let d = Bytes.of_string (Digest.bytes prefix) in
+    Bigarray.Array1.set cells 4 (Bytes.get_int64_ne d 0);
+    Bigarray.Array1.set cells 5 (Bytes.get_int64_ne d 8);
+    Unix.close fd
+  in
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".fps" then begin
+        let path = Filename.concat dir f in
+        v1_header path;
+        match Store.Fp_set.load path with
+        | Error (Store.Fp_set.Corrupt_store _) -> ()
+        | Ok _ -> fail (f ^ ": a store.v1 file loaded")
+      end)
+    (Sys.readdir dir);
+  let phase2 =
+    O.run
+      (online_config ~max_live_time:30.0
+         ~store:(Some { O.dir; resume = true }))
+      ~strategy ~invariant:Check_p.safety
+  in
+  check Alcotest.bool "degradation recorded" true
+    (List.mem "corrupt_checkpoint" phase2.degradations);
+  check Alcotest.bool "fell back to a cold start" true
+    (phase2.resumed_at = None)
+
 (* A hunt killed between churn events must restore the checkpointed
    membership on resume — Store.Checkpoint carries the fleet map and
    Online_mc audits it against what Fault.Plan.membership_at says the
@@ -687,6 +738,8 @@ let () =
           Alcotest.test_case "kill and resume" `Quick test_online_resume;
           Alcotest.test_case "corrupt checkpoint falls back cold" `Quick
             test_online_corrupt_checkpoint_falls_back;
+          Alcotest.test_case "store.v1 directory falls back cold" `Quick
+            test_online_v1_store_falls_back;
           Alcotest.test_case "churn survives kill and resume" `Quick
             test_online_churn_resume;
           Alcotest.test_case "plan mismatch on resume cold-starts" `Quick
