@@ -9,8 +9,8 @@
    The bench prints tables and writes no file; perfbench/ is the
    benchmark of record.  It exits 1 when a gated timing bar fails
    (full-telemetry overhead, inert-churn throughput).  The facts the
-   tables illustrate — B-DFS/LMC verdict agreement, symmetry parity,
-   inert-plan trajectories — are checked by the unit tests.
+   tables illustrate — B-DFS/LMC verdict agreement, B-DFS symmetry
+   parity, inert-plan trajectories — are checked by the unit tests.
 
    Absolute numbers differ from the paper's 2006-era Pentium 4; the
    shapes — who wins, by what factor, where the explosion bites — are
@@ -426,8 +426,7 @@ module Hunt (H : Protocols.Registry.HUNT) = struct
 
   let max_live_time = 3600.0
 
-  let run ~seed ~interval ?(symmetry = O.Checker.default_config.symmetry) ()
-      =
+  let run ~seed ~interval =
     let config =
       {
         O.sim =
@@ -448,7 +447,6 @@ module Hunt (H : Protocols.Registry.HUNT) = struct
             O.Checker.default_config with
             time_limit = Some 5.0;
             max_transitions = Some 100_000;
-            symmetry;
           };
         action_bounds = [ 1; 2 ];
         steer = false;
@@ -474,7 +472,7 @@ let table55 () =
   header "Table 5.5: online checking finds the WiDS Paxos bug";
   let (module H0) = hunt_of "paxos-buggy" in
   let module H = Hunt (H0) in
-  let outcome = H.run ~seed:7 ~interval:30.0 () in
+  let outcome = H.run ~seed:7 ~interval:30.0 in
   (match outcome.report with
   | Some r ->
       row
@@ -492,7 +490,7 @@ let table56 () =
   header "Table 5.6: online checking finds the 1Paxos ++ bug";
   let (module H0) = hunt_of "onepaxos-buggy" in
   let module H = Hunt (H0) in
-  let outcome = H.run ~seed:9 ~interval:10.0 () in
+  let outcome = H.run ~seed:9 ~interval:10.0 in
   (match outcome.report with
   | Some r ->
       row
@@ -1020,78 +1018,6 @@ let store_bench () =
      depth discovers 0 new states (cold-vs-incremental restart).\n"
 
 (* ------------------------------------------------------------------ *)
-(* Symmetry reduction                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* What does audited orbit dedup buy?  The Fig. 10 LMC-GEN sweep on
-   3-node Paxos, reduction off vs the audited orbit group: combinations
-   materialized and elapsed time per depth, and the cut at the deepest
-   depth.  In full mode, the §5.5 hunt with the checker reduced vs not:
-   total checking time across restarts, same planted bug.
-
-   Reduction only skips duplicate invariant evaluations, so every
-   verdict-bearing number must be bit-identical to the unreduced run;
-   test_lmc's symmetry group checks that, the 2x cut, and the negative
-   controls (chain, pb-store: asymmetric roles, the audit licenses only
-   the identity group). *)
-let symmetry_bench () =
-  header "Symmetry reduction: audited orbit dedup (LMC-GEN + hunt)";
-  let module Y1 = Lint.Symmetry.Make (Paxos1) in
-  let y =
-    Y1.run ~config:{ Y1.default_config with invariant = Some Paxos1.safety } ()
-  in
-  let orbit = y.Y1.verdict.Y1.orbit in
-  row "paxos audit: commutation=%s orbit=%s (%d probes, %.3f s)\n"
-    (Dsm.Symmetry.name y.Y1.verdict.Y1.commutation.Dsm.Symmetry.group)
-    (Dsm.Symmetry.name orbit) y.Y1.stats.Y1.probes y.Y1.stats.Y1.elapsed;
-  let max_depth = if !quick then 10 else 18 in
-  let ratio (off : L1.result) (on : L1.result) =
-    float_of_int off.system_states_created
-    /. float_of_int (max 1 on.system_states_created)
-  in
-  row "\n-- LMC-GEN combinations checked vs depth, off vs reduced --\n";
-  row "%5s %14s %14s %7s %10s %10s\n" "depth" "off-system" "reduced-system"
-    "ratio" "off-s" "reduced-s";
-  let last = ref 1. in
-  for depth = 0 to max_depth do
-    let go symmetry =
-      L1.run
-        { L1.default_config with max_depth = Some depth; symmetry }
-        ~strategy:L1.General ~invariant:Paxos1.safety (paxos1_init ())
-    in
-    let off = go (Dsm.Symmetry.identity_group 3) in
-    let on = go orbit in
-    last := ratio off on;
-    row "%5d %14d %14d %7.2f %10.4f %10.4f\n" depth off.system_states_created
-      on.system_states_created !last off.elapsed on.elapsed
-  done;
-  row "\ncut at depth %d: %.2fx\n" max_depth !last;
-  (* the §5.5 hunt, checker reduced vs not (full mode only: two long
-     online runs) *)
-  if not !quick then begin
-    let (module H0) = hunt_of "paxos-buggy" in
-    let module Yc = Lint.Symmetry.Make (H0.Check) in
-    let yc =
-      Yc.run ~config:{ Yc.default_config with invariant = Some H0.invariant } ()
-    in
-    let module H = Hunt (H0) in
-    let hunt symmetry = H.run ~seed:7 ~interval:30.0 ~symmetry () in
-    let off = hunt (Dsm.Symmetry.identity_group 3) in
-    let on = hunt yc.Yc.verdict.Yc.orbit in
-    let found (o : H.O.outcome) =
-      match o.report with
-      | Some r -> Printf.sprintf "found at %.0f s" r.live_time
-      | None -> "not found"
-    in
-    row "\n-- §5.5 hunt, checker reduced vs not --\n";
-    row "off    : %s, %.1f s checking in %d runs\n" (found off)
-      off.total_check_time off.total_checks;
-    row "reduced: %s, %.1f s checking in %d runs (%.2fx)\n" (found on)
-      on.total_check_time on.total_checks
-      (off.total_check_time /. max 1e-9 on.total_check_time)
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let sections =
   [
@@ -1111,7 +1037,6 @@ let sections =
     ("overhead", overhead);
     ("sim-overhead", sim_overhead);
     ("store", store_bench);
-    ("symmetry", symmetry_bench);
   ]
 
 let main q o =

@@ -38,8 +38,6 @@ let required_fields = function
       Some
         [
           ("transitions", is_int);
-          ("symmetry", is_string);
-          ("orbit_hits", is_int);
           ("completed", is_bool);
         ]
   | "bdfs_run" -> Some [ ("protocol", is_string); ("nodes", is_int) ]
@@ -109,7 +107,6 @@ let lint_kinds =
     "nondeterministic_recovery";
     "store_digest_drift";
     "broken_symmetry";
-    "unsound_orbit";
   ]
 
 let is_lint_kind = function
@@ -227,7 +224,14 @@ let optional_fields = function
   | "lmc_run" -> [ ("fp", is_string) ]
   | "bdfs_run" -> [ ("key", is_string) ]
   | "reject" -> [ ("reason", is_string) ]
-  | "lmc_end" -> [ ("soundness_calls", is_int); ("store_hits", is_int) ]
+  | "lmc_end" ->
+      [
+        ("soundness_calls", is_int);
+        ("store_hits", is_int);
+        (* recordings from when LMC deduplicated orbits carry these *)
+        ("symmetry", is_string);
+        ("orbit_hits", is_int);
+      ]
   | _ -> []
 
 let check_record ?(optional_fields = fun _ -> []) ~required_fields ~last_seq

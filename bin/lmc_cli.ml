@@ -30,9 +30,9 @@ let checker_of_name s =
 
 (* The --symmetry flag.  [Sym_group] carries the CLI name ("full",
    "rot"); the degree-dependent group is resolved per protocol.  A
-   named group is a *claim* and is audited before either checker may
-   exploit it; [Sym_auto] infers candidates and keeps whatever
-   survives its audit. *)
+   named group is a *claim* and is audited before B-DFS may exploit
+   it; [Sym_auto] infers candidates and keeps whatever survives its
+   audit. *)
 type sym_mode = Sym_off | Sym_auto | Sym_group of string
 
 let sym_mode_name = function
@@ -78,7 +78,6 @@ type hunt_params = {
   max_retries : int option;
   store_dir : string option;
   resume : bool;
-  h_symmetry : sym_mode;
   h_verify_domains : int;
   h_obs : Obs.scope;
 }
@@ -395,19 +394,16 @@ let make_scope ?(telemetry = no_telemetry) ~record ~record_ring ~metrics_out
 (* Generic drivers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve --symmetry to what each checker may exploit: the audited
-   commutation spec (B-DFS canonicalization) and the audited orbit
-   group (LMC combination dedup).  Nothing is reduced without its
-   audit passing here first; a claimed group that fails is demoted to
-   identity with a warning, never trusted. *)
+(* Resolve --symmetry to what B-DFS may exploit: the audited
+   commutation spec.  Nothing is reduced without its audit passing
+   here first; a claimed group that fails is demoted to identity with
+   a warning, never trusted. *)
 module Sym_resolver (P : Dsm.Protocol.S) = struct
   module Y = Lint.Symmetry.Make (P)
 
   let resolve ~invariant mode =
     match mode with
-    | Sym_off ->
-        ( Dsm.Symmetry.id_spec ~degree:P.num_nodes,
-          Dsm.Symmetry.identity_group P.num_nodes )
+    | Sym_off -> Dsm.Symmetry.id_spec ~degree:P.num_nodes
     | Sym_auto | Sym_group _ ->
         let claim =
           match mode with
@@ -436,13 +432,10 @@ module Sym_resolver (P : Dsm.Protocol.S) = struct
               f.subject)
           r.findings;
         Printf.eprintf
-          "lmc_cli: symmetry audit: commutation=%s orbit=%s (%d probes, \
-           %.3f s)\n\
-           %!"
+          "lmc_cli: symmetry audit: commutation=%s (%d probes, %.3f s)\n%!"
           (Dsm.Symmetry.name r.verdict.commutation.Dsm.Symmetry.group)
-          (Dsm.Symmetry.name r.verdict.orbit)
           r.stats.probes r.stats.elapsed;
-        (r.verdict.commutation, r.verdict.orbit)
+        r.verdict.commutation
 end
 
 
@@ -506,7 +499,7 @@ module Check_driver (S : Registry.SUBJECT) = struct
 
   type outcome =
     | Global of Dsm.Symmetry.group * G.outcome
-    | Local of Dsm.Symmetry.group * L.result
+    | Local of L.result
 
   (* The one offline exploration: emits the run header [mode] names,
      then runs the checker [params] selects.  `check' and `replay' both
@@ -518,9 +511,9 @@ module Check_driver (S : Registry.SUBJECT) = struct
       ~verify_domains:params.verify_domains ~symmetry:params.symmetry
       ~crash_budget:params.crash_budget;
     let init = Dsm.Protocol.initial_system (module P) in
-    let sym_spec, orbit_group = SR.resolve ~invariant params.symmetry in
     match params.kind with
     | Bdfs ->
+        let sym_spec = SR.resolve ~invariant params.symmetry in
         Global
           ( sym_spec.group,
             G.run
@@ -541,20 +534,18 @@ module Check_driver (S : Registry.SUBJECT) = struct
             time_limit = params.time_limit;
             crash_budget = params.crash_budget;
             verify_domains = params.verify_domains;
-            symmetry = orbit_group;
             obs = params.obs;
           }
         in
         let go strategy = L.run cfg ~strategy ~invariant init in
         Local
-          ( orbit_group,
-            match (params.kind, S.opt) with
-            | Lmc_opt, Some (Registry.Opt o) ->
-                go
-                  (L.Invariant_specific
-                     { abstract = o.abstract; conflict = o.conflict })
-            | Lmc_auto, _ -> go L.Automatic
-            | _ -> go L.General )
+          (match (params.kind, S.opt) with
+          | Lmc_opt, Some (Registry.Opt o) ->
+              go
+                (L.Invariant_specific
+                   { abstract = o.abstract; conflict = o.conflict })
+          | Lmc_auto, _ -> go L.Automatic
+          | _ -> go L.General)
 
   let pp_violation_trace trace =
     Format.printf "witness schedule:@.%a"
@@ -681,15 +672,15 @@ module Check_driver (S : Registry.SUBJECT) = struct
           (Option.map
              (fun (v : G.violation) -> (v.violation, v.trace))
              o.violation)
-    | Local (orbit_group, r) ->
+    | Local r ->
         finish
           ~prose:(fun () ->
             Format.printf
               "LMC: %d transitions, %d node states, |I+|=%d, %d system \
-               states, %d orbit hits, %d preliminary violations (%d \
-               rejected), %.3f s, completed=%b@."
+               states, %d preliminary violations (%d rejected), %.3f s, \
+               completed=%b@."
               r.transitions r.total_node_states r.net_messages
-              r.system_states_created r.orbit_hits r.preliminary_violations
+              r.system_states_created r.preliminary_violations
               r.soundness_rejections r.elapsed r.completed)
           ~stats:
             [
@@ -700,8 +691,9 @@ module Check_driver (S : Registry.SUBJECT) = struct
               ("preliminary_violations", Dsm.Json.Int r.preliminary_violations);
               ("soundness_rejections", Dsm.Json.Int r.soundness_rejections);
               ("verify_domains", Dsm.Json.Int params.verify_domains);
-              ("symmetry", Dsm.Json.String (Dsm.Symmetry.name orbit_group));
-              ("orbit_hits", Dsm.Json.Int r.orbit_hits);
+              (* constants: every checker's row has one schema *)
+              ("symmetry", Dsm.Json.String "id");
+              ("orbit_hits", Dsm.Json.Int 0);
               ("elapsed_s", Dsm.Json.Float r.elapsed);
               ("completed", Dsm.Json.Bool r.completed);
             ]
@@ -768,7 +760,10 @@ module Check_driver (S : Registry.SUBJECT) = struct
              numbers (which provenance links reference) line up with
              the original stream position for position; the symmetry
              audit is deterministic, so re-resolving the recorded mode
-             reproduces the group the recording was explored with. *)
+             reproduces the group a B-DFS recording was explored with.
+             LMC ignores the mode: an LMC recording that names one was
+             made by a dedup that skipped only invariant evaluations,
+             never a transition, so its steps re-run unreduced. *)
           ignore
             (explore ~mode:"replay"
                (check_params_of_header ~kind ~obs header));
@@ -840,7 +835,6 @@ module Hunt_driver (H : Registry.HUNT) = struct
   module O = Online.Online_mc.Make (H.Live) (H.Check)
   module S = Sim.Live_sim.Make (H.Live)
   module WR = Witness_replayer (H.Check)
-  module SR = Sym_resolver (H.Check)
 
   (* Hunt traces segment into wall-clock-budgeted checker restarts, so
      the exploration half is not re-explorable; witnesses, recorded
@@ -855,9 +849,6 @@ module Hunt_driver (H : Registry.HUNT) = struct
 
   (* The one place the CLI builds an online-checking config. *)
   let run (p : hunt_params) =
-    (* audited once, up front; every budgeted restart reuses the
-       verdict (the protocol does not change between restarts) *)
-    let _, orbit_group = SR.resolve ~invariant:H.invariant p.h_symmetry in
     let config =
       {
         O.sim =
@@ -878,7 +869,6 @@ module Hunt_driver (H : Registry.HUNT) = struct
             max_transitions = Some 100_000;
             crash_budget = p.h_crash_budget;
             verify_domains = p.h_verify_domains;
-            symmetry = orbit_group;
           };
         action_bounds = [ 1; 2 ];
         steer = p.steer;
@@ -1543,13 +1533,14 @@ let sym_mode_conv =
 
 let symmetry_arg =
   let doc =
-    "Symmetry reduction: $(b,off) (the default; bit-identical to \
+    "Symmetry reduction for $(b,-c bdfs) (other checkers reject any \
+     mode but $(b,off)): $(b,off) (the default; bit-identical to \
      builds without the feature), $(b,auto) (infer candidate \
      role-permutation groups and exploit whatever survives the \
-     commutation/orbit audits), or a named group ($(b,full), \
-     $(b,rot)) audited as a claim.  A claim that fails its audit is \
-     rejected with a warning and the run falls back to identity — no \
-     reduction is ever applied unaudited."
+     commutation audit), or a named group ($(b,full), $(b,rot)) \
+     audited as a claim.  A claim that fails its audit is rejected \
+     with a warning and the run falls back to identity — no reduction \
+     is ever applied unaudited."
   in
   Arg.(value & opt sym_mode_conv Sym_off & info [ "symmetry" ] ~doc ~docv:"MODE")
 
@@ -1564,6 +1555,10 @@ let check_cmd =
   let run protocol checker max_depth time_limit crash_budget verbose minimize
       dot json metrics_out progress verify_domains symmetry record record_ring
       telemetry =
+    if checker <> Bdfs && symmetry <> Sym_off then begin
+      prerr_endline "lmc_cli: --symmetry applies to -c bdfs only";
+      exit 2
+    end;
     match find_subject protocol with
     | Error e ->
         prerr_endline e;
@@ -1679,7 +1674,7 @@ let hunt_cmd =
      model checking, 3.3)."
   in
   let run protocol seed drop interval max_live budget steer faults
-      crash_budget restart_budget_ms max_retries store_dir resume symmetry
+      crash_budget restart_budget_ms max_retries store_dir resume
       metrics_out progress verify_domains record record_ring telemetry =
     if resume && store_dir = None then begin
       prerr_endline "lmc_cli: --resume requires --store DIR";
@@ -1703,13 +1698,14 @@ let hunt_cmd =
             let trace = Obs.recorder obs in
             Fun.protect ~finally:finish (fun () ->
                 emit_run_header trace ~protocol ~mode:"hunt" ~checker:"lmc"
-                  ~max_depth:None ~verify_domains ~symmetry ~crash_budget;
+                  ~max_depth:None ~verify_domains ~symmetry:Sym_off
+                  ~crash_budget;
                 let code =
                   D.main
                     {
                       seed; drop; interval; max_live; budget; steer; faults;
                       h_crash_budget = crash_budget; restart_budget_ms;
-                      max_retries; store_dir; resume; h_symmetry = symmetry;
+                      max_retries; store_dir; resume;
                       h_verify_domains = verify_domains; h_obs = obs;
                     }
                 in
@@ -1722,7 +1718,7 @@ let hunt_cmd =
       const run $ protocol_arg $ seed_arg $ drop_arg $ interval_arg
       $ max_live_arg $ budget_arg $ steer_arg $ faults_arg
       $ crash_budget_arg $ restart_budget_ms_arg $ max_retries_arg
-      $ store_arg $ resume_arg $ symmetry_arg $ metrics_out_arg
+      $ store_arg $ resume_arg $ metrics_out_arg
       $ progress_arg $ verify_domains_arg $ record_arg $ record_ring_arg
       $ telemetry_term)
 
@@ -2036,7 +2032,7 @@ let hunt ~name ~description (module S : Registry.SUBJECT) ~seed ~plan ~drop
             seed; drop; interval; max_live; budget; steer = false; faults;
             h_crash_budget = crash_budget; restart_budget_ms = None;
             max_retries = None; store_dir = None; resume = false;
-            h_symmetry = Sym_off; h_verify_domains = 1; h_obs = Obs.null;
+            h_verify_domains = 1; h_obs = Obs.null;
           });
   }
 

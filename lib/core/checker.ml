@@ -49,15 +49,6 @@ module Make (P : Dsm.Protocol.S) = struct
     obs : Obs.scope;
     persist : persist option;
         (* disk-backed stores shared across restarts *)
-    symmetry : Dsm.Symmetry.group;
-        (* audited role-permutation group for combination orbit
-           deduplication: combinations whose slot-permuted fingerprint
-           tuple was already proven invariant-clean are skipped.  Sound
-           iff the invariant is slot-symmetric under the group —
-           audited by [Lint.Symmetry]; the checker trusts the caller.
-           Only clean verdicts are orbit-shared, so the first violating
-           combination (verdict, witness, preliminary count) is
-           bit-identical to a run with the identity group. *)
   }
 
   let default_config =
@@ -82,7 +73,6 @@ module Make (P : Dsm.Protocol.S) = struct
       verify_domains = 1;
       obs = Obs.null;
       persist = None;
-      symmetry = Dsm.Symmetry.identity_group P.num_nodes;
     }
 
   type violation = {
@@ -109,10 +99,6 @@ module Make (P : Dsm.Protocol.S) = struct
         (** combinations skipped because a previous (or earlier) run
             already proved them invariant-clean; [0] without
             [config.persist] *)
-    orbit_hits : int;
-        (** combinations skipped because a slot permutation of them was
-            already proven invariant-clean this run; [0] with the
-            identity group *)
     completed : bool;
     elapsed : float;
     system_state_time : float;
@@ -223,7 +209,6 @@ module Make (P : Dsm.Protocol.S) = struct
     c_budget_exhausted : Obs.Metrics.counter;
     c_local_drops : Obs.Metrics.counter;
     c_store_hits : Obs.Metrics.counter;
-    c_orbit_hits : Obs.Metrics.counter;
     h_system_depth : Obs.Metrics.histogram;
     h_node_depth : Obs.Metrics.histogram;
     h_soundness_us : Obs.Metrics.histogram;
@@ -247,7 +232,6 @@ module Make (P : Dsm.Protocol.S) = struct
       c_budget_exhausted = Obs.counter scope "lmc.soundness_budget_exhausted";
       c_local_drops = Obs.counter scope "lmc.local_assert_drops";
       c_store_hits = Obs.counter scope "lmc.store_hits";
-      c_orbit_hits = Obs.counter scope "lmc.orbit_hits";
       h_system_depth = Obs.histogram scope "lmc.system_depth";
       h_node_depth = Obs.histogram scope "lmc.node_depth";
       h_soundness_us = Obs.histogram scope "lmc.soundness_us";
@@ -286,16 +270,11 @@ module Make (P : Dsm.Protocol.S) = struct
     net : net_entry Vec.t;
     net_by_fp : (Fingerprint.t, int) Hashtbl.t;
     seen_combos : (Fingerprint.t, unit) Hashtbl.t;
-    reduce : bool;  (* [config.symmetry] is non-trivial *)
-    orbit_clean : (Fingerprint.t, unit) Hashtbl.t;
-        (* canonical (least slot-permuted) fingerprints of combinations
-           proven invariant-clean this run *)
     rejected : 'k rejected Vec.t;
     started : float;
     mutable transitions : int;
     mutable system_states_created : int;
     mutable store_hits : int;
-    mutable orbit_hits : int;
     mutable preliminary_violations : int;
     mutable soundness_calls : int;
     mutable sequences_checked : int;
@@ -952,64 +931,25 @@ module Make (P : Dsm.Protocol.S) = struct
   let tuple_fp tuple =
     Fingerprint.combine (Array.to_list (Array.map (fun e -> e.fp) tuple))
 
-  (* With a non-trivial symmetry group, combinations are keyed by the
-     fingerprint of the lexicographically-least slot permutation of
-     their tuple — which is the raw fingerprint of a real combination
-     (the orbit representative), so persisted stores stay meaningful
-     whether or not later runs reduce.  With the identity group this
-     is [tuple_fp] bit for bit. *)
-  let ctuple_fp t tuple =
-    if t.reduce then
-      Dsm.Symmetry.canonical_combo t.config.symmetry
-        (Array.map (fun e -> e.fp) tuple)
-    else tuple_fp tuple
-
-  let orbit_hit t =
-    t.orbit_hits <- t.orbit_hits + 1;
-    Obs.Metrics.incr t.o.c_orbit_hits
-
-  let mark_orbit_clean t = function
-    | Some cfp when t.reduce -> Hashtbl.replace t.orbit_clean cfp ()
-    | _ -> ()
-
   (* With [config.persist], every combination consults the on-disk set
      of proven-clean combinations before a system state is created: a
      hit is work some earlier restart already did.  Only clean
      verdicts are recorded — a violating combination must be re-judged
      from every snapshot, because soundness depends on the snapshot it
-     is scheduled from.
-
-     With [config.symmetry], the in-memory orbit set is consulted
-     first: a hit means a slot permutation of this tuple was already
-     proven clean this run.  Violating combinations never enter the
-     set, so reduction can only skip invariant evaluations that would
-     have come back clean. *)
+     is scheduled from. *)
   let consider_combo t (tuple : 'k entry array) =
     check_budget t;
     let sdepth = Array.fold_left (fun acc e -> acc + e.depth) 0 tuple in
     if depth_allows t sdepth then begin
-      let cfp =
-        if t.reduce || t.config.persist <> None then
-          Some (ctuple_fp t tuple)
-        else None
-      in
-      let orbit_seen =
-        match cfp with
-        | Some f when t.reduce -> Hashtbl.mem t.orbit_clean f
-        | _ -> false
-      in
-      if orbit_seen then orbit_hit t
-      else
       let stored =
-        match (t.config.persist, cfp) with
-        | Some p, Some f -> Some (p, f)
-        | _ -> None
+        match t.config.persist with
+        | Some p -> Some (p, tuple_fp tuple)
+        | None -> None
       in
       match stored with
       | Some (p, f) when Store.Fp_set.mem p.p_combos f ->
           t.store_hits <- t.store_hits + 1;
-          Obs.Metrics.incr t.o.c_store_hits;
-          mark_orbit_clean t cfp
+          Obs.Metrics.incr t.o.c_store_hits
       | _ -> (
       t.system_states_created <- t.system_states_created + 1;
       Obs.Metrics.incr t.o.c_system_states;
@@ -1020,11 +960,10 @@ module Make (P : Dsm.Protocol.S) = struct
         timed t t.ph_invariant_us (fun () ->
             Dsm.Invariant.check t.invariant system)
       with
-      | None ->
-          (match stored with
+      | None -> (
+          match stored with
           | Some (p, f) -> ignore (Store.Fp_set.add p.p_combos f)
-          | None -> ());
-          mark_orbit_clean t cfp
+          | None -> ())
       | Some violation ->
           t.preliminary_violations <- t.preliminary_violations + 1;
           Obs.Metrics.incr t.o.c_prelim;
@@ -1741,14 +1680,11 @@ module Make (P : Dsm.Protocol.S) = struct
         net = Vec.create ();
         net_by_fp = Hashtbl.create 256;
         seen_combos = Hashtbl.create 256;
-        reduce = not (Dsm.Symmetry.is_trivial config.symmetry);
-        orbit_clean = Hashtbl.create 4096;
         rejected = Vec.create ();
         started = now ();
         transitions = 0;
         system_states_created = 0;
         store_hits = 0;
-        orbit_hits = 0;
         preliminary_violations = 0;
         soundness_calls = 0;
         sequences_checked = 0;
@@ -1855,9 +1791,6 @@ module Make (P : Dsm.Protocol.S) = struct
              ("sound_violation", Dsm.Json.Bool (t.sound_violation <> None));
              ("soundness_calls", Dsm.Json.Int t.soundness_calls);
              ("store_hits", Dsm.Json.Int t.store_hits);
-             ( "symmetry",
-               Dsm.Json.String (Dsm.Symmetry.name config.symmetry) );
-             ("orbit_hits", Dsm.Json.Int t.orbit_hits);
              ("completed", Dsm.Json.Bool (not t.truncated));
            ]);
       Obs.Trace.flush o.trace
@@ -1876,7 +1809,6 @@ module Make (P : Dsm.Protocol.S) = struct
       soundness_budget_exhausted = t.soundness_budget_exhausted;
       local_assert_drops = t.local_assert_drops;
       store_hits = t.store_hits;
-      orbit_hits = t.orbit_hits;
       completed = not t.truncated;
       elapsed;
       system_state_time = t.system_state_time;

@@ -21,7 +21,13 @@
        user abstraction (for Paxos: the values chosen so far) and
        combinations are built only when two node states conflict under
        that abstraction; states that map to [None] are never combined
-       at all.}} *)
+       at all.}}
+
+    LMC does no symmetry reduction.  Skipping combinations whose
+    slot permutation was already proven clean cost more than the
+    invariant evaluations it saved (EXPERIMENTS.md, "Symmetry
+    reduction"); role-permutation symmetry is exploited by
+    [Mc_global.Bdfs] only. *)
 
 (** Cross-restart persistence, built from {!Store.Checkpoint} stores.
     Not parameterised by the protocol, so the online supervisor builds
@@ -158,25 +164,6 @@ module Make (P : Dsm.Protocol.S) : sig
             combinations are never stored: soundness depends on the
             snapshot, so they must be re-judged on every restart.
             Default [None]. *)
-    symmetry : Dsm.Symmetry.group;
-        (** audited role-permutation group for combination orbit
-            deduplication.  A combination whose slot-permuted
-            fingerprint tuple canonicalizes to one already proven
-            invariant-clean is skipped without re-evaluating the
-            invariant.  {b Sound iff the invariant is slot-symmetric
-            under the group} (its verdict does not depend on which node
-            holds which state) — audit with [Lint.Symmetry] before
-            passing anything but the identity group.  Only clean
-            verdicts are orbit-shared, so the first violating
-            combination in enumeration order — and hence the verdict,
-            witness and preliminary-violation count — is bit-identical
-            to an unreduced run.  With
-            [config.persist], the persisted key becomes the canonical
-            (orbit-representative) fingerprint — itself the raw
-            fingerprint of a real combination, so stores interoperate
-            between reduced and unreduced runs (mismatched lookups can
-            only re-check, never skip unsoundly).  Default: the
-            identity group (no reduction). *)
   }
 
   val default_config : config
@@ -213,10 +200,6 @@ module Make (P : Dsm.Protocol.S) : sig
         (** combinations skipped because a previous run (or an earlier
             restart) already proved them invariant-clean; [0] without
             [config.persist] *)
-    orbit_hits : int;
-        (** combinations skipped because a slot permutation of them
-            was proven invariant-clean earlier in this run; [0] with
-            the identity group *)
     completed : bool;  (** fixpoint reached within budget *)
     elapsed : float;
     system_state_time : float;

@@ -1,6 +1,6 @@
-(* Role-permutation groups and orbit canonicalization.  See the mli
-   for the soundness contract: groups built here are *candidates*;
-   only [Lint.Symmetry]'s audits decide what the checkers may exploit. *)
+(* Role-permutation groups and their action on global states.  See the
+   mli for the soundness contract: groups built here are *candidates*;
+   only [Lint.Symmetry]'s audit decides what B-DFS may exploit. *)
 
 type perm = int array
 
@@ -108,35 +108,6 @@ let permute_slots p arr =
   let out = Array.make (Array.length arr) arr.(0) in
   Array.iteri (fun i x -> out.(p.(i)) <- x) arr;
   out
-
-let compare_tuple a b =
-  let n = Array.length a in
-  let rec go i =
-    if i = n then 0
-    else
-      let c = Fingerprint.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
-let canonical_tuple g fps =
-  if is_trivial g || Array.length fps <= 1 then fps
-  else
-    match g.kind with
-    | Full ->
-        (* lex-least over all permutations = the sorted tuple *)
-        let out = Array.copy fps in
-        Array.sort Fingerprint.compare out;
-        out
-    | Id | Rot ->
-        List.fold_left
-          (fun best p ->
-            let cand = permute_slots p fps in
-            if compare_tuple cand best < 0 then cand else best)
-          fps g.elements
-
-let canonical_combo g fps =
-  Fingerprint.combine (Array.to_list (canonical_tuple g fps))
 
 type ('s, 'm) spec = {
   group : group;

@@ -6,15 +6,14 @@
     This module provides the group machinery: permutations over the
     dense identifier space [0 .. degree-1], the three group families
     the inference pass proposes (identity, rotations, full symmetric
-    group), and orbit canonicalization of fingerprint tuples.
+    group), and the permutation action on global states.
 
     Soundness is {e not} decided here.  A group is only safe to
-    exploit after the audits in [Lint.Symmetry] pass: combination
-    (orbit) reduction in LMC needs the invariant to be slot-symmetric
-    under the group, and global-state reduction in B-DFS additionally
-    needs every handler to commute with the permutation action.  The
-    checkers take the group as config and trust the caller to have
-    audited it. *)
+    exploit after the commutation audit in [Lint.Symmetry] passes:
+    global-state reduction in B-DFS needs every handler to commute
+    with the permutation action and the invariant to be equivariant
+    under it.  B-DFS takes the group as config and trusts the caller
+    to have audited it. *)
 
 (** A permutation of [0 .. n-1]; [p.(i)] is the image of [i]. *)
 type perm = int array
@@ -75,21 +74,6 @@ val of_name : string -> degree:int -> group option
 (** [permute_slots p arr] moves slot [i] to slot [p.(i)]:
     [(permute_slots p arr).(p.(i)) = arr.(i)]. *)
 val permute_slots : perm -> 'a array -> 'a array
-
-(** [canonical_tuple g fps] is the lexicographically-least tuple in the
-    orbit of [fps] under slot permutation by [g] (comparing tuples
-    pointwise by [Fingerprint.compare]).  For [Full] groups this is the
-    sorted tuple; otherwise the minimum over all elements. *)
-val canonical_tuple : group -> Fingerprint.t array -> Fingerprint.t array
-
-(** [canonical_combo g fps] is
-    [Fingerprint.combine (Array.to_list (canonical_tuple g fps))] — the
-    fingerprint the reduced checkers key clean-combination sets by.
-    Equal for any two tuples in the same orbit, and always the raw
-    fingerprint of a {e real} combination (the orbit representative),
-    so persisted stores written with reduction on remain valid, merely
-    less complete, for runs with reduction off and vice versa. *)
-val canonical_combo : group -> Fingerprint.t array -> Fingerprint.t
 
 (** How a protocol's data types transport under a node-identifier
     permutation.  [map_state]/[map_message] must rewrite every embedded

@@ -10,7 +10,6 @@ type kind =
   | Nondeterministic_recovery
   | Store_digest_drift
   | Broken_symmetry
-  | Unsound_orbit
 
 let all_kinds =
   [
@@ -25,7 +24,6 @@ let all_kinds =
     Nondeterministic_recovery;
     Store_digest_drift;
     Broken_symmetry;
-    Unsound_orbit;
   ]
 
 let kind_to_string = function
@@ -40,7 +38,6 @@ let kind_to_string = function
   | Nondeterministic_recovery -> "nondeterministic_recovery"
   | Store_digest_drift -> "store_digest_drift"
   | Broken_symmetry -> "broken_symmetry"
-  | Unsound_orbit -> "unsound_orbit"
 
 let kind_of_string s =
   match

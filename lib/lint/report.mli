@@ -46,11 +46,6 @@ type kind =
           disagreed on [(state', sends)] fingerprints for some reachable
           invocation — exploiting the group in B-DFS would merge
           inequivalent global states *)
-  | Unsound_orbit
-      (** the invariant is not slot-symmetric under a claimed group:
-          some reachable combination and a permutation of it disagreed
-          on the invariant's verdict — orbit-deduplicating LMC
-          combinations under the group could skip a violating one *)
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> (kind, string) result

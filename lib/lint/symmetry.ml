@@ -1,4 +1,4 @@
-(* Symmetry inference + commutation/orbit audits.  See the mli for the
+(* Symmetry inference + the commutation audit.  See the mli for the
    contract.  The exploration mirrors Sanitize's bounded BFS; the
    audits piggyback on every distinct reachable invocation. *)
 
@@ -36,7 +36,6 @@ module Make (P : Dsm.Protocol.S) = struct
 
   type verdict = {
     commutation : (P.state, P.message) Sym.spec;
-    orbit : Sym.group;
     candidates : Sym.group list;
   }
 
@@ -58,13 +57,11 @@ module Make (P : Dsm.Protocol.S) = struct
   let msg_family m = Report.family (Format.asprintf "%a" P.pp_message m)
   let act_family a = Report.family (Format.asprintf "%a" P.pp_action a)
 
-  (* A candidate under audit: the spec plus liveness flags for the two
-     layers it could license.  [broken]/[orbit_broken] carry the first
-     counterexample, used for claim findings and the CLI warning. *)
+  (* A candidate under audit: the spec plus its first counterexample,
+     used for claim findings and the CLI warning. *)
   type candidate = {
     spec : (P.state, P.message) Sym.spec;
     mutable broken : (string * string) option;  (* subject, detail *)
-    mutable orbit_broken : (string * string) option;
   }
 
   exception Stop
@@ -80,19 +77,14 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     let candidates =
       match config.claim with
-      | Some spec -> [ { spec; broken = None; orbit_broken = None } ]
+      | Some spec -> [ { spec; broken = None } ]
       | None ->
           List.map
-            (fun g ->
-              { spec = Sym.with_id_maps g; broken = None; orbit_broken = None })
+            (fun g -> { spec = Sym.with_id_maps g; broken = None })
             inferred
     in
     let transitions = ref 0 and probes = ref 0 and truncated = ref false in
     let alive c = c.broken = None in
-    let orbit_alive c = c.orbit_broken = None in
-    let any_alive () =
-      List.exists (fun c -> alive c || orbit_alive c) candidates
-    in
     let fp_of v =
       match Fingerprint.of_value v with
       | fp -> Some fp
@@ -119,9 +111,6 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     let kill c subject detail =
       if alive c then c.broken <- Some (subject, detail)
-    in
-    let kill_orbit c subject detail =
-      if orbit_alive c then c.orbit_broken <- Some (subject, detail)
     in
     (* one commutation probe: run [invoke] permuted and un-permuted and
        compare (state', sends) fingerprints through the permutation *)
@@ -301,20 +290,14 @@ module Make (P : Dsm.Protocol.S) = struct
                 (fun c -> if alive c then audit_enabled c self st)
                 candidates)
     in
-    (* ----- orbit audit -----
+    (* ----- invariant equivariance -----
 
-       LMC's combination reduction permutes *slots only* (states stay
-       untouched; their assignment to nodes rotates), so the property
-       to audit is: the invariant's clean/violating verdict does not
-       depend on which node holds which state.  Checked on every
-       reachable global tuple, and below on sampled cross-product
-       combinations (LMC combines states from different branches, which
-       no single global tuple exhibits).
-
-       The commutation layer additionally needs the invariant to be
-       equivariant under the *full* action (states identifier-mapped,
-       then slots permuted): B-DFS skips whole states whose canonical
-       fingerprint was seen, invariant evaluation included. *)
+       B-DFS skips whole states whose canonical key was seen, invariant
+       evaluation included, so the invariant's clean/violating verdict
+       must survive the full action (states identifier-mapped, then
+       slots permuted).  Checked on every reachable global tuple, and
+       below on sampled cross-product combinations of per-node
+       reachable states, which no single global tuple exhibits. *)
     let inv_clean tuple =
       match config.invariant with
       | None -> true
@@ -324,7 +307,7 @@ module Make (P : Dsm.Protocol.S) = struct
           | Some _ -> false
           | exception _ -> false)
     in
-    let audit_tuple_orbit tuple =
+    let audit_tuple_equivariance tuple =
       match config.invariant with
       | None -> ()
       | Some _ ->
@@ -332,17 +315,6 @@ module Make (P : Dsm.Protocol.S) = struct
             (fun c ->
               List.iter
                 (fun p ->
-                  if orbit_alive c then begin
-                    incr probes;
-                    let permuted = Sym.permute_slots p tuple in
-                    if inv_clean tuple <> inv_clean permuted then
-                      kill_orbit c "invariant"
-                        (Format.asprintf
-                           "invariant verdict differs between a reachable \
-                            combination and its slot image under generator \
-                            %a"
-                           Sym.pp_perm p)
-                  end;
                   if alive c then begin
                     incr probes;
                     let mapped =
@@ -395,9 +367,9 @@ module Make (P : Dsm.Protocol.S) = struct
       0;
     (try
        while not (Queue.is_empty queue) do
-         if not (any_alive ()) then raise Stop;
+         if not (List.exists alive candidates) then raise Stop;
          let g, depth = Queue.pop queue in
-         audit_tuple_orbit g.nodes;
+         audit_tuple_equivariance g.nodes;
          let depth_ok =
            match config.max_depth with Some d -> depth < d | None -> true
          in
@@ -472,7 +444,7 @@ module Make (P : Dsm.Protocol.S) = struct
           let continue = ref true in
           while !continue && !samples < config.max_combo_samples do
             let tuple = Array.init n (fun i -> pools.(i).(idx.(i))) in
-            audit_tuple_orbit tuple;
+            audit_tuple_equivariance tuple;
             incr samples;
             (* odometer increment *)
             let rec bump i =
@@ -494,40 +466,19 @@ module Make (P : Dsm.Protocol.S) = struct
       findings :=
         { Report.kind; protocol = P.name; subject; detail } :: !findings
     in
-    let commutation, orbit =
+    let commutation =
       match config.claim with
       | Some spec -> (
-          let c = List.hd candidates in
-          match c.broken with
+          match (List.hd candidates).broken with
           | Some (subject, detail) ->
-              (* claimed-but-broken poisons the claim entirely: refuse
-                 both reduction layers *)
+              (* claimed-but-broken poisons the claim entirely *)
               found Report.Broken_symmetry subject detail;
-              (Sym.id_spec ~degree:n, Sym.identity_group n)
-          | None ->
-              let orbit =
-                match (config.invariant, c.orbit_broken) with
-                | None, _ -> Sym.identity_group n
-                | Some _, Some (subject, detail) ->
-                    found Report.Unsound_orbit subject detail;
-                    Sym.identity_group n
-                | Some _, None -> spec.Sym.group
-              in
-              (spec, orbit))
-      | None ->
-          let commutation =
-            match List.find_opt alive candidates with
-            | Some c -> c.spec
-            | None -> Sym.id_spec ~degree:n
-          in
-          let orbit =
-            match
-              (config.invariant, List.find_opt orbit_alive candidates)
-            with
-            | Some _, Some c -> c.spec.Sym.group
-            | _ -> Sym.identity_group n
-          in
-          (commutation, orbit)
+              Sym.id_spec ~degree:n
+          | None -> spec)
+      | None -> (
+          match List.find_opt alive candidates with
+          | Some c -> c.spec
+          | None -> Sym.id_spec ~degree:n)
     in
     {
       findings =
@@ -540,7 +491,6 @@ module Make (P : Dsm.Protocol.S) = struct
       verdict =
         {
           commutation;
-          orbit;
           candidates = List.map (fun c -> c.spec.Sym.group) candidates;
         };
       stats =

@@ -1,10 +1,10 @@
-(** Symmetry inference and the audits that license symmetry reduction.
+(** Symmetry inference and the audit that licenses symmetry reduction.
 
     A role-permutation group is only safe to exploit if it actually
     commutes with the protocol, and a {e claimed} symmetry (a protocol
     author's annotation, or an explicit [--symmetry <group>] flag) is
     exactly the kind of assertion that drifts out of date.  This pass
-    has three jobs:
+    has two jobs:
 
     {ol
     {- {b Inference}: propose candidate groups for a [Dsm.Protocol.S]
@@ -16,24 +16,20 @@
        {!Sanitize}) under every generator [p] of the group and check
        [permute (handle (s, e)) = handle (permute s, permute e)] on
        [(state', sends)] fingerprints, plus [initial], [on_recover]
-       and [enabled_actions] equivariance.  A group that passes is safe
-       for {e global-state} reduction in [Mc_global.Bdfs].}
-    {- {b Orbit audit}: check that the safety invariant's verdict is
-       invariant under {e slot} permutation of a combination tuple
-       (states unchanged, only their assignment to nodes permuted) —
-       over every reachable global tuple and a bounded deterministic
-       sample of LMC-style cross-product combinations.  A group that
-       passes is safe for {e combination orbit} deduplication in
-       [Lmc.Checker], which never skips exploration, only duplicate
-       invariant evaluations, so handler commutation is not required.}}
+       and [enabled_actions] equivariance.  With an invariant, also
+       check that its verdict is equivariant under the full action
+       (identifiers rewritten, then slots permuted) on every reachable
+       global tuple and on a bounded deterministic sample of
+       cross-product combinations of per-node reachable states.  A
+       group that passes is safe for {e global-state} reduction in
+       [Mc_global.Bdfs].}}
 
-    Findings ([Broken_symmetry], [Unsound_orbit]) are emitted only for
-    {e claimed} groups: an inferred candidate that fails its audit is
-    silently demoted (that is the audit doing its job), but a claim
-    that fails is a defect in the annotation and goes through the
-    [Report]/allowlist pipeline.  A claimed-but-broken group poisons
-    the claim entirely: the verdict falls back to identity for both
-    reduction layers, so the checkers refuse to reduce. *)
+    [Broken_symmetry] findings are emitted only for {e claimed} groups:
+    an inferred candidate that fails its audit is silently demoted
+    (that is the audit doing its job), but a claim that fails is a
+    defect in the annotation and goes through the [Report]/allowlist
+    pipeline.  A claimed-but-broken group poisons the claim entirely:
+    the verdict falls back to identity, so B-DFS refuses to reduce. *)
 
 module Make (P : Dsm.Protocol.S) : sig
   type config = {
@@ -44,11 +40,11 @@ module Make (P : Dsm.Protocol.S) : sig
         (** audit exactly this group (emitting findings on failure)
             instead of inferring candidates *)
     invariant : P.state Dsm.Invariant.t option;
-        (** safety invariant to orbit-audit; [None] disables orbit
-            reduction (verdict [orbit] stays identity) *)
+        (** safety invariant whose verdict must be equivariant under
+            the group; [None] audits the handlers only *)
     max_combo_samples : int;
-        (** budget for sampled cross-product combinations in the orbit
-            audit *)
+        (** budget for sampled cross-product combinations in the
+            invariant audit *)
   }
 
   val default_config : config
@@ -56,19 +52,16 @@ module Make (P : Dsm.Protocol.S) : sig
   type stats = {
     global_states : int;
     transitions : int;
-    probes : int;  (** commutation + orbit re-executions *)
+    probes : int;  (** commutation and invariant re-executions *)
     elapsed : float;
   }
 
-  (** What the checkers are licensed to exploit. *)
+  (** What B-DFS is licensed to exploit. *)
   type verdict = {
     commutation : (P.state, P.message) Dsm.Symmetry.spec;
         (** largest audited group (with its mappers) under which every
             probed invocation commuted — safe for global-state
             canonicalization in B-DFS *)
-    orbit : Dsm.Symmetry.group;
-        (** largest audited group under which the invariant is
-            slot-symmetric — safe for LMC combination orbit dedup *)
     candidates : Dsm.Symmetry.group list;
         (** the groups inference proposed (strongest first), for logs *)
   }

@@ -232,7 +232,7 @@ end
    destinations are equivariant (broadcast to everyone else, reply to
    the source).  The commutation audit passes the full symmetric
    group, so this fixture is the positive control: inference must
-   propose S_3 and both checkers may reduce.  Distinct interleavings
+   propose S_3 and B-DFS may reduce.  Distinct interleavings
    leave the nodes at permuted progress counts, so global-state
    canonicalization in B-DFS collapses close to [n!] of the space. *)
 module Sym_flood = struct

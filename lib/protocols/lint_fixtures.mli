@@ -21,7 +21,7 @@
       is only visible to the commutation audit.
     - {!Sym_flood} — the positive control: the same flood with the
       special case removed, genuinely symmetric under [S_3].  No
-      finding; inference proposes the full group and both checkers may
+      finding; inference proposes the full group and B-DFS may
       reduce. *)
 
 module Nondet : Dsm.Protocol.S

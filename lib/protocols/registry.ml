@@ -291,9 +291,9 @@ let swim ~num_servers bug =
 
 (* The genuinely symmetric fixture as a checkable instance: a harmless
    invariant (pairwise progress gap, never violated, slot-symmetric)
-   gives `check --symmetry auto` something to orbit-audit, and the
-   protocol's full S_3 commutation makes it the B-DFS reduction demo —
-   canonicalization collapses permuted interleavings close to n!. *)
+   passes the audit's equivariance check, and the protocol's full S_3
+   commutation makes it the B-DFS reduction demo — canonicalization
+   collapses permuted interleavings close to n!. *)
 let sym_flood =
   make ~name:"sym-flood"
     ~description:"S3-symmetric ping-pong flood (symmetry-reduction demo)"

@@ -290,7 +290,7 @@ let test_lint_v1_round_trip () =
         evs)
 
 (* ------------------------------------------------------------------ *)
-(* Symmetry: inference, commutation/orbit audits, canonicalization     *)
+(* Symmetry: inference and the commutation audit                       *)
 (* ------------------------------------------------------------------ *)
 
 module Sym = Dsm.Symmetry
@@ -298,16 +298,15 @@ module Y_broken = Lint.Symmetry.Make (Protocols.Lint_fixtures.Sym_broken)
 module Y_flood = Lint.Symmetry.Make (Protocols.Lint_fixtures.Sym_flood)
 
 (* The sym-flood subject, whose invariant is slot-symmetric (it never
-   looks at node identifiers), so the orbit audit should license the
-   full group. *)
+   looks at node identifiers), so the audit should license the full
+   group. *)
 module Flood = (val subject "sym-flood")
 module Y_gap = Lint.Symmetry.Make (Flood.P)
 
 (* The planted claim defect: fixture-sym-broken claims [S_3] but its
    Ping handler special-cases node 0.  The audit must report exactly
    one [broken_symmetry] finding and poison the claim entirely —
-   identity verdict for BOTH reduction layers, so no checker ever
-   reduces under the broken group. *)
+   identity verdict, so B-DFS never reduces under the broken group. *)
 let test_sym_broken_claim_caught () =
   let r =
     Y_broken.run
@@ -329,9 +328,7 @@ let test_sym_broken_claim_caught () =
         (Printf.sprintf "expected exactly one finding, got %d"
            (List.length fs)));
   check Alcotest.bool "commutation poisoned to identity" true
-    (Sym.is_trivial r.Y_broken.verdict.Y_broken.commutation.Sym.group);
-  check Alcotest.bool "orbit poisoned to identity" true
-    (Sym.is_trivial r.Y_broken.verdict.Y_broken.orbit)
+    (Sym.is_trivial r.Y_broken.verdict.Y_broken.commutation.Sym.group)
 
 (* Same protocol, no claim: inference proposes candidates, the audit
    silently demotes them (that is the audit doing its job), and no
@@ -344,8 +341,8 @@ let test_sym_broken_inference_silent () =
     (Sym.is_trivial r.Y_broken.verdict.Y_broken.commutation.Sym.group)
 
 (* The positive control: the same flood without the special case is
-   genuinely [S_3]-symmetric, so the claimed group passes both audits
-   and the verdict licenses both reduction layers. *)
+   genuinely [S_3]-symmetric, so the claimed group passes the audit
+   and the verdict licenses B-DFS reduction. *)
 let test_sym_flood_claim_passes () =
   let r =
     Y_gap.run
@@ -360,9 +357,7 @@ let test_sym_flood_claim_passes () =
   if not r.Y_gap.completed then fail "audit budget exhausted";
   check Alcotest.int "no findings" 0 (List.length r.Y_gap.findings);
   check Alcotest.string "commutation = full" "full"
-    (Sym.name r.Y_gap.verdict.Y_gap.commutation.Sym.group);
-  check Alcotest.string "orbit = full" "full"
-    (Sym.name r.Y_gap.verdict.Y_gap.orbit)
+    (Sym.name r.Y_gap.verdict.Y_gap.commutation.Sym.group)
 
 (* And inference finds the same group without being told. *)
 let test_sym_flood_inferred () =
@@ -373,14 +368,11 @@ let test_sym_flood_inferred () =
   in
   check Alcotest.int "no findings" 0 (List.length r.Y_gap.findings);
   check Alcotest.string "commutation = full" "full"
-    (Sym.name r.Y_gap.verdict.Y_gap.commutation.Sym.group);
-  check Alcotest.string "orbit = full" "full"
-    (Sym.name r.Y_gap.verdict.Y_gap.orbit)
+    (Sym.name r.Y_gap.verdict.Y_gap.commutation.Sym.group)
 
-(* A slot-asymmetric invariant on an identifier-free protocol breaks
-   both reduction layers at once (with identity mappers the full
-   action IS slot permutation), and the broken claim masks the orbit
-   verdict: one [broken_symmetry] finding, both layers refused. *)
+(* A slot-asymmetric invariant on an identifier-free protocol is not
+   equivariant (with identity mappers the full action IS slot
+   permutation): one [broken_symmetry] finding, reduction refused. *)
 let test_sym_asym_invariant_poisons_claim () =
   let asym =
     Dsm.Invariant.for_all_nodes ~name:"node0-even" (fun i s ->
@@ -406,16 +398,13 @@ let test_sym_asym_invariant_poisons_claim () =
         (Printf.sprintf "expected exactly one finding, got %d"
            (List.length fs)));
   check Alcotest.bool "commutation refused" true
-    (Sym.is_trivial r.Y_flood.verdict.Y_flood.commutation.Sym.group);
-  check Alcotest.bool "orbit refused" true
-    (Sym.is_trivial r.Y_flood.verdict.Y_flood.orbit)
+    (Sym.is_trivial r.Y_flood.verdict.Y_flood.commutation.Sym.group)
 
-(* The genuine [unsound_orbit] path needs the two layers to diverge:
-   states that embed node identifiers, mapped by the spec, so the
-   invariant IS equivariant under the full action (rewrite ids, then
-   permute slots — B-DFS reduction stays licensed) yet is not under
-   LMC's slot-only permutation (states travel to other nodes
-   untouched). *)
+(* States that embed node identifiers, mapped by the spec: the
+   invariant is equivariant under the full action (rewrite ids, then
+   permute slots), so B-DFS reduction is licensed and nothing is
+   reported, although a slot-only permutation, which moves states to
+   other nodes untouched, would flip its verdict. *)
 module Owner = struct
   let name = "test-owner"
   let num_nodes = 3
@@ -434,7 +423,7 @@ module Owner = struct
   let pp_action ppf Never = Format.fprintf ppf "Never"
 end
 
-let test_sym_unsound_orbit () =
+let test_sym_identifier_mapped_invariant () =
   let module Y = Lint.Symmetry.Make (Owner) in
   let claim =
     {
@@ -457,73 +446,16 @@ let test_sym_unsound_orbit () =
         }
       ()
   in
-  (match r.Y.findings with
-  | [ f ] ->
-      check Alcotest.string "kind" "unsound_orbit"
-        (R.kind_to_string f.R.kind);
-      check Alcotest.string "subject" "invariant" f.R.subject
-  | fs ->
-      fail
-        (Printf.sprintf "expected exactly one finding, got %d"
-           (List.length fs)));
-  check Alcotest.string "commutation survives" "full"
-    (Sym.name r.Y.verdict.Y.commutation.Sym.group);
-  check Alcotest.bool "orbit refused" true
-    (Sym.is_trivial r.Y.verdict.Y.orbit)
+  check Alcotest.int "no findings" 0 (List.length r.Y.findings);
+  check Alcotest.string "commutation = full" "full"
+    (Sym.name r.Y.verdict.Y.commutation.Sym.group)
 
-(* Orbit canonicalization: the canonical tuple is orbit-invariant and
-   lexicographically least; for the full group that is the sorted
-   tuple.  A transposition is not a rotation, so under [C_3] it lands
-   in a different orbit. *)
-let test_orbit_canonicalization () =
-  let fp i = Dsm.Fingerprint.of_value i in
-  let hex t =
-    String.concat "," (List.map Dsm.Fingerprint.to_hex (Array.to_list t))
-  in
-  let a = fp 1 and b = fp 2 and c = fp 3 in
-  let full = Sym.full 3 and rot = Sym.rotations 3 in
-  let sorted =
-    Array.of_list (List.sort Dsm.Fingerprint.compare [ a; b; c ])
-  in
-  let orbit =
-    [
-      [| a; b; c |]; [| a; c; b |]; [| b; a; c |];
-      [| b; c; a |]; [| c; a; b |]; [| c; b; a |];
-    ]
-  in
-  List.iter
-    (fun t ->
-      check Alcotest.string "full: sorted representative" (hex sorted)
-        (hex (Sym.canonical_tuple full t));
-      check Alcotest.string "full: combo orbit-invariant"
-        (Dsm.Fingerprint.to_hex (Sym.canonical_combo full [| a; b; c |]))
-        (Dsm.Fingerprint.to_hex (Sym.canonical_combo full t)))
-    orbit;
-  (* rotations: the three cyclic shifts share a representative... *)
-  let r0 = Sym.canonical_combo rot [| a; b; c |] in
-  List.iter
-    (fun t ->
-      check Alcotest.string "rot: combo orbit-invariant"
-        (Dsm.Fingerprint.to_hex r0)
-        (Dsm.Fingerprint.to_hex (Sym.canonical_combo rot t)))
-    [ [| b; c; a |]; [| c; a; b |] ];
-  (* ...and a transposition does not. *)
-  check Alcotest.bool "rot: transposition is a different orbit" false
-    (Dsm.Fingerprint.equal r0 (Sym.canonical_combo rot [| a; c; b |]));
-  (* identity group: canonicalization is the identity *)
-  let id = Sym.identity_group 3 in
-  check Alcotest.string "id: untouched"
-    (hex [| b; a; c |])
-    (hex (Sym.canonical_tuple id [| b; a; c |]))
-
-(* Every kind — including the two symmetry kinds — must round-trip
+(* Every kind — including the symmetry kind — must round-trip
    through the string encoding the lint.v1 stream and the allowlists
    use. *)
 let test_kind_round_trip () =
   check Alcotest.bool "broken_symmetry registered" true
     (List.mem R.Broken_symmetry R.all_kinds);
-  check Alcotest.bool "unsound_orbit registered" true
-    (List.mem R.Unsound_orbit R.all_kinds);
   List.iter
     (fun k ->
       let s = R.kind_to_string k in
@@ -583,10 +515,8 @@ let () =
             test_sym_flood_inferred;
           Alcotest.test_case "asymmetric invariant poisons claim" `Quick
             test_sym_asym_invariant_poisons_claim;
-          Alcotest.test_case "unsound orbit refused" `Quick
-            test_sym_unsound_orbit;
-          Alcotest.test_case "orbit canonicalization" `Quick
-            test_orbit_canonicalization;
+          Alcotest.test_case "id-mapped invariant passes" `Quick
+            test_sym_identifier_mapped_invariant;
           Alcotest.test_case "kind round-trip" `Quick test_kind_round_trip;
         ] );
     ]

@@ -554,126 +554,6 @@ let test_lmc_memory_smaller_than_global () =
   check Alcotest.bool "LMC executes fewer transitions" true
     (l.transitions < g.stats.transitions)
 
-(* ---------- symmetry reduction: auto vs off equivalence ----------
-
-   The contract the CLI's --symmetry flag rides on: with an audited
-   orbit group, every verdict-bearing number is bit-identical to a run
-   with reduction off — exploration (node stores, I+, transitions),
-   preliminary violations, and the sound violation's witness — while
-   the combinations materialized drop by at least the 2x the issue
-   demands. *)
-
-module Sym_equiv (P : Dsm.Protocol.S) = struct
-  module L = Lmc.Checker.Make (P)
-  module Y = Lint.Symmetry.Make (P)
-
-  (* A violation collapsed to a comparable fingerprint: invariant,
-     detail, witness depth, and the schedule itself. *)
-  let viol_fp = function
-    | None -> "none"
-    | Some (v : L.violation) ->
-        Format.asprintf "%s/%s/%d/%s" v.violation.Dsm.Invariant.invariant
-          v.violation.Dsm.Invariant.detail v.system_depth
-          (Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value v.schedule))
-
-  (* [expect_cut] asserts the issue's >= 2x reduction in materialized
-     combinations — meaningful only for runs that sweep the space to
-     completion; a run stopping at its first sound violation may halt
-     before the orbits pay off, so there we only require the reduced
-     run never to do MORE work. *)
-  let run ~name ~invariant ?(expect_cut = true) ?(expect_identity = false) ()
-      =
-    let y =
-      Y.run ~config:{ Y.default_config with invariant = Some invariant } ()
-    in
-    check Alcotest.bool
-      (name ^ ": audit licenses a non-trivial group")
-      (not expect_identity)
-      (not (Dsm.Symmetry.is_trivial y.Y.verdict.Y.orbit));
-    let go symmetry =
-      L.run
-        { L.default_config with symmetry }
-        ~strategy:L.General ~invariant
-        (Dsm.Protocol.initial_system (module P))
-    in
-    let off = go (Dsm.Symmetry.identity_group P.num_nodes) in
-    let on = go y.Y.verdict.Y.orbit in
-    let tag s = Printf.sprintf "%s: %s" name s in
-    check Alcotest.bool (tag "completed") off.L.completed on.L.completed;
-    check
-      Alcotest.(array int)
-      (tag "node stores") off.L.node_states on.L.node_states;
-    check Alcotest.int (tag "I+") off.L.net_messages on.L.net_messages;
-    check Alcotest.int (tag "transitions") off.L.transitions
-      on.L.transitions;
-    check Alcotest.int (tag "preliminary violations")
-      off.L.preliminary_violations on.L.preliminary_violations;
-    check Alcotest.string (tag "sound violation")
-      (viol_fp off.L.sound_violation)
-      (viol_fp on.L.sound_violation);
-    (if expect_identity then
-       check Alcotest.int (tag "identity group, same combinations")
-         off.L.system_states_created on.L.system_states_created
-     else if expect_cut then
-       check Alcotest.bool (tag "combinations cut >= 2x") true
-         (off.L.system_states_created >= 2 * on.L.system_states_created)
-     else
-       check Alcotest.bool (tag "reduction never adds work") true
-         (off.L.system_states_created >= on.L.system_states_created));
-    check Alcotest.int (tag "orbit hits stay 0 when off") 0
-      off.L.orbit_hits;
-    if expect_identity then
-      check Alcotest.int (tag "identity group, no orbit hits") 0
-        on.L.orbit_hits
-    else if expect_cut then
-      check Alcotest.bool (tag "orbit hits counted") true
-        (on.L.orbit_hits > 0)
-end
-
-let test_sym_equiv_ring () =
-  let module R = Protocols.Ring_election.Make (struct
-    let num_nodes = 3
-    let starters = [ 0; 1 ]
-    let bug = Protocols.Ring_election.No_bug
-  end) in
-  let module E = Sym_equiv (R) in
-  E.run ~name:"ring" ~invariant:R.agreement ()
-
-let test_sym_equiv_ring_buggy () =
-  let module R = Protocols.Ring_election.Make (struct
-    let num_nodes = 3
-    let starters = [ 0; 1 ]
-    let bug = Protocols.Ring_election.Forward_smaller
-  end) in
-  let module E = Sym_equiv (R) in
-  E.run ~name:"ring-buggy" ~invariant:R.agreement ~expect_cut:false ()
-
-let test_sym_equiv_mutex () =
-  let module M = Protocols.Token_mutex.Make (struct
-    let num_nodes = 3
-    let contenders = [ 1; 2 ]
-    let max_regenerations = 1
-    let bug = Protocols.Token_mutex.No_bug
-  end) in
-  let module E = Sym_equiv (M) in
-  E.run ~name:"mutex" ~invariant:M.mutual_exclusion ()
-
-let test_sym_equiv_paxos () =
-  let module Paxos = Protocols.Paxos.Make (Protocols.Paxos.Bench_config) in
-  let module E = Sym_equiv (Paxos) in
-  E.run ~name:"paxos" ~invariant:Paxos.safety ()
-
-(* Negative controls: roles that are genuinely asymmetric.  The audit
-   must license only the identity group, and auto must then equal off
-   on every counter. *)
-let test_sym_equiv_asymmetric () =
-  List.iter
-    (fun name ->
-      let (module S) = Option.get (Protocols.Registry.find name) in
-      let module E = Sym_equiv (S.P) in
-      E.run ~name ~invariant:S.invariant ~expect_identity:true ())
-    [ "chain"; "pb-store" ]
-
 (* ---------- LMC-OPT partner index ---------- *)
 
 (* LMC-OPT finds a new state's partners through per-node key buckets;
@@ -1334,15 +1214,5 @@ let () =
           Alcotest.test_case "stale summary recomputed" `Quick
             test_stale_summary_recomputed;
           Alcotest.test_case "golden counters" `Slow test_golden_counters;
-        ] );
-      ( "symmetry",
-        [
-          Alcotest.test_case "ring auto = off" `Quick test_sym_equiv_ring;
-          Alcotest.test_case "ring-buggy auto = off" `Quick
-            test_sym_equiv_ring_buggy;
-          Alcotest.test_case "mutex auto = off" `Quick test_sym_equiv_mutex;
-          Alcotest.test_case "paxos auto = off" `Quick test_sym_equiv_paxos;
-          Alcotest.test_case "chain, pb-store: identity only" `Quick
-            test_sym_equiv_asymmetric;
         ] );
     ]

@@ -10,6 +10,8 @@
    - Witnesses: every sound violation LMC reports must replay under
      global semantics ([Lmc.Witness]) to a system state that violates
      the invariant.
+   - Symmetry: B-DFS under each subject's audited commutation group
+     reaches the verdict B-DFS reaches without symmetry.
 
    Subjects whose B-DFS and LMC verdicts cannot both be reached cheaply
    are listed in [not_compared] with the reason; the test
@@ -130,6 +132,74 @@ let test_registry_verdicts () =
     "subjects without a B-DFS/LMC comparison" (List.map fst not_compared)
     uncompared
 
+(* B-DFS under the audited commutation group against B-DFS without
+   symmetry, on every subject, under the same per-subject budget as the
+   verdict comparison.  The verdict must not move.  Where the audit
+   licenses only the identity group, reduction is the identity
+   transformation, so every counter and the witness must match too;
+   otherwise the reduced run may only visit fewer global states.  The
+   negative controls pin that genuinely asymmetric roles audit to
+   identity. *)
+module Sym_oracle (S : Protocols.Registry.SUBJECT) = struct
+  module O = Oracle (S)
+  module Y = Lint.Symmetry.Make (S.P)
+
+  let counters (o : O.G.outcome) =
+    let s = o.stats in
+    Printf.sprintf
+      "transitions=%d global=%d system=%d depth=%d orbit_hits=%d \
+       completed=%b witness=%s"
+      s.transitions s.global_states s.system_states s.max_depth_reached
+      s.orbit_hits o.completed
+      (match o.violation with
+      | None -> "none"
+      | Some v ->
+          Dsm.Fingerprint.to_hex
+            (Dsm.Fingerprint.of_value
+               (v.violation.Dsm.Invariant.detail, v.trace)))
+
+  (* checks one subject; returns its audited group's name *)
+  let run () =
+    let y =
+      Y.run ~config:{ Y.default_config with invariant = Some S.invariant } ()
+    in
+    let go symmetry =
+      O.G.run
+        { O.G.default_config with max_transitions = Some O.budget; symmetry }
+        ~invariant:S.invariant (O.init ())
+    in
+    let off = go (Dsm.Symmetry.id_spec ~degree:S.P.num_nodes) in
+    let auto = go y.verdict.commutation in
+    let v (o : O.G.outcome) =
+      pp_verdict (verdict ~violated:(o.violation <> None) ~completed:o.completed)
+    in
+    check Alcotest.string (S.name ^ ": verdict") (v off) (v auto);
+    let group = y.verdict.commutation.Dsm.Symmetry.group in
+    if Dsm.Symmetry.is_trivial group then
+      check Alcotest.string (S.name ^ ": identity group, same counters")
+        (counters off) (counters auto)
+    else
+      check Alcotest.bool
+        (S.name ^ ": reduced global states <= off")
+        true
+        (auto.stats.global_states <= off.stats.global_states);
+    Dsm.Symmetry.name group
+end
+
+let test_bdfs_symmetry () =
+  let groups =
+    List.map
+      (fun (module S : Protocols.Registry.SUBJECT) ->
+        let module T = Sym_oracle (S) in
+        (S.name, T.run ()))
+      Protocols.Registry.subjects
+  in
+  List.iter
+    (fun name ->
+      check Alcotest.string (name ^ ": asymmetric roles audit to identity")
+        "id" (List.assoc name groups))
+    [ "chain"; "pb-store" ]
+
 (* The soundness-only case is pinned: LMC finds the planted SWIM bug,
    with a short witness, where the global search gets nowhere. *)
 let test_swim_nosuspect_pinned () =
@@ -157,5 +227,10 @@ let () =
             test_registry_verdicts;
           Alcotest.test_case "swim-nosuspect soundness-only" `Quick
             test_swim_nosuspect_pinned;
+        ] );
+      ( "symmetry",
+        [
+          Alcotest.test_case "B-DFS auto = off across the registry" `Quick
+            test_bdfs_symmetry;
         ] );
     ]

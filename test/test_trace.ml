@@ -356,10 +356,6 @@ let test_lmc_facts_once () =
         ("sound_violation", Bool (r.sound_violation <> None));
         ("soundness_calls", Int r.soundness_calls);
         ("store_hits", Int r.store_hits);
-        ( "symmetry",
-          String
-            (Dsm.Symmetry.name (Dsm.Symmetry.identity_group S.P.num_nodes)) );
-        ("orbit_hits", Int r.orbit_hits);
         ("completed", Bool r.completed);
       ]
   in
