@@ -59,7 +59,6 @@ type check_params = {
   minimize : bool;
   dot : string option;  (* write the witness sequence chart here *)
   json : bool;  (* machine-readable result on stdout *)
-  verify_domains : int;  (* deferred-verification fan-out *)
   symmetry : sym_mode;  (* audited symmetry reduction (--symmetry) *)
   obs : Obs.scope;  (* --metrics-out / --progress / --record *)
 }
@@ -78,7 +77,6 @@ type hunt_params = {
   max_retries : int option;
   store_dir : string option;
   resume : bool;
-  h_verify_domains : int;
   h_obs : Obs.scope;
 }
 
@@ -442,8 +440,8 @@ end
 (* The CLI frames each recording with [run]/[end] records; the header
    carries what `lmc replay' needs to re-run the exploration, read back
    by {!check_params_of_header}. *)
-let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~verify_domains
-    ~symmetry ~crash_budget =
+let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~symmetry
+    ~crash_budget =
   if Obs.Trace.enabled trace then
     ignore
       (Obs.Trace.emit trace ~ev:"run"
@@ -455,7 +453,6 @@ let emit_run_header trace ~protocol ~mode ~checker ~max_depth ~verify_domains
              match max_depth with
              | Some d -> Dsm.Json.Int d
              | None -> Dsm.Json.Null );
-           ("verify_domains", Dsm.Json.Int verify_domains);
            ("symmetry", Dsm.Json.String (sym_mode_name symmetry));
            ("crash_budget", Dsm.Json.Int crash_budget);
          ])
@@ -478,8 +475,6 @@ let check_params_of_header ~kind ~obs header =
     minimize = false;
     dot = None;
     json = false;
-    verify_domains =
-      Option.value ~default:1 (jint (jfield "verify_domains" header));
     symmetry = sym_mode_of_name (jstr (jfield "symmetry" header));
     obs;
   }
@@ -508,8 +503,7 @@ module Check_driver (S : Registry.SUBJECT) = struct
   let explore ~mode params =
     emit_run_header (Obs.recorder params.obs) ~protocol:S.name ~mode
       ~checker:(checker_name params.kind) ~max_depth:params.max_depth
-      ~verify_domains:params.verify_domains ~symmetry:params.symmetry
-      ~crash_budget:params.crash_budget;
+      ~symmetry:params.symmetry ~crash_budget:params.crash_budget;
     let init = Dsm.Protocol.initial_system (module P) in
     match params.kind with
     | Bdfs ->
@@ -533,7 +527,6 @@ module Check_driver (S : Registry.SUBJECT) = struct
             max_depth = params.max_depth;
             time_limit = params.time_limit;
             crash_budget = params.crash_budget;
-            verify_domains = params.verify_domains;
             obs = params.obs;
           }
         in
@@ -690,7 +683,6 @@ module Check_driver (S : Registry.SUBJECT) = struct
               ("system_states", Dsm.Json.Int r.system_states_created);
               ("preliminary_violations", Dsm.Json.Int r.preliminary_violations);
               ("soundness_rejections", Dsm.Json.Int r.soundness_rejections);
-              ("verify_domains", Dsm.Json.Int params.verify_domains);
               (* constants: every checker's row has one schema *)
               ("symmetry", Dsm.Json.String "id");
               ("orbit_hits", Dsm.Json.Int 0);
@@ -868,7 +860,6 @@ module Hunt_driver (H : Registry.HUNT) = struct
             time_limit = Some p.budget;
             max_transitions = Some 100_000;
             crash_budget = p.h_crash_budget;
-            verify_domains = p.h_verify_domains;
           };
         action_bounds = [ 1; 2 ];
         steer = p.steer;
@@ -992,12 +983,10 @@ module Report = struct
       (fun f ->
         match ev_of f with
         | "run" ->
-            Format.printf
-              "protocol %s, mode %s, checker %s, %d verify domain(s)@."
+            Format.printf "protocol %s, mode %s, checker %s@."
               (Option.value ~default:"?" (jstr (jfield "protocol" f)))
               (Option.value ~default:"?" (jstr (jfield "mode" f)))
               (Option.value ~default:"?" (jstr (jfield "checker" f)))
-              (Option.value ~default:1 (jint (jfield "verify_domains" f)))
         | "ring_meta" ->
             Format.printf
               "ring recording: %d record(s) dropped at the head \
@@ -1498,14 +1487,6 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let verify_domains_arg =
-  let doc =
-    "Worker domains for deferred soundness verification (LMC checkers \
-     only).  Exploration is sequential; the verdict, witness and \
-     counters do not depend on this count."
-  in
-  Arg.(value & opt pos_int 1 & info [ "verify-domains" ] ~doc ~docv:"N")
-
 let crash_budget_arg =
   let doc =
     "Crash-recovery events the checker explores per node path (0 \
@@ -1553,8 +1534,7 @@ let find_subject name =
 let check_cmd =
   let doc = "Model-check a protocol offline from its initial state." in
   let run protocol checker max_depth time_limit crash_budget verbose minimize
-      dot json metrics_out progress verify_domains symmetry record record_ring
-      telemetry =
+      dot json metrics_out progress symmetry record record_ring telemetry =
     if checker <> Bdfs && symmetry <> Sym_off then begin
       prerr_endline "lmc_cli: --symmetry applies to -c bdfs only";
       exit 2
@@ -1572,8 +1552,7 @@ let check_cmd =
             let code =
               D.run
                 { kind = checker; max_depth; time_limit; crash_budget;
-                  verbose; minimize; dot; json; obs; verify_domains;
-                  symmetry }
+                  verbose; minimize; dot; json; obs; symmetry }
             in
             emit_run_end (Obs.recorder obs) code;
             code)
@@ -1583,8 +1562,8 @@ let check_cmd =
     Term.(
       const run $ protocol_arg $ checker_arg $ depth_arg $ time_arg
       $ crash_budget_arg $ verbose_arg $ minimize_arg $ dot_arg $ json_arg
-      $ metrics_out_arg $ progress_arg $ verify_domains_arg $ symmetry_arg
-      $ record_arg $ record_ring_arg $ telemetry_term)
+      $ metrics_out_arg $ progress_arg $ symmetry_arg $ record_arg
+      $ record_ring_arg $ telemetry_term)
 
 let seed_arg =
   let doc = "Simulation seed." in
@@ -1675,7 +1654,7 @@ let hunt_cmd =
   in
   let run protocol seed drop interval max_live budget steer faults
       crash_budget restart_budget_ms max_retries store_dir resume
-      metrics_out progress verify_domains record record_ring telemetry =
+      metrics_out progress record record_ring telemetry =
     if resume && store_dir = None then begin
       prerr_endline "lmc_cli: --resume requires --store DIR";
       exit 2
@@ -1698,15 +1677,13 @@ let hunt_cmd =
             let trace = Obs.recorder obs in
             Fun.protect ~finally:finish (fun () ->
                 emit_run_header trace ~protocol ~mode:"hunt" ~checker:"lmc"
-                  ~max_depth:None ~verify_domains ~symmetry:Sym_off
-                  ~crash_budget;
+                  ~max_depth:None ~symmetry:Sym_off ~crash_budget;
                 let code =
                   D.main
                     {
                       seed; drop; interval; max_live; budget; steer; faults;
                       h_crash_budget = crash_budget; restart_budget_ms;
-                      max_retries; store_dir; resume;
-                      h_verify_domains = verify_domains; h_obs = obs;
+                      max_retries; store_dir; resume; h_obs = obs;
                     }
                 in
                 emit_run_end trace code;
@@ -1719,7 +1696,7 @@ let hunt_cmd =
       $ max_live_arg $ budget_arg $ steer_arg $ faults_arg
       $ crash_budget_arg $ restart_budget_ms_arg $ max_retries_arg
       $ store_arg $ resume_arg $ metrics_out_arg
-      $ progress_arg $ verify_domains_arg $ record_arg $ record_ring_arg
+      $ progress_arg $ record_arg $ record_ring_arg
       $ telemetry_term)
 
 let trace_file_arg =
@@ -2032,7 +2009,7 @@ let hunt ~name ~description (module S : Registry.SUBJECT) ~seed ~plan ~drop
             seed; drop; interval; max_live; budget; steer = false; faults;
             h_crash_budget = crash_budget; restart_budget_ms = None;
             max_retries = None; store_dir = None; resume = false;
-            h_verify_domains = 1; h_obs = Obs.null;
+            h_obs = Obs.null;
           });
   }
 

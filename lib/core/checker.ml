@@ -37,15 +37,10 @@ module Make (P : Dsm.Protocol.S) = struct
     verify_soundness : bool;
     use_history : bool;
     stop_on_violation : bool;
-    max_paths_per_entry : int;
-    max_sequence_combos : int;
     soundness_budget : int;
     max_preds_per_entry : int;
-    reverify_rejected : bool;
     max_rejected_cache : int;
-    soundness_via_sequences : bool;
     defer_soundness : bool;
-    verify_domains : int;
     obs : Obs.scope;
     persist : persist option;
         (* disk-backed stores shared across restarts *)
@@ -62,15 +57,10 @@ module Make (P : Dsm.Protocol.S) = struct
       verify_soundness = true;
       use_history = true;
       stop_on_violation = true;
-      max_paths_per_entry = 64;
-      max_sequence_combos = 4096;
       soundness_budget = 50_000;
       max_preds_per_entry = 256;
-      reverify_rejected = true;
       max_rejected_cache = 20_000;
-      soundness_via_sequences = false;
       defer_soundness = false;
-      verify_domains = 1;
       obs = Obs.null;
       persist = None;
     }
@@ -91,7 +81,6 @@ module Make (P : Dsm.Protocol.S) = struct
     preliminary_violations : int;
     sound_violation : violation option;
     soundness_calls : int;
-    sequences_checked : int;
     soundness_rejections : int;
     soundness_budget_exhausted : int;
     local_assert_drops : int;
@@ -131,7 +120,6 @@ module Make (P : Dsm.Protocol.S) = struct
   type 'k entry = {
     idx : int;
     node : Dsm.Node_id.t;
-    root : bool;
     state : P.state;
     fp : Fingerprint.t;
     history : Fingerprint.Set.t;
@@ -175,10 +163,11 @@ module Make (P : Dsm.Protocol.S) = struct
            so the per-transition push is a field read, not a lookup *)
   }
 
-  (* A soundness-rejected preliminary violation, cached so it can be
-     re-verified once exploration has added more predecessor pointers
-     (the remedy §4.2 suggests for the simplification of verifying only
-     at state-creation time). *)
+  (* A preliminary violation awaiting the final pass: soundness-rejected
+     and cached so it can be re-verified once exploration has added more
+     predecessor pointers (the remedy §4.2 suggests for the
+     simplification of verifying only at state-creation time), or, under
+     [defer_soundness], not judged yet. *)
   type 'k rejected = {
     r_tuple : 'k entry array;
     r_system : P.state array;
@@ -204,7 +193,6 @@ module Make (P : Dsm.Protocol.S) = struct
     c_system_states : Obs.Metrics.counter;
     c_prelim : Obs.Metrics.counter;
     c_soundness_calls : Obs.Metrics.counter;
-    c_sequences : Obs.Metrics.counter;
     c_rejections : Obs.Metrics.counter;
     c_budget_exhausted : Obs.Metrics.counter;
     c_local_drops : Obs.Metrics.counter;
@@ -227,7 +215,6 @@ module Make (P : Dsm.Protocol.S) = struct
       c_system_states = Obs.counter scope "lmc.system_states_created";
       c_prelim = Obs.counter scope "lmc.preliminary_violations";
       c_soundness_calls = Obs.counter scope "lmc.soundness_calls";
-      c_sequences = Obs.counter scope "lmc.sequences_checked";
       c_rejections = Obs.counter scope "lmc.soundness_rejections";
       c_budget_exhausted = Obs.counter scope "lmc.soundness_budget_exhausted";
       c_local_drops = Obs.counter scope "lmc.local_assert_drops";
@@ -277,7 +264,6 @@ module Make (P : Dsm.Protocol.S) = struct
     mutable store_hits : int;
     mutable preliminary_violations : int;
     mutable soundness_calls : int;
-    mutable sequences_checked : int;
     mutable soundness_rejections : int;
     mutable local_assert_drops : int;
     mutable soundness_budget_exhausted : int;
@@ -290,6 +276,9 @@ module Make (P : Dsm.Protocol.S) = struct
   }
 
   exception Stop
+
+  (* A confirmed violation ends the run under [stop_on_violation]. *)
+  let stopped t = t.config.stop_on_violation && t.sound_violation <> None
 
   let now () = Unix.gettimeofday ()
 
@@ -583,36 +572,6 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* ----- soundness verification (isStateSound, Fig. 9) ----- *)
 
-  (* All event sequences that can lead to [entry], by following the
-     predecessor pointers backwards.  Self-references are ignored
-     (§4.2) and cycles are cut by an on-path guard; the number of
-     sequences is capped. *)
-  let enumerate_paths t (entry : 'k entry) : event_info list list =
-    let store = t.stores.(entry.node) in
-    let results = ref [] in
-    let count = ref 0 in
-    let max_paths = t.config.max_paths_per_entry in
-    let rec walk e suffix on_path =
-      if !count >= max_paths then ()
-      else if e.root then begin
-        results := suffix :: !results;
-        incr count
-      end
-      else
-        List.iter
-          (fun p ->
-            if !count < max_paths then
-              match p.prev with
-              | None -> ()
-              | Some i when i = e.idx -> ()
-              | Some i when List.mem i on_path -> ()
-              | Some i ->
-                  walk (Vec.get store i) (p.event :: suffix) (e.idx :: on_path))
-          e.preds
-    in
-    walk entry [] [];
-    !results
-
   let soundness_event t node (e : event_info) : Soundness.event =
     {
       Soundness.node;
@@ -808,60 +767,15 @@ module Make (P : Dsm.Protocol.S) = struct
     t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
     Obs.Metrics.incr t.o.c_budget_exhausted
 
-  let count_sequence t =
-    t.sequences_checked <- t.sequences_checked + 1;
-    Obs.Metrics.incr t.o.c_sequences
-
   (* Maps a scheduled event back to its protocol-level step. *)
   let new_by_label () :
       (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
     Hashtbl.create 64
 
-  (* The paper's formulation: enumerate explicit event-sequence
-     combinations and check each. *)
-  let verify_sequences t (tuple : 'k entry array) =
-    let by_label = new_by_label () in
-    let paths =
-      Array.map (fun e -> Array.of_list (enumerate_paths t e)) tuple
-    in
-    Array.iteri
-      (fun n node_paths ->
-        Array.iter
-          (List.iter (fun (e : event_info) ->
-               Hashtbl.replace by_label (n, e.label) e))
-          node_paths)
-      paths;
-    let found = ref None and exhausted = ref false in
-    let combos = ref 0 in
-    ignore
-      (Combination.iter paths (fun sequences ->
-           incr combos;
-           count_sequence t;
-           let seqs =
-             Array.mapi (fun n evs -> List.map (soundness_event t n) evs) sequences
-           in
-           match
-             Soundness.check ~obs:t.o.scope ~budget:t.config.soundness_budget
-               ~initial_net:[] seqs
-           with
-           | Soundness.Valid order ->
-               found := Some order;
-               `Stop
-           | Soundness.Invalid ->
-               if !combos >= t.config.max_sequence_combos then `Stop
-               else `Continue
-           | Soundness.Budget_exhausted ->
-               exhausted := true;
-               if !combos >= t.config.max_sequence_combos then `Stop
-               else `Continue));
-    match !found with
-    | Some order -> Ok (by_label, order)
-    | None -> Error (if !exhausted then Exhausted else Searched)
-
-  (* The default: screen the tuple with the cached summaries, and
-     search the product of the predecessor DAGs only if it passes. *)
-  let verify_dag t (tuple : 'k entry array) =
-    count_sequence t;
+  (* isStateSound (Fig. 9): screen the tuple with the cached summaries,
+     and search the product of the per-node predecessor DAGs only if it
+     passes. *)
+  let judge t (tuple : 'k entry array) =
     match screen t tuple with
     | Some why ->
         Soundness.record_infeasible ~obs:t.o.scope ();
@@ -879,18 +793,15 @@ module Make (P : Dsm.Protocol.S) = struct
             count_exhausted t;
             Error Exhausted)
 
-  (* Confirm a preliminary violation (isStateSound): either search the
-     product of the per-node predecessor DAGs directly (default), or
-     enumerate explicit event-sequence combinations as in the paper. *)
-  let verify_soundness_run ?(cache_rejection = true) t
-      (tuple : 'k entry array) system violation sdepth =
+  (* Judge a preliminary violation.  A [recheck] re-verifies a rejection
+     already counted; any other rejection is counted, and an inline one
+     is cached for the final pass while the cache has room. *)
+  let verify_soundness_run ~recheck t (tuple : 'k entry array) system
+      violation sdepth =
     t.soundness_calls <- t.soundness_calls + 1;
     Obs.Metrics.incr t.o.c_soundness_calls;
     let t0 = now () in
-    let verdict =
-      if t.config.soundness_via_sequences then verify_sequences t tuple
-      else verify_dag t tuple
-    in
+    let verdict = judge t tuple in
     let spent = now () -. t0 in
     t.soundness_time <- t.soundness_time +. spent;
     Obs.Metrics.observe t.o.h_soundness_us
@@ -898,10 +809,10 @@ module Make (P : Dsm.Protocol.S) = struct
     match verdict with
     | Error rejection ->
         if t.tracing then record_reject t violation sdepth tuple rejection;
-        if cache_rejection then begin
+        if not recheck then begin
           count_rejection t;
           if
-            t.config.reverify_rejected
+            (not t.config.defer_soundness)
             && Vec.length t.rejected < t.config.max_rejected_cache
           then
             ignore
@@ -920,11 +831,10 @@ module Make (P : Dsm.Protocol.S) = struct
   (* Soundness verification under a boundary-sampled profiler frame:
      [Prof.enter]/[leave] pin the phase edges, so the (often long)
      search never bleeds into the enclosing combination frame. *)
-  let verify_soundness ?cache_rejection t (tuple : 'k entry array) system
+  let verify_soundness ?(recheck = false) t (tuple : 'k entry array) system
       violation sdepth =
     Obs.frame t.o.scope "soundness" (fun () ->
-        verify_soundness_run ?cache_rejection t tuple system violation
-          sdepth)
+        verify_soundness_run ~recheck t tuple system violation sdepth)
 
   (* ----- system state creation (checkSystemInvariant, Fig. 9) ----- *)
 
@@ -975,10 +885,10 @@ module Make (P : Dsm.Protocol.S) = struct
             then
               (* Contribution 3 of the paper: exploration, system-state
                  creation and soundness verification are decoupled, so
-                 verification can be postponed (and parallelised) after
-                 exploration settles.  When the queue overflows we fall
-                 back to verifying inline — never drop a preliminary
-                 violation silently. *)
+                 verification can be postponed until exploration
+                 settles or its budget stops it.  When the queue
+                 overflows we fall back to verifying inline — never
+                 drop a preliminary violation silently. *)
               ignore
                 (Vec.push t.rejected
                    {
@@ -1000,9 +910,7 @@ module Make (P : Dsm.Protocol.S) = struct
     ignore
       (Combination.iter candidates (fun tuple ->
            consider_combo t tuple;
-           if t.sound_violation <> None && t.config.stop_on_violation then
-             `Stop
-           else `Continue))
+           if stopped t then `Stop else `Continue))
 
   (* LMC-OPT: "we select only the node states that at least two of them
      are mapped to different values" — pin a conflicting pair (the new
@@ -1017,7 +925,6 @@ module Make (P : Dsm.Protocol.S) = struct
      [m], and only once a partner turns up; slot [m] is overwritten per
      partner. *)
   let pinned_pair_combos t (new_entry : 'k entry) ~partners =
-    let stop () = t.sound_violation <> None && t.config.stop_on_violation in
     try
       for m = 0 to P.num_nodes - 1 do
         if m <> new_entry.node then begin
@@ -1038,8 +945,8 @@ module Make (P : Dsm.Protocol.S) = struct
                        Hashtbl.replace t.seen_combos cfp ();
                        consider_combo t tuple
                      end;
-                     if stop () then `Stop else `Continue));
-              if stop () then raise Exit)
+                     if stopped t then `Stop else `Continue));
+              if stopped t then raise Exit)
         end
       done
     with Exit -> ()
@@ -1134,7 +1041,6 @@ module Make (P : Dsm.Protocol.S) = struct
           {
             idx;
             node;
-            root = false;
             state;
             fp;
             history;
@@ -1427,162 +1333,22 @@ module Make (P : Dsm.Protocol.S) = struct
       done;
     !progress
 
-  (* Parallel a-posteriori verification: the paper's third contribution
-     notes that with exploration, system-state creation and soundness
-     verification decoupled, "the model checking process can be
-     embarrassingly parallelized".  The cached prefilter and the
-     predecessor-DAG extraction run on the main domain (they read the
-     mutable stores, which are quiescent by now); only the survivors'
-     pure [Soundness.check_dag] calls fan out across worker domains;
-     results are folded back in deterministic cache order. *)
-  let verify_parallel t (pending : 'k rejected array) =
-    let t0 = now () in
-    (* Worker domains record into the scope's registry concurrently:
-       the histogram/counter cells are atomic, per-domain effort merges
-       without locks (the "per-domain buffers or atomic counters"
-       requirement of always-on instrumentation).  They get no
-       recorder: trace records are emitted in the fold below, in cache
-       order, whatever the scheduling. *)
-    let worker_obs =
-      if Obs.is_null t.o.scope then Obs.null
-      else Obs.create ~metrics:(Obs.metrics t.o.scope) ()
-    in
-    let jobs =
-      Array.map
-        (fun r ->
-          let j0 = now () in
-          match screen t r.r_tuple with
-          | Some why ->
-              Soundness.record_infeasible ~obs:worker_obs ();
-              Obs.Metrics.observe t.o.h_soundness_us
-                (int_of_float (1e6 *. (now () -. j0)));
-              (r, Error (Infeasible why))
-          | None ->
-              let by_label = new_by_label () in
-              let graphs =
-                Array.map (fun e -> build_graph t e by_label) r.r_tuple
-              in
-              (r, Ok (graphs, by_label)))
-        pending
-    in
-    let survivors =
-      Array.of_list
-        (List.filter_map
-           (fun (_, job) ->
-             match job with Ok (graphs, _) -> Some graphs | Error _ -> None)
-           (Array.to_list jobs))
-    in
-    let n = Array.length survivors in
-    let verdicts = Array.make n Soundness.Invalid in
-    let domains = t.config.verify_domains in
-    let next = Atomic.make 0 in
-    let budget = t.config.soundness_budget in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let j0 = now () in
-          verdicts.(i) <-
-            Soundness.check_dag ~obs:worker_obs ~budget ~initial_net:[]
-              survivors.(i);
-          Obs.Metrics.observe t.o.h_soundness_us
-            (int_of_float (1e6 *. (now () -. j0)));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned =
-      List.init (domains - 1) (fun _ -> Domain.spawn worker)
-    in
-    worker ();
-    List.iter Domain.join spawned;
-    t.soundness_time <- t.soundness_time +. (now () -. t0);
-    (* Fold the verdicts in cache order, counting exactly what the
-       serial pass would: it stops at the first confirmed violation
-       under [stop_on_violation], and counts rejections only when they
-       are cached ([defer_soundness]).  Trace records are emitted here,
-       not on the worker domains, so their order is the cache order
-       regardless of scheduling; the search-step count stays on the
-       workers and is reported as -1. *)
-    let record_par_verdict verdict_str witness_events =
-      ignore
-        (Obs.Trace.emit t.o.trace ~ev:"soundness"
-           [
-             ("kind", Dsm.Json.String "dag");
-             ("steps", Dsm.Json.Int (-1));
-             ("verdict", Dsm.Json.String verdict_str);
-             ( "witness_events",
-               match witness_events with
-               | Some n -> Dsm.Json.Int n
-               | None -> Dsm.Json.Null );
-           ])
-    in
-    let reject (r : 'k rejected) rejection =
-      if t.config.defer_soundness then count_rejection t;
-      if t.tracing then begin
-        record_par_verdict (rejection_why rejection) None;
-        record_reject t r.r_violation r.r_depth r.r_tuple rejection
-      end
-    in
-    let survivor = ref 0 in
-    Array.iter
-      (fun (r, job) ->
-        let verdict =
-          match job with
-          | Error rejection -> Error rejection
-          | Ok (_, by_label) ->
-              let v = verdicts.(!survivor) in
-              incr survivor;
-              Ok (v, by_label)
-        in
-        if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
-          t.soundness_calls <- t.soundness_calls + 1;
-          count_sequence t;
-          Obs.Metrics.incr t.o.c_soundness_calls;
-          match verdict with
-          | Error rejection -> reject r rejection
-          | Ok (Soundness.Invalid, _) -> reject r Searched
-          | Ok (Soundness.Budget_exhausted, _) ->
-              count_exhausted t;
-              reject r Exhausted
-          | Ok (Soundness.Valid order, by_label) ->
-              if t.tracing then
-                record_par_verdict "valid" (Some (List.length order));
-              confirm t r.r_system r.r_violation by_label order
-        end)
-      jobs
-
-  (* Final verification pass.  In deferred mode this is where all the
-     preliminary violations are decided; otherwise it re-verifies
-     soundness-rejected ones, whose later-added predecessor pointers
+  (* The final pass.  Under [defer_soundness] it judges the queued
+     preliminary violations for the first time; otherwise it re-verifies
+     the soundness-rejected ones, whose later-added predecessor pointers
      can have made them schedulable (§4.2's completeness caveat and
      suggested remedy). *)
-  let reverify_rejected t =
-    let wanted =
-      t.config.verify_soundness
-      && (t.config.defer_soundness || t.config.reverify_rejected)
-    in
-    if wanted then begin
+  let verify_pending t =
+    if not (stopped t) then begin
       let pending = Vec.to_array t.rejected in
       Vec.clear t.rejected;
       Obs.frame t.o.scope "reverify" (fun () ->
-          if
-            t.config.verify_domains > 1
-            && not t.config.soundness_via_sequences
-            && not (t.config.stop_on_violation && t.sound_violation <> None)
-          then verify_parallel t pending
-          else
-            Array.iter
-              (fun r ->
-                if
-                  not
-                    (t.config.stop_on_violation && t.sound_violation <> None)
-                then
-                  verify_soundness
-                    ~cache_rejection:t.config.defer_soundness t r.r_tuple
-                    r.r_system r.r_violation r.r_depth)
-              pending)
+          Array.iter
+            (fun r ->
+              if not (stopped t) then
+                verify_soundness ~recheck:(not t.config.defer_soundness) t
+                  r.r_tuple r.r_system r.r_violation r.r_depth)
+            pending)
     end
 
   (* The snapshot is one combination, however many of its root pairs
@@ -1687,7 +1453,6 @@ module Make (P : Dsm.Protocol.S) = struct
         store_hits = 0;
         preliminary_violations = 0;
         soundness_calls = 0;
-        sequences_checked = 0;
         soundness_rejections = 0;
         local_assert_drops = 0;
         soundness_budget_exhausted = 0;
@@ -1707,7 +1472,6 @@ module Make (P : Dsm.Protocol.S) = struct
           {
             idx = 0;
             node = n;
-            root = true;
             state;
             fp;
             history = Fingerprint.Set.empty;
@@ -1735,20 +1499,22 @@ module Make (P : Dsm.Protocol.S) = struct
              ("protocol", Dsm.Json.String P.name);
              ("nodes", Dsm.Json.Int P.num_nodes);
              ("fp", Dsm.Json.String Fingerprint.name);
-             ("verify_domains", Dsm.Json.Int config.verify_domains);
            ]);
-    (try
-       Obs.frame t.o.scope "lmc" @@ fun () ->
-       check_initial t;
-       if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
-         let continue = ref true in
-         while !continue do
-           check_budget t;
-           continue := round t
-         done;
-         reverify_rejected t
-       end
-     with Stop -> ());
+    (Obs.frame t.o.scope "lmc" @@ fun () ->
+     (try
+        check_initial t;
+        if not (stopped t) then begin
+          let continue = ref true in
+          while !continue do
+            check_budget t;
+            continue := round t
+          done
+        end
+      with Stop -> ());
+     (* A budget stop skips re-verification, but not the deferred queue:
+        nothing else would ever judge it. *)
+     if (not t.truncated) || t.config.defer_soundness then
+       try verify_pending t with Stop -> ());
     let elapsed = now () -. t.started in
     let node_states = Array.map Vec.length t.stores in
     (match config.persist with
@@ -1804,7 +1570,6 @@ module Make (P : Dsm.Protocol.S) = struct
       preliminary_violations = t.preliminary_violations;
       sound_violation = t.sound_violation;
       soundness_calls = t.soundness_calls;
-      sequences_checked = t.sequences_checked;
       soundness_rejections = t.soundness_rejections;
       soundness_budget_exhausted = t.soundness_budget_exhausted;
       local_assert_drops = t.local_assert_drops;
@@ -1821,8 +1586,6 @@ module Make (P : Dsm.Protocol.S) = struct
   let run config ~strategy ~invariant snapshot =
     if Array.length snapshot <> P.num_nodes then
       invalid_arg "Checker.run: snapshot size does not match num_nodes";
-    if config.verify_domains < 1 then
-      invalid_arg "Checker.run: verify_domains must be >= 1";
     (match config.persist with
     | Some p when Array.length p.p_nodes <> P.num_nodes ->
         invalid_arg "Checker.run: persist has wrong node count"

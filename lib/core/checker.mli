@@ -97,47 +97,38 @@ module Make (P : Dsm.Protocol.S) : sig
             re-deliveries (§4.2 "Duplicate messages"); off only for
             ablations *)
     stop_on_violation : bool;
-    max_paths_per_entry : int;
-        (** cap on event sequences enumerated per node state during
-            soundness verification *)
-    max_sequence_combos : int;
-        (** cap on sequence combinations per soundness invocation *)
-    soundness_budget : int;  (** backtracking budget per sequence set *)
+    soundness_budget : int;
+        (** search budget per soundness check ({!Soundness.check_dag}) *)
     max_preds_per_entry : int;
         (** cap on predecessor pointers kept per node state; with the
             history simplification, the soundness budget and this cap,
             the only sources of incompleteness are explicit and
             configurable *)
-    reverify_rejected : bool;
-        (** cache soundness-rejected violations and re-verify them after
-            exploration settles, when later-added predecessor pointers
-            may have made them schedulable (§4.2's suggested remedy) *)
-    max_rejected_cache : int;  (** size bound on that cache *)
-    soundness_via_sequences : bool;
-        (** use the paper's explicit sequence-combination enumeration
-            instead of the default DAG-product search; kept for
-            ablation — the enumeration samples an exponential path
-            space under [max_paths_per_entry]/[max_sequence_combos]
-            and can miss the one schedulable combination *)
+    max_rejected_cache : int;
+        (** size bound on the cache of soundness-rejected violations.
+            Every preliminary violation is judged the same way: the
+            cached feasibility prefilter, then the predecessor-DAG
+            search, on the calling domain.  A rejected one is cached
+            and judged again once exploration reaches its fixpoint,
+            when later-added predecessor pointers may have made it
+            schedulable (§4.2's suggested remedy); a run stopped by
+            its budget skips that second judgement.  Under
+            [defer_soundness] the cache is the deferred queue, and a
+            violation that finds it full is judged inline. *)
     defer_soundness : bool;
         (** postpone all soundness verification to a single pass after
             exploration settles — the decoupling the paper's third
             contribution highlights.  Deferred checks see the final
             predecessor DAGs (strictly more complete than inline
-            checking) and can be parallelised via [verify_domains].
-            Trade-off: no early stop on the first confirmed bug. *)
-    verify_domains : int;
-        (** worker domains for the deferred/re-verification pass
-            ("the model checking process can be embarrassingly
-            parallelized"); 1 = serial, must be [>= 1] ([run] raises
-            [Invalid_argument] otherwise).  Only the DAG soundness mode
-            parallelises; exploration itself is always sequential.
-            Verdicts, witnesses and counters do not depend on it. *)
+            checking).  The pass also runs when a time or transition
+            budget stops the run, so no queued violation goes
+            unjudged.  Trade-off: no early stop on the first confirmed
+            bug. *)
     obs : Obs.scope;
         (** observability scope.  Counters mirroring every [result]
             tally ([lmc.transitions], [lmc.node_states],
             [lmc.soundness_calls], ...) are always recorded — single
-            atomic increments, safe under [verify_domains > 1] — and a
+            atomic increments — and a
             periodic ["progress"] heartbeat reports explored states /
             |I+| / preliminary violations during long runs.
 
@@ -151,9 +142,8 @@ module Make (P : Dsm.Protocol.S) : sig
             violation ([prelim]), the soundness search's own records
             (per-call verdicts, rejections and why), fully replayable
             violation witnesses and per-phase time attribution.  Each fact is one record.
-            Records are emitted from the sequential exploration only,
-            so two runs with the same config record bit-identical step
-            streams, for any [verify_domains] value.  Defaults to
+            The checker runs on one domain, so two runs with the same
+            config record bit-identical step streams.  Defaults to
             {!Obs.null} (no recorder, throwaway registry; the hot loops
             pay one branch). *)
     persist : persist option;
@@ -186,8 +176,6 @@ module Make (P : Dsm.Protocol.S) : sig
     preliminary_violations : int;
     sound_violation : violation option;
     soundness_calls : int;  (** isStateSound invocations *)
-    sequences_checked : int;
-        (** event-sequence combinations fed to the soundness engine *)
     soundness_rejections : int;
         (** preliminary violations not confirmed (proven unreachable,
             or undecided within the soundness budget) *)

@@ -36,16 +36,14 @@ exception Out_of_budget
 (* Per-call observability: search-step histograms separate the cheap
    prefilter rejections (0 steps) from the searches that actually
    backtrack, and the verdict counters make "how often does soundness
-   save us" a first-class number.  All cells are atomic, so the
-   deferred-verification worker domains record concurrently.  The
-   scope's recorder also gets one [ev = "soundness"] record per search,
-   with its effort and outcome; worker domains pass a scope without a
-   recorder, since their emissions would make record order
-   scheduling-dependent. *)
-let record obs ~kind ~steps verdict =
+   save us" a first-class number.  The scope's recorder also gets one
+   [ev = "soundness"] record per search, with its effort and outcome.
+   Only the DAG search records ([kind] "dag"): [check] is the
+   brute-force reference, called by no checker. *)
+let record obs ~steps verdict =
   if not (Obs.is_null obs) then begin
     Obs.Metrics.observe (Obs.histogram obs "soundness.steps") steps;
-    Obs.Metrics.incr (Obs.counter obs ("soundness.checks." ^ kind));
+    Obs.Metrics.incr (Obs.counter obs "soundness.checks.dag");
     Obs.Metrics.incr
       (Obs.counter obs
          (match verdict with
@@ -57,7 +55,7 @@ let record obs ~kind ~steps verdict =
       ignore
         (Obs.Trace.emit tr ~ev:"soundness"
            [
-             ("kind", Dsm.Json.String kind);
+             ("kind", Dsm.Json.String "dag");
              ("steps", Dsm.Json.Int steps);
              ( "verdict",
                Dsm.Json.String
@@ -89,7 +87,7 @@ let balanced ~initial_net sequences =
     sequences;
   Hashtbl.fold (fun _ c ok -> ok && c >= 0) counts true
 
-let check ?(obs = Obs.null) ?(budget = 200_000) ~initial_net sequences =
+let check ?(budget = 200_000) ~initial_net sequences =
   let n = Array.length sequences in
   let remaining = Array.map (fun s -> s) sequences in
   let net = Net.create initial_net in
@@ -148,16 +146,12 @@ let check ?(obs = Obs.null) ?(budget = 200_000) ~initial_net sequences =
       end
     end
   in
-  let verdict =
-    if not (balanced ~initial_net sequences) then Invalid
-    else
-      match dfs [] with
-      | Some order -> Valid order
-      | None -> Invalid
-      | exception Out_of_budget -> Budget_exhausted
-  in
-  record obs ~kind:"sequence" ~steps:!steps verdict;
-  verdict
+  if not (balanced ~initial_net sequences) then Invalid
+  else
+    match dfs [] with
+    | Some order -> Valid order
+    | None -> Invalid
+    | exception Out_of_budget -> Budget_exhausted
 
 type node_graph = {
   root : int;
@@ -357,7 +351,7 @@ let feasible ~initial_net graphs =
 (* A call the cached screen rejected records what [check_dag] records
    when [feasible] rejects: a 0-step dag search with verdict Invalid. *)
 let record_infeasible ?(obs = Obs.null) () =
-  record obs ~kind:"dag" ~steps:0 Invalid
+  record obs ~steps:0 Invalid
 
 let check_dag ?(obs = Obs.null) ?(budget = 200_000) ~initial_net graphs =
   let n = Array.length graphs in
@@ -484,5 +478,5 @@ let check_dag ?(obs = Obs.null) ?(budget = 200_000) ~initial_net graphs =
       | None, _ -> Invalid
       | exception Out_of_budget -> Budget_exhausted
   in
-  record obs ~kind:"dag" ~steps:!steps verdict;
+  record obs ~steps:!steps verdict;
   verdict

@@ -43,16 +43,10 @@ type verdict =
     sequences admit a valid total order.  [initial_net] lists message
     fingerprints already in flight when the sequences start (empty for
     snapshot-rooted checks).  [budget] bounds backtracking steps
-    (default 200_000).  [obs] records per-call search effort into the
-    scope's registry: a [soundness.steps] histogram plus
-    per-kind/per-verdict counters; safe to pass from concurrent
-    verification domains.  Its recorder additionally gets one
-    [ev = "soundness"] record per call — the interleaving search's
-    kind, effort and verdict — so concurrent domains must pass a scope
-    without a recorder (record order must not depend on domain
-    scheduling). *)
+    (default 200_000).  This is the paper's [isSequenceValid] over
+    explicit sequences; no checker calls it.  It stays as the
+    brute-force reference the DAG search is tested against. *)
 val check :
-  ?obs:Obs.scope ->
   ?budget:int ->
   initial_net:Dsm.Fingerprint.t list ->
   sequence array ->
@@ -66,7 +60,9 @@ val check :
     product of the per-node {e predecessor DAGs} directly: one
     memoised forward search decides whether {e any} combination of
     paths to the target node states is schedulable — strictly more
-    complete than capped sequence enumeration, and usually faster. *)
+    complete than capped sequence enumeration, and on the buggy Paxos
+    ablation two orders of magnitude faster.  It is the checker's only
+    soundness search. *)
 
 (** One node's predecessor DAG, restricted to the entries that can
     reach the target: vertices are the checker's node-state indices,
@@ -80,7 +76,10 @@ type node_graph = {
 
 (** [check_dag ~budget ~initial_net graphs] decides whether every node
     can walk from its root to its target such that the interleaved
-    events form a valid run. *)
+    events form a valid run.  [obs] records the call's effort: a
+    [soundness.steps] histogram, the [soundness.checks.dag] and
+    per-verdict counters, and one [ev = "soundness"] record (kind,
+    steps, verdict) in its recorder. *)
 val check_dag :
   ?obs:Obs.scope ->
   ?budget:int ->

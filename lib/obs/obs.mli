@@ -7,9 +7,9 @@
 
     {ul
     {- {b metrics} (counters, gauges, log-scale histograms) are
-       always-on: updates are single atomic operations, safe under
-       [verify_domains > 1] and negligible next to a handler execution
-       or a fingerprint;}
+       always-on: updates are single atomic operations, safe across
+       domains and negligible next to a handler execution or a
+       fingerprint;}
     {- {b records} — the one event stream — go to the scope's
        {!recorder} ([trace.v1]).  {!null}, the default scope
        everywhere, carries {!Trace.null}, so every record call reduces

@@ -37,8 +37,11 @@ module Make
             [time_limit]; a restart that consumes it escalates the
             degradation tier: tier 1 halves [max_depth], tier 2 drops a
             [General] strategy to [Automatic], tier 3 sets
-            [defer_soundness].  [None] (default): no budget, no
-            tiers. *)
+            [defer_soundness], which moves soundness out of the
+            budgeted window: the preliminary violations a tripped
+            restart queued are still judged after its budget stops
+            exploration, so a tier-3 restart can report a bug.  [None]
+            (default): no budget, no tiers. *)
     memory_budget_bytes : int option;
         (** retained-bytes budget per restart, audited after each run
             from the checker's analytic footprint; exceeding it

@@ -111,16 +111,6 @@ let test_no_soundness () =
   check Alcotest.int "no soundness calls" 0 r.soundness_calls;
   check Alcotest.bool "nothing reported" true (r.sound_violation = None)
 
-let test_sequences_mode () =
-  (* the paper's explicit sequence enumeration handles the primer *)
-  let cfg = { L_tree.default_config with soundness_via_sequences = true } in
-  let r =
-    L_tree.run cfg ~strategy:L_tree.General
-      ~invariant:Tree.received_implies_sent (tree_init ())
-  in
-  check Alcotest.int "rejects ----r" 1 r.soundness_rejections;
-  check Alcotest.bool "no false positive" true (r.sound_violation = None)
-
 (* Each newly visited node state is announced once, by the step record
    that reached it: the distinct (node, fp_after) pairs outside the
    roots are exactly the non-root states. *)
@@ -225,64 +215,6 @@ let test_deferred_soundness () =
     (deferred_neg.sound_violation = None);
   check Alcotest.int "rejection counted" 1 deferred_neg.soundness_rejections
 
-let test_parallel_verification_agrees () =
-  (* multi-domain deferred verification = serial verdicts *)
-  let trigger =
-    Dsm.Invariant.make ~name:"one-pong" (fun sys ->
-        if List.length sys.(0).Protocols.Ping.pongs >= 1 then Some "hit"
-        else None)
-  in
-  let run domains =
-    L_ping.run
-      {
-        L_ping.default_config with
-        defer_soundness = true;
-        verify_domains = domains;
-        stop_on_violation = false;
-      }
-      ~strategy:L_ping.General ~invariant:trigger (ping_init ())
-  in
-  let serial = run 1 and parallel = run 4 in
-  check Alcotest.bool "both confirm" true
-    (serial.sound_violation <> None && parallel.sound_violation <> None);
-  check Alcotest.int "same rejections" serial.soundness_rejections
-    parallel.soundness_rejections;
-  check Alcotest.int "same calls" serial.soundness_calls
-    parallel.soundness_calls;
-  check Alcotest.int "same system states" serial.system_states_created
-    parallel.system_states_created;
-  let witness (r : L_ping.result) =
-    Option.map
-      (fun (v : L_ping.violation) ->
-        Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value v.schedule))
-      r.sound_violation
-  in
-  check
-    Alcotest.(option string)
-    "same witness" (witness serial) (witness parallel);
-  (* The default (non-deferred) re-verification pass the CLI runs: the
-     parallel fold counts what the serial pass counts. *)
-  let reverify domains =
-    L_tree.run
-      { L_tree.default_config with verify_domains = domains }
-      ~strategy:L_tree.General ~invariant:Tree.received_implies_sent
-      (tree_init ())
-  in
-  let serial = reverify 1 and parallel = reverify 2 in
-  check Alcotest.int "re-verification: same rejections"
-    serial.soundness_rejections parallel.soundness_rejections;
-  check Alcotest.int "re-verification: same calls" serial.soundness_calls
-    parallel.soundness_calls
-
-let test_verify_domains_validated () =
-  Alcotest.check_raises "verify_domains = 0 rejected"
-    (Invalid_argument "Checker.run: verify_domains must be >= 1") (fun () ->
-      ignore
-        (L_ping.run
-           { L_ping.default_config with verify_domains = 0 }
-           ~strategy:L_ping.General ~invariant:Ping2.no_excess_pongs
-           (ping_init ())))
-
 (* The snapshot is a single combination: LMC-OPT must create it once,
    however many of its root pairs conflict — as many system states as
    LMC-GEN creates at depth 0. *)
@@ -319,6 +251,45 @@ let test_deferred_cache_overflow_falls_back () =
       ~strategy:L_ping.General ~invariant:trigger (ping_init ())
   in
   check Alcotest.bool "still confirmed" true (r.sound_violation <> None)
+
+(* A budget stop must not drop the deferred queue: the buggy §5.5
+   Paxos from the WiDS snapshot trips [max_transitions] with
+   preliminary violations queued, and every one of them is still
+   judged on the way out — or a sound violation is reported.  At 2591
+   transitions the queue has also overflowed into inline judgements. *)
+let test_deferred_drained_on_budget () =
+  let module B = Protocols.Paxos.Make (struct
+    let num_nodes = 3
+    let proposers = [ 0; 1; 2 ]
+    let max_attempts = 2
+    let max_index = 4
+    let fresh_proposals = false
+    let bug = Protocols.Paxos_core.Last_response_wins
+  end) in
+  let module L = Lmc.Checker.Make (B) in
+  List.iter
+    (fun budget ->
+      let r =
+        L.run
+          {
+            L.default_config with
+            local_action_bound = Some 1;
+            defer_soundness = true;
+            max_transitions = Some budget;
+          }
+          ~strategy:
+            (L.Invariant_specific
+               { abstract = B.abstraction; conflict = B.conflicts })
+          ~invariant:B.safety
+          (Protocols.Scenarios.wids_snapshot (module B))
+      in
+      check Alcotest.bool "budget tripped" false r.completed;
+      check Alcotest.bool "violations were queued" true
+        (r.preliminary_violations > 0);
+      if r.sound_violation = None then
+        check Alcotest.int "every preliminary violation judged"
+          r.preliminary_violations r.soundness_calls)
+    [ 2590; 2591 ]
 
 (* ---------- automatic pruning (the paper's future work) ---------- *)
 
@@ -569,14 +540,13 @@ module Opt_equiv (P : Dsm.Protocol.S) = struct
   let counters (r : L.result) =
     Printf.sprintf
       "nodes=%s transitions=%d net=%d system=%d prelim=%d calls=%d \
-       sequences=%d rejected=%d exhausted=%d drops=%d completed=%b \
-       depth=%d/%d"
+       rejected=%d exhausted=%d drops=%d completed=%b depth=%d/%d"
       (String.concat ","
          (Array.to_list (Array.map string_of_int r.node_states)))
       r.transitions r.net_messages r.system_states_created
-      r.preliminary_violations r.soundness_calls r.sequences_checked
-      r.soundness_rejections r.soundness_budget_exhausted
-      r.local_assert_drops r.completed r.max_system_depth r.max_node_depth
+      r.preliminary_violations r.soundness_calls r.soundness_rejections
+      r.soundness_budget_exhausted r.local_assert_drops r.completed
+      r.max_system_depth r.max_node_depth
 
   let witness (r : L.result) =
     match r.sound_violation with
@@ -784,17 +754,12 @@ module L_detour = Lmc.Checker.Make (Detour)
    no m.  Re-verification must see the summary the later pointer made
    stale, recompute it and confirm the tuple. *)
 let test_stale_summary_recomputed () =
-  let run reverify_rejected =
-    L_detour.run
-      { L_detour.default_config with reverify_rejected }
-      ~strategy:L_detour.General ~invariant:Detour.quiet_got
+  let r =
+    L_detour.run L_detour.default_config ~strategy:L_detour.General
+      ~invariant:Detour.quiet_got
       (Dsm.Protocol.initial_system (module Detour))
   in
-  let once = run false in
-  check Alcotest.int "first judgement rejects" 1 once.soundness_rejections;
-  check Alcotest.bool "nothing confirmed inline" true
-    (once.sound_violation = None);
-  let r = run true in
+  check Alcotest.int "first judgement rejects" 1 r.soundness_rejections;
   check Alcotest.int "re-verified once" 2 r.soundness_calls;
   match r.sound_violation with
   | None -> fail "stale summary reused: (s1, got) never confirmed"
@@ -807,7 +772,7 @@ let test_stale_summary_recomputed () =
    with the last-response bug under LMC-OPT, the six deployments of the
    5.5 hunt (the revealing restart), and synthetic protocols under an
    invariant with many unsound combinations, stopping at the first
-   confirmation, judging everything, and deferred onto two domains. *)
+   confirmation, judging everything, and deferred. *)
 let golden =
   [
     ("paxos-buggy-lmc-opt", (false, 0, 0, 0, 0, -1));
@@ -1123,7 +1088,6 @@ let golden_rows () =
           L.default_config with
           stop_on_violation = false;
           defer_soundness = true;
-          verify_domains = 2;
         };
     ]
   in
@@ -1154,7 +1118,6 @@ let () =
         [
           Alcotest.test_case "no system states" `Quick test_no_system_states;
           Alcotest.test_case "no soundness" `Quick test_no_soundness;
-          Alcotest.test_case "sequence mode" `Quick test_sequences_mode;
           Alcotest.test_case "observer" `Quick test_observer_hook;
           Alcotest.test_case "transition budget" `Quick test_transition_budget;
           Alcotest.test_case "depth bound" `Quick test_depth_bound;
@@ -1164,14 +1127,12 @@ let () =
             test_initial_snapshot_violation_is_sound;
           Alcotest.test_case "deferred soundness" `Quick
             test_deferred_soundness;
-          Alcotest.test_case "parallel verification" `Quick
-            test_parallel_verification_agrees;
-          Alcotest.test_case "verify_domains validated" `Quick
-            test_verify_domains_validated;
           Alcotest.test_case "OPT snapshot created once" `Quick
             test_opt_snapshot_created_once;
           Alcotest.test_case "deferred overflow" `Quick
             test_deferred_cache_overflow_falls_back;
+          Alcotest.test_case "deferred drained on budget" `Quick
+            test_deferred_drained_on_budget;
         ] );
       ( "opt index",
         [

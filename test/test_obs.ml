@@ -608,8 +608,6 @@ let test_checker_counters_match_result () =
     (counter "lmc.preliminary_violations");
   check Alcotest.int "soundness calls" r.soundness_calls
     (counter "lmc.soundness_calls");
-  check Alcotest.int "sequences checked" r.sequences_checked
-    (counter "lmc.sequences_checked");
   check Alcotest.int "soundness rejections" r.soundness_rejections
     (counter "lmc.soundness_rejections");
   check Alcotest.int "budget exhausted" r.soundness_budget_exhausted
@@ -617,9 +615,9 @@ let test_checker_counters_match_result () =
   check Alcotest.int "local assert drops" r.local_assert_drops
     (counter "lmc.local_assert_drops")
 
-(* The deferred/parallel configuration records soundness effort from
-   worker domains; totals must still match. *)
-let test_checker_counters_match_result_parallel () =
+(* The deferred configuration judges every preliminary violation in the
+   final pass; the totals must still match. *)
+let test_checker_counters_match_result_deferred () =
   let scope = Obs.create () in
   let snapshot = Protocols.Scenarios.wids_snapshot (module Buggy) in
   let cfg =
@@ -628,7 +626,6 @@ let test_checker_counters_match_result_parallel () =
       max_depth = Some 12;
       local_action_bound = Some 1;
       defer_soundness = true;
-      verify_domains = 2;
       obs = scope;
     }
   in
@@ -649,7 +646,9 @@ let test_checker_counters_match_result_parallel () =
     (counter "lmc.soundness_calls");
   check Alcotest.int "transitions" r.transitions (counter "lmc.transitions");
   check Alcotest.int "preliminary violations" r.preliminary_violations
-    (counter "lmc.preliminary_violations")
+    (counter "lmc.preliminary_violations");
+  check Alcotest.int "soundness rejections" r.soundness_rejections
+    (counter "lmc.soundness_rejections")
 
 (* Telemetry is a pure observer: a run with the profiler, timeseries
    and a live exporter attached must produce bit-identical tallies and
@@ -746,7 +745,7 @@ let () =
         [
           Alcotest.test_case "counters match result" `Quick
             test_checker_counters_match_result;
-          Alcotest.test_case "counters match result (parallel)" `Quick
-            test_checker_counters_match_result_parallel;
+          Alcotest.test_case "counters match result (deferred)" `Quick
+            test_checker_counters_match_result_deferred;
         ] );
     ]
