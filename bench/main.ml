@@ -369,7 +369,7 @@ let table51 () =
   row "\ntransition reduction: %.0fx (paper: 157,332 / 1,186 = ~132x)\n"
     (float_of_int g.stats.transitions /. float_of_int (max 1 gen.transitions));
   row
-    "LMC-GEN speedup: %.0fx (paper ~300x); LMC-OPT speedup: %.0fx (paper \
+    "LMC-GEN speedup: %.1fx (paper ~300x); LMC-OPT speedup: %.1fx (paper \
      ~8000x)\n"
     (g.stats.elapsed /. max 1e-9 gen.elapsed)
     (g.stats.elapsed /. max 1e-9 opt.elapsed)

@@ -81,6 +81,10 @@ module Mix = struct
   let bindings bs =
     List.fold_left (fun acc (e, c) -> add acc (scale c (of_value e))) zero bs
 
+  let lane_a x = x.a
+  let lane_b x = x.b
+  let of_lanes a b = { a; b }
+
   let to_fp x =
     let buf = Bytes.create 16 in
     Bytes.set_int64_le buf 0 (Int64.of_int x.a);

@@ -118,6 +118,17 @@ module Mix : sig
   val bindings : ('a * int) list -> t
 
   val to_fp : t -> fp
+
+  (** [of_fp d] is the lanes of the fingerprint [d]:
+      [of_value v = of_fp (Fingerprint.of_value v)]. *)
+  val of_fp : fp -> t
+
+  (** The two lanes, for tables keyed by native ints
+      ({!Flat_table}); [of_lanes (lane_a x) (lane_b x)] equals [x]. *)
+  val lane_a : t -> int
+
+  val lane_b : t -> int
+  val of_lanes : int -> int -> t
 end
 
 (** [product nodes bindings] is the key of the product state with node

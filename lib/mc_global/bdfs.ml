@@ -8,18 +8,535 @@ module Make (P : Dsm.Protocol.S) = struct
   module Envelope = Dsm.Envelope
   module Fingerprint = Dsm.Fingerprint
   module Mix = Fingerprint.Mix
+  module Table = Dsm.Flat_table
   module Trace = Dsm.Trace
+  module Vec = Dsm.Vec
+
+  type envelope = P.message Envelope.t
+  type step = (P.message, P.action) Trace.step
+
+  (* ---------- interned local transitions ---------- *)
+
+  (* One local step, memoised: node [node] moves from some state id to
+     [target], consuming envelope id [consumed] (-1 for actions and
+     crashes) and sending [out].  The deltas are what the step adds to
+     the system-state key and to the global key, so a successor's key
+     is its parent's plus two int additions. *)
+  type edge = {
+    node : int;
+    target : int;
+    consumed : int;
+    out : int array;  (* sent envelope ids, in handler order *)
+    sent : int array;
+        (* [out] as (id, count) pairs in ascending envelope order *)
+    step : step;
+    nodes_da : int;
+    nodes_db : int;
+    da : int;
+    db : int;
+  }
+
+  (* The memo's answer for a step that is not taken: the handler
+     raised [Local_assert], or a recovery lands on the same state. *)
+  let disabled =
+    {
+      node = -1;
+      target = -1;
+      consumed = -1;
+      out = [||];
+      sent = [||];
+      step = Trace.Crash 0;
+      nodes_da = 0;
+      nodes_db = 0;
+      da = 0;
+      db = 0;
+    }
+
+  (* Envelopes are interned by the classes of [Stdlib.compare], the
+     equality the network multiset has always used. *)
+  module Env_ids = Hashtbl.Make (struct
+    type t = envelope
+
+    let equal a b = Stdlib.compare a b = 0
+    let hash = Hashtbl.hash
+  end)
+
+  (* Digests of one permutation's images, cached per state id (slotted
+     at the image slot) and per envelope id. *)
+  type image_cache = {
+    perm : Dsm.Symmetry.perm;
+    image_states : Mix.t option Vec.t;
+    image_envs : Mix.t option Vec.t;
+  }
+
+  (* An interned node state and the memoised steps out of it. *)
+  type node_state = {
+    value : P.state;
+    owner : int;  (* its node *)
+    slot : Mix.t;  (* [Mix.slot owner (Mix.of_value value)] *)
+    mutable actions : edge array option;  (* enabled steps, once asked *)
+    mutable recovery : edge option;  (* crash-recovery, once asked *)
+  }
+
+  type interned_env = { env : envelope; fp : Fingerprint.t; mix : Mix.t }
+
+  type space = {
+    spec : (P.state, P.message) Dsm.Symmetry.spec;
+    images : image_cache array;  (* one per group element *)
+    state_ids : Table.t array;  (* per node: digest lanes -> state id *)
+    states : node_state Vec.t;  (* by state id *)
+    env_ids : int Env_ids.t;
+    envs : interned_env Vec.t;  (* by envelope id *)
+    mutable by_order : int array;  (* envelope ids, ascending *)
+    mutable rank : int array;  (* envelope id -> index in [by_order] *)
+    deliveries : Table.t;  (* (state id, envelope id) -> [edges] index *)
+    edges : edge Vec.t;  (* index 0: [disabled] *)
+  }
+
+  let create_space symmetry =
+    let edges = Vec.create () in
+    ignore (Vec.push edges disabled);
+    {
+      spec = symmetry;
+      images =
+        Array.of_list
+          (List.map
+             (fun perm ->
+               {
+                 perm;
+                 image_states = Vec.create ();
+                 image_envs = Vec.create ();
+               })
+             symmetry.Dsm.Symmetry.group.Dsm.Symmetry.elements);
+      state_ids = Array.init P.num_nodes (fun _ -> Table.create ());
+      states = Vec.create ();
+      env_ids = Env_ids.create 64;
+      envs = Vec.create ();
+      by_order = [||];
+      rank = [||];
+      deliveries = Table.create ();
+      edges;
+    }
+
+  (* Node states are interned per node by digest: equal digests mean
+     equal [Marshal] bytes, the identity the key already relies on. *)
+  let intern_state sp node value =
+    let d = Mix.of_value value in
+    let fresh = Vec.length sp.states in
+    match
+      Table.find_or_add sp.state_ids.(node) (Mix.lane_a d) (Mix.lane_b d)
+        fresh
+    with
+    | -1 ->
+        ignore
+          (Vec.push sp.states
+             {
+               value;
+               owner = node;
+               slot = Mix.slot node d;
+               actions = None;
+               recovery = None;
+             });
+        fresh
+    | sid -> sid
+
+  (* A new envelope takes its place in [Stdlib.compare] order; the
+     ranks of older ids shift but never reorder, so every network
+     sorted by rank stays sorted. *)
+  let intern_env sp e =
+    match Env_ids.find_opt sp.env_ids e with
+    | Some id -> id
+    | None ->
+        let id = Vec.length sp.envs in
+        Env_ids.add sp.env_ids e id;
+        let fp = Fingerprint.of_value e in
+        ignore (Vec.push sp.envs { env = e; fp; mix = Mix.of_fp fp });
+        let order = sp.by_order in
+        let lo = ref 0 and hi = ref (Array.length order) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if Stdlib.compare (Vec.get sp.envs order.(mid)).env e < 0 then
+            lo := mid + 1
+          else hi := mid
+        done;
+        let order =
+          Array.init
+            (Array.length order + 1)
+            (fun i ->
+              if i < !lo then order.(i)
+              else if i = !lo then id
+              else order.(i - 1))
+        in
+        let rank = Array.make (id + 1) 0 in
+        Array.iteri (fun i e -> rank.(e) <- i) order;
+        sp.by_order <- order;
+        sp.rank <- rank;
+        id
+
+  (* [ids] as (id, count) pairs in ascending envelope order. *)
+  let counted sp ids =
+    let rank = sp.rank in
+    let sorted =
+      List.sort (fun x y -> compare rank.(x) rank.(y)) (Array.to_list ids)
+    in
+    let rec group = function
+      | [] -> []
+      | x :: rest ->
+          let same, rest = List.partition (( = ) x) rest in
+          x :: (1 + List.length same) :: group rest
+    in
+    Array.of_list (group sorted)
+
+  let make_edge sp ~node ~source ~target ~consumed out step =
+    let out = Array.of_list (List.map (intern_env sp) out) in
+    let mix id = (Vec.get sp.envs id).mix in
+    let nodes_d =
+      Mix.sub (Vec.get sp.states target).slot (Vec.get sp.states source).slot
+    in
+    let d = Array.fold_left (fun acc id -> Mix.add acc (mix id)) nodes_d out in
+    let d = if consumed < 0 then d else Mix.sub d (mix consumed) in
+    {
+      node;
+      target;
+      consumed;
+      out;
+      sent = counted sp out;
+      step;
+      nodes_da = Mix.lane_a nodes_d;
+      nodes_db = Mix.lane_b nodes_d;
+      da = Mix.lane_a d;
+      db = Mix.lane_b d;
+    }
+
+  (* The delivery of envelope [eid] to its destination in state [sid];
+     the handler runs on the first request only. *)
+  let delivery sp sid eid =
+    let i = Table.find sp.deliveries sid eid in
+    if i >= 0 then Vec.get sp.edges i
+    else begin
+      let env = (Vec.get sp.envs eid).env in
+      let node = env.Envelope.dst in
+      let edge =
+        match P.handle_message ~self:node (Vec.get sp.states sid).value env with
+        | exception Dsm.Protocol.Local_assert _ -> disabled
+        | s', out ->
+            let target = intern_state sp node s' in
+            make_edge sp ~node ~source:sid ~target ~consumed:eid out
+              (Trace.Deliver env)
+      in
+      let i = if edge == disabled then 0 else Vec.push sp.edges edge in
+      ignore (Table.find_or_add sp.deliveries sid eid i);
+      edge
+    end
+
+  (* The enabled internal actions of state [sid], in [enabled_actions]
+     order, without the ones whose handler raises [Local_assert]. *)
+  let actions sp sid =
+    let ns = Vec.get sp.states sid in
+    match ns.actions with
+    | Some edges -> edges
+    | None ->
+        let node = ns.owner in
+        let edges =
+          Array.of_list
+            (List.filter_map
+               (fun action ->
+                 match P.handle_action ~self:node ns.value action with
+                 | exception Dsm.Protocol.Local_assert _ -> None
+                 | s', out ->
+                     let target = intern_state sp node s' in
+                     Some
+                       (make_edge sp ~node ~source:sid ~target ~consumed:(-1)
+                          out
+                          (Trace.Execute (node, action))))
+               (P.enabled_actions ~self:node ns.value))
+        in
+        ns.actions <- Some edges;
+        edges
+
+  (* A recovery that lands on the same state adds nothing: every
+     successor of the crashed branch exists verbatim on the uncrashed
+     one, so it is [disabled]. *)
+  let recovery sp sid =
+    let ns = Vec.get sp.states sid in
+    match ns.recovery with
+    | Some edge -> edge
+    | None ->
+        let node = ns.owner in
+        let target = intern_state sp node (P.on_recover ~self:node ns.value) in
+        let edge =
+          if target = sid then disabled
+          else
+            make_edge sp ~node ~source:sid ~target ~consumed:(-1) []
+              (Trace.Crash node)
+        in
+        ns.recovery <- Some edge;
+        edge
+
+  (* ---------- global states ---------- *)
 
   type global = {
-    nodes : P.state array;
-    net : P.message Envelope.t Net.Multiset.t;
+    sids : int array;  (* interned state id, per node *)
+    net : int array;
+        (* in-flight (envelope id, count) pairs, ascending envelope
+           order *)
     crashes : int array;
         (* never mutated in place: crash successors copy, everything
            else shares the parent's array *)
-    digests : Mix.t array;  (* [Mix.of_value nodes.(i)], per node *)
-    nodes_key : Mix.t;  (* [sum_i Mix.slot i digests.(i)] *)
-    net_key : Mix.t;  (* [sum count * Mix.of_value envelope] *)
+    nodes_a : int;  (* the system-state key's lanes *)
+    nodes_b : int;
+    key_a : int;  (* the key's lanes *)
+    key_b : int;
   }
+
+  (* The crash counts join the key only once some node has crashed, so
+     a [crash_budget = 0] run keys on nodes and network alone. *)
+  let crash_term crashes =
+    if Array.exists (fun c -> c > 0) crashes then Mix.of_value crashes
+    else Mix.zero
+
+  let key_mix g = Mix.of_lanes g.key_a g.key_b
+  let key g = Mix.to_fp (key_mix g)
+
+  let key_of ~nodes ~bindings ~crashes =
+    Mix.to_fp
+      (Mix.add
+         (Mix.slots (Array.map Mix.of_value nodes))
+         (Mix.add (Mix.bindings bindings) (crash_term crashes)))
+
+  let make_global sp nodes net crashes =
+    let sids = Array.mapi (intern_state sp) nodes in
+    let ids = Array.of_list (List.map (intern_env sp) net) in
+    let nodes_key =
+      Array.fold_left
+        (fun acc sid -> Mix.add acc (Vec.get sp.states sid).slot)
+        Mix.zero sids
+    in
+    let k =
+      Array.fold_left
+        (fun acc id -> Mix.add acc (Vec.get sp.envs id).mix)
+        (Mix.add nodes_key (crash_term crashes))
+        ids
+    in
+    {
+      sids;
+      net = counted sp ids;
+      crashes;
+      nodes_a = Mix.lane_a nodes_key;
+      nodes_b = Mix.lane_b nodes_key;
+      key_a = Mix.lane_a k;
+      key_b = Mix.lane_b k;
+    }
+
+  let envelope sp id = (Vec.get sp.envs id).env
+  let nodes sp g = Array.map (fun sid -> (Vec.get sp.states sid).value) g.sids
+
+  let bindings sp g =
+    List.init
+      (Array.length g.net / 2)
+      (fun i -> (envelope sp g.net.(2 * i), g.net.((2 * i) + 1)))
+
+  let crashes g = g.crashes
+  let is_crash e = match e.step with Trace.Crash _ -> true | _ -> false
+
+  (* [net] less one [consumed] (none when -1) plus [sent], both in
+     ascending envelope order. *)
+  let merge_net rank net consumed sent =
+    let ln = Array.length net and ls = Array.length sent in
+    let out = Array.make (ln + ls) 0 in
+    let n = ref 0 and i = ref 0 and j = ref 0 in
+    while !i < ln || !j < ls do
+      let order =
+        if !i >= ln then 1
+        else if !j >= ls then -1
+        else compare rank.(net.(!i)) rank.(sent.(!j))
+      in
+      let id = if order <= 0 then net.(!i) else sent.(!j) in
+      let count = ref 0 in
+      if order <= 0 then begin
+        count := net.(!i + 1) - if id = consumed then 1 else 0;
+        i := !i + 2
+      end;
+      if order >= 0 then begin
+        count := !count + sent.(!j + 1);
+        j := !j + 2
+      end;
+      if !count > 0 then begin
+        out.(!n) <- id;
+        out.(!n + 1) <- !count;
+        n := !n + 2
+      end
+    done;
+    if !n = Array.length out then out else Array.sub out 0 !n
+
+  (* The successor of [g] along [e]. *)
+  let apply sp g e =
+    let sids = Array.copy g.sids in
+    sids.(e.node) <- e.target;
+    let net =
+      if e.consumed = -1 && e.sent = [||] then g.net
+      else merge_net sp.rank g.net e.consumed e.sent
+    in
+    let crashes, ka, kb =
+      if is_crash e then begin
+        let crashes = Array.copy g.crashes in
+        crashes.(e.node) <- crashes.(e.node) + 1;
+        let d = Mix.sub (crash_term crashes) (crash_term g.crashes) in
+        (crashes, g.key_a + e.da + Mix.lane_a d, g.key_b + e.db + Mix.lane_b d)
+      end
+      else (g.crashes, g.key_a + e.da, g.key_b + e.db)
+    in
+    {
+      sids;
+      net;
+      crashes;
+      nodes_a = g.nodes_a + e.nodes_da;
+      nodes_b = g.nodes_b + e.nodes_db;
+      key_a = ka;
+      key_b = kb;
+    }
+
+  (* The steps out of [g], in the order the search takes them: one
+     delivery per distinct in-flight envelope (ascending envelope
+     order), each node's enabled actions (node order, then
+     [enabled_actions] order), then one crash-recovery per node under
+     [crash_budget]. *)
+  let iter_edges sp ~crash_budget g f =
+    let net = g.net in
+    for i = 0 to (Array.length net / 2) - 1 do
+      let eid = net.(2 * i) in
+      let node = (envelope sp eid).Envelope.dst in
+      let e = delivery sp g.sids.(node) eid in
+      if e != disabled then f e
+    done;
+    Array.iter (fun sid -> Array.iter f (actions sp sid)) g.sids;
+    if crash_budget > 0 then
+      Array.iteri
+        (fun n sid ->
+          if g.crashes.(n) < crash_budget then begin
+            let e = recovery sp sid in
+            if e != disabled then f e
+          end)
+        g.sids
+
+  let successors sp ~crash_budget g =
+    let acc = ref [] in
+    iter_edges sp ~crash_budget g (fun e ->
+        acc :=
+          ( e.step,
+            apply sp g e,
+            List.map (envelope sp) (Array.to_list e.out) )
+          :: !acc);
+    List.rev !acc
+
+  (* ---------- symmetry ---------- *)
+
+  let cached vec i compute =
+    while Vec.length vec <= i do
+      ignore (Vec.push vec None)
+    done;
+    match Vec.get vec i with
+    | Some x -> x
+    | None ->
+        let x = compute () in
+        Vec.set vec i (Some x);
+        x
+
+  (* Key of the image of [g] under one permutation: node [p.(i)] takes
+     node [i]'s identifier-rewritten state, envelopes are renamed (the
+     multiset sum needs no re-sorting), crash counters travel with
+     their node. *)
+  let image_key sp c g =
+    let p = c.perm in
+    let acc = ref Mix.zero in
+    Array.iter
+      (fun sid ->
+        let d =
+          cached c.image_states sid (fun () ->
+              let ns = Vec.get sp.states sid in
+              Mix.slot p.(ns.owner)
+                (Mix.of_value
+                   (sp.spec.Dsm.Symmetry.map_state (Dsm.Symmetry.apply p)
+                      ns.value)))
+        in
+        acc := Mix.add !acc d)
+      g.sids;
+    for i = 0 to (Array.length g.net / 2) - 1 do
+      let id = g.net.(2 * i) and count = g.net.((2 * i) + 1) in
+      let d =
+        cached c.image_envs id (fun () ->
+            let e = envelope sp id and rename = Dsm.Symmetry.apply p in
+            Mix.of_value
+              {
+                Envelope.src = rename e.Envelope.src;
+                dst = rename e.Envelope.dst;
+                payload =
+                  sp.spec.Dsm.Symmetry.map_message rename e.Envelope.payload;
+              })
+      in
+      acc :=
+        Mix.add !acc
+          (Mix.of_lanes (count * Mix.lane_a d) (count * Mix.lane_b d))
+    done;
+    Mix.add !acc (crash_term (Dsm.Symmetry.permute_slots p g.crashes))
+
+  let permuted_key sp p g =
+    match
+      Array.find_opt (fun c -> Dsm.Symmetry.equal_perm c.perm p) sp.images
+    with
+    | Some c -> Mix.to_fp (image_key sp c g)
+    | None -> invalid_arg "Bdfs.permuted_key: not an element of the group"
+
+  (* Canonical (least-over-orbit, by {!Fingerprint.compare}) key, given
+     the state's raw key.  With the identity group this IS the raw
+     key. *)
+  let canonical sp g raw =
+    let best = ref raw and best_fp = ref (Mix.to_fp raw) in
+    Array.iter
+      (fun c ->
+        if not (Dsm.Symmetry.is_identity c.perm) then begin
+          let m = image_key sp c g in
+          let f = Mix.to_fp m in
+          if Fingerprint.compare f !best_fp < 0 then begin
+            best := m;
+            best_fp := f
+          end
+        end)
+      sp.images;
+    !best
+
+  (* Heap bytes of the interned transitions.  In words: per node state
+     14 (its record, vector slot, boxed slot digest and memo options)
+     plus its [Marshal] size; per envelope 19 (record, slot, fingerprint
+     string, boxed digest, hash-table entry, rank and order cells) plus
+     its [Marshal] size; per memoised step 17 (record, step constructor,
+     id-array headers, the slot holding it) plus its ids; per cached
+     image digest 5; and the intern and delivery tables. *)
+  let space_bytes sp =
+    let word = 8 in
+    let edge acc e =
+      if e == disabled then acc
+      else acc + (word * (17 + Array.length e.out + Array.length e.sent))
+    in
+    let state acc ns =
+      let acc = acc + Fingerprint.serialized_size ns.value + (14 * word) in
+      let acc = match ns.recovery with Some e -> edge acc e | None -> acc in
+      match ns.actions with
+      | Some a -> Array.fold_left edge acc a
+      | None -> acc
+    in
+    let env acc ie = acc + Fingerprint.serialized_size ie.env + (19 * word) in
+    let image acc c =
+      acc + (5 * word * (Vec.length c.image_states + Vec.length c.image_envs))
+    in
+    Vec.fold_left state 0 sp.states
+    + Vec.fold_left env 0 sp.envs
+    + Vec.fold_left edge 0 sp.edges
+    + Array.fold_left image 0 sp.images
+    + Array.fold_left (fun acc t -> acc + Table.bytes t) 0 sp.state_ids
+    + Table.bytes sp.deliveries
+
+  (* ---------- the search ---------- *)
 
   type violation = {
     system : P.state array;
@@ -62,7 +579,7 @@ module Make (P : Dsm.Protocol.S) = struct
            depth-keyed table, which the DFS's revisit-shallower
            correction is not.  Entries from earlier runs gate
            re-expansion, making restarts incremental; [retained_bytes]
-           then counts only the parent table. *)
+           then counts no visited table. *)
     obs : Obs.scope;
         (* metrics, plus the flight recorder: first-visit transitions,
            violation witnesses, run header/footer.  The global
@@ -97,84 +614,6 @@ module Make (P : Dsm.Protocol.S) = struct
       symmetry = Dsm.Symmetry.id_spec ~degree:P.num_nodes;
     }
 
-  (* The key of a global state (Fingerprint.Mix): the positional mix of
-     its node digests plus the multiset sum of its envelope digests.
-     The crash counts join only once some node has crashed, so a
-     [crash_budget = 0] run keys on nodes and network alone. *)
-  let compose nodes_key net_key crashes =
-    let crash_term =
-      if Array.exists (fun c -> c > 0) crashes then Mix.of_value crashes
-      else Mix.zero
-    in
-    Mix.to_fp (Mix.add nodes_key (Mix.add net_key crash_term))
-
-  let key_of ~nodes ~bindings ~crashes =
-    compose
-      (Mix.slots (Array.map Mix.of_value nodes))
-      (Mix.bindings bindings) crashes
-
-  (* The same key from the parts a [global] caches: O(1) per state. *)
-  let key g = compose g.nodes_key g.net_key g.crashes
-
-  let make_global nodes net crashes =
-    let digests = Array.map Mix.of_value nodes in
-    {
-      nodes;
-      net;
-      crashes;
-      digests;
-      nodes_key = Mix.slots digests;
-      net_key = Mix.bindings (Net.Multiset.bindings net);
-    }
-
-  (* [g] with node [n] in [state'] of digest [d]: the one node digest a
-     successor pays, and the positional sum moved by the difference. *)
-  let with_node g n state' d =
-    let nodes = Array.copy g.nodes in
-    nodes.(n) <- state';
-    let digests = Array.copy g.digests in
-    digests.(n) <- d;
-    {
-      g with
-      nodes;
-      digests;
-      nodes_key = Mix.add g.nodes_key (Mix.slot n (Mix.sub d g.digests.(n)));
-    }
-
-  let envelopes_key out =
-    List.fold_left (fun acc e -> Mix.add acc (Mix.of_value e)) Mix.zero out
-
-  (* Key of the image of [g] under one permutation: node [p.(i)] takes
-     node [i]'s identifier-rewritten state, envelopes are renamed (the
-     multiset sum needs no re-sorting), crash counters travel with
-     their node. *)
-  let permuted_key spec p g =
-    let bindings = Net.Multiset.bindings g.net in
-    let nodes, envs =
-      Dsm.Symmetry.permute_global spec p g.nodes (List.map fst bindings)
-    in
-    key_of ~nodes
-      ~bindings:(List.map2 (fun e (_, c) -> (e, c)) envs bindings)
-      ~crashes:(Dsm.Symmetry.permute_slots p g.crashes)
-
-  (* Canonical (least-over-orbit) key, given the state's raw key.  With
-     the identity group this IS the raw key. *)
-  let canonical_key (spec : (P.state, P.message) Dsm.Symmetry.spec) g raw =
-    if Dsm.Symmetry.is_trivial spec.Dsm.Symmetry.group then raw
-    else
-      List.fold_left
-        (fun best p ->
-          if Dsm.Symmetry.is_identity p then best
-          else
-            let f = permuted_key spec p g in
-            if Fingerprint.compare f best < 0 then f else best)
-        raw spec.Dsm.Symmetry.group.Dsm.Symmetry.elements
-
-  (* Per-entry analytic footprint of the visited set: 16-byte key
-     plus hash-table slot overhead (next pointer, depth). *)
-  let visited_entry_bytes = Fingerprint.size + 48
-  let parent_entry_bytes = (2 * Fingerprint.size) + 80
-
   (* Metric handles resolved once per run; see the LMC checker for the
      cost model (atomic increments on the hot path). *)
   type obs_handles = {
@@ -207,45 +646,6 @@ module Make (P : Dsm.Protocol.S) = struct
     | Trace.Execute (_, a) -> Format.asprintf "%a" P.pp_action a
     | Trace.Crash _ -> "crash-recover"
 
-  (* One flight-recorder step for a first-visited global state.  [inj]
-     maps message fingerprints to the seq of the step that produced
-     them, giving deliveries their provenance link. *)
-  let record_global_step ~trace ~inj step out ~fp_before ~fp_after ~depth =
-    let node, kind, src, consumed =
-      match step with
-      | Trace.Deliver env ->
-          let mfp = Fingerprint.of_value env in
-          ( env.Envelope.dst,
-            Obs.Trace.Deliver,
-            env.Envelope.src,
-            Some
-              ( Fingerprint.to_hex mfp,
-                match Hashtbl.find_opt inj mfp with
-                | Some s -> s
-                | None -> -1 ) )
-      | Trace.Execute (n, _) -> (n, Obs.Trace.Action, -1, None)
-      | Trace.Crash n -> (n, Obs.Trace.Crash, -1, None)
-    in
-    let produces = List.map Fingerprint.of_value out in
-    let seq =
-      Obs.Trace.record_step trace
-        {
-          Obs.Trace.node;
-          kind;
-          src;
-          label = step_label step;
-          fp_before = Fingerprint.to_hex fp_before;
-          fp_after = Fingerprint.to_hex fp_after;
-          consumed;
-          produced = List.map Fingerprint.to_hex produces;
-          depth;
-          dom = 0;
-        }
-    in
-    List.iter
-      (fun f -> if not (Hashtbl.mem inj f) then Hashtbl.add inj f seq)
-      produces
-
   let record_run_header ~trace =
     ignore
       (Obs.Trace.emit trace ~ev:"bdfs_run"
@@ -273,25 +673,30 @@ module Make (P : Dsm.Protocol.S) = struct
     o : obs_handles;
     tracing : bool;
     reduce : bool;  (* [config.symmetry] is non-trivial *)
-    binj : (Fingerprint.t, int) Hashtbl.t;
+    sp : space;
+    mutable binj : int array;
+        (* envelope id -> seq of the step record that first produced
+           it, or -1 *)
     root : P.state array;  (* starting states, for witness records *)
     invariant : P.state Dsm.Invariant.t;
-    visited : (Fingerprint.t, int) Hashtbl.t;
-        (* canonical key -> min depth, for the DFS; empty when
-           [config.visited_store] holds presence on disk instead.  With
-           the identity group canonical = raw *)
-    parents :
-      (Fingerprint.t, Fingerprint.t option * (P.message, P.action) Trace.step)
-      Hashtbl.t;
-        (* keyed by canonical keys; each key resolves to the
-           unique first-visited (original-coordinate) state of its
-           orbit, so a rebuilt chain is a real executable path *)
+    visited : Table.t;
+        (* canonical key lanes -> index into [depths], for the DFS;
+           empty when [config.visited_store] holds presence on disk
+           instead.  With the identity group canonical = raw *)
+    depths : int Vec.t;  (* least depth each visited key was reached at *)
+    parents : int Vec.t;
+    steps : step Vec.t;
+        (* with [track_traces], per first-visited state (indices shared
+           with [depths] in the DFS): the parent's index (-1 at the root)
+           and the step from it.  Each canonical key has one entry, for
+           the first-visited (original-coordinate) state of its orbit,
+           so a rebuilt chain is a real executable path *)
     mutable transitions : int;
     mutable global_states : int;  (* states first visited by this run *)
     mutable store_hits : int;
         (* successors already present in [config.visited_store] *)
     mutable orbit_hits : int;
-    system_states : (Fingerprint.t, unit) Hashtbl.t;
+    system_states : Table.t;  (* system-state key lanes *)
     mutable max_depth_reached : int;
     mutable violation : violation option;
     mutable truncated : bool;  (* some limit tripped *)
@@ -315,22 +720,25 @@ module Make (P : Dsm.Protocol.S) = struct
       raise Stop
     end
 
-  let rebuild_trace s fp =
-    let rec walk fp acc =
-      match Hashtbl.find_opt s.parents fp with
-      | None -> acc
-      | Some (parent, step) -> (
-          match parent with
-          | None -> step :: acc
-          | Some pfp -> walk pfp (step :: acc))
-    in
-    walk fp []
+  (* Appends a first-visited state's parent entry (with [track_traces]). *)
+  let add_parent s ~parent step =
+    if s.config.track_traces then begin
+      ignore (Vec.push s.parents parent);
+      ignore (Vec.push s.steps step)
+    end
 
-  let record_violation s g fp depth violation =
+  let rebuild_trace s idx =
+    let rec walk idx acc =
+      let parent = Vec.get s.parents idx in
+      if parent < 0 then acc else walk parent (Vec.get s.steps idx :: acc)
+    in
+    walk idx []
+
+  let record_violation s g idx depth violation =
     if s.violation = None then begin
-      let tr = if s.config.track_traces then rebuild_trace s fp else [] in
+      let tr = if s.config.track_traces then rebuild_trace s idx else [] in
       s.violation <-
-        Some { system = Array.copy g.nodes; violation; trace = tr; depth };
+        Some { system = nodes s.sp g; violation; trace = tr; depth };
       if s.tracing && s.config.track_traces then
         ignore
           (Obs.Trace.emit s.o.trace ~ev:"witness"
@@ -339,78 +747,51 @@ module Make (P : Dsm.Protocol.S) = struct
                 ~detail:violation.Dsm.Invariant.detail))
     end
 
-  (* Successors of a global state: one delivery per distinct in-flight
-     message, one execution per enabled internal action.  A handler
-     raising Local_assert makes the transition disabled.  The sent
-     messages travel alongside each successor so the flight recorder
-     can log productions without re-running the handler. *)
-  let successors ~crash_budget g =
-    let deliveries =
-      Net.Multiset.fold_distinct
-        (fun env _count acc ->
-          let node = env.Envelope.dst in
-          match P.handle_message ~self:node g.nodes.(node) env with
-          | exception Dsm.Protocol.Local_assert _ -> acc
-          | state', out ->
-              let g' = with_node g node state' (Mix.of_value state') in
-              let net =
-                match Net.Multiset.remove env g.net with
-                | Some net -> Net.Multiset.add_list out net
-                | None -> assert false
-              in
-              let net_key =
-                Mix.add
-                  (Mix.sub g.net_key (Mix.of_value env))
-                  (envelopes_key out)
-              in
-              (Trace.Deliver env, { g' with net; net_key }, out) :: acc)
-        g.net []
+  (* One flight-recorder step for a first-visited global state.  [binj]
+     maps envelope ids to the seq of the step that produced them,
+     giving deliveries their provenance link. *)
+  let record_global_step s g e g' ~depth =
+    let sp = s.sp in
+    let n = Vec.length sp.envs in
+    if Array.length s.binj < n then begin
+      let binj = Array.make (max n (2 * Array.length s.binj)) (-1) in
+      Array.blit s.binj 0 binj 0 (Array.length s.binj);
+      s.binj <- binj
+    end;
+    let hex id = Fingerprint.to_hex (Vec.get sp.envs id).fp in
+    let node, kind, src, consumed =
+      match e.step with
+      | Trace.Deliver env ->
+          ( env.Envelope.dst,
+            Obs.Trace.Deliver,
+            env.Envelope.src,
+            Some (hex e.consumed, s.binj.(e.consumed)) )
+      | Trace.Execute (n, _) -> (n, Obs.Trace.Action, -1, None)
+      | Trace.Crash n -> (n, Obs.Trace.Crash, -1, None)
     in
-    let actions =
-      List.concat_map
-        (fun n ->
-          List.filter_map
-            (fun action ->
-              match P.handle_action ~self:n g.nodes.(n) action with
-              | exception Dsm.Protocol.Local_assert _ -> None
-              | state', out ->
-                  let g' = with_node g n state' (Mix.of_value state') in
-                  let net = Net.Multiset.add_list out g.net in
-                  let net_key = Mix.add g.net_key (envelopes_key out) in
-                  Some
-                    (Trace.Execute (n, action), { g' with net; net_key }, out))
-            (P.enabled_actions ~self:n g.nodes.(n)))
-        (Dsm.Node_id.all P.num_nodes)
+    let seq =
+      Obs.Trace.record_step s.o.trace
+        {
+          Obs.Trace.node;
+          kind;
+          src;
+          label = step_label e.step;
+          fp_before = Fingerprint.to_hex (key g);
+          fp_after = Fingerprint.to_hex (key g');
+          consumed;
+          produced = List.map hex (Array.to_list e.out);
+          depth;
+          dom = 0;
+        }
     in
-    let crashes =
-      if crash_budget <= 0 then []
-      else
-        List.filter_map
-          (fun n ->
-            if g.crashes.(n) >= crash_budget then None
-            else
-              let state' = P.on_recover ~self:n g.nodes.(n) in
-              let d = Mix.of_value state' in
-              (* a recovery that lands on the same state adds nothing:
-                 every successor of the crashed branch exists verbatim
-                 on the uncrashed one, so the prune is sound *)
-              if Mix.equal d g.digests.(n) then None
-              else begin
-                let crashes = Array.copy g.crashes in
-                crashes.(n) <- crashes.(n) + 1;
-                let g' = with_node g n state' d in
-                Some (Trace.Crash n, { g' with crashes }, [])
-              end)
-          (Dsm.Node_id.all P.num_nodes)
-    in
-    List.rev_append deliveries (actions @ crashes)
+    Array.iter (fun id -> if s.binj.(id) < 0 then s.binj.(id) <- seq) e.out
 
   let heartbeat s =
     Obs.heartbeat s.o.scope (fun () ->
         [
           ("transitions", Dsm.Json.Int s.transitions);
           ("global_states", Dsm.Json.Int s.global_states);
-          ("system_states", Dsm.Json.Int (Hashtbl.length s.system_states));
+          ("system_states", Dsm.Json.Int (Table.length s.system_states));
           ("max_depth", Dsm.Json.Int s.max_depth_reached);
           ( "elapsed_s",
             Dsm.Json.Float (Unix.gettimeofday () -. s.started) );
@@ -426,73 +807,87 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* System states are keyed by the node-digest mix alone. *)
   let note_system_state s g =
-    let sys_key = Mix.to_fp g.nodes_key in
-    if not (Hashtbl.mem s.system_states sys_key) then begin
-      Hashtbl.replace s.system_states sys_key ();
+    if Table.find_or_add s.system_states g.nodes_a g.nodes_b 0 = -1 then
       Obs.Metrics.incr s.o.c_system_states
-    end
 
   let orbit_hit s =
     s.orbit_hits <- s.orbit_hits + 1;
     Obs.Metrics.incr s.o.c_orbit_hits
 
-  (* Everything a first visit does besides the visited-set insert:
-     parent link, step record, system-state tally and the invariant. *)
-  let first_visit s ~parent_fp ~parent_cfp step out g' fp' cfp' depth' =
+  (* Everything a first visit does besides the visited-set insert and
+     the parent entry [idx]: step record, system-state tally and the
+     invariant. *)
+  let first_visit s g e g' idx depth' =
     Obs.Metrics.observe s.o.h_depth depth';
-    if s.config.track_traces then
-      Hashtbl.replace s.parents cfp' (Some parent_cfp, step);
-    if s.tracing then
-      record_global_step ~trace:s.o.trace ~inj:s.binj step out
-        ~fp_before:parent_fp ~fp_after:fp' ~depth:depth';
+    if s.tracing then record_global_step s g e g' ~depth:depth';
     note_system_state s g';
-    match Dsm.Invariant.check s.invariant g'.nodes with
+    match Dsm.Invariant.check s.invariant (nodes s.sp g') with
     | Some violation ->
-        record_violation s g' cfp' depth' violation;
+        record_violation s g' idx depth' violation;
         if s.config.stop_on_violation then raise Stop
     | None -> ()
 
-  (* The recursive DFS.  [fp] is the raw key of [g] (trace records stay
-     in original coordinates, so witness replay re-derives them); [cfp]
-     its canonical form, keying the visited and parent tables.  The
-     budget is checked before each transition, as in [explore_layers],
-     so [max_transitions] is exact. *)
-  let rec explore s g fp cfp depth =
+  (* The recursive DFS.  [g] sits at entry [idx] of the visited table's
+     side vectors; its key is raw (trace records stay in original
+     coordinates, so witness replay re-derives them), the table's is
+     canonical.  A successor is built only when it is explored: a
+     revisit costs its key (two additions from the memoised edge) and
+     one probe.  The budget is checked before each transition, as in
+     [explore_layers], so [max_transitions] is exact. *)
+  let rec explore s g idx depth =
     heartbeat s;
     if depth > s.max_depth_reached then s.max_depth_reached <- depth;
     let depth_ok =
       match s.config.max_depth with Some d -> depth < d | None -> true
     in
     if depth_ok then
-      List.iter
-        (fun (step, g', out) ->
+      iter_edges s.sp ~crash_budget:s.config.crash_budget g (fun e ->
           check_budget s;
           count_transition s;
-          let fp' = key g' in
-          let cfp' = canonical_key s.config.symmetry g' fp' in
+          let built =
+            if s.reduce || is_crash e then Some (apply s.sp g e) else None
+          in
+          let raw =
+            match built with
+            | Some g' -> key_mix g'
+            | None -> Mix.of_lanes (g.key_a + e.da) (g.key_b + e.db)
+          in
+          let canon =
+            match built with
+            | Some g' when s.reduce -> canonical s.sp g' raw
+            | _ -> raw
+          in
           let depth' = depth + 1 in
-          match Hashtbl.find_opt s.visited cfp' with
-          | Some d when depth' >= d ->
-              if s.reduce && not (Fingerprint.equal fp' cfp') then
-                orbit_hit s
-          | known ->
-              (* new, or rediscovered at a shallower depth: re-expand *)
-              Hashtbl.replace s.visited cfp' depth';
-              if known = None then begin
-                count_global_state s;
-                first_visit s ~parent_fp:fp ~parent_cfp:cfp step out g' fp'
-                  cfp' depth'
-              end;
-              explore s g' fp' cfp' depth')
-        (successors ~crash_budget:s.config.crash_budget g)
+          let fresh = Vec.length s.depths in
+          let build () =
+            match built with Some g' -> g' | None -> apply s.sp g e
+          in
+          match
+            Table.find_or_add s.visited (Mix.lane_a canon) (Mix.lane_b canon)
+              fresh
+          with
+          | -1 ->
+              ignore (Vec.push s.depths depth');
+              add_parent s ~parent:idx e.step;
+              count_global_state s;
+              let g' = build () in
+              first_visit s g e g' fresh depth';
+              explore s g' fresh depth'
+          | known when depth' < Vec.get s.depths known ->
+              (* rediscovered at a shallower depth: re-expand *)
+              Vec.set s.depths known depth';
+              explore s (build ()) known depth'
+          | _ ->
+              if s.reduce && not (Mix.equal raw canon) then orbit_hit s)
 
   (* Layered (breadth-first) expansion over the disk-backed visited
      set.  Layers visit each state at its minimum depth, so the
      presence-only set is exactly equivalent to the DFS's depth-keyed
      table; the traversal order differs, but on an exhausted space the
-     explored set and the verdict are the same. *)
-  let explore_layers s store g fp cfp =
-    let frontier = ref [ (g, fp, cfp) ] in
+     explored set and the verdict are the same.  A first-visited
+     state's parent entry is its index in [s.parents]. *)
+  let explore_layers s store g idx =
+    let frontier = ref [ (g, idx) ] in
     let depth = ref 0 in
     while !frontier <> [] do
       heartbeat s;
@@ -505,40 +900,46 @@ module Make (P : Dsm.Protocol.S) = struct
       if depth_ok then begin
         let next = ref [] in
         List.iter
-          (fun (g, fp, cfp) ->
-            List.iter
-              (fun (step, g', out) ->
+          (fun (g, idx) ->
+            iter_edges s.sp ~crash_budget:s.config.crash_budget g (fun e ->
                 check_budget s;
                 count_transition s;
-                let fp' = key g' in
-                let cfp' = canonical_key s.config.symmetry g' fp' in
-                if Store.Fp_set.add store cfp' then begin
+                let g' = apply s.sp g e in
+                let raw = key_mix g' in
+                let canon = if s.reduce then canonical s.sp g' raw else raw in
+                if Store.Fp_set.add store (Mix.to_fp canon) then begin
                   count_global_state s;
                   if depth' > s.max_depth_reached then
                     s.max_depth_reached <- depth';
-                  first_visit s ~parent_fp:fp ~parent_cfp:cfp step out g' fp'
-                    cfp' depth';
-                  next := (g', fp', cfp') :: !next
+                  let idx' = Vec.length s.parents in
+                  add_parent s ~parent:idx e.step;
+                  first_visit s g e g' idx' depth';
+                  next := (g', idx') :: !next
                 end
                 else begin
                   s.store_hits <- s.store_hits + 1;
-                  if s.reduce && not (Fingerprint.equal fp' cfp') then
-                    orbit_hit s
-                end)
-              (successors ~crash_budget:s.config.crash_budget g))
+                  if s.reduce && not (Mix.equal raw canon) then orbit_hit s
+                end))
           layer;
         frontier := List.rev !next;
         depth := depth'
       end
     done
 
+  (* Retained heap: the visited table and its depth lane (DFS only),
+     the parent entries, the system-state table and the interned
+     transitions.  Vectors count one word per entry. *)
+  let retained_bytes s =
+    let word = 8 in
+    Table.bytes s.visited
+    + (word * Vec.length s.depths)
+    + (2 * word * Vec.length s.parents)
+    + Table.bytes s.system_states + space_bytes s.sp
+
   let run config ~invariant ?(initial_net = []) init =
     Obs.frame config.obs "bdfs" @@ fun () ->
-    let g =
-      make_global (Array.copy init)
-        (Net.Multiset.of_list initial_net)
-        (Array.make P.num_nodes 0)
-    in
+    let sp = create_space config.symmetry in
+    let g = make_global sp init initial_net (Array.make P.num_nodes 0) in
     let o = make_obs_handles config in
     let s =
       {
@@ -547,16 +948,19 @@ module Make (P : Dsm.Protocol.S) = struct
         tracing = Obs.Trace.enabled o.trace;
         reduce =
           not (Dsm.Symmetry.is_trivial config.symmetry.Dsm.Symmetry.group);
-        binj = Hashtbl.create 256;
+        sp;
+        binj = [||];
         root = Array.copy init;
         invariant;
-        visited = Hashtbl.create 4096;
-        parents = Hashtbl.create 4096;
+        visited = Table.create ();
+        depths = Vec.create ();
+        parents = Vec.create ();
+        steps = Vec.create ();
         transitions = 0;
         global_states = 0;
         store_hits = 0;
         orbit_hits = 0;
-        system_states = Hashtbl.create 4096;
+        system_states = Table.create ();
         max_depth_reached = 0;
         violation = None;
         truncated = false;
@@ -564,43 +968,41 @@ module Make (P : Dsm.Protocol.S) = struct
       }
     in
     if s.tracing then record_run_header ~trace:o.trace;
-    let fp = key g in
-    let cfp = canonical_key config.symmetry g fp in
+    let raw = key_mix g in
+    let canon = if s.reduce then canonical sp g raw else raw in
+    (* The root's parent entry is 0 and ends every rebuilt trace. *)
+    add_parent s ~parent:(-1) (Trace.Crash 0);
     let fresh =
       match config.visited_store with
       | None ->
-          Hashtbl.replace s.visited cfp 0;
+          ignore
+            (Table.find_or_add s.visited (Mix.lane_a canon) (Mix.lane_b canon)
+               0);
+          ignore (Vec.push s.depths 0);
           true
-      | Some store -> Store.Fp_set.add store cfp
+      | Some store -> Store.Fp_set.add store (Mix.to_fp canon)
     in
     if fresh then count_global_state s else s.store_hits <- s.store_hits + 1;
-    (* The root has no parent entry; [rebuild_trace] stops there. *)
     note_system_state s g;
-    (match Dsm.Invariant.check invariant g.nodes with
-    | Some violation -> record_violation s g cfp 0 violation
+    (match Dsm.Invariant.check invariant (nodes sp g) with
+    | Some violation -> record_violation s g 0 0 violation
     | None -> ());
     (if not (config.stop_on_violation && s.violation <> None) then
        try
          match config.visited_store with
-         | None -> explore s g fp cfp 0
-         | Some store -> explore_layers s store g fp cfp
+         | None -> explore s g 0 0
+         | Some store -> explore_layers s store g 0
        with Stop -> ());
     let elapsed = Unix.gettimeofday () -. s.started in
-    let retained_bytes =
-      (* with a disk-backed visited set the keys live in the
-         page cache, not the heap: only the parent table is retained *)
-      (Hashtbl.length s.visited * visited_entry_bytes)
-      + (Hashtbl.length s.parents * parent_entry_bytes)
-    in
     let outcome =
       {
         stats =
           {
             transitions = s.transitions;
             global_states = s.global_states;
-            system_states = Hashtbl.length s.system_states;
+            system_states = Table.length s.system_states;
             max_depth_reached = s.max_depth_reached;
-            retained_bytes;
+            retained_bytes = retained_bytes s;
             store_hits = s.store_hits;
             orbit_hits = s.orbit_hits;
             elapsed;

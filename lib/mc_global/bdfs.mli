@@ -3,9 +3,13 @@
     The classic approach the paper compares against.  States are
     {e global}: the system state (all node-local states) together with
     the network (a multiset of in-flight messages).  Every enabled
-    handler is executed on every traversed global state; duplicate
-    detection uses a compositional 128-bit {e key} (below) that each
-    transition updates rather than recomputes.
+    transition is taken from every traversed global state, but each
+    local step — a node state meeting a message, an action or a crash
+    — runs its handler once and is shared by every global state that
+    contains it (an interned {!Make.space}).  Duplicate detection uses
+    a compositional 128-bit {e key} (below) that each transition
+    updates with the step's memoised deltas rather than recomputes,
+    held in one flat table ({!Dsm.Flat_table}) keyed by its two lanes.
 
     B-DFS is sound (every traversed state is reachable, so every
     report is real) and complete given enough time — but the network
@@ -17,43 +21,67 @@
 val key_name : string
 
 module Make (P : Dsm.Protocol.S) : sig
-  (** A global state with the parts of its key cached.  The key
-      ({!Dsm.Fingerprint.Mix}) is
+  (** {2 Interned local transitions}
+
+      The paper's premise (section 3) is that node states are shared
+      across global states, so each local transition needs to run only
+      once.  A {!space} interns node states (per node, by digest) and
+      envelopes (by [Stdlib.compare] class) into dense ids, each with
+      its digest cached, and memoises every local step the search asks
+      for: (state id, envelope id) to its delivery, state id to its
+      enabled actions (in [enabled_actions] order), and state id to its
+      crash-recovery.  A handler raising [Local_assert] memoises as a
+      disabled step.
+
+      {b Determinism contract.}  The memo hands every global state that
+      contains a node state the first execution's result, so handlers,
+      [enabled_actions] and [on_recover] must be deterministic functions
+      of (self, state, input), and states fingerprint-equal must behave
+      alike.  [Lint.Sanitize]'s determinism and canonicality sanitizers
+      audit exactly this ([make lint]). *)
+
+  type space
+
+  (** A fresh, empty space; {!permuted_key} caches image digests for
+      the given spec's group.  {!run} creates its own. *)
+  val create_space : (P.state, P.message) Dsm.Symmetry.spec -> space
+
+  (** A global state over a space's ids: one state id per node, the
+      in-flight multiset as (envelope id, count) pairs in ascending
+      [Stdlib.compare] order of the envelopes, the crash counts, and
+      the lanes of two keys ({!Dsm.Fingerprint.Mix}).  The key is
       [sum_i slot i (of_value nodes.(i)) + sum count * of_value env],
       plus [Mix.of_value crashes] once some node has crashed — so a
-      [crash_budget = 0] run keys on nodes and network alone.  A
-      transition re-digests only the node whose handler ran, subtracts
-      the consumed envelope's digest and adds the produced ones'. *)
-  type global = private {
-    nodes : P.state array;
-    net : P.message Dsm.Envelope.t Net.Multiset.t;
-    crashes : int array;
-        (** crash-recoveries taken per node on the path to this state;
-            all zero unless [crash_budget > 0] *)
-    digests : Dsm.Fingerprint.Mix.t array;
-        (** [Mix.of_value nodes.(i)], per node *)
-    nodes_key : Dsm.Fingerprint.Mix.t;
-        (** [sum_i Mix.slot i digests.(i)]: the system-state key *)
-    net_key : Dsm.Fingerprint.Mix.t;
-        (** [sum count * Mix.of_value env] over [net] *)
-  }
+      [crash_budget = 0] run keys on nodes and network alone; the
+      system-state key is its first sum.  Every digest comes from the
+      space's caches, and a step adds its memoised deltas. *)
+  type global
 
-  (** [make_global nodes net crashes] computes every cached part from
-      scratch. *)
+  (** [make_global sp nodes net crashes] interns [nodes] and [net]
+      into [sp]. *)
   val make_global :
-    P.state array ->
-    P.message Dsm.Envelope.t Net.Multiset.t ->
-    int array ->
+    space -> P.state array -> P.message Dsm.Envelope.t list -> int array ->
     global
 
+  (** The node states, by node. *)
+  val nodes : space -> global -> P.state array
+
+  (** Distinct in-flight envelopes with their multiplicities, in
+      ascending [Stdlib.compare] order. *)
+  val bindings : space -> global -> (P.message Dsm.Envelope.t * int) list
+
+  val crashes : global -> int array
+
   (** Successors of a global state, each with the step taken and the
-      messages it sent: one delivery per distinct in-flight message,
-      one execution per enabled internal action, then (with
-      [crash_budget > 0]) one crash-recovery per node under budget
-      whose recovered state differs from its current one.  A handler
-      raising [Local_assert] disables its transition.  Each successor
-      pays one node digest. *)
+      messages it sent, in the order the search takes them: one
+      delivery per distinct in-flight message (ascending order), each
+      node's enabled internal actions (node order, then
+      [enabled_actions] order), then (with [crash_budget > 0]) one
+      crash-recovery per node under budget whose recovered state
+      differs from its current one.  Disabled steps are skipped.  The
+      search runs the same memoised steps. *)
   val successors :
+    space ->
     crash_budget:int ->
     global ->
     ((P.message, P.action) Dsm.Trace.step
@@ -61,8 +89,8 @@ module Make (P : Dsm.Protocol.S) : sig
     * P.message Dsm.Envelope.t list)
     list
 
-  (** The key from [g]'s cached parts; this keys the visited set, the
-      parent table and step records' [fp_before]/[fp_after]. *)
+  (** The key from [g]'s cached lanes; this keys the visited set and
+      step records' [fp_before]/[fp_after]. *)
   val key : global -> Dsm.Fingerprint.t
 
   (** The same key computed from scratch. *)
@@ -72,14 +100,13 @@ module Make (P : Dsm.Protocol.S) : sig
     crashes:int array ->
     Dsm.Fingerprint.t
 
-  (** [permuted_key spec p g] is [key_of] of [g]'s image under [p]
-      (see [symmetry] below), built from renamed, slot-permuted node
-      states and renamed envelopes. *)
-  val permuted_key :
-    (P.state, P.message) Dsm.Symmetry.spec ->
-    Dsm.Symmetry.perm ->
-    global ->
-    Dsm.Fingerprint.t
+  (** [permuted_key sp p g] is [key_of] of [g]'s image under [p] (an
+      element of [sp]'s group; see [symmetry] below): renamed,
+      slot-permuted node states, renamed envelopes and permuted crash
+      counts, with each image digest cached per (permutation, id). *)
+  val permuted_key : space -> Dsm.Symmetry.perm -> global -> Dsm.Fingerprint.t
+
+  (** {2 The search} *)
 
   type violation = {
     system : P.state array;  (** the violating system state *)
@@ -90,14 +117,24 @@ module Make (P : Dsm.Protocol.S) : sig
   }
 
   type stats = {
-    transitions : int;  (** handler executions *)
+    transitions : int;
+        (** global-state transitions taken (edges of the explored
+            graph); each runs a handler only the first time its
+            (node state, input) pair is met *)
     global_states : int;  (** distinct global states visited *)
     system_states : int;  (** distinct system states among them *)
     max_depth_reached : int;
     retained_bytes : int;
-        (** analytic heap memory of the visited + parent sets; with
-            [visited_store] the keys live in the page cache
-            instead and only the parent table counts *)
+        (** analytic heap bytes the run retains: the visited table's
+            slot array ({!Dsm.Flat_table.bytes}) and one word per
+            visited key for its depth; two words per parent entry
+            (parent index, shared step; [track_traces] only); the
+            system-state table; and the {!space}: each interned node
+            state and envelope at its [Marshal] size plus its cached
+            digests and table slots, each memoised step's record and id
+            arrays, and the intern and delivery tables.  With
+            [visited_store] the keys live in the page cache and the
+            visited table and depths are not kept *)
     store_hits : int;
         (** successors whose key was already present in
             [visited_store] (earlier run or this one); [0] without a

@@ -348,6 +348,70 @@ let test_vec_conversions () =
   Dsm.Vec.clear v;
   check Alcotest.int "cleared" 0 (Dsm.Vec.length v)
 
+(* ---------- Flat_table ---------- *)
+
+(* Against a stdlib Hashtbl over the same pairs, through several
+   growths.  Keys share a lane with other keys (small ids, one lane
+   fixed, swapped lanes) so a table that compared one lane only would
+   merge them; extremes and negatives are keys too. *)
+let test_flat_table_model () =
+  let t = Dsm.Flat_table.create () in
+  let model = Hashtbl.create 64 in
+  let rng = Random.State.make [| 7 |] in
+  let keys =
+    List.concat
+      [
+        List.init 3000 (fun i -> (i / 50, i mod 50));
+        List.init 2000 (fun i -> (42, i));
+        List.init 2000 (fun i -> (i, 42));
+        List.init 2000 (fun i -> (i mod 50, i / 50));
+        List.init 5000 (fun _ ->
+            (Random.State.bits rng lsl 32 lxor Random.State.bits rng,
+             - Random.State.bits rng));
+        [ (0, 0); (max_int, min_int); (min_int, max_int); (-1, -1) ];
+      ]
+  in
+  List.iteri
+    (fun i (a, b) ->
+      let expected =
+        match Hashtbl.find_opt model (a, b) with
+        | Some p -> p
+        | None ->
+            Hashtbl.add model (a, b) i;
+            -1
+      in
+      check Alcotest.int "find_or_add" expected
+        (Dsm.Flat_table.find_or_add t a b i))
+    keys;
+  check Alcotest.int "length" (Hashtbl.length model) (Dsm.Flat_table.length t);
+  Hashtbl.iter
+    (fun (a, b) p -> check Alcotest.int "find" p (Dsm.Flat_table.find t a b))
+    model;
+  List.iter
+    (fun (a, b) ->
+      if not (Hashtbl.mem model (a, b)) then
+        check Alcotest.int "absent" (-1) (Dsm.Flat_table.find t a b))
+    [ (42, -1); (-1, 42); (3000, 0); (1, min_int) ]
+
+let test_flat_table_basics () =
+  let t = Dsm.Flat_table.create () in
+  let empty_bytes = Dsm.Flat_table.bytes t in
+  check Alcotest.int "absent" (-1) (Dsm.Flat_table.find t 1 2);
+  check Alcotest.int "insert" (-1) (Dsm.Flat_table.find_or_add t 1 2 0);
+  check Alcotest.int "present" 0 (Dsm.Flat_table.find_or_add t 1 2 9);
+  check Alcotest.int "payload kept" 0 (Dsm.Flat_table.find t 1 2);
+  check Alcotest.int "other lane b" (-1) (Dsm.Flat_table.find t 1 3);
+  check Alcotest.int "other lane a" (-1) (Dsm.Flat_table.find t 2 2);
+  for i = 0 to 99 do
+    ignore (Dsm.Flat_table.find_or_add t i (-i) i)
+  done;
+  check Alcotest.bool "grew" true (Dsm.Flat_table.bytes t > empty_bytes);
+  check Alcotest.bool "load at most 3/4" true
+    (4 * 8 * 3 * Dsm.Flat_table.length t <= 3 * Dsm.Flat_table.bytes t);
+  match Dsm.Flat_table.find_or_add t 5 5 (-1) with
+  | _ -> fail "negative payload accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ---------- Invariant ---------- *)
 
 let test_invariant_make () =
@@ -539,6 +603,11 @@ let () =
           Alcotest.test_case "growth" `Quick test_vec_growth;
           Alcotest.test_case "iter_range" `Quick test_vec_iter_range;
           Alcotest.test_case "conversions" `Quick test_vec_conversions;
+        ] );
+      ( "flat_table",
+        [
+          Alcotest.test_case "agrees with Hashtbl" `Quick test_flat_table_model;
+          Alcotest.test_case "basics" `Quick test_flat_table_basics;
         ] );
       ( "invariant",
         [

@@ -330,18 +330,29 @@ let test_transition_budget_exact () =
         [ ("dfs", dfs); ("layered", layered) ])
     [ 1000; 5000; 20000 ]
 
-(* ---------- the compositional key against references ----------
+(* ---------- the memoised checker against re-execution ----------
 
-   [Ref] is B-DFS with the key taken out: the same recursive DFS
-   (depth-keyed table, re-expansion on a shallower revisit, the
-   checker's successor order) deduplicating on the structural value
-   [(nodes, bindings, crashes)].  At every state it visits first it
-   also checks the key the checker updated incrementally against the
-   key recomputed from scratch, and the key of every image under
-   [spec] against the key of that image built as a fresh state. *)
+   [Ref] is B-DFS with the memo and the key taken out: the same
+   recursive DFS (depth-keyed table, re-expansion on a shallower
+   revisit, parent links at first visits) over plain global states
+   whose successors re-run every handler over a [Net.Multiset] network,
+   deduplicating on the structural value [(nodes, bindings, crashes)].
+   Alongside each reference state it carries the checker's interned
+   state for the same path, and at every expansion it requires the
+   memoised successors ([G.successors]) to take the same steps in the
+   same order, send the same envelopes, reach the same states and
+   carry the key recomputed from scratch.  At every first visit it also
+   checks the key of every image under [spec] against the key of that
+   image built as a fresh state. *)
 
 module Ref (P : Dsm.Protocol.S) = struct
   module G = Mc_global.Bdfs.Make (P)
+
+  type global = {
+    nodes : P.state array;
+    net : P.message Dsm.Envelope.t Net.Multiset.t;
+    crashes : int array;
+  }
 
   module H = Hashtbl.Make (struct
     type t = P.state array * (P.message Dsm.Envelope.t * int) list * int array
@@ -351,70 +362,176 @@ module Ref (P : Dsm.Protocol.S) = struct
   end)
 
   let fp = Alcotest.testable Dsm.Fingerprint.pp Dsm.Fingerprint.equal
+  let structural g = (g.nodes, Net.Multiset.bindings g.net, g.crashes)
 
-  let check_keys spec (g : G.global) =
-    let bindings = Net.Multiset.bindings g.net in
-    let scratch = G.key_of ~nodes:g.nodes ~bindings ~crashes:g.crashes in
-    check fp "incremental key = key from scratch" scratch (G.key g);
-    if Array.for_all (( = ) 0) g.crashes then
+  let key g =
+    G.key_of ~nodes:g.nodes ~bindings:(Net.Multiset.bindings g.net)
+      ~crashes:g.crashes
+
+  let with_node g n state' =
+    let nodes = Array.copy g.nodes in
+    nodes.(n) <- state';
+    { g with nodes }
+
+  (* Every handler re-executed on every global state: one delivery per
+     distinct in-flight message, one execution per enabled internal
+     action, then one crash-recovery per node under budget whose
+     recovered state differs from its current one.  A handler raising
+     [Local_assert] disables its transition. *)
+  let successors ~crash_budget g =
+    let deliveries =
+      List.filter_map
+        (fun (env, _) ->
+          let node = env.Dsm.Envelope.dst in
+          match P.handle_message ~self:node g.nodes.(node) env with
+          | exception Dsm.Protocol.Local_assert _ -> None
+          | state', out ->
+              let net =
+                match Net.Multiset.remove env g.net with
+                | Some net -> Net.Multiset.add_list out net
+                | None -> assert false
+              in
+              Some
+                ( Dsm.Trace.Deliver env,
+                  { (with_node g node state') with net },
+                  out ))
+        (Net.Multiset.bindings g.net)
+    in
+    let actions =
+      List.concat_map
+        (fun n ->
+          List.filter_map
+            (fun action ->
+              match P.handle_action ~self:n g.nodes.(n) action with
+              | exception Dsm.Protocol.Local_assert _ -> None
+              | state', out ->
+                  Some
+                    ( Dsm.Trace.Execute (n, action),
+                      {
+                        (with_node g n state') with
+                        net = Net.Multiset.add_list out g.net;
+                      },
+                      out ))
+            (P.enabled_actions ~self:n g.nodes.(n)))
+        (Dsm.Node_id.all P.num_nodes)
+    in
+    let crashes =
+      if crash_budget <= 0 then []
+      else
+        List.filter_map
+          (fun n ->
+            if g.crashes.(n) >= crash_budget then None
+            else
+              let state' = P.on_recover ~self:n g.nodes.(n) in
+              if
+                Dsm.Fingerprint.equal
+                  (Dsm.Fingerprint.of_value state')
+                  (Dsm.Fingerprint.of_value g.nodes.(n))
+              then None
+              else begin
+                let crashes = Array.copy g.crashes in
+                crashes.(n) <- crashes.(n) + 1;
+                Some
+                  ( Dsm.Trace.Crash n,
+                    { (with_node g n state') with crashes },
+                    [] )
+              end)
+          (Dsm.Node_id.all P.num_nodes)
+    in
+    deliveries @ actions @ crashes
+
+  let check_same sp r (m : G.global) =
+    check fp "memoised key = key from scratch" (key r) (G.key m);
+    check Alcotest.bool "memoised state = re-executed state" true
+      (structural r = (G.nodes sp m, G.bindings sp m, G.crashes m))
+
+  let check_successors sp ~crash_budget r m =
+    let rs = successors ~crash_budget r
+    and ms = G.successors sp ~crash_budget m in
+    check Alcotest.int "as many successors" (List.length rs) (List.length ms);
+    List.iter2
+      (fun (step, r', out) (step', m', out') ->
+        check Alcotest.bool "same step, same order" true (step = step');
+        check Alcotest.bool "same sent envelopes" true (out = out');
+        check_same sp r' m')
+      rs ms;
+    List.map2 (fun (step, r', _) (_, m', _) -> (step, r', m')) rs ms
+
+  let check_images sp spec r (m : G.global) =
+    if Array.for_all (( = ) 0) r.crashes then
       check fp "B-DFS key = Fingerprint.product"
-        (Dsm.Fingerprint.product g.nodes bindings)
-        scratch;
+        (Dsm.Fingerprint.product r.nodes (Net.Multiset.bindings r.net))
+        (G.key m);
     List.iter
       (fun p ->
         let nodes, envs =
-          Dsm.Symmetry.permute_global spec p g.nodes
-            (Net.Multiset.to_list g.net)
+          Dsm.Symmetry.permute_global spec p r.nodes
+            (Net.Multiset.to_list r.net)
         in
         let image =
-          G.make_global nodes (Net.Multiset.of_list envs)
-            (Dsm.Symmetry.permute_slots p g.crashes)
+          G.make_global sp nodes envs (Dsm.Symmetry.permute_slots p r.crashes)
         in
-        check fp "image key" (G.key image) (G.permuted_key spec p g))
+        check fp "image key" (G.key image) (G.permuted_key sp p m))
       spec.Dsm.Symmetry.group.Dsm.Symmetry.elements
 
-  (* ((transitions, global states, system states), violated) *)
-  let structural (g : G.global) =
-    (g.nodes, Net.Multiset.bindings g.net, g.crashes)
-
+  (* ((transitions, global states, system states), first witness) *)
   let run ?(max_depth = max_int) ?(crash_budget = 0) ?(initial_net = [])
       ?(spec = Dsm.Symmetry.id_spec ~degree:P.num_nodes) ~invariant init =
+    let sp = G.create_space spec in
     let visited = H.create 4096 and systems = Hashtbl.create 1024 in
-    let transitions = ref 0 and violated = ref false in
-    let visit (g : G.global) depth =
-      H.replace visited (structural g) depth;
-      Hashtbl.replace systems g.nodes ();
-      if Dsm.Invariant.check invariant g.nodes <> None then violated := true;
-      check_keys spec g
+    let parents = H.create 4096 in
+    let transitions = ref 0 and witness = ref None in
+    let rec trace k acc =
+      match H.find_opt parents k with
+      | None -> acc
+      | Some (parent, step) -> trace parent (step :: acc)
     in
-    let rec explore g depth =
+    let visit r m depth =
+      let k = structural r in
+      H.replace visited k depth;
+      Hashtbl.replace systems r.nodes ();
+      if !witness = None && Dsm.Invariant.check invariant r.nodes <> None then
+        witness := Some (trace k []);
+      check_images sp spec r m
+    in
+    let rec explore r m depth =
       if depth < max_depth then
         List.iter
-          (fun (_, (g' : G.global), _) ->
+          (fun (step, r', m') ->
             incr transitions;
-            let k = structural g' in
+            let k = structural r' in
             match H.find_opt visited k with
             | Some d when depth + 1 >= d -> ()
             | Some _ ->
                 H.replace visited k (depth + 1);
-                explore g' (depth + 1)
+                explore r' m' (depth + 1)
             | None ->
-                visit g' (depth + 1);
-                explore g' (depth + 1))
-          (G.successors ~crash_budget g)
+                H.replace parents k (structural r, step);
+                visit r' m' (depth + 1);
+                explore r' m' (depth + 1))
+          (check_successors sp ~crash_budget r m)
     in
-    let g =
-      G.make_global (Array.copy init)
-        (Net.Multiset.of_list initial_net)
-        (Array.make P.num_nodes 0)
+    let r =
+      {
+        nodes = Array.copy init;
+        net = Net.Multiset.of_list initial_net;
+        crashes = Array.make P.num_nodes 0;
+      }
     in
-    visit g 0;
-    explore g 0;
-    ((!transitions, H.length visited, Hashtbl.length systems), !violated)
+    let m = G.make_global sp init initial_net r.crashes in
+    check_same sp r m;
+    visit r m 0;
+    explore r m 0;
+    ((!transitions, H.length visited, Hashtbl.length systems), !witness)
 
-  (* (checker facts, reference facts) over the same space *)
+  (* (checker facts, reference facts) over the same space.  The
+     reference runs first: a memo that goes wrong fails its per-state
+     checks before the checker can chase a wrong space unboundedly. *)
   let both ?max_depth ?(crash_budget = 0) ?(initial_net = []) ?spec
       ~invariant init =
+    let reference =
+      run ?max_depth ~crash_budget ~initial_net ?spec ~invariant init
+    in
     let o =
       G.run
         {
@@ -427,14 +544,18 @@ module Ref (P : Dsm.Protocol.S) = struct
     in
     check Alcotest.bool "checker completed" true o.completed;
     ( ( (o.stats.transitions, o.stats.global_states, o.stats.system_states),
-        o.violation <> None ),
-      run ?max_depth ~crash_budget ~initial_net ?spec ~invariant init )
+        Option.map (fun (v : G.violation) -> v.trace) o.violation ),
+      reference )
 end
 
-let facts = Alcotest.(pair (triple int int int) bool)
-
-let check_agrees name (checker, reference) =
-  check facts (name ^ ": checker = structural reference") reference checker
+let check_agrees name ((counts, witness), (counts', witness')) =
+  check
+    Alcotest.(triple int int int)
+    (name ^ ": checker = re-executing reference")
+    counts' counts;
+  check Alcotest.bool (name ^ ": same verdict") (witness' <> None)
+    (witness <> None);
+  check Alcotest.bool (name ^ ": same witness") true (witness = witness')
 
 let prop_key_matches_reference_synthetic =
   QCheck.Test.make ~count:40 ~name:"key dedup = structural dedup (synthetic)"
