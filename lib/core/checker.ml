@@ -101,14 +101,17 @@ module Make (P : Dsm.Protocol.S) = struct
 
   type event_kind = Net_event of int | Action_event of P.action | Crash_event
 
+  (* One event, interned per run by its label and the I+ ids it
+     produced.  A label names its node (a message its destination, an
+     action or crash label hashes the node in), so the pair names one
+     node's event.  Both soundness views are built once, here, and
+     shared by every predecessor pointer that names the event. *)
   type event_info = {
-    label : Fingerprint.t;
     kind : event_kind;
-    requires : Fingerprint.t option;
-    produces : int list;  (* I+ ids of the generated messages *)
+    req : int;  (* I+ id consumed; -1 for an action or a crash *)
+    made : Soundness.Bits.t;  (* I+ ids produced *)
+    sev : Soundness.event;  (* the DAG search's view *)
   }
-
-  type pred = { prev : int option; event : event_info }
 
   (* An entry's feasibility summary ({!Soundness.summarise}), valid
      while its node's store generation is still [gen]. *)
@@ -122,12 +125,15 @@ module Make (P : Dsm.Protocol.S) = struct
     node : Dsm.Node_id.t;
     state : P.state;
     fp : Fingerprint.t;
-    history : Fingerprint.Set.t;
+    history : Soundness.Bits.t;  (* I+ ids delivered on the path here *)
     depth : int;
     local_count : int;
     crashes : int;  (* crash-recoveries consumed on the path here *)
     key : 'k option;
-    mutable preds : pred list;
+    mutable preds : int array;
+        (* predecessor pointers, oldest first: pointer [k] is the pair
+           (previous entry's index, event id) at [2k], [2k + 1] *)
+    mutable npreds : int;  (* pointers held; the rest is spare room *)
     mutable fp_hex : string option;
         (* hex rendering of [fp], cached — every outgoing transition
            of this entry puts it in a step record's [fp_before] *)
@@ -167,10 +173,10 @@ module Make (P : Dsm.Protocol.S) = struct
      and cached so it can be re-verified once exploration has added more
      predecessor pointers (the remedy §4.2 suggests for the
      simplification of verifying only at state-creation time), or, under
-     [defer_soundness], not judged yet. *)
+     [defer_soundness], not judged yet.  The system state is rebuilt
+     from [r_tuple] when it is judged. *)
   type 'k rejected = {
     r_tuple : 'k entry array;
-    r_system : P.state array;
     r_violation : Dsm.Invariant.violation;
     r_depth : int;
   }
@@ -256,7 +262,9 @@ module Make (P : Dsm.Protocol.S) = struct
     crash_cursor : int array;  (* states already expanded for crashes *)
     net : net_entry Vec.t;
     net_by_fp : (Fingerprint.t, int) Hashtbl.t;
-    seen_combos : (Fingerprint.t, unit) Hashtbl.t;
+    events : event_info Vec.t;  (* interned events, by id *)
+    event_ids : (Fingerprint.t * int list, int) Hashtbl.t;
+        (* (label, produced I+ ids) -> event id *)
     rejected : 'k rejected Vec.t;
     started : float;
     mutable transitions : int;
@@ -570,15 +578,61 @@ module Make (P : Dsm.Protocol.S) = struct
         Obs.Metrics.incr t.o.c_net_messages;
         entry
 
-  (* ----- soundness verification (isStateSound, Fig. 9) ----- *)
+  (* ----- predecessor pointers over interned events ----- *)
 
-  let soundness_event t node (e : event_info) : Soundness.event =
-    {
-      Soundness.node;
-      label = e.label;
-      requires = e.requires;
-      produces = List.map (fun id -> (Vec.get t.net id).net_fp) e.produces;
-    }
+  (* The id of node [node]'s event [label] producing [produces], interned
+     on first sight. *)
+  let intern_event t ~node ~label ~kind produces =
+    let key = (label, produces) in
+    match Hashtbl.find_opt t.event_ids key with
+    | Some id -> id
+    | None ->
+        let id = Vec.length t.events in
+        let req, requires =
+          match kind with
+          | Net_event m -> (m, Some (Vec.get t.net m).net_fp)
+          | Action_event _ | Crash_event -> (-1, None)
+        in
+        ignore
+          (Vec.push t.events
+             {
+               kind;
+               req;
+               made = Soundness.Bits.of_list produces;
+               sev =
+                 {
+                   Soundness.node;
+                   label;
+                   requires;
+                   produces =
+                     List.map (fun m -> (Vec.get t.net m).net_fp) produces;
+                 };
+             });
+        Hashtbl.add t.event_ids key id;
+        id
+
+  (* Append the pointer (prev, event id); the room doubles, up to the
+     per-entry cap. *)
+  let push_pred t (e : 'k entry) prev ev =
+    let k = 2 * e.npreds in
+    if k = Array.length e.preds then begin
+      let room = max 1 (min (2 * e.npreds) t.config.max_preds_per_entry) in
+      let grown = Array.make (2 * room) 0 in
+      Array.blit e.preds 0 grown 0 k;
+      e.preds <- grown
+    end;
+    e.preds.(k) <- prev;
+    e.preds.(k + 1) <- ev;
+    e.npreds <- e.npreds + 1
+
+  (* [f prev event] over [e]'s pointers, newest first.  The DAG's edge
+     order, and with it every witness, follows this order. *)
+  let iter_preds t (e : 'k entry) f =
+    for k = e.npreds - 1 downto 0 do
+      f e.preds.(2 * k) (Vec.get t.events e.preds.((2 * k) + 1))
+    done
+
+  (* ----- soundness verification (isStateSound, Fig. 9) ----- *)
 
   let step_of_event t node (e : event_info) : (P.message, P.action) Trace.step =
     match e.kind with
@@ -606,23 +660,16 @@ module Make (P : Dsm.Protocol.S) = struct
         | [] -> ()
         | i :: rest ->
             stack := rest;
-            let e = Vec.get store i in
-            List.iter
-              (fun (p : pred) ->
-                match p.prev with
-                | None -> ()
-                | Some j ->
-                    (* self-edges (j = i) carry productions of events
-                       that left the state unchanged; the DAG search
-                       may traverse them *)
-                    Hashtbl.replace by_label (entry.node, p.event.label) p.event;
-                    edges :=
-                      (j, soundness_event t entry.node p.event, i) :: !edges;
-                    if not (Hashtbl.mem seen j) then begin
-                      Hashtbl.replace seen j ();
-                      stack := j :: !stack
-                    end)
-              e.preds
+            iter_preds t (Vec.get store i) (fun j ev ->
+                (* self-edges (j = i) carry productions of events that
+                   left the state unchanged; the DAG search may
+                   traverse them *)
+                Hashtbl.replace by_label (entry.node, ev.sev.label) ev;
+                edges := (j, ev.sev, i) :: !edges;
+                if not (Hashtbl.mem seen j) then begin
+                  Hashtbl.replace seen j ();
+                  stack := j :: !stack
+                end)
       done;
       { Soundness.root = 0; target = entry.idx; edges = !edges }
     end
@@ -648,10 +695,7 @@ module Make (P : Dsm.Protocol.S) = struct
           if e.summary.gen = gen then pinned := e :: !pinned
           else begin
             stale := e :: !stale;
-            List.iter
-              (fun (p : pred) ->
-                Option.iter (fun j -> visit (Vec.get store j)) p.prev)
-              e.preds
+            iter_preds t e (fun j _ -> visit (Vec.get store j))
           end
         end
       in
@@ -666,18 +710,20 @@ module Make (P : Dsm.Protocol.S) = struct
           @ !pinned)
       in
       Array.iteri (fun l (e : 'k entry) -> Hashtbl.replace local e.idx l) vertices;
-      let edge (p : pred) =
-        Option.map
-          (fun j ->
+      (* consed oldest first, so the list runs newest first *)
+      let incoming (e : 'k entry) =
+        let edges = ref [] in
+        for k = 0 to e.npreds - 1 do
+          let ev = Vec.get t.events e.preds.((2 * k) + 1) in
+          edges :=
             {
-              Soundness.src = Hashtbl.find local j;
-              req =
-                (match p.event.kind with
-                | Net_event id -> id
-                | Action_event _ | Crash_event -> -1);
-              made = Soundness.Bits.of_list p.event.produces;
-            })
-          p.prev
+              Soundness.src = Hashtbl.find local e.preds.(2 * k);
+              req = ev.req;
+              made = ev.made;
+            }
+            :: !edges
+        done;
+        !edges
       in
       let sums =
         Soundness.summarise
@@ -690,8 +736,7 @@ module Make (P : Dsm.Protocol.S) = struct
                (fun l (e : 'k entry) -> if l < k then None else Some e.summary.sum)
                vertices)
           (Array.mapi
-             (fun l (e : 'k entry) ->
-               if l < k then List.filter_map edge e.preds else [])
+             (fun l (e : 'k entry) -> if l < k then incoming e else [])
              vertices)
       in
       for l = 0 to k - 1 do
@@ -737,7 +782,8 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* A soundness search found [order]: map its events back to protocol
      steps and report the witness. *)
-  let confirm t system (violation : Dsm.Invariant.violation) by_label order =
+  let confirm t (tuple : 'k entry array) (violation : Dsm.Invariant.violation)
+      by_label order =
     let schedule =
       List.map
         (fun (sev : Soundness.event) ->
@@ -749,7 +795,7 @@ module Make (P : Dsm.Protocol.S) = struct
     t.sound_violation <-
       Some
         {
-          system = Array.copy system;
+          system = Array.map (fun (e : 'k entry) -> e.state) tuple;
           violation;
           schedule;
           (* the witness may include productive events that left a node
@@ -796,8 +842,8 @@ module Make (P : Dsm.Protocol.S) = struct
   (* Judge a preliminary violation.  A [recheck] re-verifies a rejection
      already counted; any other rejection is counted, and an inline one
      is cached for the final pass while the cache has room. *)
-  let verify_soundness_run ~recheck t (tuple : 'k entry array) system
-      violation sdepth =
+  let verify_soundness_run ~recheck t (tuple : 'k entry array) violation
+      sdepth =
     t.soundness_calls <- t.soundness_calls + 1;
     Obs.Metrics.incr t.o.c_soundness_calls;
     let t0 = now () in
@@ -817,24 +863,19 @@ module Make (P : Dsm.Protocol.S) = struct
           then
             ignore
               (Vec.push t.rejected
-                 {
-                   r_tuple = tuple;
-                   r_system = system;
-                   r_violation = violation;
-                   r_depth = sdepth;
-                 })
+                 { r_tuple = tuple; r_violation = violation; r_depth = sdepth })
         end
     | Ok (by_label, order) ->
-        confirm t system violation by_label order;
+        confirm t tuple violation by_label order;
         if t.config.stop_on_violation then raise Stop
 
   (* Soundness verification under a boundary-sampled profiler frame:
      [Prof.enter]/[leave] pin the phase edges, so the (often long)
      search never bleeds into the enclosing combination frame. *)
-  let verify_soundness ?(recheck = false) t (tuple : 'k entry array) system
-      violation sdepth =
+  let verify_soundness ?(recheck = false) t (tuple : 'k entry array) violation
+      sdepth =
     Obs.frame t.o.scope "soundness" (fun () ->
-        verify_soundness_run ~recheck t tuple system violation sdepth)
+        verify_soundness_run ~recheck t tuple violation sdepth)
 
   (* ----- system state creation (checkSystemInvariant, Fig. 9) ----- *)
 
@@ -893,11 +934,10 @@ module Make (P : Dsm.Protocol.S) = struct
                 (Vec.push t.rejected
                    {
                      r_tuple = Array.copy tuple;
-                     r_system = system;
                      r_violation = violation;
                      r_depth = sdepth;
                    })
-            else verify_soundness t (Array.copy tuple) system violation sdepth
+            else verify_soundness t (Array.copy tuple) violation sdepth
           end)
     end
 
@@ -921,10 +961,17 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* Pin [new_entry] together with each partner [partners m] visits on
      node [m] (in store order) and complete the system state from the
-     remaining nodes' full stores.  Those stores are copied once per
-     [m], and only once a partner turns up; slot [m] is overwritten per
+     remaining nodes' full stores.  A tuple holding partners on two
+     nodes [j < m] comes up under both; it is judged under [j], the
+     first.  So [partners j] marks what it visits, and under [m] the
+     slot of every earlier partner node [j] holds only the entries of
+     store [j] left unmarked: every tuple is judged once, in the order
+     it first comes up, with no per-tuple work.  (Tuples of different
+     calls differ in [new_entry].)  The stores are copied once per [m],
+     and only once a partner turns up; slot [m] is overwritten per
      partner. *)
   let pinned_pair_combos t (new_entry : 'k entry) ~partners =
+    let marks = Array.make P.num_nodes Bytes.empty in
     try
       for m = 0 to P.num_nodes - 1 do
         if m <> new_entry.node then begin
@@ -933,18 +980,23 @@ module Make (P : Dsm.Protocol.S) = struct
               (Array.init P.num_nodes (fun j ->
                    if j = new_entry.node then [| new_entry |]
                    else if j = m then [||]
+                   else if j < m && Bytes.length marks.(j) > 0 then
+                     Vec.to_array t.stores.(j)
+                     |> Array.to_seq
+                     |> Seq.filter (fun (e : 'k entry) ->
+                            Bytes.get marks.(j) e.idx = '\000')
+                     |> Array.of_seq
                    else Vec.to_array t.stores.(j)))
           in
           partners m (fun (other : 'k entry) ->
+              if Bytes.length marks.(m) = 0 then
+                marks.(m) <- Bytes.make (Vec.length t.stores.(m)) '\000';
+              Bytes.set marks.(m) other.idx '\001';
               let candidates = Lazy.force candidates in
               candidates.(m) <- [| other |];
               ignore
                 (Combination.iter candidates (fun tuple ->
-                     let cfp = tuple_fp tuple in
-                     if not (Hashtbl.mem t.seen_combos cfp) then begin
-                       Hashtbl.replace t.seen_combos cfp ();
-                       consider_combo t tuple
-                     end;
+                     consider_combo t tuple;
                      if stopped t then `Stop else `Continue));
               if stopped t then raise Exit)
         end
@@ -1015,15 +1067,19 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* ----- exploration (findBugs main loop, Fig. 9) ----- *)
 
-  (* A predecessor pointer into an existing entry: the two sites that
-     call this (a known state reached again, a productive self-loop)
-     are the only ones that can change an existing entry's summary. *)
-  let add_pred t (e : 'k entry) pred =
-    e.preds <- pred :: e.preds;
-    t.gens.(e.node) <- t.gens.(e.node) + 1
+  (* A predecessor pointer (prev, event) into an existing entry, kept
+     while the entry holds fewer than the cap; the event is interned
+     only then.  The two sites that call this (a known state reached
+     again, a productive self-loop) are the only ones that can change
+     an existing entry's summary. *)
+  let add_pred t (e : 'k entry) ~prev ~label ~kind produces =
+    if e.npreds < t.config.max_preds_per_entry then begin
+      push_pred t e prev (intern_event t ~node:e.node ~label ~kind produces);
+      t.gens.(e.node) <- t.gens.(e.node) + 1
+    end
 
   let add_next_state t ~node ~state ~fp ~history ~depth ~local_count ~crashes
-      ~pred =
+      ~prev ~label ~kind produces =
     let store = t.stores.(node) in
     match Hashtbl.find_opt t.by_fp.(node) fp with
     | Some i ->
@@ -1031,9 +1087,7 @@ module Make (P : Dsm.Protocol.S) = struct
            predecessor pointer (Fig. 9 line 14); the history — and the
            crash count — keep their first values (§4.2
            simplification). *)
-        let e = Vec.get store i in
-        if List.length e.preds < t.config.max_preds_per_entry then
-          add_pred t e pred;
+        add_pred t (Vec.get store i) ~prev ~label ~kind produces;
         false
     | None ->
         let idx = Vec.length store in
@@ -1048,7 +1102,8 @@ module Make (P : Dsm.Protocol.S) = struct
             local_count;
             crashes;
             key = abstract_key t state;
-            preds = [ pred ];
+            preds = [| prev; intern_event t ~node ~label ~kind produces |];
+            npreds = 1;
             fp_hex = None;
             summary = unsummarised;
           }
@@ -1091,7 +1146,7 @@ module Make (P : Dsm.Protocol.S) = struct
 
   let net_step t (m : net_entry) (entry : 'k entry) =
     let skip_by_history =
-      t.config.use_history && Fingerprint.Set.mem m.net_fp entry.history
+      t.config.use_history && Soundness.Bits.mem m.net_id entry.history
     in
     if skip_by_history || not (depth_allows t (entry.depth + 1)) then false
     else
@@ -1120,35 +1175,27 @@ module Make (P : Dsm.Protocol.S) = struct
              (prelim / soundness / witness), preserving causal order. *)
           if t.tracing then
             record_net_step t m entry ~fp_after:fp' ~pentries;
-          let event =
-            {
-              label = m.net_fp;
-              kind = Net_event m.net_id;
-              requires = Some m.net_fp;
-              produces;
-            }
-          in
+          let kind = Net_event m.net_id in
           let changed =
             if Fingerprint.equal fp' entry.fp then begin
               (* Self-loop predecessor (Fig. 9 line 14 with s' = s): the
                  event did not change the node state but its message
                  productions matter to other nodes' soundness DAGs —
                  e.g. a tree node forwarding a token untouched. *)
-              if
-                produces <> []
-                && List.length entry.preds < t.config.max_preds_per_entry
-              then add_pred t entry { prev = Some entry.idx; event };
+              if produces <> [] then
+                add_pred t entry ~prev:entry.idx ~label:m.net_fp ~kind
+                  produces;
               false
             end
             else
               add_next_state t ~node ~state:state' ~fp:fp'
                 ~history:
                   (if t.config.use_history then
-                     Fingerprint.Set.add m.net_fp entry.history
+                     Soundness.Bits.add m.net_id entry.history
                    else entry.history)
                 ~depth:(entry.depth + 1) ~local_count:entry.local_count
-                ~crashes:entry.crashes
-                ~pred:{ prev = Some entry.idx; event }
+                ~crashes:entry.crashes ~prev:entry.idx ~label:m.net_fp ~kind
+                produces
           in
           changed || produces <> []
 
@@ -1194,18 +1241,12 @@ module Make (P : Dsm.Protocol.S) = struct
         let changed =
           if Fingerprint.equal fp' entry.fp then false
           else
-            let event =
-              {
-                label = Fingerprint.of_value (node, action);
-                kind = Action_event action;
-                requires = None;
-                produces;
-              }
-            in
             add_next_state t ~node ~state:state' ~fp:fp'
               ~history:entry.history ~depth:(entry.depth + 1)
               ~local_count:(entry.local_count + 1) ~crashes:entry.crashes
-              ~pred:{ prev = Some entry.idx; event }
+              ~prev:entry.idx
+              ~label:(Fingerprint.of_value (node, action))
+              ~kind:(Action_event action) produces
         in
         changed || produces <> []
 
@@ -1257,18 +1298,10 @@ module Make (P : Dsm.Protocol.S) = struct
       if Fingerprint.equal fp' entry.fp then false
       else begin
         if t.tracing then record_crash_step t ~node entry ~fp_after:fp';
-        let event =
-          {
-            label = t.crash_labels.(node).(entry.crashes);
-            kind = Crash_event;
-            requires = None;
-            produces = [];
-          }
-        in
         add_next_state t ~node ~state:state' ~fp:fp' ~history:entry.history
           ~depth:(entry.depth + 1) ~local_count:entry.local_count
-          ~crashes:(entry.crashes + 1)
-          ~pred:{ prev = Some entry.idx; event }
+          ~crashes:(entry.crashes + 1) ~prev:entry.idx
+          ~label:t.crash_labels.(node).(entry.crashes) ~kind:Crash_event []
       end
     end
 
@@ -1347,7 +1380,7 @@ module Make (P : Dsm.Protocol.S) = struct
             (fun r ->
               if not (stopped t) then
                 verify_soundness ~recheck:(not t.config.defer_soundness) t
-                  r.r_tuple r.r_system r.r_violation r.r_depth)
+                  r.r_tuple r.r_violation r.r_depth)
             pending)
     end
 
@@ -1388,22 +1421,27 @@ module Make (P : Dsm.Protocol.S) = struct
       if fire then consider_combo t roots
     end
 
+  (* Fig. 12's analytic footprint; the accounting is spelled out at
+     [result.retained_bytes] in checker.mli. *)
   let retained_bytes t =
+    let word = 8 in
+    let block n = if n = 0 then 0 else word * (n + 1) in
     let entry_bytes acc (e : 'k entry) =
       acc
       + Fingerprint.serialized_size e.state
-      + Fingerprint.size
-      + (Fingerprint.Set.cardinal e.history * Fingerprint.size)
-      + List.fold_left
-          (fun acc (p : pred) ->
-            acc + 48 + (List.length p.event.produces * Fingerprint.size))
-          0 e.preds
-      + 64 (* store slot + hash-table entry *)
+      + Fingerprint.size + 64
+      + block (Soundness.Bits.words e.history)
+      + block (Array.length e.preds)
     in
     let stores_bytes =
       Array.fold_left
         (fun acc store -> Vec.fold_left entry_bytes acc store)
         0 t.stores
+    in
+    let event_bytes acc (ev : event_info) =
+      acc
+      + (word * (21 + (6 * List.length ev.sev.produces)))
+      + block (Soundness.Bits.words ev.made)
     in
     let net_bytes =
       Vec.fold_left
@@ -1411,7 +1449,7 @@ module Make (P : Dsm.Protocol.S) = struct
           acc + Fingerprint.serialized_size m.env + Fingerprint.size + 48)
         0 t.net
     in
-    stores_bytes + net_bytes
+    stores_bytes + Vec.fold_left event_bytes 0 t.events + net_bytes
 
   let exec config ~strategy ~invariant snapshot =
     let o = make_obs_handles config in
@@ -1445,7 +1483,8 @@ module Make (P : Dsm.Protocol.S) = struct
         crash_cursor = Array.make P.num_nodes 0;
         net = Vec.create ();
         net_by_fp = Hashtbl.create 256;
-        seen_combos = Hashtbl.create 256;
+        events = Vec.create ();
+        event_ids = Hashtbl.create 256;
         rejected = Vec.create ();
         started = now ();
         transitions = 0;
@@ -1474,12 +1513,13 @@ module Make (P : Dsm.Protocol.S) = struct
             node = n;
             state;
             fp;
-            history = Fingerprint.Set.empty;
+            history = Soundness.Bits.empty;
             depth = 0;
             local_count = 0;
             crashes = 0;
             key = abstract_key t state;
-            preds = [];
+            preds = [||];
+            npreds = 0;
             fp_hex = None;
             summary = unsummarised;
           }

@@ -27,7 +27,36 @@
     slot permutation was already proven clean cost more than the
     invariant evaluations it saved (EXPERIMENTS.md, "Symmetry
     reduction"); role-permutation symmetry is exploited by
-    [Mc_global.Bdfs] only. *)
+    [Mc_global.Bdfs] only.
+
+    {2 Per-run bookkeeping}
+
+    {ul
+    {- {b Predecessor pointers} (Fig. 9 line 14) are pairs of ints:
+       the previous entry's index in its node's store and an event id.
+       Events are interned per run by (label, produced [I+] ids); each
+       interned event builds its produced-id bitset and its
+       {!Soundness.event} once, and every pointer naming it shares
+       them.  An entry keeps its pointers oldest first in a growable
+       [int array] (room doubles, up to [max_preds_per_entry]) with a
+       count, so the cap test is O(1).  {e Order contract:} the
+       predecessor graph ({!Soundness.node_graph}) and the cached
+       summaries read the pointers newest first; the DAG's edge order,
+       and with it every witness, depends on it ([test/cli.t] pins
+       witnesses that change when pointers are read oldest first).}
+    {- {b Message histories} (§4.2 "Duplicate messages") are
+       {!Soundness.Bits} sets of [I+] ids.  [I+] deduplicates messages
+       by fingerprint, so an id and a fingerprint name the same message;
+       the redelivery test is one bit test.}
+    {- {b Pinned-pair tuples are judged once by construction.}  LMC-OPT
+       and the pairwise [Automatic] strategy pin the new state with a
+       partner on node [m] and complete the tuple from the other
+       stores, so a tuple holding partners on two nodes [j < m] comes
+       up under both.  The partner walk of node [j] marks the entries it
+       visits, and under a later [m] slot [j] offers only the unmarked
+       ones.  Each tuple is thus built once, in the order it first comes
+       up, with no per-tuple set lookup; tuples of different calls
+       differ in the new state.}} *)
 
 (** Cross-restart persistence, built from {!Store.Checkpoint} stores.
     Not parameterised by the protocol, so the online supervisor builds
@@ -114,7 +143,9 @@ module Make (P : Dsm.Protocol.S) : sig
             schedulable (§4.2's suggested remedy); a run stopped by
             its budget skips that second judgement.  Under
             [defer_soundness] the cache is the deferred queue, and a
-            violation that finds it full is judged inline. *)
+            violation that finds it full is judged inline.  An entry
+            holds the tuple of node states; the system state is rebuilt
+            from it when judged. *)
     defer_soundness : bool;
         (** postpone all soundness verification to a single pass after
             exploration settles — the decoupling the paper's third
@@ -195,7 +226,16 @@ module Make (P : Dsm.Protocol.S) : sig
             invariant on them *)
     soundness_time : float;  (** seconds spent in soundness checks *)
     retained_bytes : int;
-        (** analytic footprint of the node stores and I+ (Fig. 12) *)
+        (** analytic footprint of the node stores, the interned events
+            and I+ (Fig. 12), with heap layout in 8-byte words.  Per
+            node state: its [Marshal] size, its 16-byte fingerprint, 64
+            bytes for its store slot and hash-table entry, its history
+            bitset and its pointer array (each a header plus its words;
+            a history shared by several states is counted with each).
+            Per interned event: 21 words (record, kind, soundness
+            record, option box, table bucket and key), its produced-id
+            bitset and 6 words per produced message.  Per [I+] message:
+            its [Marshal] size, its fingerprint and 48 bytes. *)
     max_system_depth : int;
         (** deepest system state created (events) *)
     max_node_depth : int;

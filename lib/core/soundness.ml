@@ -205,6 +205,8 @@ module Bits = struct
       Array.init (min (Array.length a) (Array.length b)) (fun w ->
           a.(w) land b.(w))
 
+  let mem i (a : t) = word a (i / width) land (1 lsl (i mod width)) <> 0
+  let words = Array.length
   let of_list l = List.fold_left (fun a i -> add i a) empty l
 
   let elements (a : t) =

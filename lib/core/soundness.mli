@@ -105,6 +105,11 @@ module Bits : sig
 
   val empty : t
   val add : int -> t -> t
+  val mem : int -> t -> bool
+
+  val words : t -> int
+  (** heap words the set occupies, header excluded *)
+
   val of_list : int list -> t
   val elements : t -> int list
   (** in ascending order *)

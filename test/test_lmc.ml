@@ -527,6 +527,18 @@ let test_lmc_memory_smaller_than_global () =
 
 (* ---------- LMC-OPT partner index ---------- *)
 
+(* Each [prelim] record's tuple of node-state fingerprints, in
+   emission order. *)
+let prelims events =
+  List.filter_map
+    (fun (e : Obs.Sink.event) ->
+      match (List.assoc_opt "ev" e.fields, List.assoc_opt "tuple" e.fields) with
+      | Some (Dsm.Json.String "prelim"), Some (Dsm.Json.List fps) ->
+          Some
+            (List.map (function Dsm.Json.String h -> h | _ -> fail "tuple") fps)
+      | _ -> None)
+    events
+
 (* LMC-OPT finds a new state's partners through per-node key buckets;
    they must be exactly the entries the whole-store scan accepted, in
    store order.  The reference abstraction pairs every key with its
@@ -555,22 +567,6 @@ module Opt_equiv (P : Dsm.Protocol.S) = struct
         Dsm.Fingerprint.to_hex
           (Dsm.Fingerprint.of_value
              (v.violation.Dsm.Invariant.detail, v.schedule))
-
-  (* Each [prelim] record's tuple of node-state fingerprints, in
-     emission order. *)
-  let prelims events =
-    List.filter_map
-      (fun (e : Obs.Sink.event) ->
-        match
-          (List.assoc_opt "ev" e.fields, List.assoc_opt "tuple" e.fields)
-        with
-        | Some (Dsm.Json.String "prelim"), Some (Dsm.Json.List fps) ->
-            Some
-              (List.map
-                 (function Dsm.Json.String h -> h | _ -> fail "tuple")
-                 fps)
-        | _ -> None)
-      events
 
   (* The transition budget keeps 1Paxos's spaces small; it cuts both
      runs at the same transition. *)
@@ -765,6 +761,161 @@ let test_stale_summary_recomputed () =
   | None -> fail "stale summary reused: (s1, got) never confirmed"
   | Some v ->
       check Alcotest.int "loud route witnessed" 3 (List.length v.schedule)
+
+(* ---------- pinned-pair tuples judged exactly once ---------- *)
+
+(* LMC-OPT and LMC-AUTO pin the new node state with one partner on
+   node m and complete the tuple from the other stores, so a tuple
+   holding partners on two nodes is built under both.  It must still
+   be judged once.  A tuple is keyed by its per-slot node-state
+   fingerprints.  OPT judges through the invariant, so a wrapping
+   invariant sees every system it creates; every AUTO tuple holds a
+   violating pair (or node), so AUTO's [prelim] records list them
+   all.  Runs judge everything ([stop_on_violation = false]). *)
+module Once (P : Dsm.Protocol.S) = struct
+  module L = Lmc.Checker.Make (P)
+
+  (* Soundness never feeds back into which tuples are built once
+     nothing stops the run, so it is off: the searches would dominate. *)
+  let config ?max_depth obs =
+    {
+      L.default_config with
+      stop_on_violation = false;
+      verify_soundness = false;
+      max_depth;
+      obs;
+    }
+
+  (* A note function and a count of the keys noted more than once. *)
+  let repeats () =
+    let seen = Hashtbl.create 4096 and dups = ref 0 in
+    ( (fun k -> if Hashtbl.mem seen k then incr dups else Hashtbl.add seen k ()),
+      fun () -> !dups )
+
+  (* (system states created, repeated tuples) under [strategy]. *)
+  let judged ?max_depth ~invariant strategy =
+    let note, dups = repeats () in
+    let calls = ref 0 in
+    let wrapped =
+      Dsm.Invariant.make ~name:(Dsm.Invariant.name invariant) (fun sys ->
+          incr calls;
+          note
+            (Dsm.Fingerprint.combine
+               (Array.to_list (Array.map Dsm.Fingerprint.of_value sys)));
+          Option.map
+            (fun (v : Dsm.Invariant.violation) -> v.detail)
+            (Dsm.Invariant.check invariant sys))
+    in
+    let r =
+      L.run (config ?max_depth Obs.null) ~strategy ~invariant:wrapped
+        (Dsm.Protocol.initial_system (module P))
+    in
+    check Alcotest.int "one invariant call per system state"
+      r.system_states_created !calls;
+    (r.system_states_created, dups ())
+
+  (* The same for [Automatic], from the [prelim] records. *)
+  let automatic ?max_depth ~invariant () =
+    let sink, events = Obs.Sink.memory () in
+    let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+    let r =
+      L.run (config ?max_depth obs) ~strategy:L.Automatic ~invariant
+        (Dsm.Protocol.initial_system (module P))
+    in
+    Obs.close obs;
+    let tuples = prelims (events ()) in
+    let note, dups = repeats () in
+    List.iter (fun tuple -> note (String.concat "," tuple)) tuples;
+    check Alcotest.int "every AUTO tuple is a preliminary violation"
+      r.system_states_created (List.length tuples);
+    (r.system_states_created, dups ())
+end
+
+(* Per subject: a system-depth bound and (OPT, AUTO) system states.
+   A subject without an OPT abstraction runs GEN there, as
+   [lmc check -c lmc-opt] does.  The RandTree bounds keep each run
+   near 10^4 tuples; unbounded they judge ~5 x 10^5. *)
+let once_registry =
+  [
+    ("randtree", Some 7, (107_707, 13_363));
+    ("randtree-buggy", Some 7, (113_561, 13_485));
+    ("ring-buggy", None, (352, 352));
+    ("2pc-buggy", None, (101, 101));
+  ]
+
+(* Per node count, seeds 0.. of [Protocols.Synthetic] under a pairwise
+   invariant that no two nodes have both moved; OPT keys each moved
+   state by its value and lets every key conflict.  Each list holds
+   (OPT, AUTO) system states. *)
+let once_synthetic =
+  [
+    ( 3,
+      [
+        (1, 1); (0, 0); (112, 112); (0, 0); (1, 1); (2, 2); (112, 112);
+        (0, 0); (0, 0); (12, 12); (0, 0); (0, 0); (112, 112); (112, 112);
+        (2, 2); (0, 0); (112, 112); (0, 0); (0, 0); (0, 0)
+      ] );
+    ( 4,
+      [
+        (1, 1); (0, 0); (608, 608); (0, 0); (40, 40); (608, 608); (608, 608);
+        (0, 0); (0, 0); (1, 1); (0, 0); (0, 0); (608, 608); (608, 608);
+        (4, 4); (0, 0); (608, 608); (0, 0); (0, 0); (0, 0)
+      ] );
+  ]
+
+let test_tuples_judged_once () =
+  let expect name what created dups literal =
+    check Alcotest.int (Printf.sprintf "%s %s: no tuple judged twice" name what)
+      0 dups;
+    check Alcotest.int (Printf.sprintf "%s %s: system states" name what)
+      literal created
+  in
+  List.iter
+    (fun (name, max_depth, (opt_n, auto_n)) ->
+      let (module S : Protocols.Registry.SUBJECT) =
+        Option.get (Protocols.Registry.find name)
+      in
+      let module O = Once (S.P) in
+      let created, dups =
+        match S.opt with
+        | Some (Protocols.Registry.Opt { abstract; conflict }) ->
+            O.judged ?max_depth ~invariant:S.invariant
+              (O.L.Invariant_specific { abstract; conflict })
+        | None -> O.judged ?max_depth ~invariant:S.invariant O.L.General
+      in
+      expect name "OPT" created dups opt_n;
+      let created, dups = O.automatic ?max_depth ~invariant:S.invariant () in
+      expect name "AUTO" created dups auto_n)
+    once_registry;
+  List.iter
+    (fun (nodes, rows) ->
+      List.iteri
+        (fun seed (opt_n, auto_n) ->
+          let module P = Protocols.Synthetic.Make (struct
+            let seed = seed
+            let num_nodes = nodes
+            let max_state = 4
+            let kinds = 2
+          end) in
+          let module O = Once (P) in
+          let invariant =
+            Dsm.Invariant.for_all_pairs ~name:"both-moved" (fun _ a _ b ->
+                if a > 0 && b > 0 then Some "moved" else None)
+          in
+          let name = Printf.sprintf "synthetic-%d-%d" nodes seed in
+          let created, dups =
+            O.judged ~invariant
+              (O.L.Invariant_specific
+                 {
+                   abstract = (fun s -> if s > 0 then Some s else None);
+                   conflict = (fun _ _ -> true);
+                 })
+          in
+          expect name "OPT" created dups opt_n;
+          let created, dups = O.automatic ~invariant () in
+          expect name "AUTO" created dups auto_n)
+        rows)
+    once_synthetic
 
 (* Counters captured before the feasibility summaries were cached:
    (confirmed, system states, preliminary violations, soundness calls,
@@ -1142,6 +1293,8 @@ let () =
             test_opt_merges_buckets_in_store_order;
           Alcotest.test_case "conflict calls bounded" `Quick
             test_opt_conflict_calls_bounded;
+          Alcotest.test_case "pinned-pair tuples judged once" `Slow
+            test_tuples_judged_once;
         ] );
       ( "automatic",
         [
