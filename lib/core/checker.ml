@@ -174,10 +174,12 @@ module Make (P : Dsm.Protocol.S) = struct
      predecessor pointers (the remedy §4.2 suggests for the
      simplification of verifying only at state-creation time), or, under
      [defer_soundness], not judged yet.  The system state is rebuilt
-     from [r_tuple] when it is judged. *)
+     from [r_tuple] when it is judged.  The violation is lazy: a tuple
+     whose pinned pair violates is known to violate before its detail
+     is rendered ({!consider_combo}). *)
   type 'k rejected = {
     r_tuple : 'k entry array;
-    r_violation : Dsm.Invariant.violation;
+    r_violation : Dsm.Invariant.violation Lazy.t;
     r_depth : int;
   }
 
@@ -241,6 +243,11 @@ module Make (P : Dsm.Protocol.S) = struct
            crash-recovery, precomputed so the hot path never hashes;
            empty when [crash_budget = 0] *)
     o : obs_handles;
+    soundness : Soundness.handles;
+        (* the search's own metrics, resolved once per run like [o]'s
+           (kept out of [o]: one more word there moves that record
+           into a size class of its own, and lmc-explore's heap peak
+           by a 32 KB pool) *)
     tracing : bool;  (* the recorder is enabled; gates field assembly *)
     snapshot : P.state array;  (* starting states, for witness records *)
     ph_handler_us : int ref;
@@ -464,8 +471,8 @@ module Make (P : Dsm.Protocol.S) = struct
              ("depth", Dsm.Json.Int depth);
            ]))
 
-  let record_prelim t (violation : Dsm.Invariant.violation) sdepth
-      (tuple : 'k entry array) =
+  let record_prelim t violation sdepth (tuple : 'k entry array) =
+    let violation : Dsm.Invariant.violation = Lazy.force violation in
     ignore
       (Obs.Trace.emit t.o.trace ~ev:"prelim"
          [
@@ -769,8 +776,8 @@ module Make (P : Dsm.Protocol.S) = struct
     | Searched -> "search"
     | Exhausted -> "budget_exhausted"
 
-  let record_reject t (violation : Dsm.Invariant.violation) sdepth tuple
-      rejection =
+  let record_reject t violation sdepth tuple rejection =
+    let violation : Dsm.Invariant.violation = Lazy.force violation in
     ignore
       (Obs.Trace.emit t.o.trace ~ev:"reject"
          [
@@ -782,8 +789,8 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* A soundness search found [order]: map its events back to protocol
      steps and report the witness. *)
-  let confirm t (tuple : 'k entry array) (violation : Dsm.Invariant.violation)
-      by_label order =
+  let confirm t (tuple : 'k entry array) violation by_label order =
+    let violation = Lazy.force violation in
     let schedule =
       List.map
         (fun (sev : Soundness.event) ->
@@ -824,13 +831,13 @@ module Make (P : Dsm.Protocol.S) = struct
   let judge t (tuple : 'k entry array) =
     match screen t tuple with
     | Some why ->
-        Soundness.record_infeasible ~obs:t.o.scope ();
+        Soundness.record_infeasible t.soundness;
         Error (Infeasible why)
     | None -> (
         let by_label = new_by_label () in
         let graphs = Array.map (fun e -> build_graph t e by_label) tuple in
         match
-          Soundness.check_dag ~obs:t.o.scope
+          Soundness.check_dag ~handles:t.soundness
             ~budget:t.config.soundness_budget ~initial_net:[] graphs
         with
         | Soundness.Valid order -> Ok (by_label, order)
@@ -882,13 +889,26 @@ module Make (P : Dsm.Protocol.S) = struct
   let tuple_fp tuple =
     Fingerprint.combine (Array.to_list (Array.map (fun e -> e.fp) tuple))
 
+  (* The invariant on the system state of [tuple]. *)
+  let check_tuple t (tuple : 'k entry array) =
+    timed t t.ph_invariant_us (fun () ->
+        Dsm.Invariant.check t.invariant
+          (Array.map (fun (e : 'k entry) -> e.state) tuple))
+
   (* With [config.persist], every combination consults the on-disk set
      of proven-clean combinations before a system state is created: a
      hit is work some earlier restart already did.  Only clean
      verdicts are recorded — a violating combination must be re-judged
      from every snapshot, because soundness depends on the snapshot it
-     is scheduled from. *)
-  let consider_combo t (tuple : 'k entry array) =
+     is scheduled from.
+
+     [pinned]: the tuple holds a pair that violates a pairwise
+     invariant ({!pair_violates}), so it violates whatever the other
+     components are.  It is counted, recorded and judged as if
+     [check] had said so, but [check] runs, and the violation's
+     detail is rendered, only when a record, a confirmation or the
+     final pass reads it. *)
+  let consider_combo ?(pinned = false) t (tuple : 'k entry array) =
     check_budget t;
     let sdepth = Array.fold_left (fun acc e -> acc + e.depth) 0 tuple in
     if depth_allows t sdepth then begin
@@ -906,16 +926,28 @@ module Make (P : Dsm.Protocol.S) = struct
       Obs.Metrics.incr t.o.c_system_states;
       Obs.Metrics.observe t.o.h_system_depth sdepth;
       if sdepth > t.max_system_depth then t.max_system_depth <- sdepth;
-      let system = Array.map (fun e -> e.state) tuple in
-      match
-        timed t t.ph_invariant_us (fun () ->
-            Dsm.Invariant.check t.invariant system)
-      with
-      | None -> (
-          match stored with
-          | Some (p, f) -> ignore (Store.Fp_set.add p.p_combos f)
-          | None -> ())
-      | Some violation ->
+      let prelim =
+        if pinned then
+          let tuple = Array.copy tuple in
+          let violation =
+            lazy
+              (match check_tuple t tuple with
+              | Some v -> v
+              | None -> invalid_arg "Checker: a violating pinned pair passed check")
+          in
+          Some (tuple, violation)
+        else
+          match check_tuple t tuple with
+          | None ->
+              (match stored with
+              | Some (p, f) -> ignore (Store.Fp_set.add p.p_combos f)
+              | None -> ());
+              None
+          | Some violation -> Some (Array.copy tuple, Lazy.from_val violation)
+      in
+      match prelim with
+      | None -> ()
+      | Some (tuple, violation) ->
           t.preliminary_violations <- t.preliminary_violations + 1;
           Obs.Metrics.incr t.o.c_prelim;
           if t.tracing then record_prelim t violation sdepth tuple;
@@ -932,12 +964,8 @@ module Make (P : Dsm.Protocol.S) = struct
                  drop a preliminary violation silently. *)
               ignore
                 (Vec.push t.rejected
-                   {
-                     r_tuple = Array.copy tuple;
-                     r_violation = violation;
-                     r_depth = sdepth;
-                   })
-            else verify_soundness t (Array.copy tuple) violation sdepth
+                   { r_tuple = tuple; r_violation = violation; r_depth = sdepth })
+            else verify_soundness t tuple violation sdepth
           end)
     end
 
@@ -959,9 +987,21 @@ module Make (P : Dsm.Protocol.S) = struct
      that map to [None] never seed a combination, which is why a
      bug-free run creates no system states at all. *)
 
+  (* The pinned pair's verdict: does the pair ([a], [b]) violate the
+     invariant as {!Dsm.Invariant.check} judges it?  Then so does every
+     system state holding both.  Always [false] for an invariant
+     without a pair shape. *)
+  let pair_violates t (a : 'k entry) (b : 'k entry) =
+    match Dsm.Invariant.pairwise_witness t.invariant with
+    | Some pair ->
+        timed t t.ph_invariant_us (fun () -> pair a.node a.state b.node b.state)
+    | None -> false
+
   (* Pin [new_entry] together with each partner [partners m] visits on
      node [m] (in store order) and complete the system state from the
-     remaining nodes' full stores.  A tuple holding partners on two
+     remaining nodes' full stores.  The pinned pair is judged once per
+     partner ({!pair_violates}); with [violating_only], a partner it
+     does not violate with is skipped.  A tuple holding partners on two
      nodes [j < m] comes up under both; it is judged under [j], the
      first.  So [partners j] marks what it visits, and under [m] the
      slot of every earlier partner node [j] holds only the entries of
@@ -970,7 +1010,7 @@ module Make (P : Dsm.Protocol.S) = struct
      calls differ in [new_entry].)  The stores are copied once per [m],
      and only once a partner turns up; slot [m] is overwritten per
      partner. *)
-  let pinned_pair_combos t (new_entry : 'k entry) ~partners =
+  let pinned_pair_combos t (new_entry : 'k entry) ~violating_only ~partners =
     let marks = Array.make P.num_nodes Bytes.empty in
     try
       for m = 0 to P.num_nodes - 1 do
@@ -989,16 +1029,19 @@ module Make (P : Dsm.Protocol.S) = struct
                    else Vec.to_array t.stores.(j)))
           in
           partners m (fun (other : 'k entry) ->
-              if Bytes.length marks.(m) = 0 then
-                marks.(m) <- Bytes.make (Vec.length t.stores.(m)) '\000';
-              Bytes.set marks.(m) other.idx '\001';
-              let candidates = Lazy.force candidates in
-              candidates.(m) <- [| other |];
-              ignore
-                (Combination.iter candidates (fun tuple ->
-                     consider_combo t tuple;
-                     if stopped t then `Stop else `Continue));
-              if stopped t then raise Exit)
+              let pinned = pair_violates t new_entry other in
+              if pinned || not violating_only then begin
+                if Bytes.length marks.(m) = 0 then
+                  marks.(m) <- Bytes.make (Vec.length t.stores.(m)) '\000';
+                Bytes.set marks.(m) other.idx '\001';
+                let candidates = Lazy.force candidates in
+                candidates.(m) <- [| other |];
+                ignore
+                  (Combination.iter candidates (fun tuple ->
+                       consider_combo ~pinned t tuple;
+                       if stopped t then `Stop else `Continue));
+                if stopped t then raise Exit
+              end)
         end
       done
     with Exit -> ()
@@ -1009,7 +1052,8 @@ module Make (P : Dsm.Protocol.S) = struct
     match new_entry.key with
     | None -> ()
     | Some k ->
-        pinned_pair_combos t new_entry ~partners:(fun m visit ->
+        pinned_pair_combos t new_entry ~violating_only:false
+          ~partners:(fun m visit ->
             let hits =
               Vec.fold_left
                 (fun acc (k', bucket) ->
@@ -1032,13 +1076,9 @@ module Make (P : Dsm.Protocol.S) = struct
      violate.  Anything else falls back to the general product. *)
   let auto_combos t (new_entry : 'k entry) =
     match Dsm.Invariant.pairwise_witness t.invariant with
-    | Some pair ->
-        pinned_pair_combos t new_entry ~partners:(fun m visit ->
-            Vec.iteri
-              (fun _ (other : 'k entry) ->
-                if pair new_entry.node new_entry.state m other.state then
-                  visit other)
-              t.stores.(m))
+    | Some _ ->
+        pinned_pair_combos t new_entry ~violating_only:true
+          ~partners:(fun m visit -> Vec.iteri (fun _ e -> visit e) t.stores.(m))
     | None -> (
         match Dsm.Invariant.nodewise_witness t.invariant with
         | Some local ->
@@ -1385,7 +1425,9 @@ module Make (P : Dsm.Protocol.S) = struct
     end
 
   (* The snapshot is one combination, however many of its root pairs
-     conflict: consider it at most once. *)
+     conflict: consider it at most once.  Its pinned verdict comes from
+     the same pair helper as {!pinned_pair_combos}: any violating root
+     pair. *)
   let check_initial t =
     if t.config.create_system_states then begin
       let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
@@ -1397,28 +1439,25 @@ module Make (P : Dsm.Protocol.S) = struct
         in
         from 0 1
       in
-      let fire =
-        match t.strategy with
-        | General -> true
-        | Invariant_specific { conflict; _ } ->
+      let pinned () = exists_root_pair (pair_violates t) in
+      match t.strategy with
+      | General -> consider_combo t roots
+      | Invariant_specific { conflict; _ } ->
+          if
             exists_root_pair (fun (ei : 'k entry) (ej : 'k entry) ->
                 match (ei.key, ej.key) with
                 | Some ki, Some kj -> conflict ki kj
                 | _ -> false)
-        | Automatic -> (
-            match Dsm.Invariant.pairwise_witness t.invariant with
-            | Some pair ->
-                exists_root_pair (fun (ei : 'k entry) (ej : 'k entry) ->
-                    pair ei.node ei.state ej.node ej.state)
-            | None -> (
-                match Dsm.Invariant.nodewise_witness t.invariant with
-                | Some local ->
-                    Array.exists
-                      (fun (e : 'k entry) -> local e.node e.state)
-                      roots
-                | None -> true))
-      in
-      if fire then consider_combo t roots
+          then consider_combo ~pinned:(pinned ()) t roots
+      | Automatic -> (
+          match Dsm.Invariant.pairwise_witness t.invariant with
+          | Some _ -> if pinned () then consider_combo ~pinned:true t roots
+          | None -> (
+              match Dsm.Invariant.nodewise_witness t.invariant with
+              | Some local ->
+                  if Array.exists (fun (e : 'k entry) -> local e.node e.state) roots
+                  then consider_combo t roots
+              | None -> consider_combo t roots))
     end
 
   (* Fig. 12's analytic footprint; the accounting is spelled out at
@@ -1464,6 +1503,7 @@ module Make (P : Dsm.Protocol.S) = struct
               Array.init config.crash_budget (fun k ->
                   Fingerprint.of_value ("crash", n, k)));
         o;
+        soundness = Soundness.handles config.obs;
         tracing;
         snapshot = Array.copy snapshot;
         ph_handler_us = ref 0;

@@ -73,7 +73,23 @@ type persist = {
 }
 
 module Make (P : Dsm.Protocol.S) : sig
-  (** How system states are created for invariant checking. *)
+  (** How system states are created for invariant checking.
+
+      [Invariant_specific] and [Automatic] pin a pair: the new node
+      state and one partner on another node, completed from the other
+      nodes' full stores.  When the invariant has a pair shape
+      ({!Dsm.Invariant.pairwise_witness}), the pinned pair is judged
+      once per partner, as {!Dsm.Invariant.check} judges it.  If it
+      violates, so does every completion: each is still counted as a
+      system state and a preliminary violation, recorded and judged
+      for soundness, but no [check] runs for it up front.  Its
+      violation is computed by [check] on the same system state when
+      first read: by the [prelim] and [reject] records (with a
+      recorder), by a confirmation, or by the final pass over cached
+      rejections.  So counters, records and witnesses are those of
+      checking every completion.  If the pinned pair holds, [check]
+      runs on every completion.  Invariants without a pair shape, and
+      [General], check every system state they create. *)
   type 'k strategy =
     | General
     | Invariant_specific of {
@@ -94,7 +110,8 @@ module Make (P : Dsm.Protocol.S) : sig
         (** derive the pruning from the invariant's shape — the paper's
             future-work idea made concrete.  Invariants built with
             {!Dsm.Invariant.for_all_pairs} only seed combinations
-            containing a violating pair; {!Dsm.Invariant.for_all_nodes}
+            containing a violating pair (exactly the partners whose
+            pinned pair violates); {!Dsm.Invariant.for_all_nodes}
             ones only when the new node state itself violates; anything
             else falls back to [General]. *)
 

@@ -39,18 +39,43 @@ exception Out_of_budget
    save us" a first-class number.  The scope's recorder also gets one
    [ev = "soundness"] record per search, with its effort and outcome.
    Only the DAG search records ([kind] "dag"): [check] is the
-   brute-force reference, called by no checker. *)
-let record obs ~steps verdict =
-  if not (Obs.is_null obs) then begin
-    Obs.Metrics.observe (Obs.histogram obs "soundness.steps") steps;
-    Obs.Metrics.incr (Obs.counter obs "soundness.checks.dag");
+   brute-force reference, called by no checker.
+
+   The metric handles are resolved once per run, each on its first
+   use: a registry lookup takes a lock, and a metric still appears in
+   the registry only once something is recorded into it. *)
+type handles = {
+  scope : Obs.scope;
+  h_steps : Obs.Metrics.histogram Lazy.t;
+  c_dag : Obs.Metrics.counter Lazy.t;
+  c_valid : Obs.Metrics.counter Lazy.t;
+  c_invalid : Obs.Metrics.counter Lazy.t;
+  c_exhausted : Obs.Metrics.counter Lazy.t;
+}
+
+let handles scope =
+  {
+    scope;
+    h_steps = lazy (Obs.histogram scope "soundness.steps");
+    c_dag = lazy (Obs.counter scope "soundness.checks.dag");
+    c_valid = lazy (Obs.counter scope "soundness.valid");
+    c_invalid = lazy (Obs.counter scope "soundness.invalid");
+    c_exhausted = lazy (Obs.counter scope "soundness.budget_exhausted");
+  }
+
+let unobserved = handles Obs.null
+
+let record h ~steps verdict =
+  if not (Obs.is_null h.scope) then begin
+    Obs.Metrics.observe (Lazy.force h.h_steps) steps;
+    Obs.Metrics.incr (Lazy.force h.c_dag);
     Obs.Metrics.incr
-      (Obs.counter obs
+      (Lazy.force
          (match verdict with
-         | Valid _ -> "soundness.valid"
-         | Invalid -> "soundness.invalid"
-         | Budget_exhausted -> "soundness.budget_exhausted"));
-    let tr = Obs.recorder obs in
+         | Valid _ -> h.c_valid
+         | Invalid -> h.c_invalid
+         | Budget_exhausted -> h.c_exhausted));
+    let tr = Obs.recorder h.scope in
     if Obs.Trace.enabled tr then
       ignore
         (Obs.Trace.emit tr ~ev:"soundness"
@@ -352,10 +377,9 @@ let feasible ~initial_net graphs =
 
 (* A call the cached screen rejected records what [check_dag] records
    when [feasible] rejects: a 0-step dag search with verdict Invalid. *)
-let record_infeasible ?(obs = Obs.null) () =
-  record obs ~steps:0 Invalid
+let record_infeasible h = record h ~steps:0 Invalid
 
-let check_dag ?(obs = Obs.null) ?(budget = 200_000) ~initial_net graphs =
+let check_dag ?(handles = unobserved) ?(budget = 200_000) ~initial_net graphs =
   let n = Array.length graphs in
   (* Adjacency: per node, state index -> outgoing (event, next). *)
   let adj =
@@ -480,5 +504,5 @@ let check_dag ?(obs = Obs.null) ?(budget = 200_000) ~initial_net graphs =
       | None, _ -> Invalid
       | exception Out_of_budget -> Budget_exhausted
   in
-  record obs ~steps:!steps verdict;
+  record handles ~steps:!steps verdict;
   verdict

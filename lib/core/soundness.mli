@@ -74,14 +74,22 @@ type node_graph = {
   edges : (int * event * int) list;
 }
 
+(** A scope's soundness metrics, resolved once per run: each handle
+    is looked up in the registry on its first use, so a metric appears
+    there exactly when something has been recorded into it. *)
+type handles
+
+val handles : Obs.scope -> handles
+
 (** [check_dag ~budget ~initial_net graphs] decides whether every node
     can walk from its root to its target such that the interleaved
-    events form a valid run.  [obs] records the call's effort: a
-    [soundness.steps] histogram, the [soundness.checks.dag] and
-    per-verdict counters, and one [ev = "soundness"] record (kind,
-    steps, verdict) in its recorder. *)
+    events form a valid run.  [handles] records the call's effort into
+    their scope: a [soundness.steps] histogram, the
+    [soundness.checks.dag] and per-verdict counters, and one
+    [ev = "soundness"] record (kind, steps, verdict) in its recorder.
+    Default: {!Obs.null}'s. *)
 val check_dag :
-  ?obs:Obs.scope ->
+  ?handles:handles ->
   ?budget:int ->
   initial_net:Dsm.Fingerprint.t list ->
   node_graph array ->
@@ -158,4 +166,4 @@ val feasible : initial_net:Dsm.Fingerprint.t list -> node_graph array -> bool
 
 (** Record a call rejected by a cached [screen] exactly as [check_dag]
     records a [feasible] rejection: a 0-step [dag] search, [Invalid]. *)
-val record_infeasible : ?obs:Obs.scope -> unit -> unit
+val record_infeasible : handles -> unit

@@ -73,7 +73,10 @@ let for_all_pairs ~name f =
     name;
     check;
     nodewise = None;
-    pairwise = Some (fun i a j b -> f i a j b <> None || f j b i a <> None);
+    (* [check]'s orientation: the lower node id comes first *)
+    pairwise =
+      Some
+        (fun i a j b -> if i < j then f i a j b <> None else f j b i a <> None);
   }
 
 let nodewise_witness t = t.nodewise

@@ -54,7 +54,10 @@ val pp_violation : Format.formatter -> violation -> unit
     state violate it? *)
 val nodewise_witness : 'state t -> (Node_id.t -> 'state -> bool) option
 
-(** For invariants built with {!for_all_pairs}: can these two node
-    states (in either role order) violate it? *)
+(** For invariants built with {!for_all_pairs}: does this pair of
+    node states violate it as {!check} judges it, with [f] applied to
+    the lower node id first?  A pair that does makes {!check} return
+    [Some] on every system state holding both, whatever the other
+    nodes hold. *)
 val pairwise_witness :
   'state t -> (Node_id.t -> 'state -> Node_id.t -> 'state -> bool) option

@@ -516,15 +516,51 @@ let test_invariant_introspection () =
   in
   (match Dsm.Invariant.pairwise_witness pair with
   | Some w ->
-      (* the witness must be order-insensitive *)
-      check Alcotest.bool "fires one way" true (w 0 5 1 3);
-      check Alcotest.bool "fires the other way" true (w 0 3 1 5);
+      (* the witness judges the pair as [check] does: lower node first *)
+      check Alcotest.bool "fires in check's order" true (w 0 5 1 3);
+      check Alcotest.bool "same pair, roles swapped" true (w 1 3 0 5);
+      check Alcotest.bool "quiet against check's order" false (w 0 3 1 5);
+      check Alcotest.bool "quiet, roles swapped" false (w 1 5 0 3);
       check Alcotest.bool "quiet on equals" false (w 0 3 1 3)
   | None -> fail "for_all_pairs must expose a pairwise witness");
   let opaque = Dsm.Invariant.make ~name:"opaque" (fun _ -> None) in
   check Alcotest.bool "opaque has no shape" true
     (Dsm.Invariant.nodewise_witness opaque = None
     && Dsm.Invariant.pairwise_witness opaque = None)
+
+(* A true pair witness for (i, a, j, b) means [check] fails on every
+   system holding [a] at [i] and [b] at [j], whatever the other nodes
+   hold; on a two-node system the two agree exactly.  Random pairs and
+   fillers, under a symmetric predicate and two asymmetric ones (one
+   also reads the node ids). *)
+let test_pair_witness_implies_check () =
+  let preds =
+    [
+      ("lt", fun _ a _ b -> if a > b then Some "decreasing" else None);
+      ("equal", fun _ a _ b -> if a = b then Some "equal" else None);
+      ( "gap",
+        fun i a j b -> if a - b > j - i then Some "gap too wide" else None );
+    ]
+  in
+  let rng = Random.State.make [| 27 |] in
+  List.iter
+    (fun (name, f) ->
+      let inv = Dsm.Invariant.for_all_pairs ~name f in
+      let w = Option.get (Dsm.Invariant.pairwise_witness inv) in
+      for _ = 1 to 2_000 do
+        let n = 2 + Random.State.int rng 4 in
+        let i = Random.State.int rng n in
+        let j = (i + 1 + Random.State.int rng (n - 1)) mod n in
+        let a = Random.State.int rng 5 and b = Random.State.int rng 5 in
+        let system = Array.init n (fun _ -> Random.State.int rng 5) in
+        system.(i) <- a;
+        system.(j) <- b;
+        let fails = Dsm.Invariant.check inv system <> None in
+        let ctx = Printf.sprintf "%s: N%d=%d N%d=%d of %d" name i a j b n in
+        if w i a j b then check Alcotest.bool ctx true fails;
+        if n = 2 then check Alcotest.bool (ctx ^ " (exact)") (w i a j b) fails
+      done)
+    preds
 
 (* ---------- Json ---------- *)
 
@@ -617,6 +653,8 @@ let () =
           Alcotest.test_case "for_all_pairs" `Quick test_invariant_for_all_pairs;
           Alcotest.test_case "introspection" `Quick
             test_invariant_introspection;
+          Alcotest.test_case "pair witness implies check" `Quick
+            test_pair_witness_implies_check;
         ] );
       ( "trace",
         [

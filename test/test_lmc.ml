@@ -917,6 +917,233 @@ let test_tuples_judged_once () =
         rows)
     once_synthetic
 
+(* ---------- the pinned-pair verdict: hoisted vs full check ---------- *)
+
+(* LMC-OPT and LMC-AUTO judge a pinned pair once.  When it violates a
+   pairwise invariant, every completion is a preliminary violation
+   without a [check] call, and the violation's detail is rendered only
+   when a record, a confirmation or the final pass reads it.  Each run
+   is compared with a reference in which every completion runs the
+   full check: the invariant is hidden behind [Dsm.Invariant.make],
+   which has no pair shape.  Both must agree on
+   every counter, on the [detail] of every [prelim] record and on the
+   witness, untraced and traced, stopping at the first confirmation
+   and judging everything in the deferred final pass.
+
+   Hiding the shape would send AUTO itself down the general product,
+   so AUTO's reference is OPT over [Tagged (P)]: each node state
+   carries its node id, every state is its own key, and [conflict] is
+   the pair predicate in [check]'s orientation — AUTO's partner choice,
+   in AUTO's store order. *)
+module Tagged (P : Dsm.Protocol.S) = struct
+  let name = P.name
+  let num_nodes = P.num_nodes
+
+  type state = Dsm.Node_id.t * P.state
+  type message = P.message
+  type action = P.action
+
+  let initial n = (n, P.initial n)
+
+  let handle_message ~self (n, s) env =
+    let s', out = P.handle_message ~self s env in
+    ((n, s'), out)
+
+  let enabled_actions ~self (_, s) = P.enabled_actions ~self s
+
+  let handle_action ~self (n, s) a =
+    let s', out = P.handle_action ~self s a in
+    ((n, s'), out)
+
+  let on_recover ~self (n, s) = (n, P.on_recover ~self s)
+  let pp_state ppf (_, s) = P.pp_state ppf s
+  let pp_message = P.pp_message
+  let pp_action = P.pp_action
+end
+
+module Hoist (P : Dsm.Protocol.S) = struct
+  module L = Lmc.Checker.Make (P)
+  module T = Tagged (P)
+  module LT = Lmc.Checker.Make (T)
+
+  (* [inv] over the states [view] reads, with no pair shape *)
+  let hidden inv view =
+    Dsm.Invariant.make ~name:(Dsm.Invariant.name inv) (fun sys ->
+        Option.map
+          (fun (v : Dsm.Invariant.violation) -> v.detail)
+          (Dsm.Invariant.check inv (Array.map view sys)))
+
+  let details events =
+    List.filter_map
+      (fun (e : Obs.Sink.event) ->
+        match (List.assoc_opt "ev" e.fields, List.assoc_opt "detail" e.fields) with
+        | Some (Dsm.Json.String "prelim"), Some (Dsm.Json.String d) -> Some d
+        | _ -> None)
+      events
+
+  (* [go] untraced, then traced: each run's outcome with the details
+     of its [prelim] records (none untraced). *)
+  let both go =
+    let untraced = go Obs.null in
+    let sink, events = Obs.Sink.memory () in
+    let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+    let traced = go obs in
+    Obs.close obs;
+    [ ("untraced", untraced, []); ("traced", traced, details (events ())) ]
+
+  (* Outcomes are (system states, prelims, soundness calls,
+     rejections) and the witness: violation, system state, schedule. *)
+  let agree name ours reference =
+    List.iter2
+      (fun (mode, (counters, witness), ds) (_, (counters', witness'), ds') ->
+        let what s = Printf.sprintf "%s %s: %s" name mode s in
+        check
+          Alcotest.(list int)
+          (what "system states, prelims, soundness calls, rejections")
+          counters' counters;
+        check Alcotest.(list string) (what "prelim details") ds' ds;
+        check Alcotest.bool (what "same witness") true (witness = witness'))
+      ours reference
+
+  (* [opt]: the subject's abstraction, if any; [pair]: the invariant's
+     pair predicate in [check]'s orientation. *)
+  let equivalent name ?max_depth ?max_transitions ?opt ~invariant ~pair () =
+    let init = Dsm.Protocol.initial_system (module P) in
+    List.iter
+      (fun all ->
+        let name = name ^ if all then " (all, deferred)" else " (first)" in
+        let run strategy inv =
+          both (fun obs ->
+              let (r : L.result) =
+                L.run
+                  {
+                    L.default_config with
+                    max_depth;
+                    max_transitions;
+                    stop_on_violation = not all;
+                    defer_soundness = all;
+                    obs;
+                  }
+                  ~strategy ~invariant:inv init
+              in
+              ( [
+                  r.system_states_created;
+                  r.preliminary_violations;
+                  r.soundness_calls;
+                  r.soundness_rejections;
+                ],
+                Option.map
+                  (fun (v : L.violation) -> (v.violation, v.system, v.schedule))
+                  r.sound_violation ))
+        in
+        (match opt with
+        | Some (Protocols.Registry.Opt { abstract; conflict }) ->
+            let strategy = L.Invariant_specific { abstract; conflict } in
+            agree (name ^ " OPT") (run strategy invariant)
+              (run strategy (hidden invariant Fun.id))
+        | None -> ());
+        let reference =
+          both (fun obs ->
+              let (r : LT.result) =
+                LT.run
+                  {
+                    LT.default_config with
+                    max_depth;
+                    max_transitions;
+                    stop_on_violation = not all;
+                    defer_soundness = all;
+                    obs;
+                  }
+                  ~strategy:
+                    (LT.Invariant_specific
+                       {
+                         abstract = Option.some;
+                         conflict = (fun (i, a) (j, b) -> pair i a j b);
+                       })
+                  ~invariant:(hidden invariant snd)
+                  (Dsm.Protocol.initial_system (module T))
+              in
+              ( [
+                  r.system_states_created;
+                  r.preliminary_violations;
+                  r.soundness_calls;
+                  r.soundness_rejections;
+                ],
+                Option.map
+                  (fun (v : LT.violation) ->
+                    (v.violation, Array.map snd v.system, v.schedule))
+                  r.sound_violation ))
+        in
+        agree (name ^ " AUTO") (run L.Automatic invariant) reference)
+      [ false; true ]
+end
+
+(* Per subject: a system-depth bound and a transition budget, keeping
+   each run small.  Paxos, 1Paxos and the flood reach no preliminary
+   violation from their initial states (the Paxos hoist is pinned by
+   the golden hunt counters below); the others and the synthetic
+   seeds do, under both orders of judgement. *)
+let hoist_registry =
+  [
+    ("paxos-buggy", None, None);
+    ("onepaxos-buggy", Some 8, Some 3_000);
+    ("2pc-buggy", None, None);
+    ("ring-buggy", None, None);
+    ("mutex-buggy", None, None);
+    ("sym-flood", Some 8, None);
+  ]
+
+let test_pinned_verdict_equivalence () =
+  List.iter
+    (fun (name, max_depth, max_transitions) ->
+      let (module S : Protocols.Registry.SUBJECT) =
+        Option.get (Protocols.Registry.find name)
+      in
+      let module H = Hoist (S.P) in
+      (* every registry pair predicate is symmetric, so its witness is
+         the pair predicate in either orientation *)
+      let pair = Option.get (Dsm.Invariant.pairwise_witness S.invariant) in
+      H.equivalent name ?max_depth ?max_transitions ?opt:S.opt
+        ~invariant:S.invariant ~pair ())
+    hoist_registry;
+  (* Synthetic seeds under a symmetric predicate and an asymmetric one;
+     OPT keys every moved state by its value and lets every key
+     conflict. *)
+  let preds =
+    [
+      ("both-moved", fun _ a _ b -> if a > 0 && b > 0 then Some "moved" else None);
+      ( "decreasing",
+        fun i a j b ->
+          if a > b then Some (Printf.sprintf "N%d at %d > N%d at %d" i a j b)
+          else None );
+    ]
+  in
+  List.iter
+    (fun seed ->
+      let module P = Protocols.Synthetic.Make (struct
+        let seed = seed
+        let num_nodes = 3
+        let max_state = 4
+        let kinds = 2
+      end) in
+      let module H = Hoist (P) in
+      List.iter
+        (fun (pname, f) ->
+          H.equivalent
+            (Printf.sprintf "synthetic-%d %s" seed pname)
+            ~opt:
+              (Protocols.Registry.Opt
+                 {
+                   abstract = (fun s -> if s > 0 then Some s else None);
+                   conflict = (fun _ _ -> true);
+                 })
+            ~invariant:(Dsm.Invariant.for_all_pairs ~name:pname f)
+            ~pair:(fun i a j b ->
+              (if i < j then f i a j b else f j b i a) <> None)
+            ())
+        preds)
+    (List.init 24 Fun.id)
+
 (* Counters captured before the feasibility summaries were cached:
    (confirmed, system states, preliminary violations, soundness calls,
    rejections, witness length or -1).  Rows: the 5.1 Paxos instance
@@ -1295,6 +1522,8 @@ let () =
             test_opt_conflict_calls_bounded;
           Alcotest.test_case "pinned-pair tuples judged once" `Slow
             test_tuples_judged_once;
+          Alcotest.test_case "pinned verdict = full check" `Quick
+            test_pinned_verdict_equivalence;
         ] );
       ( "automatic",
         [
