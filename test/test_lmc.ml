@@ -1483,6 +1483,231 @@ let test_golden_counters () =
     "counters as before the summaries" (List.map show golden)
     (List.map show (golden_rows ()))
 
+(* ---------- interning: same stores, same I+, same witnesses ---------- *)
+
+(* Node states, I+ messages and events are interned per run.  However
+   the tables behind them are built, every store must fill with the
+   same states in the same order, I+ must list the same messages in
+   the same order, and the run must count, retain and witness the
+   same.  A run is read back from its step records: a node's store is
+   its snapshot state, then each [fp_after] of that node on first
+   sight; I+ is each produced message on first sight.  Each row folds
+   the store sequences and the I+ sequence into one short fingerprint
+   each, next to the counters and the witness's fingerprint. *)
+module Intern (P : Dsm.Protocol.S) = struct
+  module L = Lmc.Checker.Make (P)
+
+  let short parts =
+    String.sub
+      (Dsm.Fingerprint.to_hex (Dsm.Fingerprint.combine parts))
+      0 12
+
+  let row ?max_transitions ?(stop_on_violation = true) ~invariant strategy =
+    let sink, events = Obs.Sink.memory () in
+    let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
+    let init = Dsm.Protocol.initial_system (module P) in
+    let r =
+      L.run
+        { L.default_config with max_transitions; stop_on_violation; obs }
+        ~strategy ~invariant init
+    in
+    Obs.close obs;
+    let hex v = Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value v) in
+    let stores = Array.map (fun s -> [ hex s ]) init in
+    let seen = Hashtbl.create 1024 and iplus = ref [] in
+    let first key =
+      (not (Hashtbl.mem seen key))
+      && (Hashtbl.add seen key ();
+          true)
+    in
+    Array.iteri (fun n s -> ignore (first (`State (n, hex s)))) init;
+    List.iter
+      (fun (e : Obs.Sink.event) ->
+        let field k = List.assoc_opt k e.fields in
+        match
+          (field "ev", field "node", field "fp_after", field "produced")
+        with
+        | ( Some (Dsm.Json.String "step"),
+            Some (Dsm.Json.Int n),
+            Some (Dsm.Json.String h),
+            Some (Dsm.Json.List produced) ) ->
+            if first (`State (n, h)) then stores.(n) <- h :: stores.(n);
+            List.iter
+              (function
+                | Dsm.Json.String m ->
+                    if first (`Msg m) then iplus := m :: !iplus
+                | _ -> fail "produced")
+              produced
+        | _ -> ())
+      (events ());
+    check Alcotest.(list int) "step records name every stored state"
+      (Array.to_list r.node_states)
+      (Array.to_list (Array.map List.length stores));
+    check Alcotest.int "step records name every I+ message" r.net_messages
+      (List.length !iplus);
+    Printf.sprintf
+      "transitions=%d net=%d retained=%d stores=%s iplus=%s witness=%s"
+      r.transitions r.net_messages r.retained_bytes
+      (short (Array.to_list (Array.map (fun s -> short (List.rev s)) stores)))
+      (short (List.rev !iplus))
+      (match r.sound_violation with
+      | None -> "none"
+      | Some v ->
+          short
+            [
+              Dsm.Fingerprint.of_value
+                (v.violation.Dsm.Invariant.detail, v.schedule);
+            ])
+end
+
+(* Registry subjects under the transition budgets [test_oracle] gives
+   them: [bounded] for the five it does not compare. *)
+let intern_bounded =
+  [ "onepaxos"; "onepaxos-buggy"; "swim"; "swim-nosuspect"; "swim-ackrace" ]
+
+(* One row per run, or one ["gen=opt"] row when both runs read the
+   same. *)
+let intern_pair name gen opt =
+  match opt with
+  | Some o when o = gen -> [ name ^ " gen=opt: " ^ gen ]
+  | Some o -> [ name ^ " gen: " ^ gen; name ^ " opt: " ^ o ]
+  | None -> [ name ^ " gen: " ^ gen ]
+
+let intern_rows () =
+  let registry =
+    List.concat_map
+      (fun (module S : Protocols.Registry.SUBJECT) ->
+        let module I = Intern (S.P) in
+        let max_transitions =
+          Some (if List.mem S.name intern_bounded then 300 else 50_000)
+        in
+        let row strategy =
+          I.row ?max_transitions ~invariant:S.invariant strategy
+        in
+        intern_pair S.name (row I.L.General)
+          (match S.opt with
+          | Some (Protocols.Registry.Opt o) ->
+              Some
+                (row
+                   (I.L.Invariant_specific
+                      { abstract = o.abstract; conflict = o.conflict }))
+          | None -> None))
+      Protocols.Registry.subjects
+  in
+  (* Seeds run to the fixpoint: most violate within a step or two, and
+     about half have a one-step space. *)
+  let synthetic seed =
+    let module P = Protocols.Synthetic.Make (struct
+      let seed = seed
+      let num_nodes = 3
+      let max_state = 4
+      let kinds = 2
+    end) in
+    let module I = Intern (P) in
+    let row =
+      I.row ~stop_on_violation:false
+        ~invariant:
+          (Dsm.Invariant.for_all_pairs ~name:"both-moved" (fun _ a _ b ->
+               if a > 0 && b > 0 then Some "moved" else None))
+    in
+    intern_pair
+      (Printf.sprintf "synthetic-%d" seed)
+      (row I.L.General)
+      (Some
+         (row
+            (I.L.Invariant_specific
+               {
+                 abstract = (fun s -> if s > 0 then Some s else None);
+                 conflict = (fun _ _ -> true);
+               })))
+  in
+  registry @ List.concat_map synthetic (List.init 48 Fun.id)
+
+(* Taken before node states, I+ messages and events moved onto
+   [Dsm.Id_table]. *)
+let intern_golden =
+  [
+    "tree gen: transitions=5 net=4 retained=1875 stores=4b0d1d73806f iplus=935cb5ab41b2 witness=none";
+    "chain gen: transitions=8 net=7 retained=4360 stores=e20ef160d80c iplus=3c321a0a387b witness=none";
+    "ping gen: transitions=14 net=4 retained=3136 stores=e54fa9f5e2e2 iplus=09ec231eef14 witness=none";
+    "randtree gen: transitions=618 net=24 retained=31936 stores=c741a79e8769 iplus=4c4121e3e7a4 witness=none";
+    "randtree-buggy gen: transitions=63 net=22 retained=15100 stores=5fee10a57831 iplus=dfa96f687537 witness=fafeb5c1716c";
+    "paxos gen=opt: transitions=1062 net=18 retained=63373 stores=c407e9a3d35c iplus=d5e37b34111c witness=none";
+    "paxos-buggy gen=opt: transitions=1062 net=18 retained=63373 stores=c407e9a3d35c iplus=d5e37b34111c witness=none";
+    "onepaxos gen=opt: transitions=300 net=26 retained=37378 stores=c1a35d2f0ace iplus=6d8380bf3c7b witness=none";
+    "onepaxos-buggy gen=opt: transitions=300 net=29 retained=36046 stores=4555b7a4e93f iplus=511960cf1ad8 witness=none";
+    "2pc gen=opt: transitions=27 net=9 retained=5371 stores=5d705ec6c3e7 iplus=cddf31d84918 witness=none";
+    "2pc-buggy gen=opt: transitions=12 net=12 retained=4799 stores=956d3b2c5a11 iplus=3e6480659fe4 witness=dc59ef5ab752";
+    "ring gen=opt: transitions=31 net=8 retained=5690 stores=019f6773b274 iplus=dd5e3144d0af witness=none";
+    "ring-buggy gen=opt: transitions=22 net=10 retained=5897 stores=652ef83ab54e iplus=bf9b11e02efa witness=db438f89c41c";
+    "mutex gen=opt: transitions=17 net=3 retained=4580 stores=323251e47e96 iplus=70d26b57c9eb witness=none";
+    "mutex-buggy gen: transitions=17 net=2 retained=4360 stores=b2cf9a5688ae iplus=83d12a1ee240 witness=d345478e3ed8";
+    "mutex-buggy opt: transitions=17 net=2 retained=4360 stores=b2cf9a5688ae iplus=83d12a1ee240 witness=770d55e6959c";
+    "abp gen: transitions=167 net=10 retained=13209 stores=4cdec4d63c34 iplus=8ecb246ab821 witness=none";
+    "abp-buggy gen: transitions=8 net=4 retained=2755 stores=7a095b502054 iplus=1fdcf38b2b75 witness=757fcdf80efa";
+    "pb-store gen: transitions=148 net=10 retained=11548 stores=4f3d27260db2 iplus=28841b8ed937 witness=none";
+    "pb-store-buggy gen: transitions=147 net=10 retained=11192 stores=ec8df39ccfcc iplus=537eb7b36f32 witness=9daa2770d3ef";
+    "pb-store-crash gen: transitions=148 net=10 retained=11540 stores=13ddd707b15a iplus=28841b8ed937 witness=none";
+    "swim gen: transitions=300 net=36 retained=28244 stores=fd53bfdfeba6 iplus=e2369e8bfad1 witness=none";
+    "swim-nosuspect gen: transitions=257 net=28 retained=22852 stores=597fb08618eb iplus=762c00c505f9 witness=8fc37ed39f69";
+    "swim-ackrace gen: transitions=300 net=36 retained=28244 stores=fd53bfdfeba6 iplus=e2369e8bfad1 witness=none";
+    "sym-flood gen: transitions=84 net=12 retained=10212 stores=9c0f618eaa2b iplus=2f0510ccf999 witness=none";
+    "synthetic-0 gen=opt: transitions=2 net=1 retained=1057 stores=ab07dde39433 iplus=2ce97b613b30 witness=deebf69cc975";
+    "synthetic-1 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-2 gen=opt: transitions=670 net=136 retained=111083 stores=880294e3f7ec iplus=afa07d7a974b witness=bfe957b41a39";
+    "synthetic-3 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-4 gen=opt: transitions=4 net=2 retained=1195 stores=905ebfb90d57 iplus=24ce089b41ec witness=aeb21aa2ec96";
+    "synthetic-5 gen=opt: transitions=4 net=2 retained=1520 stores=71ca02c9239a iplus=5a53945dcd5a witness=517bb9791320";
+    "synthetic-6 gen=opt: transitions=654 net=134 retained=105505 stores=910e4ce425a9 iplus=6f3f595531bd witness=55dd85dca7b6";
+    "synthetic-7 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-8 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-9 gen=opt: transitions=11 net=5 retained=2762 stores=f93165a01ccd iplus=0e0738932b44 witness=4e646a9eeeec";
+    "synthetic-10 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-11 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-12 gen=opt: transitions=668 net=136 retained=109435 stores=72857004ab24 iplus=63abe86de6a5 witness=none";
+    "synthetic-13 gen=opt: transitions=657 net=134 retained=108967 stores=47ce38e218c2 iplus=8f86835285af witness=none";
+    "synthetic-14 gen=opt: transitions=10 net=4 retained=2208 stores=c5cbeb437eaa iplus=9e318f48a579 witness=3e73baa21c4d";
+    "synthetic-15 gen=opt: transitions=3 net=1 retained=1057 stores=31fcf90830cf iplus=48d1ca8ffc3e witness=none";
+    "synthetic-16 gen=opt: transitions=638 net=131 retained=100753 stores=d136d5b24c2e iplus=9f05f7e0e206 witness=224929151d91";
+    "synthetic-17 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-18 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-19 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-20 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-21 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-22 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-23 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-24 gen=opt: transitions=672 net=137 retained=110437 stores=a23e2e1d0bef iplus=1e6008964fb7 witness=none";
+    "synthetic-25 gen=opt: transitions=685 net=140 retained=116955 stores=5f016b033ddd iplus=a21237c9aaca witness=c24e4a231d8e";
+    "synthetic-26 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-27 gen=opt: transitions=4 net=2 retained=886 stores=b672af2159d6 iplus=5a53945dcd5a witness=none";
+    "synthetic-28 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-29 gen=opt: transitions=2 net=1 retained=748 stores=b672af2159d6 iplus=36774a16c99e witness=none";
+    "synthetic-30 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-31 gen=opt: transitions=2 net=1 retained=748 stores=b672af2159d6 iplus=36774a16c99e witness=none";
+    "synthetic-32 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-33 gen=opt: transitions=3 net=1 retained=748 stores=b672af2159d6 iplus=773777a2e031 witness=none";
+    "synthetic-34 gen=opt: transitions=2 net=1 retained=1057 stores=deaeb8f41b4b iplus=2ce97b613b30 witness=deebf69cc975";
+    "synthetic-35 gen=opt: transitions=621 net=127 retained=101095 stores=80ddf47669e5 iplus=68a5ae6a422b witness=3e73baa21c4d";
+    "synthetic-36 gen=opt: transitions=590 net=121 retained=96199 stores=5d182e02baf6 iplus=d8a7c293ff6b witness=6a4a8e4f8bb3";
+    "synthetic-37 gen=opt: transitions=655 net=134 retained=109611 stores=8c427c92adde iplus=36ca2dca9daf witness=06fa2fbb55d2";
+    "synthetic-38 gen=opt: transitions=619 net=127 retained=103023 stores=2e45e576c41c iplus=040071beef23 witness=accb3aae113b";
+    "synthetic-39 gen=opt: transitions=2 net=1 retained=1057 stores=ab07dde39433 iplus=2ce97b613b30 witness=deebf69cc975";
+    "synthetic-40 gen=opt: transitions=3 net=2 retained=886 stores=b672af2159d6 iplus=6017a0861e4a witness=none";
+    "synthetic-41 gen=opt: transitions=657 net=134 retained=107579 stores=5ea35804ee9c iplus=406de00bdc38 witness=5ac0b6d74fb3";
+    "synthetic-42 gen=opt: transitions=673 net=137 retained=113577 stores=0c9d583085a5 iplus=33f83164f788 witness=1299e54acf19";
+    "synthetic-43 gen=opt: transitions=12 net=5 retained=3137 stores=482142981304 iplus=b42631dfad1f witness=2c8bfd96c6c7";
+    "synthetic-44 gen=opt: transitions=1 net=0 retained=596 stores=b672af2159d6 iplus=0772d39035d2 witness=none";
+    "synthetic-45 gen=opt: transitions=3 net=1 retained=1073 stores=1f56c4f30f5e iplus=48d1ca8ffc3e witness=none";
+    "synthetic-46 gen=opt: transitions=620 net=127 retained=102767 stores=12404384c522 iplus=9c3bf790180a witness=104287db05cb";
+    "synthetic-47 gen=opt: transitions=661 net=135 retained=105947 stores=07301d734649 iplus=6d8c15caa152 witness=none";
+  ]
+
+let test_intern_equivalence () =
+  check
+    Alcotest.(list string)
+    "stores, I+, counters and witnesses as before" intern_golden
+    (intern_rows ())
+
 let () =
   Alcotest.run "lmc"
     [
@@ -1557,5 +1782,10 @@ let () =
           Alcotest.test_case "stale summary recomputed" `Quick
             test_stale_summary_recomputed;
           Alcotest.test_case "golden counters" `Slow test_golden_counters;
+        ] );
+      ( "interning",
+        [
+          Alcotest.test_case "stores, I+ and witnesses as before" `Slow
+            test_intern_equivalence;
         ] );
     ]
