@@ -14,6 +14,7 @@ type persist = {
 module Make (P : Dsm.Protocol.S) = struct
   module Envelope = Dsm.Envelope
   module Fingerprint = Dsm.Fingerprint
+  module Id_table = Dsm.Id_table
   module Vec = Dsm.Vec
   module Trace = Dsm.Trace
 
@@ -263,15 +264,14 @@ module Make (P : Dsm.Protocol.S) = struct
         (* per-node store generation, bumped whenever a predecessor
            pointer is added to an existing entry: the only event that
            can change an existing entry's feasibility summary *)
-    by_fp : (Fingerprint.t, int) Hashtbl.t array;
+    by_fp : Id_table.t array;  (* per node: fingerprint -> store index *)
     keyed : 'k keyed array;
     action_cursor : int array;  (* states already expanded for actions *)
     crash_cursor : int array;  (* states already expanded for crashes *)
     net : net_entry Vec.t;
-    net_by_fp : (Fingerprint.t, int) Hashtbl.t;
+    net_by_fp : Id_table.t;  (* fingerprint -> I+ id *)
     events : event_info Vec.t;  (* interned events, by id *)
-    event_ids : (Fingerprint.t * int list, int) Hashtbl.t;
-        (* (label, produced I+ ids) -> event id *)
+    event_ids : Id_table.t;  (* (label, produced I+ ids) -> event id *)
     rejected : 'k rejected Vec.t;
     started : float;
     mutable transitions : int;
@@ -553,6 +553,10 @@ module Make (P : Dsm.Protocol.S) = struct
         in
         ignore (Vec.push bucket e)
 
+  (* The intern tables' hash of a fingerprint: its first 8 bytes.  A
+     table hit is always confirmed against the full 16 bytes. *)
+  let fp_hash (fp : Fingerprint.t) = Int64.to_int (String.get_int64_le fp 0)
+
   let depth_allows t d =
     match t.config.max_depth with Some bound -> d <= bound | None -> true
 
@@ -561,9 +565,13 @@ module Make (P : Dsm.Protocol.S) = struct
      message's I+ id always enters the producing event's [produces] list:
      soundness bookkeeping counts productions, not distinct contents. *)
   let register_message t env fp =
-    match Hashtbl.find_opt t.net_by_fp fp with
-    | Some id -> Vec.get t.net id
-    | None ->
+    let h = fp_hash fp in
+    match
+      Id_table.find t.net_by_fp h (fun id ->
+          Fingerprint.equal (Vec.get t.net id).net_fp fp)
+    with
+    | id when id >= 0 -> Vec.get t.net id
+    | _ ->
         let id = Vec.length t.net in
         let entry =
           {
@@ -578,7 +586,7 @@ module Make (P : Dsm.Protocol.S) = struct
           }
         in
         ignore (Vec.push t.net entry);
-        Hashtbl.replace t.net_by_fp fp id;
+        Id_table.add t.net_by_fp h id;
         (match t.config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_iplus fp)
         | None -> ());
@@ -587,13 +595,29 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* ----- predecessor pointers over interned events ----- *)
 
+  (* Whether an event's produced messages, as fingerprints, are the
+     I+ ids [ids] in order; I+ ids and fingerprints name the same
+     messages. *)
+  let rec same_produces t fps ids =
+    match (fps, ids) with
+    | [], [] -> true
+    | fp :: fps, m :: ids ->
+        Fingerprint.equal fp (Vec.get t.net m).net_fp
+        && same_produces t fps ids
+    | _ -> false
+
   (* The id of node [node]'s event [label] producing [produces], interned
      on first sight. *)
   let intern_event t ~node ~label ~kind produces =
-    let key = (label, produces) in
-    match Hashtbl.find_opt t.event_ids key with
-    | Some id -> id
-    | None ->
+    let h = List.fold_left (fun h m -> (h * 31) + m) (fp_hash label) produces in
+    match
+      Id_table.find t.event_ids h (fun id ->
+          let sev = (Vec.get t.events id).sev in
+          Fingerprint.equal sev.label label
+          && same_produces t sev.produces produces)
+    with
+    | id when id >= 0 -> id
+    | _ ->
         let id = Vec.length t.events in
         let req, requires =
           match kind with
@@ -615,7 +639,7 @@ module Make (P : Dsm.Protocol.S) = struct
                      List.map (fun m -> (Vec.get t.net m).net_fp) produces;
                  };
              });
-        Hashtbl.add t.event_ids key id;
+        Id_table.add t.event_ids h id;
         id
 
   (* Append the pointer (prev, event id); the room doubles, up to the
@@ -1121,15 +1145,19 @@ module Make (P : Dsm.Protocol.S) = struct
   let add_next_state t ~node ~state ~fp ~history ~depth ~local_count ~crashes
       ~prev ~label ~kind produces =
     let store = t.stores.(node) in
-    match Hashtbl.find_opt t.by_fp.(node) fp with
-    | Some i ->
+    let h = fp_hash fp in
+    match
+      Id_table.find t.by_fp.(node) h (fun i ->
+          Fingerprint.equal (Vec.get store i).fp fp)
+    with
+    | i when i >= 0 ->
         (* Known node state reached by a new path: record one more
            predecessor pointer (Fig. 9 line 14); the history — and the
            crash count — keep their first values (§4.2
            simplification). *)
         add_pred t (Vec.get store i) ~prev ~label ~kind produces;
         false
-    | None ->
+    | _ ->
         let idx = Vec.length store in
         let entry =
           {
@@ -1149,7 +1177,7 @@ module Make (P : Dsm.Protocol.S) = struct
           }
         in
         ignore (Vec.push store entry);
-        Hashtbl.replace t.by_fp.(node) fp idx;
+        Id_table.add t.by_fp.(node) h idx;
         index_key t entry;
         (match t.config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_nodes.(node) fp)
@@ -1515,16 +1543,16 @@ module Make (P : Dsm.Protocol.S) = struct
         invariant;
         stores = Array.init P.num_nodes (fun _ -> Vec.create ());
         gens = Array.make P.num_nodes 0;
-        by_fp = Array.init P.num_nodes (fun _ -> Hashtbl.create 256);
+        by_fp = Array.init P.num_nodes (fun _ -> Id_table.create ());
         keyed =
           Array.init P.num_nodes (fun _ ->
               { bucket_of = Hashtbl.create 8; key_order = Vec.create () });
         action_cursor = Array.make P.num_nodes 0;
         crash_cursor = Array.make P.num_nodes 0;
         net = Vec.create ();
-        net_by_fp = Hashtbl.create 256;
+        net_by_fp = Id_table.create ();
         events = Vec.create ();
-        event_ids = Hashtbl.create 256;
+        event_ids = Id_table.create ();
         rejected = Vec.create ();
         started = now ();
         transitions = 0;
@@ -1565,7 +1593,7 @@ module Make (P : Dsm.Protocol.S) = struct
           }
         in
         ignore (Vec.push t.stores.(n) entry);
-        Hashtbl.replace t.by_fp.(n) fp 0;
+        Id_table.add t.by_fp.(n) (fp_hash fp) 0;
         index_key t entry;
         (match config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_nodes.(n) fp)

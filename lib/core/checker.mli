@@ -245,14 +245,19 @@ module Make (P : Dsm.Protocol.S) : sig
     retained_bytes : int;
         (** analytic footprint of the node stores, the interned events
             and I+ (Fig. 12), with heap layout in 8-byte words.  Per
-            node state: its [Marshal] size, its 16-byte fingerprint, 64
-            bytes for its store slot and hash-table entry, its history
-            bitset and its pointer array (each a header plus its words;
-            a history shared by several states is counted with each).
-            Per interned event: 21 words (record, kind, soundness
-            record, option box, table bucket and key), its produced-id
-            bitset and 6 words per produced message.  Per [I+] message:
-            its [Marshal] size, its fingerprint and 48 bytes. *)
+            node state: its [Marshal] size, its 16-byte fingerprint, a
+            flat 64 bytes of bookkeeping, its history bitset and its
+            pointer array (each a header plus its words; a history
+            shared by several states is counted with each).  Per
+            interned event: a flat 21 words, its produced-id bitset and
+            6 words per produced message.  Per [I+] message: its
+            [Marshal] size, its fingerprint and 48 bytes.  The flat
+            charges are estimates set when the intern tables were
+            string-keyed [Hashtbl]s (a bucket and a boxed key per
+            item).  They are kept now that {!Dsm.Id_table} holds one
+            word per slot, so that Fig. 12's series stays comparable
+            across versions; perfbench's [peak_heap_mb] measures the
+            heap itself. *)
     max_system_depth : int;
         (** deepest system state created (events) *)
     max_node_depth : int;

@@ -8,6 +8,7 @@ module Make (P : Dsm.Protocol.S) = struct
   module Envelope = Dsm.Envelope
   module Fingerprint = Dsm.Fingerprint
   module Mix = Fingerprint.Mix
+  module Id_table = Dsm.Id_table
   module Table = Dsm.Flat_table
   module Trace = Dsm.Trace
   module Vec = Dsm.Vec
@@ -52,15 +53,6 @@ module Make (P : Dsm.Protocol.S) = struct
       db = 0;
     }
 
-  (* Envelopes are interned by the classes of [Stdlib.compare], the
-     equality the network multiset has always used. *)
-  module Env_ids = Hashtbl.Make (struct
-    type t = envelope
-
-    let equal a b = Stdlib.compare a b = 0
-    let hash = Hashtbl.hash
-  end)
-
   (* Digests of one permutation's images, cached per state id (slotted
      at the image slot) and per envelope id. *)
   type image_cache = {
@@ -85,7 +77,9 @@ module Make (P : Dsm.Protocol.S) = struct
     images : image_cache array;  (* one per group element *)
     state_ids : Table.t array;  (* per node: digest lanes -> state id *)
     states : node_state Vec.t;  (* by state id *)
-    env_ids : int Env_ids.t;
+    env_ids : Id_table.t;
+        (* envelope -> id, by the classes of [Stdlib.compare]: the
+           equality the network multiset has always used *)
     envs : interned_env Vec.t;  (* by envelope id *)
     mutable by_order : int array;  (* envelope ids, ascending *)
     mutable rank : int array;  (* envelope id -> index in [by_order] *)
@@ -110,7 +104,7 @@ module Make (P : Dsm.Protocol.S) = struct
              symmetry.Dsm.Symmetry.group.Dsm.Symmetry.elements);
       state_ids = Array.init P.num_nodes (fun _ -> Table.create ());
       states = Vec.create ();
-      env_ids = Env_ids.create 64;
+      env_ids = Id_table.create ();
       envs = Vec.create ();
       by_order = [||];
       rank = [||];
@@ -144,11 +138,15 @@ module Make (P : Dsm.Protocol.S) = struct
      ranks of older ids shift but never reorder, so every network
      sorted by rank stays sorted. *)
   let intern_env sp e =
-    match Env_ids.find_opt sp.env_ids e with
-    | Some id -> id
-    | None ->
+    let h = Hashtbl.hash e in
+    match
+      Id_table.find sp.env_ids h (fun id ->
+          Stdlib.compare (Vec.get sp.envs id).env e = 0)
+    with
+    | id when id >= 0 -> id
+    | _ ->
         let id = Vec.length sp.envs in
-        Env_ids.add sp.env_ids e id;
+        Id_table.add sp.env_ids h id;
         let fp = Fingerprint.of_value e in
         ignore (Vec.push sp.envs { env = e; fp; mix = Mix.of_fp fp });
         let order = sp.by_order in

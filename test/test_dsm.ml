@@ -412,6 +412,78 @@ let test_flat_table_basics () =
   | _ -> fail "negative payload accepted"
   | exception Invalid_argument _ -> ()
 
+(* ---------- Id_table ---------- *)
+
+(* Interns [keys] in order, the [n]-th new key taking id [fresh n], and
+   checks each lookup against a Hashtbl model; then every key once
+   more.  [eq] reads a key back from its id the way a checker reads its
+   store, so an id the table never held raises [Not_found]. *)
+let id_table_agrees ~hash ~fresh keys =
+  let t = Dsm.Id_table.create () in
+  let model = Hashtbl.create 64 and key_of = Hashtbl.create 64 in
+  let find k =
+    Dsm.Id_table.find t (hash k) (fun id -> Hashtbl.find key_of id = k)
+  in
+  List.for_all
+    (fun k ->
+      let got = find k in
+      match Hashtbl.find_opt model k with
+      | Some id -> got = id
+      | None ->
+          let id = fresh (Hashtbl.length model) in
+          Hashtbl.add model k id;
+          Hashtbl.add key_of id k;
+          Dsm.Id_table.add t (hash k) id;
+          got = -1)
+    keys
+  && Dsm.Id_table.length t = Hashtbl.length model
+  && Hashtbl.fold (fun k id ok -> ok && find k = id) model true
+  && find (-1) = -1
+  && 4 * 8 * Dsm.Id_table.length t <= 3 * Dsm.Id_table.bytes t
+
+(* Key sequences with many repeats, long enough to grow the table from
+   16 slots to 2048. *)
+let id_table_keys range =
+  QCheck.(list_of_size Gen.(int_range 0 1500) (int_range 0 range))
+
+let prop_id_table_model =
+  QCheck.Test.make ~name:"Id_table agrees with Hashtbl" ~count:100
+    (id_table_keys 999)
+    (id_table_agrees ~hash:Hashtbl.hash ~fresh:Fun.id)
+
+(* Every key has the same tag and home slot: [eq] alone tells keys
+   apart, across every resize. *)
+let prop_id_table_degenerate =
+  QCheck.Test.make ~name:"Id_table with one hash for all keys" ~count:30
+    (id_table_keys 299)
+    (id_table_agrees ~hash:(fun _ -> 0) ~fresh:Fun.id)
+
+(* Four hash classes: long runs of equal tags between other tags. *)
+let prop_id_table_classes =
+  QCheck.Test.make ~name:"Id_table with four hash classes" ~count:30
+    (id_table_keys 299)
+    (id_table_agrees ~hash:(fun k -> k land 3) ~fresh:Fun.id)
+
+let test_id_table_limits () =
+  let max_id = Dsm.Id_table.max_id in
+  check Alcotest.int "31-bit ids" ((1 lsl 31) - 1) max_id;
+  check Alcotest.bool "ids counting down from the limit" true
+    (id_table_agrees ~hash:Hashtbl.hash
+       ~fresh:(fun n -> max_id - n)
+       (List.init 300 (fun i -> i mod 200)));
+  check Alcotest.bool "limit ids under one hash" true
+    (id_table_agrees ~hash:(fun _ -> 7)
+       ~fresh:(fun n -> max_id - n)
+       (List.init 100 (fun i -> i mod 60)));
+  let t = Dsm.Id_table.create () in
+  List.iter
+    (fun id ->
+      match Dsm.Id_table.add t 0 id with
+      | () -> Alcotest.failf "id %d accepted" id
+      | exception Invalid_argument _ -> ())
+    [ max_id + 1; -1; max_int; min_int ];
+  check Alcotest.int "nothing added" 0 (Dsm.Id_table.length t)
+
 (* ---------- Invariant ---------- *)
 
 let test_invariant_make () =
@@ -644,6 +716,13 @@ let () =
         [
           Alcotest.test_case "agrees with Hashtbl" `Quick test_flat_table_model;
           Alcotest.test_case "basics" `Quick test_flat_table_basics;
+        ] );
+      ( "id_table",
+        [
+          QCheck_alcotest.to_alcotest prop_id_table_model;
+          QCheck_alcotest.to_alcotest prop_id_table_degenerate;
+          QCheck_alcotest.to_alcotest prop_id_table_classes;
+          Alcotest.test_case "31-bit ids" `Quick test_id_table_limits;
         ] );
       ( "invariant",
         [

@@ -1595,7 +1595,7 @@ let intern_rows () =
       Protocols.Registry.subjects
   in
   (* Seeds run to the fixpoint: most violate within a step or two, and
-     about half have a one-step space. *)
+     over a third have a one-step space. *)
   let synthetic seed =
     let module P = Protocols.Synthetic.Make (struct
       let seed = seed

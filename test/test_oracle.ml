@@ -218,6 +218,100 @@ let test_swim_nosuspect_pinned () =
       check Alcotest.int "swim-nosuspect: witness length" 4
         (List.length v.schedule)
 
+(* Projection completeness (paper §4.3): once LMC-GEN reaches its
+   fixpoint, every node state of every global state B-DFS reaches is in
+   LMC's store for that node.  Compared by fingerprint, the identity
+   both checkers intern node states by, so two distinct states merged
+   by an intern table show up as a missing one.  LMC runs in the exact
+   regime of [test_synthetic] ([use_history = false]).  Both runs see
+   a recording invariant that never fires: B-DFS calls it on every
+   global state it reaches, and LMC-GEN on every combination of its
+   stores, each of which holds a new node state. *)
+module Projection (S : Protocols.Registry.SUBJECT) = struct
+  module O = Oracle (S)
+
+  (* A never-firing invariant and the node states it saw, per node. *)
+  let recorder () =
+    let seen = Array.init S.P.num_nodes (fun _ -> Hashtbl.create 256) in
+    ( Dsm.Invariant.make ~name:"record" (fun sys ->
+          Array.iteri
+            (fun n s ->
+              Hashtbl.replace seen.(n) (Dsm.Fingerprint.of_value s) ())
+            sys;
+          None),
+      seen )
+
+  (* The B-DFS node states missing from LMC's stores, as (node,
+     fingerprint) pairs; [None] when B-DFS does not exhaust the space
+     within [budget]. *)
+  let missing () =
+    let invariant, reached = recorder () in
+    let g =
+      O.G.run
+        { O.G.default_config with max_transitions = Some O.budget }
+        ~invariant (O.init ())
+    in
+    if not g.completed then None
+    else begin
+      let invariant, stored = recorder () in
+      let r =
+        O.L.run
+          {
+            O.L.default_config with
+            use_history = false;
+            max_transitions = Some O.budget;
+          }
+          ~strategy:O.L.General ~invariant (O.init ())
+      in
+      check Alcotest.bool (S.name ^ ": LMC-GEN reaches its fixpoint") true
+        r.completed;
+      Some
+        (List.concat
+           (List.init S.P.num_nodes (fun n ->
+                Hashtbl.fold
+                  (fun fp () acc ->
+                    if Hashtbl.mem stored.(n) fp then acc
+                    else (n, Dsm.Fingerprint.to_hex fp) :: acc)
+                  reached.(n) [])))
+    end
+end
+
+(* Subjects B-DFS exhausts whose projection is not checked, and why. *)
+let projection_skipped =
+  [
+    ( "sym-flood",
+      "LMC-GEN's product of the four stores passes 9 million system \
+       states in 5 s, short of its fixpoint" );
+  ]
+
+let test_projection_complete () =
+  let exhausted =
+    List.filter_map
+      (fun (module S : Protocols.Registry.SUBJECT) ->
+        let module T = Projection (S) in
+        if List.mem_assoc S.name projection_skipped then None
+        else
+          match T.missing () with
+          | None -> None
+          | Some missing ->
+              check
+                Alcotest.(list (pair int string))
+                (S.name ^ ": B-DFS node states missing from LMC's stores")
+                [] missing;
+              Some S.name)
+      Protocols.Registry.subjects
+  in
+  check
+    Alcotest.(list string)
+    "subjects B-DFS exhausts, projection checked"
+    [
+      "tree"; "chain"; "ping"; "randtree"; "randtree-buggy"; "paxos";
+      "paxos-buggy"; "2pc"; "2pc-buggy"; "ring"; "ring-buggy"; "mutex";
+      "mutex-buggy"; "abp"; "abp-buggy"; "pb-store"; "pb-store-buggy";
+      "pb-store-crash";
+    ]
+    exhausted
+
 let () =
   Alcotest.run "oracle"
     [
@@ -227,6 +321,8 @@ let () =
             test_registry_verdicts;
           Alcotest.test_case "swim-nosuspect soundness-only" `Quick
             test_swim_nosuspect_pinned;
+          Alcotest.test_case "B-DFS node states in LMC stores" `Quick
+            test_projection_complete;
         ] );
       ( "symmetry",
         [
