@@ -57,4 +57,3 @@ let add t hash id =
   t.count <- t.count + 1
 
 let length t = t.count
-let bytes t = 8 * (Array.length t.slots + 1)

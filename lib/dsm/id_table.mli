@@ -32,6 +32,3 @@ val add : t -> int -> int -> unit
 
 (** Number of ids stored. *)
 val length : t -> int
-
-(** Heap bytes held by the slot array (all slots, empty ones too). *)
-val bytes : t -> int

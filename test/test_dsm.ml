@@ -439,7 +439,6 @@ let id_table_agrees ~hash ~fresh keys =
   && Dsm.Id_table.length t = Hashtbl.length model
   && Hashtbl.fold (fun k id ok -> ok && find k = id) model true
   && find (-1) = -1
-  && 4 * 8 * Dsm.Id_table.length t <= 3 * Dsm.Id_table.bytes t
 
 (* Key sequences with many repeats, long enough to grow the table from
    16 slots to 2048. *)
