@@ -170,22 +170,9 @@ module Make (P : Dsm.Protocol.S) = struct
            so the per-transition push is a field read, not a lookup *)
   }
 
-  (* A preliminary violation awaiting the final pass: soundness-rejected
-     and cached so it can be re-verified once exploration has added more
-     predecessor pointers (the remedy §4.2 suggests for the
-     simplification of verifying only at state-creation time), or, under
-     [defer_soundness], not judged yet.  The system state is rebuilt
-     from [r_tuple] when it is judged.  The violation is lazy: a tuple
-     whose pinned pair violates is known to violate before its detail
-     is rendered ({!consider_combo}). *)
-  type 'k rejected = {
-    r_tuple : 'k entry array;
-    r_violation : Dsm.Invariant.violation Lazy.t;
-    r_depth : int;
-  }
-
   (* Pre-resolved metric handles: the registry lookup happens once per
-     run, the hot loops pay one atomic increment per update.  The
+     run, the hot loops pay one atomic increment per update (the
+     system-state path batches its updates, see [pending]).  The
      counters mirror the [result] record exactly, so a metrics dump of
      a finished run agrees with the printed summary. *)
   type obs_handles = {
@@ -209,6 +196,25 @@ module Make (P : Dsm.Protocol.S) = struct
     h_system_depth : Obs.Metrics.histogram;
     h_node_depth : Obs.Metrics.histogram;
     h_soundness_us : Obs.Metrics.histogram;
+  }
+
+  (* Metric updates of the system-state path not yet published
+     ({!publish}).  A combination phase can create 10^5 system states,
+     each a preliminary violation judged by one screen, and an atomic
+     update per counter and histogram per system state cost more than
+     the screen itself. *)
+  type pending = {
+    mutable p_system_states : int;
+    mutable p_prelims : int;
+    mutable p_calls : int;  (* soundness calls *)
+    mutable p_rejections : int;
+    mutable p_unclocked : int;
+        (* judgements that read no clock: observations of 0 in
+           [lmc.soundness_us] *)
+    mutable p_infeasible : int;
+        (* screen rejections not yet recorded as 0-step searches;
+           recorded at once without a recorder *)
+    mutable p_depths : int array;  (* system states created, by depth *)
   }
 
   let make_obs_handles (config : config) =
@@ -272,7 +278,19 @@ module Make (P : Dsm.Protocol.S) = struct
     net_by_fp : Id_table.t;  (* fingerprint -> I+ id *)
     events : event_info Vec.t;  (* interned events, by id *)
     event_ids : Id_table.t;  (* (label, produced I+ ids) -> event id *)
-    rejected : 'k rejected Vec.t;
+    rejected : int Vec.t;
+        (* preliminary violations awaiting the final pass: soundness-
+           rejected ones, cached so they can be re-verified once
+           exploration has added more predecessor pointers (the remedy
+           §4.2 suggests for verifying only at state-creation time), or,
+           under [defer_soundness], ones not judged yet.  Flat rows of
+           [row_width] ints: the system depth, then node [j]'s store
+           index in slot [j]; {!verify_pending} rebuilds the tuple from
+           the stores and its violation by [check] *)
+    pend : pending;
+    sums : Soundness.summary array;
+        (* the screen's input, refilled per judgement from the tuple's
+           cached summaries *)
     started : float;
     mutable transitions : int;
     mutable system_states_created : int;
@@ -291,6 +309,41 @@ module Make (P : Dsm.Protocol.S) = struct
   }
 
   exception Stop
+
+  (* Add the pending updates to their metrics.  Called when a
+     combination phase returns and when the run ends (a [Stop] raised
+     mid-phase is published there), so a metric lags its tally by at
+     most the phase in progress. *)
+  let publish t =
+    let p = t.pend in
+    let add c n = if n > 0 then Obs.Metrics.add c n in
+    add t.o.c_system_states p.p_system_states;
+    add t.o.c_prelim p.p_prelims;
+    add t.o.c_soundness_calls p.p_calls;
+    add t.o.c_rejections p.p_rejections;
+    Obs.Metrics.observe_n t.o.h_soundness_us 0 p.p_unclocked;
+    Soundness.record_infeasible t.soundness p.p_infeasible;
+    if p.p_system_states > 0 then begin
+      Array.iteri (Obs.Metrics.observe_n t.o.h_system_depth) p.p_depths;
+      Array.fill p.p_depths 0 (Array.length p.p_depths) 0
+    end;
+    p.p_system_states <- 0;
+    p.p_prelims <- 0;
+    p.p_calls <- 0;
+    p.p_rejections <- 0;
+    p.p_unclocked <- 0;
+    p.p_infeasible <- 0
+
+  (* One more pending system state of depth [d]. *)
+  let note_system_state t d =
+    let p = t.pend in
+    p.p_system_states <- p.p_system_states + 1;
+    if d >= Array.length p.p_depths then begin
+      let grown = Array.make (max 16 (2 * (d + 1))) 0 in
+      Array.blit p.p_depths 0 grown 0 (Array.length p.p_depths);
+      p.p_depths <- grown
+    end;
+    p.p_depths.(d) <- p.p_depths.(d) + 1
 
   (* A confirmed violation ends the run under [stop_on_violation]. *)
   let stopped t = t.config.stop_on_violation && t.sound_violation <> None
@@ -471,8 +524,8 @@ module Make (P : Dsm.Protocol.S) = struct
              ("depth", Dsm.Json.Int depth);
            ]))
 
-  let record_prelim t violation sdepth (tuple : 'k entry array) =
-    let violation : Dsm.Invariant.violation = Lazy.force violation in
+  let record_prelim t (violation : Dsm.Invariant.violation) sdepth
+      (tuple : 'k entry array) =
     ignore
       (Obs.Trace.emit t.o.trace ~ev:"prelim"
          [
@@ -776,10 +829,23 @@ module Make (P : Dsm.Protocol.S) = struct
       entry.summary.sum
     end
 
-  (* The soundness prefilter over cached summaries: [None] lets the
-     tuple through to the search. *)
-  let screen t (tuple : 'k entry array) =
-    Soundness.screen ~initial:Soundness.Bits.empty (Array.map (summary t) tuple)
+  (* Fill [t.sums] with [tuple]'s summaries.  Returns the seconds spent
+     refreshing stale ones; the clock is read only when one is stale. *)
+  let fill_summaries t (tuple : 'k entry array) =
+    let fresh = ref true in
+    for i = 0 to Array.length tuple - 1 do
+      let e = tuple.(i) in
+      if e.summary.gen <> t.gens.(e.node) then fresh := false;
+      t.sums.(i) <- e.summary.sum
+    done;
+    if !fresh then 0.
+    else begin
+      let t0 = now () in
+      for i = 0 to Array.length tuple - 1 do
+        t.sums.(i) <- summary t tuple.(i)
+      done;
+      now () -. t0
+    end
 
   (* Why a preliminary violation was not confirmed. *)
   type rejection =
@@ -800,8 +866,8 @@ module Make (P : Dsm.Protocol.S) = struct
     | Searched -> "search"
     | Exhausted -> "budget_exhausted"
 
-  let record_reject t violation sdepth tuple rejection =
-    let violation : Dsm.Invariant.violation = Lazy.force violation in
+  let record_reject t (violation : Dsm.Invariant.violation) sdepth tuple
+      rejection =
     ignore
       (Obs.Trace.emit t.o.trace ~ev:"reject"
          [
@@ -811,10 +877,30 @@ module Make (P : Dsm.Protocol.S) = struct
            ("reason", Dsm.Json.String (rejection_reason t tuple rejection));
          ])
 
+  (* The invariant on the system state of [tuple]. *)
+  let check_tuple t (tuple : 'k entry array) =
+    timed t t.ph_invariant_us (fun () ->
+        Dsm.Invariant.check t.invariant
+          (Array.map (fun (e : 'k entry) -> e.state) tuple))
+
+  (* The violation of preliminary violation [tuple]: [known] if it was
+     derived when the tuple was created, else [check] on the tuple (a
+     completion of a violating pinned pair, or a row of the rejected
+     cache). *)
+  let violation_of t (tuple : 'k entry array) known =
+    match known with
+    | Some v -> v
+    | None -> (
+        match check_tuple t tuple with
+        | Some v -> v
+        | None -> invalid_arg "Checker: a preliminary violation passed check")
+
   (* A soundness search found [order]: map its events back to protocol
-     steps and report the witness. *)
-  let confirm t (tuple : 'k entry array) violation by_label order =
-    let violation = Lazy.force violation in
+     steps and report the witness.  The violation keeps the tuple's
+     states, not the tuple: it is the one place a tuple outlives the
+     enumeration buffer it was built in. *)
+  let confirm t (tuple : 'k entry array) known by_label order =
+    let violation = violation_of t tuple known in
     let schedule =
       List.map
         (fun (sev : Soundness.event) ->
@@ -838,7 +924,7 @@ module Make (P : Dsm.Protocol.S) = struct
 
   let count_rejection t =
     t.soundness_rejections <- t.soundness_rejections + 1;
-    Obs.Metrics.incr t.o.c_rejections
+    t.pend.p_rejections <- t.pend.p_rejections + 1
 
   let count_exhausted t =
     t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
@@ -849,75 +935,109 @@ module Make (P : Dsm.Protocol.S) = struct
       (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
     Hashtbl.create 64
 
+  (* One judgement's time: [soundness_time] and one [lmc.soundness_us]
+     observation, 0 for a judgement that read no clock. *)
+  let spend t spent =
+    if spent > 0. then begin
+      t.soundness_time <- t.soundness_time +. spent;
+      Obs.Metrics.observe t.o.h_soundness_us (int_of_float (1e6 *. spent))
+    end
+    else t.pend.p_unclocked <- t.pend.p_unclocked + 1
+
   (* isStateSound (Fig. 9): screen the tuple with the cached summaries,
      and search the product of the per-node predecessor DAGs only if it
-     passes. *)
+     passes.  Clocks are read around summary refreshes and the search
+     only; a screen over fresh summaries costs a few word operations
+     and is timed by the caller's phase. *)
   let judge t (tuple : 'k entry array) =
-    match screen t tuple with
+    let refresh = fill_summaries t tuple in
+    match Soundness.screen ~initial:Soundness.Bits.empty t.sums with
     | Some why ->
-        Soundness.record_infeasible t.soundness;
+        spend t refresh;
+        if t.tracing then Soundness.record_infeasible t.soundness 1
+        else t.pend.p_infeasible <- t.pend.p_infeasible + 1;
         Error (Infeasible why)
-    | None -> (
+    | None ->
+        let t0 = now () in
         let by_label = new_by_label () in
         let graphs = Array.map (fun e -> build_graph t e by_label) tuple in
-        match
-          Soundness.check_dag ~handles:t.soundness
-            ~budget:t.config.soundness_budget ~initial_net:[] graphs
-        with
-        | Soundness.Valid order -> Ok (by_label, order)
-        | Soundness.Invalid -> Error Searched
-        | Soundness.Budget_exhausted ->
-            count_exhausted t;
-            Error Exhausted)
+        let verdict =
+          match
+            Soundness.check_dag ~handles:t.soundness
+              ~budget:t.config.soundness_budget ~initial_net:[] graphs
+          with
+          | Soundness.Valid order -> Ok (by_label, order)
+          | Soundness.Invalid -> Error Searched
+          | Soundness.Budget_exhausted ->
+              count_exhausted t;
+              Error Exhausted
+        in
+        spend t (refresh +. (now () -. t0));
+        verdict
 
-  (* Judge a preliminary violation.  A [recheck] re-verifies a rejection
-     already counted; any other rejection is counted, and an inline one
-     is cached for the final pass while the cache has room. *)
-  let verify_soundness_run ~recheck t (tuple : 'k entry array) violation
-      sdepth =
+  (* The rejected cache's row width: the system depth, then one store
+     index per node. *)
+  let row_width = P.num_nodes + 1
+
+  let cache_full t =
+    Vec.length t.rejected / row_width >= t.config.max_rejected_cache
+
+  let cache_push t (tuple : 'k entry array) sdepth =
+    ignore (Vec.push t.rejected sdepth);
+    for j = 0 to P.num_nodes - 1 do
+      ignore (Vec.push t.rejected tuple.(j).idx)
+    done
+
+  (* Judge a preliminary violation; [known] as for {!violation_of}.  A
+     [recheck] re-verifies a rejection already counted; any other
+     rejection is counted, and an inline one is cached for the final
+     pass while the cache has room. *)
+  let verify_soundness_run ~recheck t (tuple : 'k entry array) known sdepth =
     t.soundness_calls <- t.soundness_calls + 1;
-    Obs.Metrics.incr t.o.c_soundness_calls;
-    let t0 = now () in
-    let verdict = judge t tuple in
-    let spent = now () -. t0 in
-    t.soundness_time <- t.soundness_time +. spent;
-    Obs.Metrics.observe t.o.h_soundness_us
-      (int_of_float (1e6 *. spent));
-    match verdict with
+    t.pend.p_calls <- t.pend.p_calls + 1;
+    match judge t tuple with
     | Error rejection ->
-        if t.tracing then record_reject t violation sdepth tuple rejection;
+        if t.tracing then
+          record_reject t (violation_of t tuple known) sdepth tuple rejection;
         if not recheck then begin
           count_rejection t;
-          if
-            (not t.config.defer_soundness)
-            && Vec.length t.rejected < t.config.max_rejected_cache
-          then
-            ignore
-              (Vec.push t.rejected
-                 { r_tuple = tuple; r_violation = violation; r_depth = sdepth })
+          if (not t.config.defer_soundness) && not (cache_full t) then
+            cache_push t tuple sdepth
         end
     | Ok (by_label, order) ->
-        confirm t tuple violation by_label order;
+        confirm t tuple known by_label order;
         if t.config.stop_on_violation then raise Stop
 
   (* Soundness verification under a boundary-sampled profiler frame:
      [Prof.enter]/[leave] pin the phase edges, so the (often long)
      search never bleeds into the enclosing combination frame. *)
-  let verify_soundness ?(recheck = false) t (tuple : 'k entry array) violation
+  let verify_soundness ?(recheck = false) t (tuple : 'k entry array) known
       sdepth =
     Obs.frame t.o.scope "soundness" (fun () ->
-        verify_soundness_run ~recheck t tuple violation sdepth)
+        verify_soundness_run ~recheck t tuple known sdepth)
 
   (* ----- system state creation (checkSystemInvariant, Fig. 9) ----- *)
 
   let tuple_fp tuple =
     Fingerprint.combine (Array.to_list (Array.map (fun e -> e.fp) tuple))
 
-  (* The invariant on the system state of [tuple]. *)
-  let check_tuple t (tuple : 'k entry array) =
-    timed t t.ph_invariant_us (fun () ->
-        Dsm.Invariant.check t.invariant
-          (Array.map (fun (e : 'k entry) -> e.state) tuple))
+  (* A preliminary violation: count and record it, then judge it now or,
+     under [defer_soundness], queue it for the final pass.  [known] as
+     for {!violation_of}. *)
+  let prelim t (tuple : 'k entry array) known sdepth =
+    t.preliminary_violations <- t.preliminary_violations + 1;
+    t.pend.p_prelims <- t.pend.p_prelims + 1;
+    if t.tracing then record_prelim t (violation_of t tuple known) sdepth tuple;
+    if t.config.verify_soundness then
+      if t.config.defer_soundness && not (cache_full t) then
+        (* Contribution 3 of the paper: exploration, system-state
+           creation and soundness verification are decoupled, so
+           verification can be postponed until exploration settles or
+           its budget stops it.  When the queue overflows we fall back
+           to verifying inline — never drop a preliminary violation
+           silently. *)
+        cache_push t tuple sdepth
+      else verify_soundness t tuple known sdepth
 
   (* With [config.persist], every combination consults the on-disk set
      of proven-clean combinations before a system state is created: a
@@ -930,9 +1050,13 @@ module Make (P : Dsm.Protocol.S) = struct
      invariant ({!pair_violates}), so it violates whatever the other
      components are.  It is counted, recorded and judged as if
      [check] had said so, but [check] runs, and the violation's
-     detail is rendered, only when a record, a confirmation or the
-     final pass reads it. *)
-  let consider_combo ?(pinned = false) t (tuple : 'k entry array) =
+     detail is rendered, only when a record or a confirmation reads
+     it: once for both records under a recorder.
+
+     [tuple] is the enumeration's reused buffer and is not copied:
+     judging it is synchronous, the rejected cache keeps store indices,
+     and a confirmation keeps its states. *)
+  let consider_combo ~pinned t (tuple : 'k entry array) =
     check_budget t;
     let sdepth = Array.fold_left (fun acc e -> acc + e.depth) 0 tuple in
     if depth_allows t sdepth then begin
@@ -946,51 +1070,20 @@ module Make (P : Dsm.Protocol.S) = struct
           t.store_hits <- t.store_hits + 1;
           Obs.Metrics.incr t.o.c_store_hits
       | _ -> (
-      t.system_states_created <- t.system_states_created + 1;
-      Obs.Metrics.incr t.o.c_system_states;
-      Obs.Metrics.observe t.o.h_system_depth sdepth;
-      if sdepth > t.max_system_depth then t.max_system_depth <- sdepth;
-      let prelim =
-        if pinned then
-          let tuple = Array.copy tuple in
-          let violation =
-            lazy
-              (match check_tuple t tuple with
-              | Some v -> v
-              | None -> invalid_arg "Checker: a violating pinned pair passed check")
-          in
-          Some (tuple, violation)
-        else
-          match check_tuple t tuple with
-          | None ->
-              (match stored with
-              | Some (p, f) -> ignore (Store.Fp_set.add p.p_combos f)
-              | None -> ());
-              None
-          | Some violation -> Some (Array.copy tuple, Lazy.from_val violation)
-      in
-      match prelim with
-      | None -> ()
-      | Some (tuple, violation) ->
-          t.preliminary_violations <- t.preliminary_violations + 1;
-          Obs.Metrics.incr t.o.c_prelim;
-          if t.tracing then record_prelim t violation sdepth tuple;
-          if t.config.verify_soundness then begin
-            if
-              t.config.defer_soundness
-              && Vec.length t.rejected < t.config.max_rejected_cache
-            then
-              (* Contribution 3 of the paper: exploration, system-state
-                 creation and soundness verification are decoupled, so
-                 verification can be postponed until exploration
-                 settles or its budget stops it.  When the queue
-                 overflows we fall back to verifying inline — never
-                 drop a preliminary violation silently. *)
-              ignore
-                (Vec.push t.rejected
-                   { r_tuple = tuple; r_violation = violation; r_depth = sdepth })
-            else verify_soundness t tuple violation sdepth
-          end)
+          t.system_states_created <- t.system_states_created + 1;
+          note_system_state t sdepth;
+          if sdepth > t.max_system_depth then t.max_system_depth <- sdepth;
+          if pinned then
+            prelim t tuple
+              (if t.tracing then Some (violation_of t tuple None) else None)
+              sdepth
+          else
+            match check_tuple t tuple with
+            | None -> (
+                match stored with
+                | Some (p, f) -> ignore (Store.Fp_set.add p.p_combos f)
+                | None -> ())
+            | Some _ as known -> prelim t tuple known sdepth)
     end
 
   let general_combos t (new_entry : 'k entry) =
@@ -1001,7 +1094,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     ignore
       (Combination.iter candidates (fun tuple ->
-           consider_combo t tuple;
+           consider_combo ~pinned:false t tuple;
            if stopped t then `Stop else `Continue))
 
   (* LMC-OPT: "we select only the node states that at least two of them
@@ -1126,7 +1219,8 @@ module Make (P : Dsm.Protocol.S) = struct
               | General -> general_combos t new_entry
               | Invariant_specific { conflict; _ } ->
                   opt_combos t conflict new_entry
-              | Automatic -> auto_combos t new_entry))
+              | Automatic -> auto_combos t new_entry));
+      publish t
     end
 
   (* ----- exploration (findBugs main loop, Fig. 9) ----- *)
@@ -1441,15 +1535,19 @@ module Make (P : Dsm.Protocol.S) = struct
      suggested remedy). *)
   let verify_pending t =
     if not (stopped t) then begin
-      let pending = Vec.to_array t.rejected in
+      let rows = Vec.to_array t.rejected in
       Vec.clear t.rejected;
       Obs.frame t.o.scope "reverify" (fun () ->
-          Array.iter
-            (fun r ->
-              if not (stopped t) then
-                verify_soundness ~recheck:(not t.config.defer_soundness) t
-                  r.r_tuple r.r_violation r.r_depth)
-            pending)
+          let row = ref 0 in
+          while !row < Array.length rows && not (stopped t) do
+            let tuple =
+              Array.init P.num_nodes (fun j ->
+                  Vec.get t.stores.(j) rows.(!row + 1 + j))
+            in
+            verify_soundness ~recheck:(not t.config.defer_soundness) t tuple
+              None rows.(!row);
+            row := !row + row_width
+          done)
     end
 
   (* The snapshot is one combination, however many of its root pairs
@@ -1469,7 +1567,7 @@ module Make (P : Dsm.Protocol.S) = struct
       in
       let pinned () = exists_root_pair (pair_violates t) in
       match t.strategy with
-      | General -> consider_combo t roots
+      | General -> consider_combo ~pinned:false t roots
       | Invariant_specific { conflict; _ } ->
           if
             exists_root_pair (fun (ei : 'k entry) (ej : 'k entry) ->
@@ -1484,8 +1582,8 @@ module Make (P : Dsm.Protocol.S) = struct
               match Dsm.Invariant.nodewise_witness t.invariant with
               | Some local ->
                   if Array.exists (fun (e : 'k entry) -> local e.node e.state) roots
-                  then consider_combo t roots
-              | None -> consider_combo t roots))
+                  then consider_combo ~pinned:false t roots
+              | None -> consider_combo ~pinned:false t roots))
     end
 
   (* Fig. 12's analytic footprint; the accounting is spelled out at
@@ -1554,6 +1652,17 @@ module Make (P : Dsm.Protocol.S) = struct
         events = Vec.create ();
         event_ids = Id_table.create ();
         rejected = Vec.create ();
+        pend =
+          {
+            p_system_states = 0;
+            p_prelims = 0;
+            p_calls = 0;
+            p_rejections = 0;
+            p_unclocked = 0;
+            p_infeasible = 0;
+            p_depths = [||];
+          };
+        sums = Array.make P.num_nodes unsummarised.sum;
         started = now ();
         transitions = 0;
         system_states_created = 0;
@@ -1609,20 +1718,23 @@ module Make (P : Dsm.Protocol.S) = struct
              ("fp", Dsm.Json.String Fingerprint.name);
            ]);
     (Obs.frame t.o.scope "lmc" @@ fun () ->
-     (try
-        check_initial t;
-        if not (stopped t) then begin
-          let continue = ref true in
-          while !continue do
-            check_budget t;
-            continue := round t
-          done
-        end
-      with Stop -> ());
-     (* A budget stop skips re-verification, but not the deferred queue:
-        nothing else would ever judge it. *)
-     if (not t.truncated) || t.config.defer_soundness then
-       try verify_pending t with Stop -> ());
+     Fun.protect
+       ~finally:(fun () -> publish t)
+       (fun () ->
+         (try
+            check_initial t;
+            if not (stopped t) then begin
+              let continue = ref true in
+              while !continue do
+                check_budget t;
+                continue := round t
+              done
+            end
+          with Stop -> ());
+         (* A budget stop skips re-verification, but not the deferred
+            queue: nothing else would ever judge it. *)
+         if (not t.truncated) || t.config.defer_soundness then
+           try verify_pending t with Stop -> ()));
     let elapsed = now () -. t.started in
     let node_states = Array.map Vec.length t.stores in
     (match config.persist with

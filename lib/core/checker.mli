@@ -83,13 +83,21 @@ module Make (P : Dsm.Protocol.S) : sig
       violates, so does every completion: each is still counted as a
       system state and a preliminary violation, recorded and judged
       for soundness, but no [check] runs for it up front.  Its
-      violation is computed by [check] on the same system state when
-      first read: by the [prelim] and [reject] records (with a
-      recorder), by a confirmation, or by the final pass over cached
-      rejections.  So counters, records and witnesses are those of
-      checking every completion.  If the pinned pair holds, [check]
-      runs on every completion.  Invariants without a pair shape, and
-      [General], check every system state they create. *)
+      violation is computed by [check] on the same system state only
+      when read: once for both its [prelim] and [reject] records (with
+      a recorder), or by a confirmation.  So counters, records and
+      witnesses are those of checking every completion.  If the pinned
+      pair holds, [check] runs on every completion.  Invariants
+      without a pair shape, and [General], check every system state
+      they create.
+
+      {b Copy on escape.}  Every strategy enumerates a system state's
+      tuple of store entries in one reused buffer, and judges it
+      before the next is built; tuple slot [j] always holds node [j]'s
+      entry.  Nothing is copied per tuple.  Only what outlives the
+      enumeration is kept: a confirmed violation copies the tuple's
+      node states, and the rejected cache keeps store indices
+      ([max_rejected_cache]). *)
   type 'k strategy =
     | General
     | Invariant_specific of {
@@ -160,9 +168,13 @@ module Make (P : Dsm.Protocol.S) : sig
             schedulable (§4.2's suggested remedy); a run stopped by
             its budget skips that second judgement.  Under
             [defer_soundness] the cache is the deferred queue, and a
-            violation that finds it full is judged inline.  An entry
-            holds the tuple of node states; the system state is rebuilt
-            from it when judged. *)
+            violation that finds it full is judged inline.  The cache
+            is one flat [int] vector of fixed-width rows, one per
+            tuple: the system depth, then node [j]'s store index in
+            slot [j] ([num_nodes + 1] ints, no record, tuple copy or
+            violation per row).  The final pass rebuilds each tuple
+            from the stores and derives its violation by [check] on
+            that tuple, when a record or a confirmation reads it. *)
     defer_soundness : bool;
         (** postpone all soundness verification to a single pass after
             exploration settles — the decoupling the paper's third
@@ -193,7 +205,18 @@ module Make (P : Dsm.Protocol.S) : sig
             The checker runs on one domain, so two runs with the same
             config record bit-identical step streams.  Defaults to
             {!Obs.null} (no recorder, throwaway registry; the hot loops
-            pay one branch). *)
+            pay one branch).
+
+            The system-state path batches its metric updates: the
+            [lmc.system_states_created], [lmc.preliminary_violations],
+            [lmc.soundness_calls] and [lmc.soundness_rejections]
+            counters, the [lmc.system_depth] and [lmc.soundness_us]
+            histograms and, without a recorder, the [soundness.*]
+            metrics of screen rejections are published when a
+            combination phase (the system states of one new node state)
+            ends and when the run ends.  Mid-run readers (timeseries,
+            the live exporter) see them lag by at most the phase in
+            progress; at the end they equal the [result] tallies. *)
     persist : persist option;
         (** disk-backed stores shared across restarts ({!persist}).
             When set, every combination consults the on-disk set of
@@ -241,7 +264,14 @@ module Make (P : Dsm.Protocol.S) : sig
     system_state_time : float;
         (** seconds spent creating system states and checking the
             invariant on them *)
-    soundness_time : float;  (** seconds spent in soundness checks *)
+    soundness_time : float;
+        (** seconds spent in soundness checks, read around summary
+            refreshes and DAG searches only.  A judgement whose screen
+            rejects the tuple on fresh summaries reads no clock: it
+            adds nothing here and observes 0 in [lmc.soundness_us]
+            (one observation per call either way), and its few word
+            operations count in [system_state_time] (or, in the final
+            pass, in exploration time). *)
     retained_bytes : int;
         (** analytic footprint of the node stores, the interned events
             and I+ (Fig. 12), with heap layout in 8-byte words.  Per

@@ -306,38 +306,47 @@ let summarise ~root ~pinned incoming =
 
 type infeasible = Unreachable of int | Missing of int * int
 
+(* The lowest set bit of [x <> 0], counting from [b]. *)
+let rec lowest_bit x b = if x land (1 lsl b) <> 0 then b else lowest_bit x (b + 1)
+
 (* The tuple-level necessary condition: every component's target is
    reachable, and every message it must consume is produced by some
-   edge of some component's closure or by the initial net. *)
+   edge of some component's closure or by the initial net.  Word by
+   word, the may-word (the initial net or any component's [prod]) is
+   formed once and tested against the [must] word of every component
+   before the best one found so far; a component's first failing word
+   holds its lowest missing message.  Loops and refs only, so a
+   rejection allocates nothing but its answer. *)
 let screen ~initial sums =
   let n = Array.length sums in
-  let may w =
-    let x = ref (Bits.word initial w) in
+  let unreachable = ref n and words = ref 0 in
+  for i = n - 1 downto 0 do
+    match sums.(i).must with
+    | None -> unreachable := i
+    | Some must -> words := max !words (Array.length must)
+  done;
+  let best = ref !unreachable and best_msg = ref 0 in
+  for w = 0 to !words - 1 do
+    let may = ref (Bits.word initial w) in
     for i = 0 to n - 1 do
-      x := !x lor Bits.word sums.(i).prod w
+      may := !may lor Bits.word sums.(i).prod w
     done;
-    !x
-  in
-  let rec component i =
-    if i = n then None
-    else
-      match sums.(i).must with
-      | None -> Some (Unreachable i)
+    let i = ref 0 in
+    while !i < !best do
+      (match sums.(!i).must with
       | Some must ->
-          let rec words w =
-            if w = Array.length must then component (i + 1)
-            else
-              let missing = must.(w) land lnot (may w) in
-              if missing = 0 then words (w + 1)
-              else
-                let rec low b =
-                  if missing land (1 lsl b) <> 0 then b else low (b + 1)
-                in
-                Some (Missing (i, (w * Bits.width) + low 0))
-          in
-          words 0
-  in
-  component 0
+          let missing = Bits.word must w land lnot !may in
+          if missing <> 0 then begin
+            best := !i;
+            best_msg := (w * Bits.width) + lowest_bit missing 0
+          end
+      | None -> ());
+      incr i
+    done
+  done;
+  if !best < !unreachable then Some (Missing (!best, !best_msg))
+  else if !unreachable < n then Some (Unreachable !unreachable)
+  else None
 
 (* The dense id of [x] in [tbl], the next free one on first sight. *)
 let dense tbl x =
@@ -376,8 +385,20 @@ let feasible ~initial_net graphs =
   screen ~initial sums = None
 
 (* A call the cached screen rejected records what [check_dag] records
-   when [feasible] rejects: a 0-step dag search with verdict Invalid. *)
-let record_infeasible h = record h ~steps:0 Invalid
+   when [feasible] rejects: a 0-step dag search with verdict Invalid.
+   [n] calls at once share three metric updates when there is no
+   record to emit per call. *)
+let record_infeasible h n =
+  if n > 0 && not (Obs.is_null h.scope) then
+    if Obs.Trace.enabled (Obs.recorder h.scope) then
+      for _ = 1 to n do
+        record h ~steps:0 Invalid
+      done
+    else begin
+      Obs.Metrics.observe_n (Lazy.force h.h_steps) 0 n;
+      Obs.Metrics.add (Lazy.force h.c_dag) n;
+      Obs.Metrics.add (Lazy.force h.c_invalid) n
+    end
 
 let check_dag ?(handles = unobserved) ?(budget = 200_000) ~initial_net graphs =
   let n = Array.length graphs in

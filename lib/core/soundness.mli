@@ -157,13 +157,18 @@ type infeasible =
 (** [screen ~initial targets] tests a tuple of target summaries against
     the initial messages and the union of their [prod] sets; [None]
     means the tuple may be schedulable.  A [Missing] reason names the
-    lowest such message of the first failing component. *)
+    lowest such message of the first failing component.  Each word of
+    the union is formed once per call, and nothing is allocated but
+    the answer, so a caller can refill one [targets] buffer per
+    tuple. *)
 val screen : initial:Bits.t -> summary array -> infeasible option
 
 (** [feasible ~initial_net graphs] is [screen] over the targets of
     explicit graphs — the filter [check_dag] runs before searching. *)
 val feasible : initial_net:Dsm.Fingerprint.t list -> node_graph array -> bool
 
-(** Record a call rejected by a cached [screen] exactly as [check_dag]
-    records a [feasible] rejection: a 0-step [dag] search, [Invalid]. *)
-val record_infeasible : handles -> unit
+(** [record_infeasible h n] records [n] calls rejected by a cached
+    [screen] exactly as [check_dag] records [n] [feasible] rejections:
+    0-step [dag] searches, [Invalid], one [soundness] record each
+    when the scope has a recorder. *)
+val record_infeasible : handles -> int -> unit

@@ -105,6 +105,14 @@ let rec atomic_max cell v =
   if v > cur && not (Atomic.compare_and_set cell cur v) then
     atomic_max cell v
 
+let observe_n h v n =
+  if n > 0 then begin
+    ignore (Atomic.fetch_and_add h.h_buckets.(bucket_index v) n);
+    ignore (Atomic.fetch_and_add h.h_count n);
+    ignore (Atomic.fetch_and_add h.h_sum (n * max v 0));
+    atomic_max h.h_max v
+  end
+
 let observe h v =
   ignore (Atomic.fetch_and_add h.h_buckets.(bucket_index v) 1);
   ignore (Atomic.fetch_and_add h.h_count 1);

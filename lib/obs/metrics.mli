@@ -42,6 +42,10 @@ val histogram : t -> string -> histogram
 
 val observe : histogram -> int -> unit
 
+(** [observe_n h v n] records [n] observations of [v] at once, as [n]
+    calls of [observe h v] would; nothing when [n <= 0]. *)
+val observe_n : histogram -> int -> int -> unit
+
 (** Bucket [0] holds values [<= 0]; bucket [i >= 1] holds
     [2^(i-1) .. 2^i - 1]; the last bucket absorbs everything above its
     lower bound (so [max_int] lands in bucket [num_buckets - 1]). *)
