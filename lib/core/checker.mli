@@ -214,9 +214,10 @@ module Make (P : Dsm.Protocol.S) : sig
             histograms and, without a recorder, the [soundness.*]
             metrics of screen rejections are published when a
             combination phase (the system states of one new node state)
-            ends and when the run ends.  Mid-run readers (timeseries,
-            the live exporter) see them lag by at most the phase in
-            progress; at the end they equal the [result] tallies. *)
+            returns and when the run ends, however it ends.  Mid-run
+            readers (timeseries, the live exporter) see them lag by at
+            most the phase in progress; at the end they equal the
+            [result] tallies. *)
     persist : persist option;
         (** disk-backed stores shared across restarts ({!persist}).
             When set, every combination consults the on-disk set of
