@@ -2004,9 +2004,9 @@ let () =
           Alcotest.test_case "stores, I+ and witnesses as before" `Slow
             test_intern_equivalence;
         ] );
-      ( "judged completions",
+      ( "judged",
         [
-          Alcotest.test_case "counters, records and witnesses as before" `Slow
+          Alcotest.test_case "completions as before" `Slow
             test_judged_equivalence;
         ] );
     ]
