@@ -1735,23 +1735,45 @@ module Judged (P : Dsm.Protocol.S) = struct
           [ false; true ])
       [ true; false ]
 
-  let run ?max_depth ?max_transitions ~invariant strategy (stop, defer, cap) =
+  let exec ?max_depth ?max_transitions ~invariant strategy (stop, defer, cap)
+      obs =
+    L.run
+      {
+        L.default_config with
+        max_depth;
+        max_transitions;
+        stop_on_violation = stop;
+        defer_soundness = defer;
+        max_rejected_cache = cap;
+        obs;
+      }
+      ~strategy ~invariant
+      (Dsm.Protocol.initial_system (module P))
+
+  let counters (r : L.result) =
+    Printf.sprintf "%d/%d/%d/%d/%d" r.system_states_created
+      r.preliminary_violations r.soundness_calls r.soundness_rejections
+      r.soundness_budget_exhausted
+
+  let hex v = Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value v)
+
+  let witness (r : L.result) =
+    match r.sound_violation with
+    | None -> "none"
+    | Some v ->
+        String.concat "|"
+          [
+            v.violation.Dsm.Invariant.invariant;
+            v.violation.Dsm.Invariant.detail;
+            hex v.system;
+            hex v.schedule;
+            string_of_int v.system_depth;
+          ]
+
+  let run ?max_depth ?max_transitions ~invariant strategy config =
     let sink, events = Obs.Sink.memory () in
     let obs = Obs.create ~recorder:(Obs.Trace.of_sink sink) () in
-    let r =
-      L.run
-        {
-          L.default_config with
-          max_depth;
-          max_transitions;
-          stop_on_violation = stop;
-          defer_soundness = defer;
-          max_rejected_cache = cap;
-          obs;
-        }
-        ~strategy ~invariant
-        (Dsm.Protocol.initial_system (module P))
-    in
+    let r = exec ?max_depth ?max_transitions ~invariant strategy config obs in
     Obs.close obs;
     let records =
       List.filter
@@ -1764,50 +1786,91 @@ module Judged (P : Dsm.Protocol.S) = struct
     (* Each part is digested on its own, as a string where it can be:
        a fingerprint of one value mixing records and the witness would
        also pin which strings they share. *)
-    let hex v = Dsm.Fingerprint.to_hex (Dsm.Fingerprint.of_value v) in
-    ( Printf.sprintf "%d/%d/%d/%d/%d" r.system_states_created
-        r.preliminary_violations r.soundness_calls r.soundness_rejections
-        r.soundness_budget_exhausted,
+    ( r,
       Dsm.Fingerprint.of_value
         ( List.map
             (fun (e : Obs.Sink.event) ->
               Dsm.Json.to_string (Dsm.Json.Obj e.fields))
             records,
-          match r.sound_violation with
-          | None -> "none"
-          | Some v ->
-              String.concat "|"
-                [
-                  v.violation.Dsm.Invariant.invariant;
-                  v.violation.Dsm.Invariant.detail;
-                  hex v.system;
-                  hex v.schedule;
-                  string_of_int v.system_depth;
-                ] ) )
+          witness r ) )
 
-  let row name ?max_depth ?max_transitions ~invariant strategy =
-    let runs =
-      List.map (run ?max_depth ?max_transitions ~invariant strategy) configs
+  (* The same configuration with a metrics registry and no recorder,
+     the path every benchmarked run takes.  Its counters (in the
+     result and in the registry) and its witness must be the recorded
+     run's.  Returns the count of [lmc.soundness_us] observations and
+     the [lmc.system_depth] and [soundness.steps] histograms, which
+     the golden pins. *)
+  let quiet ?max_depth ?max_transitions ~invariant strategy config
+      (recorded : L.result) =
+    let obs = Obs.create () in
+    let r = exec ?max_depth ?max_transitions ~invariant strategy config obs in
+    let m = Obs.metrics obs in
+    let counter name =
+      Option.fold ~none:0 ~some:Obs.Metrics.value
+        (Obs.Metrics.find_counter m name)
     in
-    Printf.sprintf "%s: %s records=%s" name
-      (String.concat " " (List.map fst runs))
-      (String.sub
-         (Dsm.Fingerprint.to_hex (Dsm.Fingerprint.combine (List.map snd runs)))
-         0 12)
+    let hist name =
+      Option.map Obs.Metrics.histogram_snapshot
+        (Obs.Metrics.find_histogram m name)
+    in
+    let registry =
+      Printf.sprintf "%d/%d/%d/%d/%d"
+        (counter "lmc.system_states_created")
+        (counter "lmc.preliminary_violations")
+        (counter "lmc.soundness_calls")
+        (counter "lmc.soundness_rejections")
+        (counter "lmc.soundness_budget_exhausted")
+    in
+    if
+      counters r <> counters recorded
+      || registry <> counters recorded
+      || witness r <> witness recorded
+    then
+      Alcotest.failf "metrics-only run %s (registry %s, witness %s) <> %s (%s)"
+        (counters r) registry (witness r) (counters recorded)
+        (witness recorded);
+    ( Option.fold ~none:0
+        ~some:(fun (s : Obs.Metrics.histogram_snapshot) -> s.count)
+        (hist "lmc.soundness_us"),
+      Dsm.Fingerprint.of_value
+        (hist "lmc.system_depth", hist "soundness.steps") )
+
+  let digest fps =
+    String.sub (Dsm.Fingerprint.to_hex (Dsm.Fingerprint.combine fps)) 0 12
+
+  (* The recorded row (counters per configuration, one digest of the
+     records and witnesses) and the metrics-only row (count of
+     [lmc.soundness_us] observations per configuration, one digest of
+     the histograms). *)
+  let rows name ?max_depth ?max_transitions ~invariant strategy =
+    let runs =
+      List.map
+        (fun config ->
+          let r, records =
+            run ?max_depth ?max_transitions ~invariant strategy config
+          in
+          ( r,
+            records,
+            quiet ?max_depth ?max_transitions ~invariant strategy config r ))
+        configs
+    in
+    ( Printf.sprintf "%s: %s records=%s" name
+        (String.concat " " (List.map (fun (r, _, _) -> counters r) runs))
+        (digest (List.map (fun (_, d, _) -> d) runs)),
+      Printf.sprintf "%s: us=%s metrics=%s" name
+        (String.concat " "
+           (List.map (fun (_, _, (us, _)) -> string_of_int us) runs))
+        (digest (List.map (fun (_, _, (_, h)) -> h) runs)) )
 end
 
-(* [Protocols.Synthetic] seeds for the judged-completions rows: the
-   first 16 whose GEN run, judging everything, creates at least one
-   preliminary violation under [judged_both_moved] (no two nodes have
-   both moved).  Over half of the seeds 0..23 explore four transitions
-   or fewer, so a fixed range mostly checks protocols that reach no
-   combination at all. *)
+(* [Protocols.Synthetic] protocols for the judged-completions rows. *)
 module Judged_synthetic (C : sig
   val seed : int
+  val num_nodes : int
 end) =
 Protocols.Synthetic.Make (struct
   let seed = C.seed
-  let num_nodes = 3
+  let num_nodes = C.num_nodes
   let max_state = 4
   let kinds = 2
 end)
@@ -1816,60 +1879,91 @@ let judged_both_moved =
   Dsm.Invariant.for_all_pairs ~name:"both-moved" (fun _ a _ b ->
       if a > 0 && b > 0 then Some "moved" else None)
 
-let judged_rows () =
-  let registry =
-    List.concat_map
-      (fun (name, max_depth, max_transitions) ->
-        let (module S : Protocols.Registry.SUBJECT) =
-          Option.get (Protocols.Registry.find name)
-        in
-        let module J = Judged (S.P) in
-        let row what =
-          J.row (name ^ " " ^ what) ?max_depth ?max_transitions
-            ~invariant:S.invariant
-        in
-        (match S.opt with
-        | Some (Protocols.Registry.Opt { abstract; conflict }) ->
-            row "opt" (J.L.Invariant_specific { abstract; conflict })
-        | None -> row "gen" J.L.General)
-        :: [ row "auto" J.L.Automatic ])
-      [
-        ("paxos-buggy", None, None);
-        ("onepaxos-buggy", Some 8, Some 3_000);
-        ("2pc-buggy", None, None);
-        ("ring-buggy", None, None);
-        ("mutex-buggy", None, None);
-      ]
-  in
+(* The first [count] seeds whose run on [num_nodes] nodes, judging
+   everything, creates at least [prelims] preliminary violations under
+   [judged_both_moved] (no two nodes have both moved).  Over half of
+   the seeds 0..23 explore four transitions or fewer, so a fixed range
+   mostly checks protocols that reach no combination at all. *)
+let judged_seeds ~num_nodes ~auto ~count ~prelims =
   let rec seeds found seed =
-    if List.length found = 16 then List.rev found
+    if List.length found = count then List.rev found
     else
       let module P = Judged_synthetic (struct
         let seed = seed
+        let num_nodes = num_nodes
       end) in
       let module L = Lmc.Checker.Make (P) in
       let r =
         L.run
           { L.default_config with stop_on_violation = false }
-          ~strategy:L.General ~invariant:judged_both_moved
+          ~strategy:(if auto then L.Automatic else L.General)
+          ~invariant:judged_both_moved
           (Dsm.Protocol.initial_system (module P))
       in
       seeds
-        (if r.preliminary_violations > 0 then seed :: found else found)
+        (if r.preliminary_violations >= prelims then seed :: found else found)
         (seed + 1)
   in
-  let synthetic seed =
-    let module P = Judged_synthetic (struct
-      let seed = seed
-    end) in
-    let module J = Judged (P) in
-    let row what =
-      J.row (Printf.sprintf "synthetic-%d %s" seed what)
-        ~invariant:judged_both_moved
-    in
-    [ row "gen" J.L.General; row "auto" J.L.Automatic ]
-  in
-  registry @ List.concat_map synthetic (seeds [] 0)
+  seeds [] 0
+
+(* Rows of both goldens, (recorded, metrics-only), computed once. *)
+let judged_rows =
+  lazy
+    (let registry =
+       List.concat_map
+         (fun (name, max_depth, max_transitions) ->
+           let (module S : Protocols.Registry.SUBJECT) =
+             Option.get (Protocols.Registry.find name)
+           in
+           let module J = Judged (S.P) in
+           let row what =
+             J.rows (name ^ " " ^ what) ?max_depth ?max_transitions
+               ~invariant:S.invariant
+           in
+           (match S.opt with
+           | Some (Protocols.Registry.Opt { abstract; conflict }) ->
+               row "opt" (J.L.Invariant_specific { abstract; conflict })
+           | None -> row "gen" J.L.General)
+           :: [ row "auto" J.L.Automatic ])
+         [
+           ("paxos-buggy", None, None);
+           ("onepaxos-buggy", Some 8, Some 3_000);
+           ("2pc-buggy", None, None);
+           ("ring-buggy", None, None);
+           ("mutex-buggy", None, None);
+         ]
+     in
+     let synthetic seed =
+       let module P = Judged_synthetic (struct
+         let seed = seed
+         let num_nodes = 3
+       end) in
+       let module J = Judged (P) in
+       let row what =
+         J.rows (Printf.sprintf "synthetic-%d %s" seed what)
+           ~invariant:judged_both_moved
+       in
+       [ row "gen" J.L.General; row "auto" J.L.Automatic ]
+     in
+     registry
+     @ List.concat_map synthetic (judged_seeds ~num_nodes:3 ~auto:false ~count:16 ~prelims:1))
+
+(* 4-node rows: a pinned pair leaves two slots free.  The first 8
+   seeds whose pairwise [Automatic] run creates more than one
+   preliminary violation (each a completion of a violating pinned
+   pair): one is often just the snapshot. *)
+let judged4_rows =
+  lazy
+    (List.map
+       (fun seed ->
+         let module P = Judged_synthetic (struct
+           let seed = seed
+           let num_nodes = 4
+         end) in
+         let module J = Judged (P) in
+         J.rows (Printf.sprintf "synthetic4-%d auto" seed)
+           ~invariant:judged_both_moved J.L.Automatic)
+       (judged_seeds ~num_nodes:4 ~auto:true ~count:8 ~prelims:2))
 
 (* Taken before the rejected cache held flat rows and pinned tuples
    stopped being copied. *)
@@ -1922,7 +2016,91 @@ let judged_golden =
 let test_judged_equivalence () =
   check
     Alcotest.(list string)
-    "counters, records and witnesses as before" judged_golden (judged_rows ())
+    "counters, records and witnesses as before" judged_golden
+    (List.map fst (Lazy.force judged_rows))
+
+(* Taken before a violating pinned pair's completions were judged
+   in bulk. *)
+let judged_metrics_golden =
+  [
+    "paxos-buggy opt: us=0 0 0 0 0 0 0 0 metrics=76a6a4a47795";
+    "paxos-buggy auto: us=0 0 0 0 0 0 0 0 metrics=76a6a4a47795";
+    "onepaxos-buggy opt: us=0 0 0 0 0 0 0 0 metrics=76a6a4a47795";
+    "onepaxos-buggy auto: us=0 0 0 0 0 0 0 0 metrics=76a6a4a47795";
+    "2pc-buggy opt: us=4 4 4 1 198 104 101 101 metrics=53e3c84a81eb";
+    "2pc-buggy auto: us=4 4 4 1 198 104 101 101 metrics=53e3c84a81eb";
+    "ring-buggy opt: us=28 28 10 25 699 355 352 352 metrics=fe1bcb2dc3aa";
+    "ring-buggy auto: us=28 28 10 25 699 355 352 352 metrics=fe1bcb2dc3aa";
+    "mutex-buggy opt: us=2 2 2 1 12 11 8 8 metrics=f0a1d6bcc3fe";
+    "mutex-buggy auto: us=2 2 2 1 12 11 8 8 metrics=f0a1d6bcc3fe";
+    "synthetic-0 gen: us=1 1 1 1 1 1 1 1 metrics=4c64138c8b89";
+    "synthetic-0 auto: us=1 1 1 1 1 1 1 1 metrics=59049345b569";
+    "synthetic-2 gen: us=7 7 7 4 220 115 112 112 metrics=0a435fc1e4db";
+    "synthetic-2 auto: us=6 6 6 3 220 115 112 112 metrics=ef7c21c22c60";
+    "synthetic-4 gen: us=1 1 1 1 1 1 1 1 metrics=4c64138c8b89";
+    "synthetic-4 auto: us=1 1 1 1 1 1 1 1 metrics=59049345b569";
+    "synthetic-5 gen: us=1 1 1 1 3 3 2 2 metrics=5f2395fe54c0";
+    "synthetic-5 auto: us=1 1 1 1 3 3 2 2 metrics=8611881fa345";
+    "synthetic-6 gen: us=1 1 1 1 214 115 112 112 metrics=af43d9c639b8";
+    "synthetic-6 auto: us=1 1 1 2 214 115 112 112 metrics=3286a10a0254";
+    "synthetic-9 gen: us=1 1 1 2 22 15 12 12 metrics=6eb764541f74";
+    "synthetic-9 auto: us=1 1 1 1 22 15 12 12 metrics=49b9da61f154";
+    "synthetic-12 gen: us=224 115 112 112 224 115 112 112 metrics=4c023ba9c018";
+    "synthetic-12 auto: us=224 115 112 112 224 115 112 112 metrics=4561eba25184";
+    "synthetic-13 gen: us=224 115 112 112 224 115 112 112 metrics=93a537db8d07";
+    "synthetic-13 auto: us=224 115 112 112 224 115 112 112 metrics=0796b4e46f6c";
+    "synthetic-14 gen: us=1 1 1 1 3 3 2 2 metrics=db2d736131c2";
+    "synthetic-14 auto: us=1 1 1 1 3 3 2 2 metrics=c0e1a1207b76";
+    "synthetic-16 gen: us=1 1 1 5 221 115 112 112 metrics=3b6f18971c55";
+    "synthetic-16 auto: us=1 1 1 5 221 115 112 112 metrics=73d86725dae5";
+    "synthetic-24 gen: us=224 115 112 112 224 115 112 112 metrics=cd32d595c409";
+    "synthetic-24 auto: us=224 115 112 112 224 115 112 112 metrics=bbd7e85cdfc1";
+    "synthetic-25 gen: us=1 1 1 1 212 115 112 112 metrics=bade8347de57";
+    "synthetic-25 auto: us=1 1 1 2 212 115 112 112 metrics=0ad8404679e0";
+    "synthetic-34 gen: us=1 1 1 1 1 1 1 1 metrics=4c64138c8b89";
+    "synthetic-34 auto: us=1 1 1 1 1 1 1 1 metrics=59049345b569";
+    "synthetic-35 gen: us=1 1 1 110 223 115 112 112 metrics=4307b9096c3c";
+    "synthetic-35 auto: us=1 1 1 110 223 115 112 112 metrics=b1af0c601da1";
+    "synthetic-36 gen: us=132 115 20 112 224 115 112 112 metrics=255c12fbaeae";
+    "synthetic-36 auto: us=130 115 18 112 224 115 112 112 metrics=6ba774281654";
+    "synthetic-37 gen: us=1 1 1 21 218 115 112 112 metrics=b582417373fb";
+    "synthetic-37 auto: us=1 1 1 18 218 115 112 112 metrics=b5dd4dc710f5";
+  ]
+
+let judged4_golden =
+  [
+    "synthetic4-2 auto: 1/1/1/0/0 1/1/1/0/0 608/608/1/0/0 608/608/606/605/0 608/608/1215/607/0 608/608/611/607/0 608/608/608/607/0 608/608/608/607/0 records=22d7248c1b66";
+    "synthetic4-2 auto: us=1 1 1 606 1215 611 608 608 metrics=414f5f493dce";
+    "synthetic4-4 auto: 1/1/1/0/0 1/1/1/0/0 40/40/1/0/0 40/40/38/37/0 40/40/78/38/0 40/40/43/38/0 40/40/40/38/0 40/40/40/38/0 records=da4064a5e025";
+    "synthetic4-4 auto: us=1 1 1 38 78 43 40 40 metrics=989e1d6eae7e";
+    "synthetic4-5 auto: 1/1/1/0/0 1/1/1/0/0 608/608/1/0/0 5/5/2/1/0 608/608/1203/595/0 608/608/611/595/0 608/608/608/595/0 608/608/608/595/0 records=482a2cc554e6";
+    "synthetic4-5 auto: us=1 1 1 2 1203 611 608 608 metrics=6772111ae24d";
+    "synthetic4-6 auto: 1/1/1/0/0 1/1/1/0/0 608/608/1/0/0 9/9/6/5/0 608/608/1201/593/0 608/608/611/593/0 608/608/608/574/0 608/608/608/593/0 records=3da3c453ca24";
+    "synthetic4-6 auto: us=1 1 1 6 1201 611 608 608 metrics=de01adf1093c";
+    "synthetic4-12 auto: 8/8/8/7/0 8/8/8/7/0 608/608/8/7/0 8/8/5/4/0 608/608/1215/607/0 608/608/611/607/0 608/608/608/607/0 608/608/608/607/0 records=0f4eaab3d5f9";
+    "synthetic4-12 auto: us=8 8 8 5 1215 611 608 608 metrics=c34a285e9038";
+    "synthetic4-13 auto: 1/1/1/0/0 1/1/1/0/0 608/608/1/0/0 6/6/3/2/0 608/608/1208/600/0 608/608/611/600/0 608/608/608/599/0 608/608/608/600/0 records=669ab12f2980";
+    "synthetic4-13 auto: us=1 1 1 3 1208 611 608 608 metrics=b59d29bbb9a0";
+    "synthetic4-14 auto: 1/1/1/0/0 1/1/1/0/0 4/4/1/0/0 4/4/2/1/0 4/4/5/1/0 4/4/5/1/0 4/4/4/1/0 4/4/4/1/0 records=6dd23906e591";
+    "synthetic4-14 auto: us=1 1 1 2 5 5 4 4 metrics=2d038210f921";
+    "synthetic4-16 auto: 608/608/1216/608/0 608/608/611/608/0 608/608/608/608/0 608/608/608/608/0 608/608/1216/608/0 608/608/611/608/0 608/608/608/608/0 608/608/608/608/0 records=a1db245b81a3";
+    "synthetic4-16 auto: us=1216 611 608 608 1216 611 608 608 metrics=1ab81d54e61e";
+  ]
+
+let test_judged_metrics () =
+  check
+    Alcotest.(list string)
+    "metrics-only runs: counters and witnesses as recorded, histograms as \
+     before"
+    judged_metrics_golden
+    (List.map snd (Lazy.force judged_rows))
+
+let test_judged4 () =
+  check
+    Alcotest.(list string)
+    "4 nodes: counters, records, witnesses and histograms as before"
+    judged4_golden
+    (List.concat_map (fun (a, b) -> [ a; b ]) (Lazy.force judged4_rows))
 
 let () =
   Alcotest.run "lmc"
@@ -2008,5 +2186,8 @@ let () =
         [
           Alcotest.test_case "completions as before" `Slow
             test_judged_equivalence;
+          Alcotest.test_case "metrics-only as recorded" `Slow
+            test_judged_metrics;
+          Alcotest.test_case "4-node pinned completions" `Slow test_judged4;
         ] );
     ]
