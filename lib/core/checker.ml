@@ -217,6 +217,19 @@ module Make (P : Dsm.Protocol.S) = struct
     mutable p_depths : int array;  (* system states created, by depth *)
   }
 
+  (* Per node, the union of [prod] over its store's entries: the
+     group test's bound on what any completion's free slot can
+     produce ({!group_infeasible}).  Extended as entries are appended,
+     rebuilt when the node's store generation moves. *)
+  type unions = {
+    u_prod : Soundness.Bits.t array;
+    u_upto : int array;  (* entries folded into [u_prod] *)
+    u_gen : int array;  (* the store generation they were folded under *)
+    c_group_screened : Obs.Metrics.counter Lazy.t;
+        (* completions judged by a group test; resolved on first use,
+           so a run that judges no group registers no such metric *)
+  }
+
   let make_obs_handles (config : config) =
     let scope = config.obs in
     {
@@ -291,6 +304,7 @@ module Make (P : Dsm.Protocol.S) = struct
     sums : Soundness.summary array;
         (* the screen's input, refilled per judgement from the tuple's
            cached summaries *)
+    unions : unions;
     started : float;
     mutable transitions : int;
     mutable system_states_created : int;
@@ -1114,6 +1128,145 @@ module Make (P : Dsm.Protocol.S) = struct
         timed t t.ph_invariant_us (fun () -> pair a.node a.state b.node b.state)
     | None -> false
 
+  (* ----- group judgement of a violating pinned pair ----- *)
+
+  (* Node [j]'s union of [prod] over its store, every entry's summary
+     refreshed on the way. *)
+  let store_union t j =
+    let u = t.unions in
+    if u.u_gen.(j) <> t.gens.(j) then begin
+      u.u_gen.(j) <- t.gens.(j);
+      u.u_upto.(j) <- 0;
+      u.u_prod.(j) <- Soundness.Bits.empty
+    end;
+    let store = t.stores.(j) in
+    let upto = Vec.length store in
+    if u.u_upto.(j) < upto then begin
+      let acc = ref u.u_prod.(j) in
+      for i = u.u_upto.(j) to upto - 1 do
+        acc := Soundness.Bits.union !acc (summary t (Vec.get store i)).prod
+      done;
+      u.u_prod.(j) <- !acc;
+      u.u_upto.(j) <- upto
+    end;
+    u.u_prod.(j)
+
+  (* Whether every completion of the pinned pair ([a], [b]) fails the
+     screen: [a] or [b] is unreachable, or [must(a) + must(b)] is not
+     covered by [prod(a) + prod(b)] and every free slot's store union.
+     A completion's own screen tests its members' [must] against a
+     subset of that cover, so it rejects the completion too (the
+     reason it names may differ).  The clock is read, and the time
+     added to [soundness_time], only when a summary or a union is
+     stale. *)
+  let group_infeasible t (a : 'k entry) (b : 'k entry) =
+    let free j = j <> a.node && j <> b.node in
+    let stale =
+      ref
+        (a.summary.gen <> t.gens.(a.node) || b.summary.gen <> t.gens.(b.node))
+    in
+    for j = 0 to P.num_nodes - 1 do
+      if
+        free j
+        && (t.unions.u_gen.(j) <> t.gens.(j)
+           || t.unions.u_upto.(j) < Vec.length t.stores.(j))
+      then stale := true
+    done;
+    let t0 = if !stale then now () else 0. in
+    let sa = summary t a and sb = summary t b in
+    let infeasible =
+      match (sa.must, sb.must) with
+      | None, _ | _, None -> true
+      | Some ma, Some mb ->
+          let may = ref (Soundness.Bits.union sa.prod sb.prod) in
+          for j = 0 to P.num_nodes - 1 do
+            if free j then may := Soundness.Bits.union !may (store_union t j)
+          done;
+          not (Soundness.Bits.subset ma !may && Soundness.Bits.subset mb !may)
+    in
+    if !stale then t.soundness_time <- t.soundness_time +. (now () -. t0);
+    infeasible
+
+  (* The completions of a violating pinned pair that {!group_infeasible}
+     rules out, judged as a group: each one that [max_depth] allows is
+     a system state, a preliminary violation, a soundness call and a
+     rejection by a 0-step screen that read no clock, exactly as
+     {!consider_combo} and {!verify_soundness} count it, and its row
+     enters the rejected cache while there is room.  Per completion
+     the walk only sums depths and pushes the row; the tallies are
+     added once.  With a recorder, each completion's [prelim],
+     [soundness] and [reject] records are emitted in the same order as
+     before, the reason from the completion's own screen.  The budget
+     is checked once for the group: [max_transitions] cannot fire
+     during a combination phase, and the time limit is wall time. *)
+  let judge_group t candidates =
+    check_budget t;
+    let room =
+      ref (t.config.max_rejected_cache - (Vec.length t.rejected / row_width))
+    in
+    let created = ref 0 in
+    ignore
+      (Combination.iter candidates (fun tuple ->
+           let sdepth = ref 0 in
+           for j = 0 to P.num_nodes - 1 do
+             sdepth := !sdepth + tuple.(j).depth
+           done;
+           let sdepth = !sdepth in
+           if depth_allows t sdepth then begin
+             incr created;
+             note_system_state t sdepth;
+             if sdepth > t.max_system_depth then t.max_system_depth <- sdepth;
+             if t.tracing then begin
+               let violation = violation_of t tuple None in
+               record_prelim t violation sdepth tuple;
+               ignore (fill_summaries t tuple);
+               let why =
+                 match Soundness.screen ~initial:Soundness.Bits.empty t.sums with
+                 | Some why -> why
+                 | None -> invalid_arg "Checker: a screened-out group passed"
+               in
+               Soundness.record_infeasible t.soundness 1;
+               record_reject t violation sdepth tuple (Infeasible why)
+             end;
+             if !room > 0 then begin
+               decr room;
+               cache_push t tuple sdepth
+             end
+           end;
+           `Continue));
+    let k = !created in
+    if k > 0 then begin
+      let p = t.pend in
+      t.system_states_created <- t.system_states_created + k;
+      t.preliminary_violations <- t.preliminary_violations + k;
+      t.soundness_calls <- t.soundness_calls + k;
+      t.soundness_rejections <- t.soundness_rejections + k;
+      p.p_prelims <- p.p_prelims + k;
+      p.p_calls <- p.p_calls + k;
+      p.p_rejections <- p.p_rejections + k;
+      p.p_unclocked <- p.p_unclocked + k;
+      if not t.tracing then p.p_infeasible <- p.p_infeasible + k;
+      Obs.Metrics.add (Lazy.force t.unions.c_group_screened) k
+    end
+
+  (* The completions of the pinned pair ([a], [b]) from [candidates]:
+     as a group when the pair violates, each completion would be
+     judged inline by the screen alone ([verify_soundness] on, no
+     deferral, no persistent store), and {!group_infeasible} rules
+     the group out; one by one otherwise. *)
+  let complete_pair t a b ~pinned candidates =
+    if
+      pinned && t.config.verify_soundness
+      && (not t.config.defer_soundness)
+      && t.config.persist = None
+      && group_infeasible t a b
+    then judge_group t candidates
+    else
+      ignore
+        (Combination.iter candidates (fun tuple ->
+             consider_combo ~pinned t tuple;
+             if stopped t then `Stop else `Continue))
+
   (* Pin [new_entry] together with each partner [partners m] visits on
      node [m] (in store order) and complete the system state from the
      remaining nodes' full stores.  The pinned pair is judged once per
@@ -1153,10 +1306,7 @@ module Make (P : Dsm.Protocol.S) = struct
                 Bytes.set marks.(m) other.idx '\001';
                 let candidates = Lazy.force candidates in
                 candidates.(m) <- [| other |];
-                ignore
-                  (Combination.iter candidates (fun tuple ->
-                       consider_combo ~pinned t tuple;
-                       if stopped t then `Stop else `Continue));
+                complete_pair t new_entry other ~pinned candidates;
                 if stopped t then raise Exit
               end)
         end
@@ -1663,6 +1813,14 @@ module Make (P : Dsm.Protocol.S) = struct
             p_depths = [||];
           };
         sums = Array.make P.num_nodes unsummarised.sum;
+        unions =
+          {
+            u_prod = Array.make P.num_nodes Soundness.Bits.empty;
+            u_upto = Array.make P.num_nodes 0;
+            u_gen = Array.make P.num_nodes (-1);
+            c_group_screened =
+              lazy (Obs.counter config.obs "lmc.group_screened");
+          };
         started = now ();
         transitions = 0;
         system_states_created = 0;

@@ -91,6 +91,33 @@ module Make (P : Dsm.Protocol.S) : sig
       without a pair shape, and [General], check every system state
       they create.
 
+      {b Group judgement.}  A violating pinned pair ([a] new, [b] its
+      partner) is first screened as a whole: each node keeps the union
+      of [prod] over its store's cached summaries, extended as entries
+      are appended and rebuilt when the node's store generation moves.
+      If [a] or [b] is unreachable, or [must(a) + must(b)] is not
+      covered by [prod(a) + prod(b)] and the unions of the free slots'
+      nodes, every completion's own screen rejects it too.  Such a
+      group is then judged in bulk: the completions are walked in the
+      usual order and marks, and each one [max_depth] allows counts as
+      a system state, a preliminary violation, a soundness call and a
+      rejection, observes 0 in [lmc.soundness_us] and a 0-step
+      [Invalid] search in [soundness.*], adds its depth to
+      [lmc.system_depth], and enters the rejected cache while it has
+      room; the tallies are added once per group, and the
+      [lmc.group_screened] counter (registered on first use) counts
+      these completions.  With a recorder the walk emits each
+      completion's [prelim], [soundness] and [reject] records as
+      before, with the reason of its own screen, so record streams do
+      not change.  The run's budget is checked once per group rather
+      than once per completion ([max_transitions] cannot fire within
+      a combination phase; [time_limit] is read at the group's start),
+      and the time spent refreshing summaries and unions for the group
+      test is added to [soundness_time] without a histogram
+      observation.  Groups the test does not rule out, and runs with
+      [defer_soundness], [verify_soundness = false] or [persist], are
+      judged one completion at a time.
+
       {b Copy on escape.}  Every strategy enumerates a system state's
       tuple of store entries in one reused buffer, and judges it
       before the next is built; tuple slot [j] always holds node [j]'s
