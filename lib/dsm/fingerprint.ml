@@ -3,6 +3,7 @@ type t = string
 (* The kernel lives in fingerprint_stubs.c; each stub fills a fresh
    16-byte buffer and never allocates. *)
 external walk : 'a -> bytes -> bool = "lmc_fp_value" [@@noalloc]
+external marshalled_size : 'a -> int = "lmc_fp_size" [@@noalloc]
 external hash_string : raw:bool -> string -> bytes -> unit = "lmc_fp_string"
   [@@noalloc]
 external hash_list : string list -> bytes -> unit = "lmc_fp_combine"
@@ -31,7 +32,10 @@ let compare = String.compare
 
 let size = 16
 
-let serialized_size v = String.length (Marshal.to_string v [])
+let serialized_size v =
+  match marshalled_size v with
+  | -1 -> String.length (Marshal.to_string v [])
+  | n -> n
 
 let to_hex t = Digest.to_hex t
 

@@ -21,6 +21,10 @@
    then hashes the marshalled bytes instead, which is deterministic in
    the same bytes.
 
+   The same walk also sizes a value: instead of mixing a token it adds
+   the bytes [Marshal] writes for it (see [marshal_*_bytes] below), so
+   [Fingerprint.serialized_size] needs no marshalled string.
+
    Seen blocks live in a per-thread open-addressing table keyed by
    address.  Each walk bumps the table's epoch instead of clearing it,
    so a slot is occupied only if it carries the current epoch.  The
@@ -168,12 +172,50 @@ static void ctx_begin(struct ctx *c)
   }
 }
 
+/* ----- marshalled sizes (runtime/extern.c, 64-bit, no flags) ----- */
+
+static inline uint64_t marshal_int_bytes(intnat n)
+{
+  if (n >= 0 && n < 0x40) return 1;
+  if (n >= -(1 << 7) && n < (1 << 7)) return 2;
+  if (n >= -(1 << 15) && n < (1 << 15)) return 3;
+  if (n < -((intnat)1 << 30) || n >= ((intnat)1 << 30)) return 9;
+  return 5;
+}
+
+static inline uint64_t marshal_header_bytes(mlsize_t sz, tag_t tag)
+{
+  if (tag < 16 && sz < 8) return 1;
+  return sz < ((mlsize_t)1 << 22) ? 5 : 9;
+}
+
+static inline uint64_t marshal_shared_bytes(uint32_t d)
+{
+  return d < 0x100 ? 2 : d < 0x10000 ? 3 : 5;
+}
+
+static inline uint64_t marshal_length_bytes(mlsize_t len, mlsize_t small)
+{
+  return len < small ? 1 : len < 0x100 ? 2 : len <= 0xFFFFFFFFUL ? 5 : 9;
+}
+
 /* ----- the walk ----- */
 
 enum { WALK_OK, WALK_BAIL, WALK_FULL };
 
-static int walk(struct ctx *c, value v, lanes *h)
+/* What a walk produces: the mixed token stream, or ([sizing]) the
+   bytes and the 64-bit heap words [Marshal] would count. */
+struct out {
+  lanes h;
+  uint64_t bytes, words;
+};
+
+/* One walk for both outputs; [sizing] is a constant at each call
+   site, so each instance keeps only its own branch. */
+static inline __attribute__((always_inline)) int
+walk_impl(struct ctx *c, value v, struct out *o, const int sizing)
 {
+  lanes *const h = &o->h;
   struct item *sp = c->stack;
   struct item *const limit = c->stack + STACK_SIZE - 1;
   const uint32_t epoch = c->epoch;
@@ -184,7 +226,8 @@ static int walk(struct ctx *c, value v, lanes *h)
 
   for (;;) {
     if (Is_long(v)) {
-      mix(h, (uint64_t)v);
+      if (sizing) o->bytes += marshal_int_bytes(Long_val(v));
+      else mix(h, (uint64_t)v);
     } else {
       header_t hd = Hd_val(v);
       tag_t tag = Tag_hd(hd);
@@ -200,7 +243,8 @@ static int walk(struct ctx *c, value v, lanes *h)
         continue;
       }
       if (sz == 0) {
-        mix(h, TOKEN(K_BLOCK, tag));
+        if (sizing) o->bytes += marshal_header_bytes(0, tag);
+        else mix(h, TOKEN(K_BLOCK, tag));
         goto next_item;
       }
 
@@ -211,7 +255,8 @@ static int walk(struct ctx *c, value v, lanes *h)
         s = &c->table[i];
         if (s->epoch != epoch) break;
         if (s->v == v) {
-          mix(h, TOKEN(K_SHARED, s->pos));
+          if (sizing) o->bytes += marshal_shared_bytes(pos - s->pos);
+          else mix(h, TOKEN(K_SHARED, s->pos));
           goto next_item;
         }
         i = (i + 1) & mask;
@@ -221,20 +266,32 @@ static int walk(struct ctx *c, value v, lanes *h)
       s->epoch = epoch;
       s->pos = pos++;
 
+      if (sizing) o->words += 1 + sz;
       switch (tag) {
       case String_tag:
-        mix_string(h, v);
+        if (sizing) {
+          mlsize_t len = caml_string_length(v);
+          o->bytes += marshal_length_bytes(len, 0x20) + len;
+        } else
+          mix_string(h, v);
         break;
       case Double_tag:
       case Double_array_tag:
-        mix(h, TOKEN(K_BLOCK, (sz << 8) | tag));
-        for (mlsize_t j = 0; j < sz; j++) mix(h, (uint64_t)Field(v, j));
+        if (sizing)
+          o->bytes += tag == Double_tag
+                          ? 9
+                          : marshal_length_bytes(sz, 0) + 8 * sz;
+        else {
+          mix(h, TOKEN(K_BLOCK, (sz << 8) | tag));
+          for (mlsize_t j = 0; j < sz; j++) mix(h, (uint64_t)Field(v, j));
+        }
         break;
       default:
         /* Forcing, Cont, Lazy, Closure, Object, Infix, Abstract and
            Custom blocks: the marshaller's business. */
         if (tag >= Forcing_tag) return WALK_BAIL;
-        mix(h, TOKEN(K_BLOCK, (sz << 8) | tag));
+        if (sizing) o->bytes += marshal_header_bytes(sz, tag);
+        else mix(h, TOKEN(K_BLOCK, (sz << 8) | tag));
         if (sz > 1) {
           if (sp == limit) return WALK_BAIL;
           sp++;
@@ -252,27 +309,61 @@ static int walk(struct ctx *c, value v, lanes *h)
   }
 }
 
+static int walk_hash(struct ctx *c, value v, struct out *o)
+{
+  return walk_impl(c, v, o, 0);
+}
+
+static int walk_size(struct ctx *c, value v, struct out *o)
+{
+  return walk_impl(c, v, o, 1);
+}
+
+/* Run [w] on [v] from a fresh table, growing the table when it fills;
+   false when the walk gives up. */
+static int walk_value(int (*w)(struct ctx *, value, struct out *), value v,
+                      struct out *o)
+{
+  struct ctx *c = ctx_get();
+  if (c == NULL) return 0;
+  for (;;) {
+    o->h = seed;
+    o->bytes = o->words = 0;
+    ctx_begin(c);
+    switch (w(c, v, o)) {
+    case WALK_OK:
+      return 1;
+    case WALK_FULL:
+      if (c->bits < MAX_BITS && ctx_resize(c, c->bits + 2)) continue;
+      return 0;
+    default:
+      return 0;
+    }
+  }
+}
+
 /* [lmc_fp_value v buf] writes [v]'s fingerprint to [buf] and returns
    true, or returns false when [v] must be hashed from its marshalled
    bytes.  Never allocates on the OCaml heap. */
 CAMLprim value lmc_fp_value(value v, value buf)
 {
-  struct ctx *c = ctx_get();
-  if (c == NULL) return Val_false;
-  for (;;) {
-    lanes h = seed;
-    ctx_begin(c);
-    switch (walk(c, v, &h)) {
-    case WALK_OK:
-      finish(h, buf);
-      return Val_true;
-    case WALK_FULL:
-      if (c->bits < MAX_BITS && ctx_resize(c, c->bits + 2)) continue;
-      return Val_false;
-    default:
-      return Val_false;
-    }
-  }
+  struct out o;
+  if (!walk_value(walk_hash, v, &o)) return Val_false;
+  finish(o.h, buf);
+  return Val_true;
+}
+
+/* [lmc_fp_size v] is the length of [Marshal.to_string v []]: the
+   20-byte header plus the data, or -1 when [v] must be marshalled to
+   know (the walk gave up, or the data or heap words are large enough
+   to need the 32-byte header).  Never allocates on the OCaml heap. */
+CAMLprim value lmc_fp_size(value v)
+{
+  struct out o;
+  if (!walk_value(walk_size, v, &o) || o.bytes >= ((uint64_t)1 << 32)
+      || o.words >= ((uint64_t)1 << 31))
+    return Val_long(-1);
+  return Val_long(20 + o.bytes);
 }
 
 /* [lmc_fp_string raw s buf]: the fingerprint of a string, either

@@ -79,6 +79,129 @@ let test_fingerprint_serialized_size () =
     (Dsm.Fingerprint.serialized_size (Array.make 100 7)
     > Dsm.Fingerprint.serialized_size 1)
 
+(* ---------- serialized_size vs Marshal ----------
+
+   [serialized_size] counts what [Marshal.to_string v []] writes while
+   walking [v], without marshalling.  Values are built from shapes
+   that reach every length class of the marshalled format: ints of 1,
+   2, 3, 5 and 9 bytes, strings and float arrays with 1-, 2- and
+   5-byte lengths, blocks with 1- and 5-byte headers (tags below and
+   from 16, sizes below and from 8), and references back to earlier
+   blocks, 2 or 3 bytes away. *)
+
+type shape =
+  | I of int
+  | S of int  (* a fresh string of this length *)
+  | F  (* a boxed float *)
+  | Fa of int  (* a float array of this length *)
+  | Strings of int  (* a list of this many fresh strings *)
+  | Back of int  (* the block built this many blocks ago *)
+  | B of int * shape list  (* a block of this tag *)
+
+let build shape =
+  let built = Hashtbl.create 64 in
+  let keep o =
+    Hashtbl.replace built (Hashtbl.length built) o;
+    o
+  in
+  let rec go = function
+    | I n -> Obj.repr n
+    | S n -> keep (Obj.repr (String.make n 'x'))
+    | F -> keep (Obj.repr (Sys.opaque_identity (float (Hashtbl.length built))))
+    | Fa n -> keep (Obj.repr (Array.make n 0.5))
+    | Strings n ->
+        keep (Obj.repr (List.init n (fun i -> keep (Obj.repr (string_of_int i)))))
+    | Back k ->
+        let len = Hashtbl.length built in
+        if len = 0 then Obj.repr k else Hashtbl.find built (len - 1 - (k mod len))
+    | B (tag, fields) ->
+        let fields = List.map go fields in
+        let b = Obj.new_block tag (List.length fields) in
+        List.iteri (Obj.set_field b) fields;
+        keep b
+  in
+  go shape
+
+let gen_shape =
+  let open QCheck.Gen in
+  let int_class =
+    oneof
+      [
+        int_range 0 63;
+        int_range (-128) 127;
+        int_range (-32768) 32767;
+        int_range (-(1 lsl 30)) ((1 lsl 30) - 1);
+        int;
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (3, map (fun n -> I n) int_class);
+        (2, map (fun n -> S n) (oneof [ int_range 0 31; int_range 32 300 ]));
+        (1, return F);
+        (1, map (fun n -> Fa n) (oneof [ int_range 0 3; int_range 250 260 ]));
+        (1, map (fun n -> Strings n) (int_range 0 400));
+        (2, map (fun k -> Back k) (oneof [ int_range 0 10; int_range 250 320 ]));
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 2,
+                 map2
+                   (fun tag fields -> B (tag, fields))
+                   (oneof [ int_range 0 15; int_range 16 243 ])
+                   (list_size
+                      (oneof [ int_range 0 7; int_range 8 11 ])
+                      (self (depth - 1))) );
+             ])
+
+let prop_serialized_size =
+  QCheck.Test.make ~name:"serialized_size = marshalled length" ~count:1_000
+    (QCheck.make gen_shape) (fun shape ->
+      let v = build shape in
+      Dsm.Fingerprint.serialized_size v = String.length (Marshal.to_string v []))
+
+(* The boundaries of each length class, sharing 255 and 256 objects
+   back, and values the walk gives up on (a custom block, more blocks
+   than its table holds), which are marshalled instead. *)
+let test_serialized_size_edges () =
+  let same name v =
+    check Alcotest.int name
+      (String.length (Marshal.to_string v []))
+      (Dsm.Fingerprint.serialized_size v)
+  in
+  List.iter
+    (fun n -> same (Printf.sprintf "int %d" n) n)
+    [
+      0; 63; 64; -1; 127; 128; -128; -129; 32767; 32768; -32768; -32769;
+      (1 lsl 30) - 1; 1 lsl 30; -(1 lsl 30); -(1 lsl 30) - 1; max_int; min_int;
+    ];
+  List.iter
+    (fun n -> same (Printf.sprintf "string %d" n) (String.make n 'a'))
+    [ 0; 7; 8; 31; 32; 255; 256; 65535; 65536 ];
+  List.iter
+    (fun n -> same (Printf.sprintf "floats %d" n) (Array.make n 1.5))
+    [ 0; 1; 255; 256 ];
+  List.iter
+    (fun (tag, size) ->
+      same
+        (Printf.sprintf "block %d/%d" tag size)
+        (build (B (tag, List.init size (fun i -> I i)))))
+    [ (0, 0); (15, 7); (15, 8); (16, 1); (16, 0); (243, 9) ];
+  List.iter
+    (fun n ->
+      let strings = List.init n string_of_int in
+      same (Printf.sprintf "shared %d back" n) (strings, List.hd strings))
+    [ 126; 127; 128; 129; 300 ];
+  same "int64" (Int64.of_int 7, 1);
+  same "40000 blocks" (List.init 40_000 Fun.id)
+
 let test_fingerprint_set_map () =
   let a = Dsm.Fingerprint.of_value "a" and b = Dsm.Fingerprint.of_value "b" in
   let s = Dsm.Fingerprint.Set.of_list [ a; b; a ] in
@@ -697,6 +820,9 @@ let () =
           Alcotest.test_case "combine" `Quick test_fingerprint_combine;
           Alcotest.test_case "serialized_size" `Quick
             test_fingerprint_serialized_size;
+          Alcotest.test_case "serialized_size edges" `Quick
+            test_serialized_size_edges;
+          QCheck_alcotest.to_alcotest prop_serialized_size;
           Alcotest.test_case "set/map" `Quick test_fingerprint_set_map;
           Alcotest.test_case "kernel equals marshal" `Quick
             test_fingerprint_kernel_equivalence;
