@@ -20,13 +20,6 @@ let is_identity p =
   Array.iteri (fun i x -> if x <> i then ok := false) p;
   !ok
 
-let compose p q = Array.init (Array.length p) (fun i -> p.(q.(i)))
-
-let inverse p =
-  let inv = Array.make (Array.length p) 0 in
-  Array.iteri (fun i x -> inv.(x) <- i) p;
-  inv
-
 let apply p (i : Node_id.t) : Node_id.t = p.(i)
 
 let equal_perm (a : perm) (b : perm) = a = b

@@ -35,11 +35,6 @@ val identity : int -> perm
 
 val is_identity : perm -> bool
 
-(** [compose p q] is the permutation [fun i -> p.(q.(i))]. *)
-val compose : perm -> perm -> perm
-
-val inverse : perm -> perm
-
 val apply : perm -> Node_id.t -> Node_id.t
 
 val equal_perm : perm -> perm -> bool
