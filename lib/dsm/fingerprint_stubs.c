@@ -309,20 +309,11 @@ walk_impl(struct ctx *c, value v, struct out *o, const int sizing)
   }
 }
 
-static int walk_hash(struct ctx *c, value v, struct out *o)
-{
-  return walk_impl(c, v, o, 0);
-}
-
-static int walk_size(struct ctx *c, value v, struct out *o)
-{
-  return walk_impl(c, v, o, 1);
-}
-
-/* Run [w] on [v] from a fresh table, growing the table when it fills;
-   false when the walk gives up. */
-static int walk_value(int (*w)(struct ctx *, value, struct out *), value v,
-                      struct out *o)
+/* Run the walk on [v] from a fresh table, growing the table when it
+   fills; false when the walk gives up.  Inlined into each stub, so
+   [o] can live in registers. */
+static inline __attribute__((always_inline)) int
+walk_value(value v, struct out *o, const int sizing)
 {
   struct ctx *c = ctx_get();
   if (c == NULL) return 0;
@@ -330,7 +321,7 @@ static int walk_value(int (*w)(struct ctx *, value, struct out *), value v,
     o->h = seed;
     o->bytes = o->words = 0;
     ctx_begin(c);
-    switch (w(c, v, o)) {
+    switch (walk_impl(c, v, o, sizing)) {
     case WALK_OK:
       return 1;
     case WALK_FULL:
@@ -348,7 +339,7 @@ static int walk_value(int (*w)(struct ctx *, value, struct out *), value v,
 CAMLprim value lmc_fp_value(value v, value buf)
 {
   struct out o;
-  if (!walk_value(walk_hash, v, &o)) return Val_false;
+  if (!walk_value(v, &o, 0)) return Val_false;
   finish(o.h, buf);
   return Val_true;
 }
@@ -360,7 +351,7 @@ CAMLprim value lmc_fp_value(value v, value buf)
 CAMLprim value lmc_fp_size(value v)
 {
   struct out o;
-  if (!walk_value(walk_size, v, &o) || o.bytes >= ((uint64_t)1 << 32)
+  if (!walk_value(v, &o, 1) || o.bytes >= ((uint64_t)1 << 32)
       || o.words >= ((uint64_t)1 << 31))
     return Val_long(-1);
   return Val_long(20 + o.bytes);
