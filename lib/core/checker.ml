@@ -1258,7 +1258,7 @@ module Make (P : Dsm.Protocol.S) = struct
     if
       pinned && t.config.verify_soundness
       && (not t.config.defer_soundness)
-      && t.config.persist = None
+      && Option.is_none t.config.persist
       && group_infeasible t a b
     then judge_group t candidates
     else
